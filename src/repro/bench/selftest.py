@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 #: allowed relative wall-clock cost of host profiling vs a plain run —
-#: asserted by :func:`run_selftest`; override with
-#: ``$REPRO_HOSTPROF_OVERHEAD_BUDGET``
+#: asserted by :func:`run_selftest`
 DEFAULT_OVERHEAD_BUDGET = 0.15
 
 #: small fixed grid per figure — big enough to exercise every scheme and
@@ -203,8 +202,7 @@ def _check_overhead(report: dict, budget: float, repeats: int) -> None:
         f"host-profiler overhead on {name!r} is {overhead * 100:.1f}% "
         f"(budget {budget * 100:.0f}%): {m['ns_per_event']:.0f} ns/event "
         f"plain vs {m['host']['ns_per_event']['total']:.0f} instrumented "
-        f"— see docs/PROFILING.md (duty cycle) or raise "
-        f"$REPRO_HOSTPROF_OVERHEAD_BUDGET"
+        "— see docs/PROFILING.md (duty cycle)"
     )
 
 
@@ -222,9 +220,8 @@ def run_selftest(
     The engine microbenchmarks run best-of-``repeats`` and (unless
     ``host_profile=False``) once more under the host-time profiler,
     reporting per-category ns/event and **asserting** the profiler's
-    wall-clock overhead stays within :data:`DEFAULT_OVERHEAD_BUDGET`
-    (override: ``$REPRO_HOSTPROF_OVERHEAD_BUDGET``) — the selftest is
-    where a profiler-hot-path regression fails loudly.
+    wall-clock overhead stays within :data:`DEFAULT_OVERHEAD_BUDGET` —
+    the selftest is where a profiler-hot-path regression fails loudly.
     """
     from repro.bench import figures
 
@@ -236,13 +233,9 @@ def run_selftest(
         "figures": {},
     }
     if host_profile:
-        budget = float(
-            os.environ.get("REPRO_HOSTPROF_OVERHEAD_BUDGET", "")
-            or DEFAULT_OVERHEAD_BUDGET
-        )
-        _check_overhead(report, budget, repeats)
+        _check_overhead(report, DEFAULT_OVERHEAD_BUDGET, repeats)
         report["host_profile"] = {
-            "overhead_budget": budget,
+            "overhead_budget": DEFAULT_OVERHEAD_BUDGET,
             "benches": {
                 name: m["host"]
                 for name, m in report["engine"].items()

@@ -6,22 +6,26 @@ caller via :meth:`repro.ib.costmodel.CostModel.pack_time`, because when
 the cost is paid — and whether it overlaps the wire — is the whole point
 of the paper's schemes.
 
-The *host* cost of this byte movement is the one exception: when a
-host-time profiler is active (:data:`repro.obs.hostprof.ACTIVE`, set by
-the engine's profiled run loop), each call times itself and reports to
-the ``pack-unpack`` host category.  With no active profiler the probe is
-a single None check and the fast path is untouched.
+The *host* cost of this byte movement can be observed through
+:data:`probe`: while an observer has put an object with ``clock()`` and
+``add_nested(name, ns)`` in that slot, each call reports its own
+duration under the name ``"pack-unpack"``.  This module reads no clock
+itself and knows nothing about who is listening; with the slot empty
+(the default) the probe is two None checks.
 """
 
 from __future__ import annotations
 
-from time import perf_counter_ns
+from typing import Any
 
 from repro.datatypes.segment import SegmentCursor
 from repro.ib.memory import NodeMemory
-from repro.obs import hostprof as _hostprof
 
 __all__ = ["pack_bytes", "unpack_bytes"]
+
+#: host-time probe slot — None unless a host-time profiler is
+#: instrumenting the current dispatch (it sets and clears the slot)
+probe: Any = None
 
 
 def pack_bytes(
@@ -37,15 +41,12 @@ def pack_bytes(
 
     Returns the number of memory blocks visited (for cost accounting).
     """
-    hp = _hostprof.ACTIVE
-    if hp is None:
-        slices = cursor.slices(lo, hi)
-        memory.gather_blocks(base_addr, slices, dest_addr)
-        return len(slices)
-    t0 = perf_counter_ns()
+    p = probe
+    t0 = 0 if p is None else p.clock()
     slices = cursor.slices(lo, hi)
     memory.gather_blocks(base_addr, slices, dest_addr)
-    hp.add_nested("pack-unpack", perf_counter_ns() - t0)
+    if p is not None:
+        p.add_nested("pack-unpack", p.clock() - t0)
     return len(slices)
 
 
@@ -62,13 +63,10 @@ def unpack_bytes(
 
     Returns the number of memory blocks visited.
     """
-    hp = _hostprof.ACTIVE
-    if hp is None:
-        slices = cursor.slices(lo, hi)
-        memory.scatter_blocks(base_addr, slices, src_addr)
-        return len(slices)
-    t0 = perf_counter_ns()
+    p = probe
+    t0 = 0 if p is None else p.clock()
     slices = cursor.slices(lo, hi)
     memory.scatter_blocks(base_addr, slices, src_addr)
-    hp.add_nested("pack-unpack", perf_counter_ns() - t0)
+    if p is not None:
+        p.add_nested("pack-unpack", p.clock() - t0)
     return len(slices)

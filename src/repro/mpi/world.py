@@ -8,7 +8,6 @@ simulated time) — and runs rank programs to completion.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Any, Callable, Optional, Sequence
@@ -18,10 +17,6 @@ from repro.ib.fabric import Fabric
 from repro.mpi.context import RankContext
 from repro.obs.metrics import MetricsRegistry
 from repro.simulator import SimulationError, Simulator, Tracer
-from repro.simulator.trace import TimedTracer
-
-#: truthy spellings accepted for $REPRO_HOST_PROFILE
-_TRUTHY = ("1", "true", "yes", "on")
 
 __all__ = ["Cluster", "RunResult"]
 
@@ -83,10 +78,10 @@ class Cluster:
         simulator, attributing *wall-clock* nanoseconds per dispatched
         event to the host-category taxonomy (heap ops, dispatch,
         callback bodies by tag category, pack/unpack, observability
-        overhead) — see docs/PROFILING.md.  ``None`` (the default)
-        consults ``$REPRO_HOST_PROFILE``; host profiling measures the
-        host, never the simulation: simulated results, traces, and
-        metrics are byte-identical with it on or off.
+        overhead) — see docs/PROFILING.md.  Off by default; host
+        profiling measures the host, never the simulation: simulated
+        results, traces, and metrics are byte-identical with it on or
+        off.
     eager_rdma:
         route eager messages through the polled RDMA ring channel of Liu
         et al. [19] instead of channel-semantics send/receive — lower
@@ -113,7 +108,7 @@ class Cluster:
         eager_rdma: bool = False,
         fault_plan: Optional[Any] = None,
         profile: bool = False,
-        host_profile: Optional[bool] = None,
+        host_profile: bool = False,
     ):
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
@@ -129,34 +124,20 @@ class Cluster:
         self.staging_pools = staging_pools
         self.trace = trace
         self.eager_rdma = eager_rdma
-        if host_profile is None:
-            host_profile = (
-                os.environ.get("REPRO_HOST_PROFILE", "").strip().lower()
-                in _TRUTHY
-            )
         self.sim = Simulator()
         self.metrics = MetricsRegistry()
+        self.tracer = Tracer(enabled=trace)
         #: None unless host profiling was requested — with it off the
-        #: engine run loop, tracer, metrics registry and pack/unpack
-        #: fast paths are the exact unhooked code (byte-identical runs)
+        #: simulator's dispatch hook, the tracer, the metrics registry
+        #: and the pack/unpack probe slot are all untouched
         self.host_profiler = None
         if host_profile:
-            from repro.obs.hostprof import HostProfiler, TimedMetrics
+            from repro.obs.hostprof import HostProfiler
 
+            # the ns clock is injected here: repro.obs, the simulator
+            # and the datatype engine never read the host clock
             self.host_profiler = HostProfiler(clock=perf_counter_ns)
-            self.sim.host_profiler = self.host_profiler
-            # a disabled tracer is a boolean check — only worth timing
-            # when tracing actually records
-            self.tracer = (
-                TimedTracer(self.host_profiler)
-                if trace
-                else Tracer(enabled=False)
-            )
-            self.metrics = TimedMetrics(
-                self.metrics, self.host_profiler, perf_counter_ns
-            )
-        else:
-            self.tracer = Tracer(enabled=trace)
+            self.host_profiler.attach(self.sim, self.tracer, self.metrics)
         #: None unless profiling was requested — leaving the simulator's
         #: profiler unset keeps unprofiled runs free of provenance work
         self.profiler = None

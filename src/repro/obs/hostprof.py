@@ -3,19 +3,21 @@
 The critical-path profiler (:mod:`repro.obs.profile`) explains where
 *simulated* microseconds go; this module explains where *host*
 nanoseconds go while the engine produces them — the number the selftest
-otherwise reduces to one opaque events/sec figure.  The engine's
-host-profiled run loop (:meth:`repro.simulator.engine.Simulator.run`
-with :attr:`~repro.simulator.engine.Simulator.host_profiler` attached)
-chains ns-clock timestamps through instrumented dispatches and feeds
-them here, attributing wall-clock to a fixed host-category taxonomy
-(:data:`HOST_CATEGORIES`):
+otherwise reduces to one opaque events/sec figure.  The engine is not
+forked to do it: :meth:`HostProfiler.attach` brackets the simulator's
+own ``run()`` and rides :attr:`Simulator.dispatch_hook
+<repro.simulator.engine.Simulator.dispatch_hook>`, so what is measured
+is the loop every user runs.  The hook chains ns-clock timestamps
+through instrumented dispatches, attributing wall-clock to a fixed
+host-category taxonomy (:data:`HOST_CATEGORIES`):
 
 ``heap``
-    event-heap operations: every pop in the run loop and every push in
-    ``Simulator._schedule``.
+    from the end of the previous dispatch to entry into the hook: the
+    run-loop top, the heap pop (cancelled entries included) and the
+    ``step()`` prologue.  Pushes ride inside the callback that makes
+    them (timing each push would cost more than the push).
 ``dispatch``
-    per-event engine bookkeeping between the pop and the callback body
-    (cancelled-skip, clock/provenance updates, category lookup).
+    the hook's own pre-callback work: the tag -> category lookup.
 ``callback.<cat>``
     the event-callback body — scheme generators, protocol handlers,
     HCA/fabric machinery — split by the dispatched event's attribution
@@ -25,29 +27,29 @@ them here, attributing wall-clock to a fixed host-category taxonomy
 ``pack-unpack``
     byte movement through the datatype engine
     (:func:`repro.datatypes.pack.pack_bytes` /
-    :func:`~repro.datatypes.pack.unpack_bytes`), probed at the source.
+    :func:`~repro.datatypes.pack.unpack_bytes`), reported through that
+    module's ``probe`` slot.
 ``observability``
-    metrics-registry lookups (via :class:`TimedMetrics`) and tracer
-    record/span bookkeeping (via
-    :class:`repro.simulator.trace.TimedTracer`).
+    metrics-registry lookups and tracer record/span bookkeeping, via
+    :meth:`HostProfiler.timed` wrappers installed at attach time.
 ``profiler-self``
-    the profiler's own accounting: the inter-dispatch gaps where the
-    run loop updates its accumulators and samples counter series.
+    the profiler's own accounting: counter-series sampling and the
+    entry/exit edges of each bracketed ``run()``.
 
 Because consecutive timestamps share their boundary, the categories tile
 the run-loop wall time; :meth:`HostProfiler.closure` is the measured
 fraction actually attributed (tests assert >= 95% on all seven schemes).
 Clock reads are costly enough to distort the number being measured, so
-the loop *duty-cycles* (:data:`DEFAULT_DUTY`): bursts of fully
-instrumented dispatches alternate with stretches run through the plain
-dispatch body whose wall time — one clock read each — lands in an
+the hook *duty-cycles* (:data:`DEFAULT_DUTY`): bursts of fully
+instrumented dispatches alternate with stretches where the hook only
+counts, whose wall time — one clock read each — lands in an
 ``unsampled`` pool, apportioned pro-rata over the measured categories at
 reporting time.  Closure stays exact; overhead scales with the duty
 fraction (<= 15% is asserted by the bench selftest).
 Everything here is pure aggregation over an *injected* ns clock — this
 package never reads the host clock itself (``tests/obs/test_no_wallclock
-.py``); the clock calls live in the engine, ``repro.mpi.world`` and the
-bench layer.
+.py``), and neither do the simulator or the datatype engine; the clock
+call lives in ``repro.mpi.world`` and the bench layer.
 
 Outputs: a ranked ns/event hotspot table (:func:`format_hotspots`),
 collapsed-stack text for flamegraph.pl / speedscope
@@ -64,13 +66,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
+from repro.datatypes import pack as _pack
 from repro.obs.profile import categorize
 
 __all__ = [
     "HOST_CATEGORIES",
     "CALLBACK_CATEGORIES",
     "HostProfiler",
-    "TimedMetrics",
     "format_hotspots",
     "host_category",
     "hostprof_markdown",
@@ -100,24 +102,19 @@ HOST_CATEGORIES = (
     "profiler-self",
 )
 
-#: events between counter-series samples in the profiled run loop
+#: instrumented dispatches between counter-series samples
 DEFAULT_SAMPLE_EVERY = 32
 
 #: default duty cycle (instrumented dispatches, plain dispatches) of the
-#: profiled run loop.  Reading the ns clock is not free (hundreds of ns
-#: on virtualized hosts), so the loop alternates fully-instrumented
-#: bursts with stretches run through the plain dispatch body; each
+#: dispatch hook.  Reading the ns clock is not free (hundreds of ns
+#: on virtualized hosts), so the hook alternates fully-instrumented
+#: bursts with stretches where it only counts dispatches; each
 #: stretch's wall time is measured with a single clock read and
 #: apportioned pro-rata over the measured categories at reporting time
 #: (closure stays exact by construction).  ``(n, 0)`` instruments every
 #: dispatch — what the attribution tests use.  The default 1-in-8 duty
 #: keeps instrumented-mode overhead well under the 15% budget.
 DEFAULT_DUTY = (8, 56)
-
-#: currently running profiler (set by the engine's profiled run loop);
-#: the pack/unpack probes in ``repro.datatypes.pack`` check this and do
-#: no timing work at all while it is None
-ACTIVE: Optional["HostProfiler"] = None
 
 
 def host_category(tag: Any) -> str:
@@ -150,12 +147,13 @@ def host_category(tag: Any) -> str:
 class HostProfiler:
     """Accumulates host-nanosecond attribution for one simulator.
 
-    Constructed by :class:`repro.mpi.world.Cluster` when built with
-    ``host_profile=True`` (or ``$REPRO_HOST_PROFILE`` set); the engine's
-    run loop drives the hot-path attributes directly, everything else
-    goes through the small methods below.  ``clock`` is an injected
-    nanosecond-resolution callable (the engine passes the stdlib's
-    ns-precision performance clock).
+    Constructed and attached by :class:`repro.mpi.world.Cluster` when
+    built with ``host_profile=True``.  ``clock`` is an injected
+    nanosecond-resolution callable (``Cluster`` passes the stdlib's
+    ns-precision performance clock).  How a host nanosecond is
+    attributed to a dispatch is decided here and nowhere else: the
+    engine offers a generic hook, ``repro.datatypes.pack`` a generic
+    probe slot, and tracer/metrics are wrapped from outside.
     """
 
     def __init__(
@@ -170,14 +168,10 @@ class HostProfiler:
         #: :data:`DEFAULT_DUTY`; ``duty_off == 0`` instruments everything)
         self.duty_on = max(1, int(duty[0]))
         self.duty_off = max(0, int(duty[1]))
-        #: hot-path scalar accumulators (the engine adds to these
-        #: directly; attribute access is cheaper than a method call)
+        #: ns per top-level segment of an instrumented dispatch
         self.heap_ns = 0
         self.dispatch_ns = 0
         self.self_ns = 0
-        #: heap pushes seen while profiling (their ns ride inside the
-        #: enclosing callback body — see docs/PROFILING.md)
-        self.heap_pushes = 0
         #: callback-body exclusive ns and event counts per category
         self.callback_ns: dict[str, int] = {c: 0 for c in CALLBACK_CATEGORIES}
         self.callback_events: dict[str, int] = {
@@ -185,16 +179,14 @@ class HostProfiler:
         }
         #: nested probe ns keyed (probe name, enclosing callback category)
         self.nested: dict[tuple, int] = {}
-        #: events dispatched / cancelled heap entries skipped inside
-        #: *instrumented* bursts of the profiled loop
+        #: events dispatched inside *instrumented* bursts
         self.events = 0
-        self.cancelled = 0
         #: wall ns and dispatch count of the plain (off-duty) stretches;
         #: apportioned pro-rata over the measured categories in
         #: :meth:`totals`
         self.unsampled_ns = 0
         self.unsampled_events = 0
-        #: wall ns spent inside profiled ``run()`` calls, and their count
+        #: wall ns spent inside bracketed ``run()`` calls, and their count
         self.run_wall_ns = 0
         self.runs = 0
         #: cumulative host-time counter series for the Chrome trace:
@@ -206,55 +198,143 @@ class HostProfiler:
             cat: self.series.setdefault((f"host.{cat}.us", None), [])
             for cat in HOST_CATEGORIES
         }
-        # run-loop state
-        self._in_run = False
+        # hook state: True only inside a bracketed run *and* on duty —
+        # the one flag every nested probe consults
+        self._armed = False
+        self._sim: Any = None
+        self._t_last = 0  # last chained timestamp (a segment boundary)
+        self._off_n = 0  # dispatches counted in the open off-duty stretch
         self._nested_ns = 0
         self._current_cat: Optional[str] = None
-        #: tag -> callback category memo (the run loop reads this dict
-        #: directly; unhashable tags fall back to :func:`host_category`)
+        #: tag -> callback category memo (unhashable tags bypass it)
         self._cat_cache: dict = {}
 
-    # -- engine hooks ----------------------------------------------------
+    # -- the seam: run bracket, dispatch hook, nested probes -------------
 
-    def category_of(self, tag: Any) -> str:
-        """Callback category of the event about to be dispatched
-        (memoized; the run loop inlines the cache hit)."""
+    def attach(self, sim, tracer=None, metrics=None) -> None:
+        """Start observing ``sim``: bracket its ``run()`` (the closure
+        denominator) so that every dispatch inside it goes through the
+        hook, and wrap the tracer / metrics-registry entry points so
+        their host cost is billed to ``observability``.
+
+        The hook is installed only for the duration of a ``run()`` —
+        a bare ``sim.step()`` from driver code is outside the measured
+        wall time and stays unobserved.  A disabled tracer is a boolean
+        check, not worth timing, and is left alone.
+        """
+        self._sim = sim
+        inner_run = sim.run
+
+        def run(until: Optional[float] = None) -> float:
+            t_start = self._t_last = self.clock()
+            self.runs += 1
+            self._arm()
+            try:
+                return inner_run(until)
+            finally:
+                end = self.clock()
+                if self._armed:
+                    self.self_ns += end - self._t_last
+                else:
+                    self._close_stretch(end)
+                self.run_wall_ns += end - t_start
+                self._disarm(None)
+                self.sample(sim.now)
+
+        sim.run = run
+        if tracer is not None and tracer.enabled:
+            self._observe(tracer, "begin", "_finish_span", "record")
+        if metrics is not None:
+            self._observe(metrics, "counter", "gauge", "histogram")
+
+    def _observe(self, obj, *names: str) -> None:
+        """Shadow ``obj``'s bound methods ``names`` with :meth:`timed`
+        wrappers billing to ``observability``."""
+        for name in names:
+            setattr(obj, name, self.timed("observability", getattr(obj, name)))
+
+    def timed(self, category: str, fn: Callable) -> Callable:
+        """``fn`` wrapped to bill its wall time to nested ``category``
+        (and out of the enclosing callback body) while armed; a plain
+        call — no clock reads — off duty and outside ``run()``."""
+        clock = self.clock
+
+        def wrapper(*args, **kwargs):
+            if not self._armed:
+                return fn(*args, **kwargs)
+            t0 = clock()
+            out = fn(*args, **kwargs)
+            self.add_nested(category, clock() - t0)
+            return out
+
+        return wrapper
+
+    def _arm(self) -> None:
+        """Begin an instrumented burst (nested probes live)."""
+        self._armed = True
+        _pack.probe = self
+        self._sim.dispatch_hook = self._on_duty
+
+    def _disarm(self, hook) -> None:
+        """Silence the nested probes; ``hook`` takes over dispatch."""
+        self._armed = False
+        _pack.probe = None
+        self._sim.dispatch_hook = hook
+
+    def _close_stretch(self, t_now: int) -> None:
+        """Pool the open off-duty stretch, which ends at ``t_now``."""
+        self.unsampled_ns += t_now - self._t_last
+        self.unsampled_events += self._off_n
+        self._off_n = 0
+        self._t_last = t_now
+
+    def _on_duty(self, event) -> None:
+        """Dispatch hook, instrumented: three chained clock reads split
+        the time since the previous boundary into ``heap`` (pop +
+        ``step()`` prologue), ``dispatch`` (category lookup) and the
+        callback body, billed to its tag's category minus whatever the
+        nested probes claimed."""
+        clock = self.clock
+        t1 = clock()
+        self.heap_ns += t1 - self._t_last
+        tag = event._ptag
         try:
-            return self._cat_cache[tag]
+            cat = self._cat_cache[tag]
         except KeyError:
             cat = self._cat_cache[tag] = host_category(tag)
-            return cat
         except TypeError:  # unhashable tag (e.g. split parts hold lists)
-            return host_category(tag)
-
-    def run_begin(self) -> None:
-        """Enter the profiled run loop (activates the nested probes)."""
-        global ACTIVE
-        self._in_run = True
-        self.runs += 1
-        ACTIVE = self
-
-    def run_end(self, wall_ns: int, sim_now: float) -> None:
-        """Leave the profiled run loop; ``wall_ns`` covers the loop."""
-        global ACTIVE
-        self.run_wall_ns += wall_ns
-        self._in_run = False
-        self._current_cat = None
-        if ACTIVE is self:
-            ACTIVE = None
-        self.sample(sim_now)
-
-    def add_callback(self, category: str, ns: int, nested_ns: int) -> None:
-        """Account one dispatched callback body (exclusive of ``nested_ns``,
-        which the nested probes already attributed elsewhere)."""
+            cat = host_category(tag)
+        self._nested_ns = 0
+        self._current_cat = cat
+        t2 = clock()
+        self.dispatch_ns += t2 - t1
+        event._process()
+        t3 = self._t_last = clock()
+        body = t3 - t2 - self._nested_ns
+        self.callback_events[cat] += 1
+        if body > 0:
+            self.callback_ns[cat] += body
         self.events += 1
-        self.callback_events[category] += 1
-        self.callback_ns[category] += max(0, ns - nested_ns)
+        if self.events % self.sample_every == 0:
+            self.sample(self._sim.now)
+            self._t_last = clock()
+            self.self_ns += self._t_last - t3
+        if self.duty_off and self.events % self.duty_on == 0:
+            self._disarm(self._off_duty)  # burst over
+
+    def _off_duty(self, event) -> None:
+        """Dispatch hook, off duty: count, and after ``duty_off``
+        dispatches pool the stretch with a single clock read."""
+        event._process()
+        self._off_n += 1
+        if self._off_n >= self.duty_off:
+            self._close_stretch(self.clock())
+            self._arm()
 
     def add_nested(self, name: str, ns: int) -> None:
         """Attribute ``ns`` to a nested probe (pack/unpack, observability)
         and exclude it from the enclosing callback body."""
-        if not self._in_run:
+        if not self._armed:
             return
         self._nested_ns += ns
         key = (name, self._current_cat)
@@ -278,28 +358,18 @@ class HostProfiler:
 
     # -- aggregation -----------------------------------------------------
 
-    def nested_totals(self) -> dict[str, int]:
-        """Total ns per nested probe name, summed over enclosing
-        categories."""
-        out: dict[str, int] = {}
-        for (name, _cat), ns in self.nested.items():
-            out[name] = out.get(name, 0) + ns
-        return out
-
     def measured(self) -> dict[str, int]:
         """Directly measured ns per entry of :data:`HOST_CATEGORIES`
         (instrumented dispatches only — excludes the off-duty pool)."""
-        nested = self.nested_totals()
-        out = {
-            "heap": self.heap_ns,
-            "dispatch": self.dispatch_ns,
-            "profiler-self": self.self_ns,
-        }
+        out = dict.fromkeys(HOST_CATEGORIES, 0)
+        out["heap"] = self.heap_ns
+        out["dispatch"] = self.dispatch_ns
+        out["profiler-self"] = self.self_ns
         for cat in CALLBACK_CATEGORIES:
             out[f"callback.{cat}"] = self.callback_ns[cat]
-        out["pack-unpack"] = nested.get("pack-unpack", 0)
-        out["observability"] = nested.get("observability", 0)
-        return {c: out.get(c, 0) for c in HOST_CATEGORIES}
+        for (name, _cat), ns in self.nested.items():
+            out[name] += ns  # probe names are taxonomy entries
+        return out
 
     def totals(self) -> dict[str, int]:
         """Attributed ns per entry of :data:`HOST_CATEGORIES`.
@@ -330,8 +400,8 @@ class HostProfiler:
 
     @property
     def total_events(self) -> int:
-        """All dispatches seen by the profiled loop (instrumented +
-        off-duty); matches ``Simulator.events_processed`` deltas."""
+        """All dispatches seen by the hook (instrumented + off-duty);
+        matches ``Simulator.events_processed`` deltas."""
         return self.events + self.unsampled_events
 
     @property
@@ -339,7 +409,7 @@ class HostProfiler:
         return sum(self.measured().values()) + max(0, self.unsampled_ns)
 
     def closure(self) -> float:
-        """Attributed fraction of the profiled run-loop wall time."""
+        """Attributed fraction of the bracketed ``run()`` wall time."""
         if self.run_wall_ns <= 0:
             return 0.0
         return self.attributed_ns / self.run_wall_ns
@@ -356,8 +426,6 @@ class HostProfiler:
         return {
             "events": self.total_events,
             "events_instrumented": self.events,
-            "cancelled": self.cancelled,
-            "heap_pushes": self.heap_pushes,
             "duty": [self.duty_on, self.duty_off],
             "unsampled_ns": self.unsampled_ns,
             "runs": self.runs,
@@ -401,59 +469,6 @@ class HostProfiler:
             if nns:
                 lines.append(f"engine;{name} {nns}")
         return "\n".join(lines) + "\n"
-
-
-class TimedMetrics:
-    """Metrics-registry proxy that bills instrument lookups to the
-    ``observability`` host category.
-
-    Installed by :class:`~repro.mpi.world.Cluster` only when host
-    profiling is on; every other method/attribute delegates untouched,
-    so the wrapped registry stays the single source of metric truth.
-    Instrument *mutation* (``inc``/``observe`` on the returned objects)
-    is not intercepted — it stays inside the enclosing callback category
-    (see docs/PROFILING.md for the approximation note).
-    """
-
-    __slots__ = ("_inner", "_sink", "_clock")
-
-    def __init__(self, inner, sink: HostProfiler, clock: Callable[[], int]):
-        self._inner = inner
-        self._sink = sink
-        self._clock = clock
-
-    def counter(self, name, node=None):
-        sink = self._sink
-        if not sink._in_run:  # off-duty / outside run: no clock reads
-            return self._inner.counter(name, node)
-        c = self._clock
-        t0 = c()
-        inst = self._inner.counter(name, node)
-        sink.add_nested("observability", c() - t0)
-        return inst
-
-    def gauge(self, name, node=None):
-        sink = self._sink
-        if not sink._in_run:
-            return self._inner.gauge(name, node)
-        c = self._clock
-        t0 = c()
-        inst = self._inner.gauge(name, node)
-        sink.add_nested("observability", c() - t0)
-        return inst
-
-    def histogram(self, name, node=None, *args, **kwargs):
-        sink = self._sink
-        if not sink._in_run:
-            return self._inner.histogram(name, node, *args, **kwargs)
-        c = self._clock
-        t0 = c()
-        inst = self._inner.histogram(name, node, *args, **kwargs)
-        sink.add_nested("observability", c() - t0)
-        return inst
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 # -- report rendering ------------------------------------------------------

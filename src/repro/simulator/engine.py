@@ -28,12 +28,18 @@ time-contiguous intervals — the invariant the profiler's attribution sum
 rests on.  With ``profiler`` left ``None`` (the default) nothing is
 recorded and scheduling order is untouched, keeping unprofiled runs
 byte-identical.
+
+Dispatch seam: :meth:`Simulator.run` is the only loop and
+:meth:`Simulator.step` the only dispatch.  An observer that wants to sit
+around each dispatch (the host-time profiler does) sets
+:attr:`Simulator.dispatch_hook`; ``step()`` then hands it the popped
+event instead of calling ``event._process()`` itself.  The engine knows
+nothing else about its observers.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from time import perf_counter_ns
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -384,13 +390,11 @@ class Simulator:
         #: roots and must not inherit a stale cause from the previous
         #: dispatch (see the critical-path profiler).
         self._current_event: Optional[Event] = None
-        #: a :class:`repro.obs.hostprof.HostProfiler` (or None).  While
-        #: set, :meth:`run` uses a timestamp-chained loop attributing
-        #: host nanoseconds per dispatched event (heap ops, dispatch
-        #: bookkeeping, callback bodies by tag category); the default
-        #: None keeps :meth:`run` and :meth:`_schedule` on the exact
-        #: unprofiled code paths.
-        self.host_profiler: Optional[Any] = None
+        #: optional ``hook(event)`` called by :meth:`step` *instead of*
+        #: ``event._process()`` — the hook must make that call itself,
+        #: and may do whatever it likes around it.  The default None
+        #: costs one ``is None`` check per dispatched event.
+        self.dispatch_hook: Optional[Callable[[Event], None]] = None
         #: total events dispatched by :meth:`step` (cancelled heap entries
         #: excluded) — the numerator of the selftest's events/sec metric
         self.events_processed: int = 0
@@ -427,12 +431,6 @@ class Simulator:
         self._seq = seq
         due = self.now + delay
         heappush(self._heap, (due, seq, event))
-        hp = self.host_profiler
-        if hp is not None and hp._in_run:
-            # push host-time stays inside the enclosing callback body
-            # (timing each push costs more than the push); the count
-            # keeps heap-op volume visible in the hotspot table
-            hp.heap_pushes += 1
         if self.profiler is not None:
             event._cause = self._current_event
             event._sched_at = self.now
@@ -454,8 +452,12 @@ class Simulator:
         self.events_processed += 1
         self._current_event = event
         had_waiters = bool(event.callbacks)
+        hook = self.dispatch_hook
         try:
-            event._process()
+            if hook is None:
+                event._process()
+            else:
+                hook(event)
         finally:
             # Anything scheduled after this point comes from driver code,
             # not from this dispatch: drop the cause so causal roots of a
@@ -469,13 +471,10 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the heap drains or the clock passes ``until``.
 
-        Returns the final simulated time.  With :attr:`host_profiler`
-        attached the loop additionally attributes host nanoseconds per
-        event (:meth:`_run_host_profiled`); simulated behaviour is
-        identical either way.
+        Returns the final simulated time.  This is the only loop that
+        dispatches events, profiled or not: every dispatch goes through
+        :meth:`step`, and observers ride on :attr:`dispatch_hook`.
         """
-        if self.host_profiler is not None:
-            return self._run_host_profiled(until)
         heap = self._heap
         step = self.step
         if until is None:
@@ -490,172 +489,6 @@ class Simulator:
                     self.now = until
                     break
                 step()
-        return self.now
-
-    def _run_host_profiled(self, until: Optional[float]) -> float:
-        """:meth:`run` with host-nanosecond attribution per dispatch.
-
-        Consecutive ``perf_counter_ns`` timestamps chain through the
-        loop — every segment boundary is shared, so the per-category
-        sums tile the loop's wall time (the host profiler's closure
-        invariant): loop-top + pop time to ``heap``, pre-callback
-        bookkeeping (category lookup, provenance) to ``dispatch``, the
-        callback body (minus nested probes) to ``callback.<tag
-        category>``, and the periodic flush/sample blocks to
-        ``profiler-self`` — three clock reads per instrumented event,
-        one more per ``sample_every`` events.
-
-        Clock reads are expensive enough to distort what they measure,
-        so the loop duty-cycles: after ``duty_on`` instrumented
-        dispatches it runs ``duty_off`` dispatches through the plain
-        :meth:`step` body (nested probes disarmed), timing the whole
-        stretch with a single clock read into the profiler's
-        ``unsampled`` pool — apportioned pro-rata at reporting time,
-        keeping closure exact at a fraction of the instrumentation
-        cost.  ``duty_off == 0`` instruments every dispatch.
-        """
-        from repro.obs import hostprof as hostprof_mod
-        hp = self.host_profiler
-        heap = self._heap
-        pcn = perf_counter_ns
-        # hot-path locals: accumulate in ints, flush to hp at sample
-        # boundaries and on exit (attribute RMW per event is ~3x costlier)
-        cat_cache = hp._cat_cache
-        cb_ns = hp.callback_ns
-        cb_events = hp.callback_events
-        sample_every = hp.sample_every
-        duty_on = hp.duty_on
-        duty_off = hp.duty_off
-        heap_ns = dispatch_ns = 0
-        n_events = n_cancelled = 0
-        stop = False
-        t_start = pcn()
-        hp.run_begin()
-        t_last = t_start
-        try:
-            while heap and not stop:
-                # ---- instrumented burst: duty_on dispatches ----
-                burst = 0
-                while burst < duty_on:
-                    if not heap:
-                        break
-                    if until is not None:
-                        nxt = self.peek()
-                        if not heap:
-                            break
-                        if nxt > until:
-                            self.now = until
-                            stop = True
-                            break
-                    time, _seq, event = heappop(heap)
-                    t1 = pcn()
-                    heap_ns += t1 - t_last
-                    if event.cancelled:
-                        n_cancelled += 1
-                        t_last = t1  # skip bookkeeping rides in the next pop
-                        continue
-                    if time < self.now:
-                        raise SimulationError(
-                            "time went backwards"
-                        )  # pragma: no cover
-                    self.now = time
-                    self.events_processed += 1
-                    self._current_event = event
-                    had_waiters = bool(event.callbacks)
-                    tag = event._ptag
-                    try:
-                        cat = cat_cache[tag]
-                    except (KeyError, TypeError):
-                        cat = hp.category_of(tag)
-                    hp._nested_ns = 0
-                    hp._current_cat = cat
-                    t2 = pcn()
-                    dispatch_ns += t2 - t1
-                    try:
-                        event._process()
-                    finally:
-                        t3 = pcn()
-                        self._current_event = None
-                        body = t3 - t2 - hp._nested_ns
-                        cb_events[cat] += 1
-                        cb_ns[cat] += body if body > 0 else 0
-                        n_events += 1
-                        burst += 1
-                        t_last = t3
-                    if (
-                        isinstance(event, Process)
-                        and event._exc is not None
-                        and not had_waiters
-                    ):
-                        raise event._exc
-                    if n_events >= sample_every:
-                        hp.heap_ns += heap_ns
-                        hp.dispatch_ns += dispatch_ns
-                        hp.events += n_events
-                        hp.cancelled += n_cancelled
-                        heap_ns = dispatch_ns = 0
-                        n_events = n_cancelled = 0
-                        hp.sample(self.now)
-                        t_new = pcn()
-                        hp.self_ns += t_new - t_last
-                        t_last = t_new
-                if stop or duty_off == 0 or not heap:
-                    continue
-                # ---- plain stretch: duty_off dispatches through the
-                # uninstrumented step body, one clock read total ----
-                hostprof_mod.ACTIVE = None
-                hp._in_run = False
-                off_n = 0
-                try:
-                    while off_n < duty_off:
-                        if not heap:
-                            break
-                        if until is not None:
-                            nxt = self.peek()
-                            if not heap:
-                                break
-                            if nxt > until:
-                                self.now = until
-                                stop = True
-                                break
-                        time, _seq, event = heappop(heap)
-                        if event.cancelled:
-                            continue
-                        if time < self.now:
-                            raise SimulationError(
-                                "time went backwards"
-                            )  # pragma: no cover
-                        self.now = time
-                        self.events_processed += 1
-                        self._current_event = event
-                        had_waiters = bool(event.callbacks)
-                        try:
-                            event._process()
-                        finally:
-                            self._current_event = None
-                        off_n += 1
-                        if (
-                            isinstance(event, Process)
-                            and event._exc is not None
-                            and not had_waiters
-                        ):
-                            raise event._exc
-                finally:
-                    t_new = pcn()
-                    hp.unsampled_ns += t_new - t_last
-                    hp.unsampled_events += off_n
-                    t_last = t_new
-                    hp._in_run = True
-                    hostprof_mod.ACTIVE = hp
-        finally:
-            end = pcn()
-            hp.heap_ns += heap_ns
-            hp.dispatch_ns += dispatch_ns
-            hp.self_ns += end - t_last
-            hp.events += n_events
-            hp.cancelled += n_cancelled
-            hp._current_cat = None
-            hp.run_end(end - t_start, self.now)
         return self.now
 
     def peek(self) -> float:

@@ -20,10 +20,9 @@ Tracing is off by default and adds no overhead beyond a boolean check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from time import perf_counter_ns
 from typing import Any, Iterator, Optional
 
-__all__ = ["Span", "TimedTracer", "TraceRecord", "Tracer"]
+__all__ = ["Span", "TraceRecord", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -252,42 +251,3 @@ class Tracer:
                 j += 1
         return total
 
-
-class TimedTracer(Tracer):
-    """A :class:`Tracer` that bills its own host cost to a host profiler.
-
-    Installed by :class:`repro.mpi.world.Cluster` when *both* tracing and
-    host profiling are enabled: every record/span operation times itself
-    with ``perf_counter_ns`` and reports the nanoseconds to the host
-    profiler's ``observability`` category (excluded from the enclosing
-    callback body).  Behaviour — record contents, span ids, ordering —
-    is identical to a plain enabled :class:`Tracer`.
-    """
-
-    def __init__(self, sink, enabled: bool = True):
-        super().__init__(enabled=enabled)
-        #: a :class:`repro.obs.hostprof.HostProfiler`
-        self.sink = sink
-
-    def begin(self, start, node, category, detail="", meta=None):
-        if not self.sink._in_run:  # off-duty / outside run: no clock reads
-            return super().begin(start, node, category, detail, meta)
-        t0 = perf_counter_ns()
-        span = super().begin(start, node, category, detail, meta)
-        self.sink.add_nested("observability", perf_counter_ns() - t0)
-        return span
-
-    def _finish_span(self, span, end):
-        if not self.sink._in_run:
-            return super()._finish_span(span, end)
-        t0 = perf_counter_ns()
-        rec = super()._finish_span(span, end)
-        self.sink.add_nested("observability", perf_counter_ns() - t0)
-        return rec
-
-    def record(self, start, end, node, category, detail="", meta=None):
-        if not self.sink._in_run:
-            return super().record(start, end, node, category, detail, meta)
-        t0 = perf_counter_ns()
-        super().record(start, end, node, category, detail, meta)
-        self.sink.add_nested("observability", perf_counter_ns() - t0)

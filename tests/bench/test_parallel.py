@@ -192,18 +192,13 @@ class TestGateErrors:
     def test_complete_baseline_passes(self, tmp_path, monkeypatch, capsys):
         self._shrink(monkeypatch)
         path = tmp_path / "baseline.json"
-        rc = gate.main(["--baseline", str(path), "--write-baseline"])
+        # --no-engine: wall-clock engine/*/events_per_sec re-gated in the
+        # same process is host noise, which tier-1 never asserts on
+        rc = gate.main(
+            ["--baseline", str(path), "--write-baseline", "--no-engine"]
+        )
         assert rc == 0
-        rc = gate.main(["--baseline", str(path)])
+        rc = gate.main(["--baseline", str(path), "--no-engine"])
         assert rc == 0
         assert "benchmark gate passed" in capsys.readouterr().out
 
-
-class TestSelftest:
-    def test_engine_microbench_reports_rates(self):
-        from repro.bench.selftest import engine_microbench
-
-        report = engine_microbench()
-        for name in ("pingpong", "bandwidth"):
-            assert report[name]["events"] > 0
-            assert report[name]["events_per_sec"] > 0

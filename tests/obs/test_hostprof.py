@@ -89,23 +89,64 @@ class TestProfilerAccounting:
         hp.unsampled_ns = 1234
         assert hp.totals()["dispatch"] == 1234
 
+    def attached(self):
+        """A profiler on a bare simulator, fake clock ticking 100 ns
+        per read (instrument every dispatch)."""
+        import itertools
+
+        from repro.simulator import Simulator
+
+        ticks = itertools.count(step=100)
+        hp = HostProfiler(clock=lambda: next(ticks), duty=(1, 0))
+        sim = Simulator()
+        hp.attach(sim)
+        return hp, sim
+
     def test_nested_excluded_outside_run(self):
-        hp = self.make()
+        hp, sim = self.attached()
         hp.add_nested("pack-unpack", 999)
         assert hp.nested == {}
-        hp.run_begin()
-        hp.add_nested("pack-unpack", 999)
-        hp.run_end(wall_ns=10_000, sim_now=1.0)
-        assert hp.nested == {("pack-unpack", None): 999}
+        ev = sim.timeout(1.0, tag="pack")
+        ev.callbacks.append(lambda _ev: hp.add_nested("pack-unpack", 999))
+        sim.run()
+        assert hp.nested == {("pack-unpack", "copy"): 999}
+        hp.add_nested("pack-unpack", 999)  # run over: dropped again
+        assert hp.nested == {("pack-unpack", "copy"): 999}
 
     def test_snapshot_round_trips_through_json(self):
-        hp = self.make()
-        hp.run_begin()
-        hp.add_callback("copy", 100, 0)
-        hp.run_end(wall_ns=100, sim_now=2.0)
+        hp, sim = self.attached()
+        sim.timeout(1.0, tag="pack")
+        sim.run()
         snap = json.loads(json.dumps(hp.snapshot()))
         assert snap["events"] == 1
+        assert snap["callback_events"]["copy"] == 1
         assert snap["closure"] == pytest.approx(1.0)
+
+    def test_hook_and_probe_only_live_inside_run(self):
+        from repro.datatypes import pack
+
+        hp, sim = self.attached()
+        seen = []
+        ev = sim.timeout(1.0)
+        ev.callbacks.append(
+            lambda _ev: seen.append((sim.dispatch_hook, pack.probe))
+        )
+        assert sim.dispatch_hook is None and pack.probe is None
+        sim.run()
+        assert seen == [(hp._on_duty, hp)]
+        assert sim.dispatch_hook is None and pack.probe is None
+
+    def test_timed_bills_only_while_armed(self):
+        hp, sim = self.attached()
+        calls = []
+        fn = hp.timed("observability", lambda x: calls.append(x) or x)
+        assert fn(1) == 1  # outside run: plain call, nothing billed
+        assert hp.nested == {}
+        sim.timeout(1.0).callbacks.append(lambda _ev: fn(2))
+        sim.run()
+        assert calls == [1, 2]
+        # one tick between the wrapper's two clock reads
+        assert hp.nested == {("observability", "protocol-wait"): 100}
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -137,6 +178,26 @@ class TestDutyCycle:
     def test_event_counts_match_simulator(self):
         hp, cluster = hostprof_transfer("bc-spup", column_dt(), iters=2)
         assert hp.total_events == cluster.sim.events_processed
+
+    def test_profiled_run_goes_through_step(self, monkeypatch):
+        # the profiler must measure the loop users run: every dispatch
+        # of a host-profiled run is one Simulator.step() call
+        from repro.simulator import Simulator
+
+        real_step = Simulator.step
+        calls = []
+
+        def counting_step(sim):
+            before = sim.events_processed
+            real_step(sim)
+            calls.append(sim.events_processed - before)
+
+        monkeypatch.setattr(Simulator, "step", counting_step)
+        hp, cluster = hostprof_transfer("bc-spup", column_dt(), iters=2)
+        assert sum(calls) == cluster.sim.events_processed == hp.total_events
+        # one step() per popped heap entry: dispatches, plus cancelled
+        # entries (which step() skips without dispatching)
+        assert set(calls) <= {0, 1}
 
     def test_pack_unpack_attributed(self):
         # bc-spup packs on the sender and unpacks on the receiver — the

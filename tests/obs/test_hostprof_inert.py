@@ -1,9 +1,10 @@
 """Host profiling measures the host, never the simulation.
 
 With ``host_profile=False`` (the default) a cluster must carry none of
-the profiler plumbing — plain tracer, plain metrics registry, no
-``sim.host_profiler`` — and a profiled run must produce byte-identical
-simulated results, metrics, and traces to an unprofiled one.
+the profiler plumbing — unwrapped tracer and metrics registry, the
+simulator's own ``run`` and an empty ``dispatch_hook`` — and a profiled
+run must produce byte-identical simulated results, metrics, and traces
+to an unprofiled one.
 """
 
 from dataclasses import asdict
@@ -43,38 +44,23 @@ def transfer(host_profile, trace=False):
 
 
 class TestOffMeansOff:
-    def test_no_profiler_plumbing_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HOST_PROFILE", raising=False)
-        from repro.obs.metrics import MetricsRegistry
-        from repro.simulator.trace import Tracer
-
-        cluster = Cluster(2, memory_per_rank=64 * MB)
+    def test_no_profiler_plumbing_by_default(self):
+        cluster = Cluster(2, memory_per_rank=64 * MB, trace=True)
         assert cluster.host_profiler is None
-        assert cluster.sim.host_profiler is None
-        assert type(cluster.metrics) is MetricsRegistry
-        assert type(cluster.tracer) is Tracer
-
-    def test_explicit_false_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOST_PROFILE", "1")
-        cluster = Cluster(2, memory_per_rank=64 * MB, host_profile=False)
-        assert cluster.host_profiler is None
-
-    def test_environment_activates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOST_PROFILE", "yes")
-        cluster = Cluster(2, memory_per_rank=64 * MB)
-        assert cluster.host_profiler is not None
-        assert cluster.sim.host_profiler is cluster.host_profiler
-
-    def test_falsy_environment_stays_off(self, monkeypatch):
-        for value in ("", "0", "no", "off", "false"):
-            monkeypatch.setenv("REPRO_HOST_PROFILE", value)
-            assert Cluster(1, memory_per_rank=64 * MB).host_profiler is None
+        assert cluster.sim.dispatch_hook is None
+        # nothing shadows the classes' own methods
+        assert "run" not in vars(cluster.sim)
+        assert not {"counter", "gauge", "histogram"} & set(vars(cluster.metrics))
+        assert not {"begin", "_finish_span", "record"} & set(vars(cluster.tracer))
 
     def test_active_global_cleared_after_run(self):
-        from repro.obs import hostprof
+        # the process-wide pieces of the seam — the pack probe slot and
+        # the simulator's dispatch hook — are live only inside run()
+        from repro.datatypes import pack
 
-        _cluster, _result = transfer(host_profile=True)
-        assert hostprof.ACTIVE is None
+        cluster, _result = transfer(host_profile=True)
+        assert pack.probe is None
+        assert cluster.sim.dispatch_hook is None
 
 
 class TestByteIdentity:
@@ -100,6 +86,44 @@ class TestByteIdentity:
         c_off, _ = transfer(host_profile=False)
         c_on, _ = transfer(host_profile=True)
         assert c_on.stats() == c_off.stats()
+
+    def test_identical_when_run_stops_mid_transfer(self):
+        # run(until=...) cut short inside a rendezvous, then resumed:
+        # the until-branch of the one run loop, hook on vs off
+        def staged(host_profile):
+            dt = column_dt()
+            cluster = Cluster(
+                2, scheme="bc-spup", memory_per_rank=512 * MB, trace=True,
+                host_profile=host_profile,
+            )
+            span = dt.flatten(1).span + abs(dt.lb) + 64
+
+            def rank0(mpi):
+                yield from mpi.send(mpi.alloc(span), dt, 1, dest=1, tag=0)
+
+            def rank1(mpi):
+                yield from mpi.recv(mpi.alloc(span), dt, 1, source=0, tag=0)
+
+            for prog, ctx in zip((rank0, rank1), cluster.contexts):
+                cluster.sim.process(prog(ctx))
+            sim = cluster.sim
+            marks = [(sim.run(until=20.0), sim.events_processed, len(sim._heap))]
+            marks.append((sim.run(), sim.events_processed, len(sim._heap)))
+            return cluster, marks
+
+        c_off, marks_off = staged(False)
+        c_on, marks_on = staged(True)
+        assert marks_off[0][0] == 20.0 and marks_off[0][2] > 0  # mid-transfer
+        assert marks_off[1][0] > 20.0 and marks_off[1][2] == 0
+        assert marks_on == marks_off
+        assert c_on.metrics.snapshot() == c_off.metrics.snapshot()
+        assert [asdict(r) for r in c_on.tracer.records] == [
+            asdict(r) for r in c_off.tracer.records
+        ]
+        hp = c_on.host_profiler
+        assert hp.runs == 2
+        assert hp.total_events == c_on.sim.events_processed
+        assert hp.closure() >= 0.95
 
     def test_exact_duty_also_identical(self):
         # instrumenting every dispatch must not change simulation either
