@@ -77,6 +77,7 @@ class NodeMemory:
         self._free: list[_FreeBlock] = [_FreeBlock(0, capacity)]
         self._allocated: dict[int, int] = {}  # addr -> size
         self._regions: dict[int, MemoryRegion] = {}  # lkey -> MR
+        self._by_rkey: dict[int, MemoryRegion] = {}  # rkey -> MR
         self._key_seq = 0
         #: peak bytes allocated, for scalability reporting
         self.peak_allocated = 0
@@ -121,7 +122,7 @@ class NodeMemory:
         if size is None:
             raise ValueError(f"free of unallocated address {addr:#x}")
         self._cur_allocated -= size
-        idx = bisect.bisect_left([b.addr for b in self._free], addr)
+        idx = bisect.bisect_left(self._free, addr, key=lambda b: b.addr)
         self._free.insert(idx, _FreeBlock(addr, size))
         # coalesce with neighbours
         if idx + 1 < len(self._free):
@@ -216,11 +217,13 @@ class NodeMemory:
             node=self.node,
         )
         self._regions[mr.lkey] = mr
+        self._by_rkey[mr.rkey] = mr
         return mr
 
     def deregister(self, mr: MemoryRegion) -> None:
         if self._regions.pop(mr.lkey, None) is None:
             raise ValueError(f"deregister of unknown region lkey={mr.lkey}")
+        del self._by_rkey[mr.rkey]
 
     @property
     def registered_regions(self) -> list[MemoryRegion]:
@@ -247,13 +250,12 @@ class NodeMemory:
 
     def check_remote(self, addr: int, length: int, rkey: int) -> None:
         """Validate a remote RDMA access against the MR table."""
-        for mr in self._regions.values():
-            if mr.rkey == rkey:
-                if not mr.covers(addr, length):
-                    raise ProtectionError(
-                        f"node {self.node}: rkey {rkey} region "
-                        f"[{mr.addr:#x}, {mr.end:#x}) does not cover "
-                        f"[{addr:#x}, {addr + length:#x})"
-                    )
-                return
-        raise ProtectionError(f"node {self.node}: unknown rkey {rkey}")
+        mr = self._by_rkey.get(rkey)
+        if mr is None:
+            raise ProtectionError(f"node {self.node}: unknown rkey {rkey}")
+        if not mr.covers(addr, length):
+            raise ProtectionError(
+                f"node {self.node}: rkey {rkey} region "
+                f"[{mr.addr:#x}, {mr.end:#x}) does not cover "
+                f"[{addr:#x}, {addr + length:#x})"
+            )

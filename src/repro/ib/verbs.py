@@ -26,8 +26,9 @@ engine.  Everything after that is asynchronous HCA work.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.simulator import Event, SimulationError, Store
 
@@ -130,12 +131,20 @@ class SendWR:
             raise SimulationError("SEND does not take a remote address")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecvWR:
-    """A receive-queue work request: where inbound SEND data lands."""
+    """A receive-queue work request: where inbound SEND data lands.
 
-    sges: Sequence[SGE] = field(default_factory=tuple)
-    wr_id: int = 0
+    Immutable (a tuple of frozen SGEs), so one descriptor object can stand
+    for every identical entry of a pre-posted pool — see
+    :meth:`QueuePair.post_recv_nocost`.
+    """
+
+    sges: Sequence[SGE] = ()
+    wr_id: Any = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sges", tuple(self.sges))
 
     @property
     def byte_len(self) -> int:
@@ -194,6 +203,49 @@ class CompletionQueue:
         return len(self._store)
 
 
+class _RecvQueue:
+    """FIFO of posted receive descriptors, run-length encoded.
+
+    Each entry is ``[descriptor, remaining]``: posting the same (immutable)
+    descriptor object again extends the tail run, so a pool of ``depth``
+    identical descriptors — and its steady-state consume/repost cycle —
+    is one entry, not ``depth`` objects.  Quacks like a named
+    :class:`~repro.simulator.Store` for ``Profiler.sample_store``.
+    """
+
+    def __init__(self, sim, name: str, node: int):
+        self.sim = sim
+        self.name = name
+        self.node = node
+        self._runs: deque[list] = deque()
+        self._depth = 0
+
+    def __len__(self) -> int:
+        return self._depth
+
+    def put(self, wr: RecvWR, count: int = 1) -> None:
+        runs = self._runs
+        if runs and runs[-1][0] is wr:
+            runs[-1][1] += count
+        else:
+            runs.append([wr, count])
+        self._depth += count
+        prof = self.sim.profiler
+        if prof is not None:
+            prof.sample_store(self)
+
+    def try_get(self) -> Optional[RecvWR]:
+        """Pop the oldest descriptor; None when empty."""
+        if not self._depth:
+            return None
+        run = self._runs[0]
+        run[1] -= 1
+        if not run[1]:
+            self._runs.popleft()
+        self._depth -= 1
+        return run[0]
+
+
 class QueuePair:
     """A reliable-connection queue pair.
 
@@ -212,7 +264,7 @@ class QueuePair:
         self.send_cq = send_cq
         self.recv_cq = recv_cq
         self.peer: Optional["QueuePair"] = None
-        self._recv_queue: Store = Store(
+        self._recv_queue = _RecvQueue(
             hca.sim, name=f"qp{self.qp_num}.rq", node=hca.node_id
         )
         #: state machine (RESET until Fabric.connect promotes to RTS)
@@ -248,17 +300,20 @@ class QueuePair:
         self.posted_recvs += 1
         self._recvs_metric.inc()
 
-    def post_recv_nocost(self, wr: RecvWR) -> None:
-        """Post a receive descriptor without charging CPU time.
+    def post_recv_nocost(self, wr: RecvWR, count: int = 1) -> None:
+        """Post ``count`` copies of a receive descriptor without charging
+        CPU time.
 
         Used for pre-posted receive pools set up during MPI_Init, whose
         cost is outside all measured intervals.
         """
+        if count < 1:
+            raise ValueError("count must be >= 1")
         for sge in wr.sges:
             self.hca.memory.check_local(sge.addr, sge.length, sge.lkey)
-        self._recv_queue.put(wr)
-        self.posted_recvs += 1
-        self._recvs_metric.inc()
+        self._recv_queue.put(wr, count)
+        self.posted_recvs += count
+        self._recvs_metric.inc(count)
 
     def _consume_recv(self) -> RecvWR:
         wr = self._recv_queue.try_get()

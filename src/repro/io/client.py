@@ -85,19 +85,19 @@ class IOClient:
 
     def attach(self, qp, server_id: int = 0) -> None:
         self._qps[server_id] = qp
-        for _ in range(_CTRL_DEPTH):
-            qp.post_recv_nocost(RecvWR(wr_id=("cli-ctrl", self.client_id)))
-        self.sim.process(self._pump(qp), name=f"fcli{self.client_id}s{server_id}")
+        wr = RecvWR(wr_id=("cli-ctrl", self.client_id))
+        qp.post_recv_nocost(wr, _CTRL_DEPTH)
+        self.sim.process(self._pump(qp, wr), name=f"fcli{self.client_id}s{server_id}")
 
     @property
     def _qp(self):
         """The first server's QP (single-server convenience)."""
         return self._qps[0]
 
-    def _pump(self, qp):
+    def _pump(self, qp, wr):
         while True:
             cqe = yield qp.recv_cq.wait()
-            qp.post_recv_nocost(RecvWR(wr_id=("cli-ctrl", self.client_id)))
+            qp.post_recv_nocost(wr)
             self._replies.put(cqe.payload)
 
     # -- public API -------------------------------------------------------

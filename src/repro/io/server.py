@@ -84,9 +84,9 @@ class FileServer:
 
     def attach_client(self, client_id: int, qp) -> None:
         self._qps[client_id] = qp
-        for _ in range(_CTRL_DEPTH):
-            qp.post_recv_nocost(RecvWR(wr_id=("srv-ctrl", client_id)))
-        self.sim.process(self._serve(client_id, qp), name=f"fsrv-c{client_id}")
+        wr = RecvWR(wr_id=("srv-ctrl", client_id))
+        qp.post_recv_nocost(wr, _CTRL_DEPTH)
+        self.sim.process(self._serve(client_id, qp, wr), name=f"fsrv-c{client_id}")
 
     # -- file namespace -----------------------------------------------------
 
@@ -113,10 +113,10 @@ class FileServer:
 
     # -- control protocol ----------------------------------------------------
 
-    def _serve(self, client_id: int, qp):
+    def _serve(self, client_id: int, qp, wr):
         while True:
             cqe = yield qp.recv_cq.wait()
-            qp.post_recv_nocost(RecvWR(wr_id=("srv-ctrl", client_id)))
+            qp.post_recv_nocost(wr)
             yield from self.node.cpu_work(self.cm.control_overhead, "fsrv")
             msg = cqe.payload
             if isinstance(msg, _OpenReq):

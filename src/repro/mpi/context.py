@@ -55,6 +55,12 @@ __all__ = ["ANY_TAG", "RankContext", "SimArray"]
 
 #: eager receive slots pre-posted per peer connection
 EAGER_SLOTS_PER_PEER = 64
+#: dataless control receive descriptors pre-posted per ctrl QP and
+#: replenished by the progress engine as they are consumed.  The depth
+#: covers a deep rendezvous burst (e.g. a 100-message bandwidth window,
+#: each with per-segment notifications) because the replenishment lags by
+#: the progress engine's CPU scheduling.
+CTRL_RECVS_PER_PEER = 4096
 #: global eager send slots per rank
 EAGER_SEND_SLOTS = 128
 #: credits returned per flow-control message
@@ -237,9 +243,9 @@ class RankContext:
         for peer_ctx in contexts:
             if peer_ctx.rank == self.rank:
                 continue
-            self._credits[peer_ctx.rank] = Store(self.sim)
-            for _ in range(EAGER_SLOTS_PER_PEER):
-                self._credits[peer_ctx.rank].put(1)
+            self._credits[peer_ctx.rank] = Store(
+                self.sim, items=[1] * EAGER_SLOTS_PER_PEER
+            )
             self._slot_free_count[peer_ctx.rank] = 0
 
     def _connect(self, peer_ctx: "RankContext", fabric) -> None:
@@ -277,26 +283,23 @@ class RankContext:
                 addr = region + i * self._slot_size
                 qp.post_recv_nocost(
                     RecvWR(
-                        sges=[SGE(addr, self._slot_size, mr.lkey)],
+                        sges=(SGE(addr, self._slot_size, mr.lkey),),
                         wr_id=("slot", peer, addr),
                     )
                 )
-        # control receive descriptors (no data) on ctrl QPs — replenished
-        # by the progress engine as they are consumed.  The prepost depth
-        # covers a deep rendezvous burst (e.g. a 100-message bandwidth
-        # window, each with per-segment notifications) because the
-        # replenishment lags by the progress engine's CPU scheduling.
+        # control receive descriptors (no data) on ctrl QPs: one shared
+        # descriptor per peer, posted (and later reposted) by count
+        self._ctrl_recv_wr: dict[int, RecvWR] = {}
         for peer, qp in self.ctrl_qps.items():
-            for _ in range(4096):
-                qp.post_recv_nocost(RecvWR(wr_id=("ctrl", peer)))
+            wr = self._ctrl_recv_wr[peer] = RecvWR(wr_id=("ctrl", peer))
+            qp.post_recv_nocost(wr, CTRL_RECVS_PER_PEER)
         # send slots (shared across destinations)
-        region = mem.alloc(EAGER_SEND_SLOTS * self._slot_size)
-        self._send_slot_region_mr = mem.register(
-            region, EAGER_SEND_SLOTS * self._slot_size
+        size = EAGER_SEND_SLOTS * self._slot_size
+        region = mem.alloc(size)
+        self._send_slot_region_mr = mem.register(region, size)
+        self._send_slot_tokens = Store(
+            self.sim, items=range(region, region + size, self._slot_size)
         )
-        self._send_slot_tokens = Store(self.sim)
-        for i in range(EAGER_SEND_SLOTS):
-            self._send_slot_tokens.put(region + i * self._slot_size)
         # RDMA-eager rings: this rank's inbound slots per peer (the
         # address/rkey advertisement is exchanged by the Cluster)
         if self.cluster.eager_rdma:
@@ -317,10 +320,7 @@ class RankContext:
                 continue
             mr, slots = peer_ctx._ring_in[self.rank]
             self._ring_rkey[peer_ctx.rank] = mr.rkey
-            store = Store(self.sim)
-            for addr in slots:
-                store.put(addr)
-            self._ring_out[peer_ctx.rank] = store
+            self._ring_out[peer_ctx.rank] = Store(self.sim, items=slots)
 
     # ------------------------------------------------------------------
     # public API: memory
@@ -955,7 +955,7 @@ class RankContext:
         mr = self._recv_slot_mr[peer]
         self.data_qps[peer].post_recv_nocost(
             RecvWR(
-                sges=[SGE(slot_addr, self._slot_size, mr.lkey)],
+                sges=(SGE(slot_addr, self._slot_size, mr.lkey),),
                 wr_id=("slot", peer, slot_addr),
             )
         )
@@ -1123,7 +1123,7 @@ class RankContext:
         wr_id = cqe.wr_id
         if isinstance(wr_id, tuple) and wr_id and wr_id[0] == "ctrl":
             peer = wr_id[1]
-            self.ctrl_qps[peer].post_recv_nocost(RecvWR(wr_id=("ctrl", peer)))
+            self.ctrl_qps[peer].post_recv_nocost(self._ctrl_recv_wr[peer])
 
     def _send_dispatcher(self):
         """Drain the send CQ, resolving registered completion events."""

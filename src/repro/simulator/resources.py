@@ -22,7 +22,7 @@ queue-depth samples.  Without a profiler nothing is recorded.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.simulator.engine import Event, SimulationError, Simulator
 
@@ -127,17 +127,24 @@ class Store:
 
     ``put`` never blocks; ``get`` returns an event that triggers with the
     next item (immediately if one is queued).  Items are delivered strictly
-    in FIFO order to getters in FIFO order.
+    in FIFO order to getters in FIFO order.  ``items`` pre-fills the
+    mailbox (a token or credit pool) as if each had been :meth:`put`.
     """
 
-    def __init__(self, sim: Simulator, name: str = "", node: Optional[int] = None):
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str = "",
+        node: Optional[int] = None,
+        items: Iterable[Any] = (),
+    ):
         self.sim = sim
         self.name = name
         self.node = node
-        self._items: deque[Any] = deque()
+        self._items: deque[Any] = deque(items)
         self._getters: deque[Event] = deque()
         #: total items ever put (statistics)
-        self.total_put = 0
+        self.total_put = len(self._items)
 
     def __len__(self) -> int:
         return len(self._items)

@@ -122,7 +122,7 @@ def _type_node(draw, size: int, depth: int):
             "base": _BYTE,
         }
     # struct of nested parts
-    nparts = draw(st.integers(min_value=1, max_value=3))
+    nparts = draw(st.integers(min_value=1, max_value=min(3, size)))
     cuts = sorted(draw(st.sets(
         st.integers(min_value=1, max_value=size - 1),
         min_size=nparts - 1, max_size=nparts - 1,

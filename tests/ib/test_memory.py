@@ -119,6 +119,16 @@ class TestRegistration:
         with pytest.raises(ProtectionError):
             mem.check_local(addr, 4, mr.lkey)
 
+    def test_rkey_unknown_after_deregister(self, mem):
+        a, b = mem.alloc(4096), mem.alloc(4096)
+        mr_a, mr_b = mem.register(a, 4096), mem.register(b, 4096)
+        mem.deregister(mr_a)
+        with pytest.raises(ProtectionError, match=f"unknown rkey {mr_a.rkey}"):
+            mem.check_remote(a, 4, mr_a.rkey)
+        mem.check_remote(b, 4096, mr_b.rkey)  # the other region still answers
+        with pytest.raises(ProtectionError, match="does not cover"):
+            mem.check_remote(a, 4, mr_b.rkey)
+
     def test_deregister_twice_rejected(self, mem):
         addr = mem.alloc(4096)
         mr = mem.register(addr, 4096)

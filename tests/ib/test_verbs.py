@@ -521,3 +521,85 @@ class TestFabric:
         qp = n0.hca.create_qp()
         with pytest.raises(SimulationError):
             fabric.connect(qp, qp)
+
+
+class TestCountedReceiveQueue:
+    """The receive queue is run-length encoded: a pool of identical
+    descriptors is one entry.  Clock-free: descriptors are consumed
+    directly, the way the HCA's inbound path does."""
+
+    def test_counted_post_reads_like_repeated_posts(self, net):
+        _, _, (_, n1) = net
+        qp = n1.hca.qps[0]
+        before = n1.metrics.counter("ib.recvs_posted", n1.node_id).value
+        qp.post_recv_nocost(RecvWR(wr_id="pool"), 4096)
+        assert len(qp._recv_queue) == 4096
+        assert len(qp._recv_queue._runs) == 1
+        assert qp.posted_recvs == 4096
+        after = n1.metrics.counter("ib.recvs_posted", n1.node_id).value
+        assert after - before == 4096
+
+    def test_drained_run_is_receiver_not_ready(self, net):
+        _, _, (_, n1) = net
+        qp = n1.hca.qps[0]
+        wr = RecvWR(wr_id="pool")
+        qp.post_recv_nocost(wr, 3)
+        assert [qp._consume_recv() for _ in range(3)] == [wr] * 3
+        assert len(qp._recv_queue) == 0
+        with pytest.raises(SimulationError, match="receiver-not-ready"):
+            qp._consume_recv()
+
+    def test_repost_refills_the_same_run(self, net):
+        _, _, (_, n1) = net
+        qp = n1.hca.qps[0]
+        wr = RecvWR(wr_id="pool")
+        qp.post_recv_nocost(wr, 4096)
+        for _ in range(10):
+            assert qp._consume_recv() is wr
+        assert len(qp._recv_queue) == 4086
+        for _ in range(10):
+            qp.post_recv_nocost(wr)
+        assert len(qp._recv_queue) == 4096
+        assert len(qp._recv_queue._runs) == 1
+        assert qp.posted_recvs == 4106
+
+    def test_fifo_across_a_run_boundary(self, net):
+        _, _, (_, n1) = net
+        qp = n1.hca.qps[0]
+        base = n1.memory.alloc(4 * 64)
+        mr = n1.memory.register(base, 4 * 64)
+        slots = [
+            RecvWR(sges=[SGE(base + i * 64, 64, mr.lkey)], wr_id=("slot", i))
+            for i in range(4)
+        ]
+        pool = RecvWR(wr_id="pool")
+        for wr in slots:
+            qp.post_recv_nocost(wr)
+        qp.post_recv_nocost(pool, 2)
+        qp.post_recv_nocost(slots[0])  # a distinct descriptor ends the run
+        qp.post_recv_nocost(pool)
+        order = [qp._consume_recv().wr_id for _ in range(len(qp._recv_queue))]
+        assert order == [
+            ("slot", 0), ("slot", 1), ("slot", 2), ("slot", 3),
+            "pool", "pool", ("slot", 0), "pool",
+        ]
+
+    def test_counted_post_checks_sges_and_count(self, net):
+        _, _, (_, n1) = net
+        qp = n1.hca.qps[0]
+        with pytest.raises(ProtectionError):
+            qp.post_recv_nocost(RecvWR(sges=[SGE(0, 64, 12345)]), 8)
+        with pytest.raises(ValueError):
+            qp.post_recv_nocost(RecvWR(), 0)
+        assert len(qp._recv_queue) == 0 and qp.posted_recvs == 0
+
+    def test_recv_wr_is_immutable(self):
+        sges = [SGE(0, 64, 1)]
+        wr = RecvWR(sges=sges, wr_id=7)
+        with pytest.raises(AttributeError):  # FrozenInstanceError
+            wr.wr_id = 8
+        with pytest.raises(AttributeError):
+            wr.sges = ()
+        sges.append(SGE(64, 64, 1))  # the caller's list is not the WR's
+        assert wr.sges == (SGE(0, 64, 1),)
+        assert wr.byte_len == 64

@@ -181,6 +181,13 @@ class TestStore:
         assert store.peek_all() == [1, 2]
         assert len(store) == 2  # peek does not consume
 
+    def test_prefilled_store_reads_as_if_each_item_was_put(self, sim):
+        store = Store(sim, items=range(3))
+        assert (len(store), store.total_put) == (3, 3)
+        store.put(3)
+        assert [store.try_get() for _ in range(5)] == [0, 1, 2, 3, None]
+        assert store.total_put == 4
+
 
 class TestSignal:
     def test_wait_after_set_completes_immediately(self, sim):

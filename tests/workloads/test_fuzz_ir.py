@@ -1,11 +1,13 @@
 """The fuzz grammar and its static oracle."""
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
 
 from repro.schemes import SCHEME_NAMES
 from repro.workloads import ir
 from repro.workloads.fuzz import (
     MESSAGE_SIZES,
+    _type_node,
     check_workload,
     expected_payloads,
     fuzz_time_boxed,
@@ -22,6 +24,22 @@ _SETTINGS = dict(
 def test_message_sizes_straddle_eager_threshold():
     assert any(s <= 8192 for s in MESSAGE_SIZES)
     assert any(s > 8192 for s in MESSAGE_SIZES)
+
+
+@pytest.mark.parametrize("size,depth", [(2, 1), (3, 2)])
+def test_type_node_draws_at_tiny_sizes(size, depth):
+    # a struct of a 2-byte node once asked for 3 parts — two distinct cut
+    # points out of one candidate — and Hypothesis raised InvalidArgument
+    drawn = []
+
+    @seed(0)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_type_node(size, depth))
+    def draw_all(node):
+        drawn.append(node)
+
+    draw_all()
+    assert {node["type"] for node in drawn} >= {"struct", "hindexed"}
 
 
 @given(workloads())
