@@ -29,15 +29,8 @@ from repro.bench import ablations, figures, parallel
 from repro.bench.overlap import measure_overlap
 from repro.bench.workloads import column_vector
 
-FIGURES = {
-    "fig02": figures.fig02,
-    "fig08": figures.fig08,
-    "fig09": figures.fig09,
-    "fig11": figures.fig11,
-    "fig12": figures.fig12,
-    "fig13": figures.fig13,
-    "fig14": figures.fig14,
-}
+#: every data figure ``repro.bench.figures`` declares, by name
+FIGURES = {name: getattr(figures, name) for name in figures.__all__}
 
 ABLATIONS = {
     "segment-size": ablations.segment_size,

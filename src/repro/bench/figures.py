@@ -28,7 +28,7 @@ from repro.bench.runner import (
     measure_multiple_pingpong,
     measure_pingpong,
 )
-from repro.bench.workloads import column_vector, fig10_struct
+from repro.bench.workloads import Workload, figure_workload
 
 __all__ = ["fig02", "fig08", "fig09", "fig11", "fig12", "fig13", "fig14"]
 
@@ -77,8 +77,7 @@ def _preset_kwargs(extra: dict, base: Optional[dict] = None) -> Optional[dict]:
     return kwargs
 
 
-def _eval_fig02(series: str, x: int, extra: dict) -> float:
-    w = column_vector(x)
+def _eval_fig02(series: str, w: Workload, extra: dict) -> float:
     ck = _preset_kwargs(extra)
     if series == "Contig":
         return measure_contig_pingpong(w.nbytes, scheme="generic",
@@ -97,75 +96,67 @@ def _eval_fig02(series: str, x: int, extra: dict) -> float:
     raise KeyError(f"fig02: unknown series {series!r}")
 
 
-def _eval_fig08(series: str, x: int, extra: dict) -> float:
-    return measure_pingpong(series, column_vector(x).datatype,
+def _eval_pingpong(series: str, w: Workload, extra: dict) -> float:
+    return measure_pingpong(series, w.datatype,
                             cluster_kwargs=_preset_kwargs(extra))
 
 
-def _eval_fig09(series: str, x: int, extra: dict) -> float:
-    return measure_bandwidth(series, column_vector(x).datatype,
+def _eval_fig09(series: str, w: Workload, extra: dict) -> float:
+    return measure_bandwidth(series, w.datatype,
                              cluster_kwargs=_preset_kwargs(extra))
 
 
-def _eval_fig11(series: str, x: int, extra: dict) -> float:
+def _eval_fig11(series: str, w: Workload, extra: dict) -> float:
     return measure_alltoall(
-        series, fig10_struct(x).datatype, nranks=extra.get("nranks", 8),
+        series, w.datatype, nranks=extra.get("nranks", 8),
         cluster_kwargs=_preset_kwargs(extra),
     )
 
 
-def _eval_fig12(series: str, x: int, extra: dict) -> float:
+def _eval_fig12(series: str, w: Workload, extra: dict) -> float:
     return measure_bandwidth(
         "rwg-up",
-        column_vector(x).datatype,
+        w.datatype,
         cluster_kwargs=_preset_kwargs(extra),
         scheme_options={"segment_unpack": series == "seg-unpack"},
     )
 
 
-def _eval_fig13(series: str, x: int, extra: dict) -> float:
+def _eval_fig13(series: str, w: Workload, extra: dict) -> float:
     return measure_bandwidth(
         "multi-w",
-        column_vector(x).datatype,
+        w.datatype,
         cluster_kwargs=_preset_kwargs(extra),
         scheme_options={"list_post": series == "list"},
     )
 
 
-def _eval_fig14(series: str, x: int, extra: dict) -> float:
+def _eval_fig14(series: str, w: Workload, extra: dict) -> float:
     opts = {"fresh_buffers": True} if series == "generic" else None
     return measure_pingpong(
         series,
-        column_vector(x).datatype,
+        w.datatype,
         cluster_kwargs=_preset_kwargs(extra, WORST_CASE),
         scheme_options=opts,
     )
 
 
-def _eval_contig(series: str, x: int, extra: dict) -> float:
-    """Contiguous ping-pong of ``x`` bytes (series names the scheme).
-
-    Used by the guidelines harness to probe the eager/rendezvous
-    crossover of a preset, where the interesting sizes depend on the
-    preset's own ``eager_threshold`` rather than the paper's column
-    grid.
-    """
-    return measure_contig_pingpong(
-        x, scheme=series, cluster_kwargs=_preset_kwargs(extra)
-    )
-
-
 #: figure name -> cell measurement function, the worker-side dispatch
-#: table of :func:`repro.bench.parallel.evaluate_cell`
+#: table of :func:`repro.bench.parallel.evaluate_cell`, which hands each
+#: one ``figure_workload(figure, x)`` — the evaluators never decide what
+#: a figure's ``x`` means.  ``contig`` (``x`` contiguous bytes, the series
+#: names the scheme) is the guidelines harness's probe of a preset's
+#: eager/rendezvous crossover, where the interesting sizes depend on the
+#: preset's own ``eager_threshold`` rather than the paper's column grid.
 CELL_EVALUATORS = {
     "fig02": _eval_fig02,
-    "fig08": _eval_fig08,
+    "fig08": _eval_pingpong,
     "fig09": _eval_fig09,
     "fig11": _eval_fig11,
     "fig12": _eval_fig12,
     "fig13": _eval_fig13,
     "fig14": _eval_fig14,
-    "contig": _eval_contig,
+    "contig": _eval_pingpong,
 }
 
 
@@ -175,11 +166,7 @@ def cell_workload_spec(figure: str, x: int) -> str:
         from repro.workloads.library import workload_spec
 
         return workload_spec(figure.split(":", 1)[1])
-    if figure == "fig11":
-        return fig10_struct(x).name
-    if figure == "contig":
-        return f"contig:{x}B"
-    return column_vector(x).name
+    return figure_workload(figure, x).name
 
 
 def _sweep(figure: str, series_keys, xs, extra: tuple = ()) -> dict:

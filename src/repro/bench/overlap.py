@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.bench.runner import make_cluster, run_oneway
 from repro.datatypes import Datatype
-from repro.ib.costmodel import MB
-from repro.mpi.world import Cluster
-from repro.obs.spans import overlap_us
 
 __all__ = ["OverlapReport", "measure_overlap"]
 
@@ -56,32 +54,12 @@ def measure_overlap(
     dt: Datatype,
     *,
     count: int = 1,
-    cluster_kwargs: Optional[dict] = None,
     scheme_options: Optional[dict] = None,
 ) -> OverlapReport:
     """Run one send/recv of (dt, count) with tracing and analyse overlap."""
-    kwargs = dict(memory_per_rank=512 * MB, trace=True)
-    kwargs.update(cluster_kwargs or {})
-    cluster = Cluster(
-        2, scheme=scheme, scheme_options=scheme_options or {}, **kwargs
-    )
-    span = dt.flatten(count).span + abs(dt.lb) + 64
-
-    def rank0(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.send(buf, dt, count, dest=1, tag=0)
-        return mpi.now
-
-    def rank1(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.recv(buf, dt, count, source=0, tag=0)
-        return mpi.now
-
-    result = cluster.run([rank0, rank1])
+    cluster = make_cluster(scheme, {"trace": True}, scheme_options)
+    result = run_oneway(cluster, dt, count=count)
     tracer = cluster.tracer
-    # wire activity seen from either side of the link: sender injections
-    # plus inbound DMA (same intervals shifted by the latency), so a
-    # single category per node suffices
     # wire intervals are recorded on the sender (node 0); the receiver's
     # inbound DMA mirrors them one switch latency later, which is
     # negligible at the granularity of this analysis
@@ -90,8 +68,8 @@ def measure_overlap(
         total_us=result.time_us,
         pack_us=tracer.total_time("pack", node=0)
         + tracer.total_time("user-pack", node=0),
-        pack_overlapped_us=overlap_us(tracer, ("pack", 0), ("wire", 0)),
+        pack_overlapped_us=tracer.overlap_time(("pack", 0), ("wire", 0)),
         unpack_us=tracer.total_time("unpack", node=1),
-        unpack_overlapped_us=overlap_us(tracer, ("unpack", 1), ("wire", 0)),
+        unpack_overlapped_us=tracer.overlap_time(("unpack", 1), ("wire", 0)),
         wire_us=tracer.total_time("wire", node=0),
     )

@@ -190,15 +190,6 @@ def _open_live(jobs: int):
 # cache keying
 # ----------------------------------------------------------------------
 
-def _cost_model_params(preset: Optional[str] = None) -> dict:
-    from dataclasses import asdict
-
-    from repro.ib.costmodel import CostModel, get_preset
-
-    cm = get_preset(preset) if preset else CostModel.mellanox_2003()
-    return asdict(cm)
-
-
 def cell_key(cell: Cell) -> str:
     """Content hash of everything the cell's value depends on.
 
@@ -208,6 +199,7 @@ def cell_key(cell: Cell) -> str:
     """
     from repro import __version__
     from repro.bench.figures import cell_workload_spec
+    from repro.obs.ledger import cost_model_params, fault_env
 
     preset = dict(cell.extra).get("preset")
     material = {
@@ -216,10 +208,9 @@ def cell_key(cell: Cell) -> str:
         "x": cell.x,
         "extra": list(cell.extra),
         "workload": cell_workload_spec(cell.figure, cell.x),
-        "cost_model": _cost_model_params(preset),
+        "cost_model": cost_model_params(preset),
         "version": __version__,
-        "fault_profile": os.environ.get("REPRO_FAULT_PROFILE", ""),
-        "fault_seed": os.environ.get("REPRO_FAULT_SEED", ""),
+        "fault_env": fault_env(),
     }
     blob = json.dumps(material, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -277,11 +268,14 @@ def evaluate_cell(cell: Cell) -> float:
             cell.figure, cell.series, dict(cell.extra)
         )
     from repro.bench.figures import CELL_EVALUATORS
+    from repro.bench.workloads import figure_workload
 
     fn = CELL_EVALUATORS.get(cell.figure)
     if fn is None:
         raise KeyError(f"no cell evaluator registered for {cell.figure!r}")
-    return fn(cell.series, cell.x, dict(cell.extra))
+    return fn(
+        cell.series, figure_workload(cell.figure, cell.x), dict(cell.extra)
+    )
 
 
 def run_cells(

@@ -1,10 +1,17 @@
 """Measurement runners: ping-pong latency, streaming bandwidth, alltoall.
 
-All functions build a fresh :class:`~repro.mpi.world.Cluster`, run the
-benchmark's rank programs, and return **simulated** microseconds (or MB/s
-derived from them).  Warmup iterations absorb one-time costs (first-touch
-registration, pool growth, datatype-cache fill), exactly as a real
-benchmark's warmup loop amortizes them on hardware.
+The ``measure_*`` functions build a fresh
+:class:`~repro.mpi.world.Cluster`, run the benchmark's rank programs, and
+return **simulated** microseconds (or MB/s derived from them).  Warmup
+iterations absorb one-time costs (first-touch registration, pool growth,
+datatype-cache fill), exactly as a real benchmark's warmup loop amortizes
+them on hardware.
+
+This module is also where every world outside ``repro.mpi`` and
+``repro.workloads`` comes from: :func:`make_cluster` is the bench-sized
+factory, and :func:`run_oneway` the single one-way transfer that the
+observability probes (``obs report`` / ``profile`` / ``hostprof``,
+``bench overlap``) run before reading the instruments it leaves behind.
 """
 
 from __future__ import annotations
@@ -13,21 +20,26 @@ from typing import Optional
 
 from repro.datatypes import Datatype, contiguous, INT, BYTE
 from repro.ib.costmodel import MB
-from repro.mpi.world import Cluster
+from repro.mpi.world import Cluster, RunResult
 
 __all__ = [
+    "make_cluster",
     "measure_alltoall",
     "measure_bandwidth",
     "measure_contig_pingpong",
     "measure_manual_pingpong",
     "measure_multiple_pingpong",
     "measure_pingpong",
+    "run_oneway",
 ]
 
 _BENCH_MEMORY = 512 * MB
 
 
-def _make_cluster(scheme, cluster_kwargs, scheme_options, nranks=2) -> Cluster:
+def make_cluster(
+    scheme, cluster_kwargs=None, scheme_options=None, nranks=2
+) -> Cluster:
+    """A fresh bench-sized cluster (512 MB per rank unless overridden)."""
     kwargs = dict(memory_per_rank=_BENCH_MEMORY)
     kwargs.update(cluster_kwargs or {})
     return Cluster(
@@ -37,6 +49,37 @@ def _make_cluster(scheme, cluster_kwargs, scheme_options, nranks=2) -> Cluster:
 
 def _span(dt: Datatype, count: int = 1) -> int:
     return dt.flatten(count).span + abs(dt.lb) + 64
+
+
+# ----------------------------------------------------------------------
+# one-way transfer (the probes' experiment)
+# ----------------------------------------------------------------------
+
+def run_oneway(
+    cluster: Cluster, dt: Datatype, *, count: int = 1, iters: int = 1
+) -> RunResult:
+    """``iters`` transfers of ``(dt, count)`` from rank 0 to rank 1 of a
+    2-rank ``cluster`` built with whatever instruments the caller wants
+    to read afterwards (``trace=``, ``profile=``, ``host_profile=``).
+
+    Rank 1's value in the result is its last receive request, whose
+    ``done`` event is where a critical-path walk starts.
+    """
+    span = _span(dt, count)
+
+    def rank0(mpi):
+        buf = mpi.alloc(span)
+        for i in range(iters):
+            yield from mpi.send(buf, dt, count, dest=1, tag=i)
+
+    def rank1(mpi):
+        buf = mpi.alloc(span)
+        req = None
+        for i in range(iters):
+            req = yield from mpi.recv(buf, dt, count, source=0, tag=i)
+        return req
+
+    return cluster.run([rank0, rank1])
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +114,7 @@ def measure_pingpong(
             yield from mpi.recv(buf, dt, count, source=0, tag=0)
             yield from mpi.send(buf, dt, count, dest=0, tag=1)
 
-    cluster = _make_cluster(scheme, cluster_kwargs, scheme_options)
+    cluster = make_cluster(scheme, cluster_kwargs, scheme_options)
     return cluster.run([rank0, rank1]).values[0]
 
 
@@ -124,7 +167,7 @@ def measure_manual_pingpong(
             yield from mpi.user_pack(buf, dt, 1, stage)
             yield from mpi.send(stage, contig, 1, dest=0, tag=1)
 
-    cluster = _make_cluster(scheme, cluster_kwargs, None)
+    cluster = make_cluster(scheme, cluster_kwargs, None)
     return cluster.run([rank0, rank1]).values[0]
 
 
@@ -184,7 +227,7 @@ def measure_multiple_pingpong(
                 reqs.append(r)
             yield from mpi.waitall(reqs)
 
-    cluster = _make_cluster(scheme, cluster_kwargs, None)
+    cluster = make_cluster(scheme, cluster_kwargs, None)
     return cluster.run([rank0, rank1]).values[0]
 
 
@@ -237,7 +280,7 @@ def measure_bandwidth(
             yield from mpi.waitall(reqs)
             yield from mpi.send(ack, ackdt, 1, dest=0, tag=99999)
 
-    cluster = _make_cluster(scheme, cluster_kwargs, scheme_options)
+    cluster = make_cluster(scheme, cluster_kwargs, scheme_options)
     elapsed_us = cluster.run([rank0, rank1]).values[0]
     total_bytes = nbytes * window
     return (total_bytes / MB) / (elapsed_us / 1e6)
@@ -269,5 +312,5 @@ def measure_alltoall(
             yield from mpi.alltoall(send, dt, 1, recv, dt, 1)
         return (mpi.now - t0) / iters
 
-    cluster = _make_cluster(scheme, cluster_kwargs, scheme_options, nranks=nranks)
+    cluster = make_cluster(scheme, cluster_kwargs, scheme_options, nranks=nranks)
     return max(cluster.run(program).values)

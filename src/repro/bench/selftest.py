@@ -72,20 +72,15 @@ def engine_microbench(repeats: int = 1, host_profile: bool = False) -> dict:
     a ``"host"`` section to its entry: per-category ns/event, closure,
     and the measured overhead of instrumenting vs the plain run.
     """
+    from repro.bench.runner import _span, make_cluster
     from repro.bench.workloads import column_vector
-    from repro.ib.costmodel import MB
-    from repro.mpi.world import Cluster
 
-    w = column_vector(64)
-    dt = w.datatype
-    span = dt.flatten(1).span + abs(dt.lb) + 64
+    dt = column_vector(64).datatype
+    span = _span(dt)
     out = {}
 
     def measure(programs, profiled):
-        cluster = Cluster(
-            2, scheme="bc-spup", memory_per_rank=512 * MB,
-            host_profile=profiled,
-        )
+        cluster = make_cluster("bc-spup", {"host_profile": profiled})
         events_before = cluster.sim.events_processed
         t0 = time.perf_counter()
         cluster.run(programs)

@@ -7,19 +7,34 @@
   MPI_Alltoall test (Section 8.3): block sizes grow exponentially from
   one integer up to ``last_block_ints`` integers, and "the gap between
   two blocks equals the size of the first [of the two] block[s]".
+
+:func:`figure_workload` is the one place that knows which of them a
+figure name means at a sweep coordinate; :func:`workload_for` inverts it
+for the probes that are given a message size instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.datatypes import INT, Datatype, struct, vector
+from repro.datatypes import BYTE, INT, Datatype, contiguous, struct, vector
 
-__all__ = ["Workload", "column_vector", "fig10_struct"]
+__all__ = [
+    "PROBE_FIGURES",
+    "Workload",
+    "column_vector",
+    "fig10_struct",
+    "figure_workload",
+    "workload_for",
+]
 
 #: the paper's array shape (Section 3.2)
 ROWS = 128
 ROW_LEN = 4096
+
+#: figures whose datatype the single-transfer probes (``obs report`` /
+#: ``profile`` / ``hostprof``) can be pointed at
+PROBE_FIGURES = ("fig02", "fig08", "fig09", "fig11")
 
 
 @dataclass(frozen=True)
@@ -72,3 +87,35 @@ def fig10_struct(last_block_ints: int) -> Workload:
         nblocks=flat.nblocks,
         block_bytes=flat.mean_block,
     )
+
+
+def figure_workload(figure: str, x: int) -> Workload:
+    """What figure ``figure`` transfers at sweep coordinate ``x``: the
+    Figure 10 struct with an ``x``-integer last block for ``fig11``,
+    ``x`` contiguous bytes for the ``contig`` probe, ``x`` columns of the
+    128 x 4096 int array for every other figure."""
+    if figure == "fig11":
+        return fig10_struct(x)
+    if figure == "contig":
+        return Workload(f"contig:{x}B", contiguous(x, BYTE), x, 1, float(x))
+    return column_vector(x)
+
+
+def workload_for(figure: str, nbytes: int) -> Workload:
+    """Map a figure name + target message size to a Workload.
+
+    ``fig02``/``fig08``/``fig09`` use the column-vector datatype (the
+    message is ``512 * cols`` bytes); ``fig11`` uses the Figure 10 struct
+    (smallest power-of-two last block reaching ``nbytes``).
+    """
+    if figure not in PROBE_FIGURES:
+        raise ValueError(
+            f"unknown workload {figure!r}; choose fig02, fig08, fig09 or fig11"
+        )
+    if figure == "fig11":
+        x = 1
+        while fig10_struct(x).nbytes < nbytes and x < 1 << 20:
+            x *= 2
+    else:
+        x = max(1, nbytes // (ROWS * INT.size))
+    return figure_workload(figure, x)

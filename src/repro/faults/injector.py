@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
-    from repro.simulator import Simulator, Tracer
+    from repro.simulator import MetricsRegistry, Simulator, Tracer
 
 __all__ = ["FaultEvent", "FaultInjector"]
 

@@ -183,15 +183,11 @@ def explain_violation(scheme: str, preset: str, figure: str, x: int) -> dict:
     preset — or simply the dominant category when the violation *is* on
     the baseline.
     """
-    from repro.bench.workloads import column_vector
-    from repro.datatypes import BYTE, contiguous
+    from repro.bench.workloads import figure_workload
     from repro.obs.explain import explain
     from repro.obs.profile import CATEGORIES, profile_transfer
 
-    if figure == "contig":
-        dt = contiguous(x, BYTE)
-    else:
-        dt = column_vector(x).datatype
+    dt = figure_workload(figure, x).datatype
     cm = get_preset(preset)
     attr, _cluster = profile_transfer(scheme, dt, cost_model=cm)
     if preset == BASELINE_PRESET:

@@ -16,8 +16,7 @@ from typing import Optional
 from repro.ib.costmodel import CostModel
 from repro.ib.hca import Node
 from repro.ib.verbs import QPState, QueuePair
-from repro.obs.metrics import MetricsRegistry
-from repro.simulator import SimulationError, Simulator, Tracer
+from repro.simulator import MetricsRegistry, SimulationError, Simulator, Tracer
 
 __all__ = ["Fabric"]
 

@@ -39,8 +39,8 @@ from repro.ib.verbs import (
     QueuePair,
     SendWR,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.simulator import Resource, SimulationError, Simulator, Store, Tracer
+from repro.simulator.metrics import MetricsRegistry
 
 __all__ = ["HCA", "Node"]
 
@@ -203,12 +203,21 @@ class HCA:
             self.sim, name=f"hca{self.node_id}.sq", node=self.node_id
         )
         self.sim.process(self._send_engine(), name=f"hca{self.node_id}")
-        #: wire bytes injected, for utilization stats
-        self.bytes_injected = 0
-        self.descriptors_processed = 0
         self.metrics = node.metrics
+        #: wire bytes injected / descriptors processed, for utilization
+        #: stats — read back as ``bytes_injected`` / ``descriptors_processed``
+        self._bytes_injected = self.metrics.counter("ib.bytes_injected", self.node_id)
+        self._descriptors = self.metrics.counter("ib.descriptors", self.node_id)
         #: WQE backlog in the send engine (posted but not yet drained)
         self._sq_depth = self.metrics.gauge("ib.sq_depth", self.node_id)
+
+    @property
+    def bytes_injected(self) -> int:
+        return int(self._bytes_injected.value)
+
+    @property
+    def descriptors_processed(self) -> int:
+        return int(self._descriptors.value)
 
     def create_qp(
         self,
@@ -369,10 +378,8 @@ class HCA:
         self.node.tracer.record(
             start, self.sim.now, self.node_id, "wire", wr.opcode.value
         )
-        self.bytes_injected += nbytes
-        self.descriptors_processed += 1
-        self.metrics.counter("ib.bytes_injected", self.node_id).inc(nbytes)
-        self.metrics.counter("ib.descriptors", self.node_id).inc()
+        self._bytes_injected.inc(nbytes)
+        self._descriptors.inc()
         # DMA snapshot of the gather list at injection time.
         data = self._gather(wr)
         peer = qp.peer
@@ -406,8 +413,7 @@ class HCA:
         start = self.sim.now
         yield self.sim.timeout(self.cm.hca_startup, tag="descriptor")
         self.node.tracer.record(start, self.sim.now, self.node_id, "wire", "read_req")
-        self.descriptors_processed += 1
-        self.metrics.counter("ib.descriptors", self.node_id).inc()
+        self._descriptors.inc()
         peer = qp.peer
         length = wr.byte_len
 
@@ -438,8 +444,7 @@ class HCA:
             tag=("split", (("descriptor", self.cm.hca_startup), ("wire", None))),
         )
         self.node.tracer.record(start, self.sim.now, self.node_id, "wire", "read_resp")
-        self.bytes_injected += nbytes
-        self.metrics.counter("ib.bytes_injected", self.node_id).inc(nbytes)
+        self._bytes_injected.inc(nbytes)
         req_qp = resp.req_qp
 
         def land(_e):

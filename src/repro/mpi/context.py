@@ -78,13 +78,6 @@ RNDV_RECV_LIMIT = 32
 #: reserved tag space for internal collectives
 _INTERNAL_TAG_BASE = -1000
 
-#: TEST-ONLY mutation guard: when True, envelopes are admitted to
-#: matching in *arrival* order instead of per-source sequence order,
-#: reverting the non-overtaking fix so the workload fuzzer can prove it
-#: re-finds the protocol hole (tests/workloads/test_mutation.py).  Never
-#: set outside tests.
-BREAK_MATCHING_ORDER = False
-
 
 @dataclass
 class SimArray:
@@ -1073,10 +1066,6 @@ class RankContext:
         already-admitted sequence number (only possible when fault
         injection retransmits a rendezvous start) is answered with the
         recorded reply instead of being matched twice."""
-        if BREAK_MATCHING_ORDER:
-            # mutation-test path: no sequencing, first arrival wins
-            yield from self._deliver_envelope(envelope)
-            return
         expected = self._recv_expected.get(src, 1)
         if seq < expected:
             if envelope.kind == "rndv" and self.faults_active:

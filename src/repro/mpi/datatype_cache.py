@@ -23,8 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.datatypes.flatten import Flattened
+from repro.simulator import MetricsRegistry
 
 __all__ = ["DatatypeCache", "ReceiverTypeRegistry"]
+
+
+def _counted(metrics: MetricsRegistry, name: str, node) -> int:
+    """Read a ``dtype.*`` counter without creating it: the counts below
+    live only in the registry, and come into being on first increment so
+    an idle cache adds no rows to a metrics snapshot."""
+    return int(metrics.counter_values(name).get(node, 0))
 
 
 @dataclass
@@ -46,9 +54,7 @@ class ReceiverTypeRegistry:
         self._by_signature: dict[tuple, int] = {}
         self._slots: dict[int, _TypeSlot] = {}
         self._next = 0
-        #: index reuses forced by the finite handle table (version bumps)
-        self.evictions = 0
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._node = node
         #: indices the peer ranks have been sent, per peer: peer -> {index: version}
         self._peer_state: dict[int, dict[int, int]] = {}
@@ -72,11 +78,14 @@ class ReceiverTypeRegistry:
             # the old signature may already be gone if the slot was freed
             self._by_signature.pop(old.signature, None)
             self._slots[idx] = _TypeSlot(signature, flattened, old.version + 1)
-            self.evictions += 1
-            if self._metrics is not None:
-                self._metrics.counter("dtype.registry.evictions", self._node).inc()
+            self._metrics.counter("dtype.registry.evictions", self._node).inc()
         self._by_signature[signature] = idx
         return idx, self._slots[idx].version
+
+    @property
+    def evictions(self) -> int:
+        """Index reuses forced by the finite handle table (version bumps)."""
+        return _counted(self._metrics, "dtype.registry.evictions", self._node)
 
     def free(self, signature: tuple) -> None:
         """MPI_Type_free: drop the signature; index becomes reusable with
@@ -120,16 +129,22 @@ class DatatypeCache:
 
     def __init__(self, metrics=None, node=None):
         self._cache: dict[tuple[int, int], tuple[int, Flattened]] = {}
-        self.hits = 0
-        self.misses = 0
-        #: stale entries replaced by a newer version (version-mismatch refresh)
-        self.evictions = 0
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._node = node
 
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(name, self._node).inc()
+    @property
+    def hits(self) -> int:
+        return _counted(self._metrics, "dtype.cache.hits", self._node)
+
+    @property
+    def misses(self) -> int:
+        return _counted(self._metrics, "dtype.cache.misses", self._node)
+
+    @property
+    def evictions(self) -> int:
+        """Stale entries replaced by a newer version (version-mismatch
+        refresh)."""
+        return _counted(self._metrics, "dtype.cache.evictions", self._node)
 
     def resolve(self, peer: int, layout) -> Flattened:
         """Decode a reply ``layout`` field into the receiver's block list."""
@@ -137,11 +152,9 @@ class DatatypeCache:
         if kind == "full":
             _k, idx, version, flattened = layout
             if (peer, idx) in self._cache:
-                self.evictions += 1
-                self._count("dtype.cache.evictions")
+                self._metrics.counter("dtype.cache.evictions", self._node).inc()
             self._cache[(peer, idx)] = (version, flattened)
-            self.misses += 1
-            self._count("dtype.cache.misses")
+            self._metrics.counter("dtype.cache.misses", self._node).inc()
             return flattened
         if kind == "ref":
             _k, idx, version = layout
@@ -152,8 +165,7 @@ class DatatypeCache:
                     f"version {version}: receiver sent a ref the sender "
                     "does not hold (protocol error)"
                 )
-            self.hits += 1
-            self._count("dtype.cache.hits")
+            self._metrics.counter("dtype.cache.hits", self._node).inc()
             return entry[1]
         raise ValueError(f"bad layout encoding {layout!r}")
 

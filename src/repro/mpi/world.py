@@ -15,8 +15,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.ib.costmodel import MB, CostModel
 from repro.ib.fabric import Fabric
 from repro.mpi.context import RankContext
-from repro.obs.metrics import MetricsRegistry
-from repro.simulator import SimulationError, Simulator, Tracer
+from repro.simulator import MetricsRegistry, SimulationError, Simulator, Tracer
 
 __all__ = ["Cluster", "RunResult"]
 

@@ -1,15 +1,13 @@
-"""Observability: spans, metrics, and exporters for the whole stack.
+"""Observability: readers and exporters of the stack's instruments.
 
-Three pieces (see docs/OBSERVABILITY.md):
+The instruments themselves — the :class:`~repro.simulator.trace.Tracer`
+(hierarchical spans plus the interval queries over them) and the
+:class:`~repro.simulator.metrics.MetricsRegistry` of counters / gauges /
+histograms — live in :mod:`repro.simulator`, because the core writes to
+them; nothing below ``repro.mpi.world``'s two lazy profiler attach
+points imports this package.  What is here only *reads* them (see
+docs/OBSERVABILITY.md):
 
-* **spans** — hierarchical trace intervals collected by
-  :class:`~repro.simulator.trace.Tracer` (span/parent ids; the scheme
-  layer opens one enclosing span per rendezvous operation), plus interval
-  queries in :mod:`repro.obs.spans`;
-* **metrics** — the :class:`~repro.obs.metrics.MetricsRegistry` of
-  counters/gauges/histograms that the IB, registration, scheme and MPI
-  layers record into (all values simulated-time or counts, never wall
-  clock);
 * **exporters** — Chrome trace-event JSON (:mod:`repro.obs.chrome`) and
   plain-text/CSV metric snapshots, driven from the ``python -m repro.obs``
   CLI (:mod:`repro.obs.report`);
@@ -23,10 +21,11 @@ Three pieces (see docs/OBSERVABILITY.md):
   (:mod:`repro.obs.regress`), and the live sweep telemetry stream
   (:mod:`repro.obs.live`).
 
-This package deliberately avoids importing the simulator/MPI stack at
-module level (only :mod:`repro.obs.report` and the profiled-run helpers
-do, lazily via the CLI), so the instrumented layers can import it without
-cycles.
+Nothing in this package builds a world: the probes that need a transfer
+(:func:`~repro.obs.report.measure_breakdown`,
+:func:`~repro.obs.profile.profile_transfer`,
+:func:`~repro.obs.hostprof.hostprof_transfer`) borrow it, lazily, from
+:func:`repro.bench.runner.run_oneway`.
 """
 
 from repro.obs.chrome import (
@@ -43,14 +42,6 @@ from repro.obs.ledger import (
     read_ledger,
 )
 from repro.obs.live import LiveLog, open_live_log
-from repro.obs.metrics import (
-    DEFAULT_BYTE_BUCKETS,
-    DEFAULT_US_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.profile import (
     CATEGORIES,
     Attribution,
@@ -66,18 +57,20 @@ from repro.obs.regress import (
     explain_regressions,
     format_regressions,
 )
-from repro.obs.spans import (
-    category_intervals,
-    merge_intervals,
-    overlap_us,
-    span_tree,
-)
 from repro.obs.trends import (
     dashboard_html,
     format_trends,
     run_trends,
     sparkline,
     write_dashboard,
+)
+from repro.simulator.metrics import (
+    DEFAULT_BYTE_BUCKETS,
+    DEFAULT_US_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
 )
 
 __all__ = [
@@ -97,7 +90,6 @@ __all__ = [
     "RegressionExplanation",
     "append_record",
     "categorize",
-    "category_intervals",
     "chrome_trace_events",
     "counter_track_events",
     "critical_path",
@@ -112,12 +104,9 @@ __all__ = [
     "last_good",
     "ledger_path",
     "make_record",
-    "merge_intervals",
     "open_live_log",
-    "overlap_us",
     "read_ledger",
     "run_trends",
-    "span_tree",
     "sparkline",
     "write_dashboard",
 ]

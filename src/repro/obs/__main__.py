@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.workloads import PROBE_FIGURES
 from repro.obs.report import DEFAULT_SCHEMES, run_report
 
 
@@ -26,14 +27,51 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.obs",
         description="Observability reports for the simulated MPI/IB stack",
     )
+    # what the three single-transfer probes share: every one can export a
+    # Chrome trace per scheme; profile and hostprof also take the same
+    # positional workload / schemes and one --size
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument(
+        "--chrome-trace",
+        metavar="PREFIX",
+        default=None,
+        help=(
+            "write one Chrome trace JSON per scheme to "
+            "PREFIX.<scheme>.<size>.json (profile adds resource counter "
+            "tracks, hostprof host-time counter tracks)"
+        ),
+    )
+    probe = argparse.ArgumentParser(add_help=False, parents=[traced])
+    probe.add_argument(
+        "workload",
+        choices=PROBE_FIGURES,
+        help="figure workload supplying the datatype",
+    )
+    probe.add_argument(
+        "schemes",
+        nargs="*",
+        default=[],
+        help=(
+            f"schemes to run (default: {' '.join(DEFAULT_SCHEMES)} for "
+            "profile, all for hostprof)"
+        ),
+    )
+    probe.add_argument(
+        "--size",
+        type=int,
+        default=65536,
+        help="target message size in bytes (default: 65536)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     rep = sub.add_parser(
-        "report", help="per-scheme copy/wire/overlap/registration breakdown"
+        "report",
+        parents=[traced],
+        help="per-scheme copy/wire/overlap/registration breakdown",
     )
     rep.add_argument(
         "--workload",
         default="fig09",
-        choices=("fig02", "fig08", "fig09", "fig11"),
+        choices=PROBE_FIGURES,
         help="figure workload supplying the datatype (default: fig09)",
     )
     rep.add_argument(
@@ -50,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"schemes to compare (default: {' '.join(DEFAULT_SCHEMES)})",
     )
     rep.add_argument(
-        "--chrome-trace",
-        metavar="PREFIX",
-        default=None,
-        help="write Chrome trace JSON per scheme/size to PREFIX.<scheme>.<size>.json",
-    )
-    rep.add_argument(
         "--metrics-csv",
         metavar="PATH",
         default=None,
@@ -68,56 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format: aligned text tables (default) or one JSON "
         "document with the same data",
     )
-    prof = sub.add_parser(
+    sub.add_parser(
         "profile",
+        parents=[probe],
         help="critical-path bottleneck attribution + cost-model explanation",
-    )
-    prof.add_argument(
-        "workload",
-        choices=("fig02", "fig08", "fig09", "fig11"),
-        help="figure workload supplying the datatype",
-    )
-    prof.add_argument(
-        "schemes",
-        nargs="*",
-        default=[],
-        help=f"schemes to profile (default: {' '.join(DEFAULT_SCHEMES)})",
-    )
-    prof.add_argument(
-        "--size",
-        type=int,
-        default=65536,
-        help="target message size in bytes (default: 65536)",
-    )
-    prof.add_argument(
-        "--chrome-trace",
-        metavar="PREFIX",
-        default=None,
-        help=(
-            "write an annotated Chrome trace (spans + resource counter "
-            "tracks) per scheme to PREFIX.<scheme>.<size>.json"
-        ),
     )
     host = sub.add_parser(
         "hostprof",
+        parents=[probe],
         help="host-time attribution: where engine wall-clock ns/event go",
-    )
-    host.add_argument(
-        "workload",
-        choices=("fig02", "fig08", "fig09", "fig11"),
-        help="figure workload supplying the datatype",
-    )
-    host.add_argument(
-        "schemes",
-        nargs="*",
-        default=[],
-        help="schemes to host-profile (default: all)",
-    )
-    host.add_argument(
-        "--size",
-        type=int,
-        default=65536,
-        help="target message size in bytes (default: 65536)",
     )
     host.add_argument(
         "--iters",
@@ -129,15 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep",
         action="store_true",
         help="also print a function-level cProfile listing per scheme",
-    )
-    host.add_argument(
-        "--chrome-trace",
-        metavar="PREFIX",
-        default=None,
-        help=(
-            "write a Chrome trace with host-time counter tracks per "
-            "scheme to PREFIX.<scheme>.<size>.json"
-        ),
     )
     host.add_argument(
         "--collapsed",
@@ -225,41 +207,28 @@ def main(argv=None) -> int:
             patterns=args.metric,
             last=args.last,
         )
+    probe = dict(workload=args.workload, nbytes=args.size, schemes=args.schemes)
     if args.command == "profile":
         from repro.obs.profile import run_profile
 
-        run_profile(
-            workload=args.workload,
-            nbytes=args.size,
-            schemes=args.schemes or None,
-            chrome_out=args.chrome_trace,
-        )
+        run_profile(chrome_out=args.chrome_trace, **probe)
         return 0
-    if args.command == "hostprof":
-        from repro.obs.hostprof import run_hostprof, write_artifacts
+    # hostprof, the one command left
+    from repro.obs.hostprof import run_hostprof, write_artifacts
 
-        if args.artifacts:
-            write_artifacts(
-                args.artifacts,
-                workload=args.workload,
-                nbytes=args.size,
-                schemes=args.schemes or None,
-                iters=args.iters,
-            )
-        else:
-            run_hostprof(
-                workload=args.workload,
-                nbytes=args.size,
-                schemes=args.schemes or None,
-                iters=args.iters,
-                chrome_out=args.chrome_trace,
-                collapsed_out=args.collapsed,
-                json_out=args.json,
-                markdown_out=args.markdown,
-                deep=args.deep,
-            )
-        return 0
-    return 2  # pragma: no cover
+    if args.artifacts:
+        write_artifacts(args.artifacts, iters=args.iters, **probe)
+    else:
+        run_hostprof(
+            iters=args.iters,
+            chrome_out=args.chrome_trace,
+            collapsed_out=args.collapsed,
+            json_out=args.json,
+            markdown_out=args.markdown,
+            deep=args.deep,
+            **probe,
+        )
+    return 0
 
 
 if __name__ == "__main__":

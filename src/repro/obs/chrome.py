@@ -19,7 +19,12 @@ import json
 import os
 from typing import Optional, Sequence
 
-__all__ = ["chrome_trace_events", "counter_track_events", "export_chrome_trace"]
+__all__ = [
+    "chrome_trace_events",
+    "counter_track_events",
+    "export_chrome_trace",
+    "export_scheme_trace",
+]
 
 
 def counter_track_events(series: dict) -> list[dict]:
@@ -106,3 +111,16 @@ def export_chrome_trace(
         with open(path, "w") as fh:
             fh.write(text)
     return text
+
+
+def export_scheme_trace(
+    tracer, prefix: str, scheme: str, nbytes: int, series: Optional[dict] = None
+) -> str:
+    """Write one scheme's trace where the per-scheme CLIs put it,
+    ``<prefix>.<scheme>.<size>.json`` (a ``.json`` already on ``prefix``
+    is not doubled), with ``series`` as counter tracks; returns the path."""
+    if prefix.endswith(".json"):
+        prefix = prefix[:-5]
+    path = f"{prefix}.{scheme}.{nbytes}.json"
+    export_chrome_trace(tracer, path, counter_track_events(series or {}))
+    return path

@@ -64,10 +64,12 @@ can name the host category that moved when engine throughput regresses.
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Any, Callable, Optional, Sequence
 
 from repro.datatypes import pack as _pack
-from repro.obs.profile import categorize
+from repro.obs.profile import CATEGORIES as CALLBACK_CATEGORIES, categorize
 
 __all__ = [
     "HOST_CATEGORIES",
@@ -81,18 +83,9 @@ __all__ = [
     "write_artifacts",
 ]
 
-#: the simulated-time categories a callback body can be tagged with
-#: (mirrors :data:`repro.obs.profile.CATEGORIES`)
-CALLBACK_CATEGORIES = (
-    "copy",
-    "wire",
-    "descriptor",
-    "registration",
-    "resource-wait",
-    "protocol-wait",
-)
-
-#: the host-time taxonomy, in report order
+#: the host-time taxonomy, in report order; a callback body is tagged
+#: with one of the simulated-time categories (``CALLBACK_CATEGORIES`` is
+#: :data:`repro.obs.profile.CATEGORIES` itself)
 HOST_CATEGORIES = (
     "heap",
     "dispatch",
@@ -539,7 +532,6 @@ def hostprof_transfer(
     count: int = 1,
     iters: int = 4,
     scheme_options: Optional[dict] = None,
-    cost_model=None,
     trace: bool = False,
     duty: Optional[tuple] = None,
 ):
@@ -553,40 +545,19 @@ def hostprof_transfer(
     overrides the profiler's duty cycle (``(n, 0)`` = instrument every
     dispatch, what the attribution tests use).
     """
-    from repro.ib.costmodel import MB
-    from repro.mpi.world import Cluster
+    from repro.bench.runner import make_cluster, run_oneway
 
-    cluster = Cluster(
-        2,
-        cost_model=cost_model,
-        scheme=scheme,
-        scheme_options=scheme_options or {},
-        memory_per_rank=512 * MB,
-        trace=trace,
-        host_profile=True,
+    cluster = make_cluster(
+        scheme, {"trace": trace, "host_profile": True}, scheme_options
     )
     if duty is not None:
         cluster.host_profiler.duty_on = max(1, int(duty[0]))
         cluster.host_profiler.duty_off = max(0, int(duty[1]))
-    span = dt.flatten(count).span + abs(dt.lb) + 64
-
-    def rank0(mpi):
-        buf = mpi.alloc(span)
-        for i in range(iters):
-            yield from mpi.send(buf, dt, count, dest=1, tag=i)
-        return mpi.now
-
-    def rank1(mpi):
-        buf = mpi.alloc(span)
-        for i in range(iters):
-            yield from mpi.recv(buf, dt, count, source=0, tag=i)
-        return mpi.now
-
-    cluster.run([rank0, rank1])
+    run_oneway(cluster, dt, count=count, iters=iters)
     return cluster.host_profiler, cluster
 
 
-def _deep_profile(scheme: str, dt, *, iters: int, scheme_options=None) -> str:
+def _deep_profile(scheme: str, dt, *, iters: int) -> str:
     """cProfile/pstats deep mode: the same transfer, function-level."""
     import cProfile
     import io
@@ -595,15 +566,19 @@ def _deep_profile(scheme: str, dt, *, iters: int, scheme_options=None) -> str:
     prof = cProfile.Profile()
     prof.enable()
     try:
-        hostprof_transfer(
-            scheme, dt, iters=iters, scheme_options=scheme_options
-        )
+        hostprof_transfer(scheme, dt, iters=iters)
     finally:
         prof.disable()
     sink = io.StringIO()
     stats = pstats.Stats(prof, stream=sink)
     stats.sort_stats("tottime").print_stats(25)
     return sink.getvalue()
+
+
+def _write_text(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def run_hostprof(
@@ -622,23 +597,17 @@ def run_hostprof(
 
     Prints a ranked ns/event hotspot table per scheme; optionally writes
     collapsed stacks (``<prefix>.<scheme>.collapsed``), Chrome traces
-    with host-time counter tracks (``<prefix>.<scheme>.json``), the full
-    JSON document, a markdown top-3 summary, and a cProfile deep-mode
-    listing.  Returns ``{scheme: snapshot}``.
+    with host-time counter tracks (``<prefix>.<scheme>.<size>.json``), the
+    full JSON document, a markdown top-3 summary, and a cProfile
+    deep-mode listing.  Returns ``{scheme: snapshot}``.
     """
-    import json as _json
-    import os
+    from repro.bench.workloads import workload_for
+    from repro.obs.chrome import export_scheme_trace
+    from repro.schemes import SCHEME_NAMES
 
-    from repro.obs.chrome import counter_track_events, export_chrome_trace
-    from repro.obs.report import workload_for
-
-    if schemes is None:
-        from repro.schemes import SCHEME_NAMES
-
-        schemes = SCHEME_NAMES
+    wl = workload_for(workload, nbytes)
     results: dict = {}
-    for scheme in schemes:
-        wl = workload_for(workload, nbytes)
+    for scheme in schemes or SCHEME_NAMES:
         hp, cluster = hostprof_transfer(
             scheme, wl.datatype, iters=iters, trace=bool(chrome_out)
         )
@@ -656,19 +625,11 @@ def run_hostprof(
         print_fn("")
         if collapsed_out:
             path = f"{collapsed_out}.{scheme}.collapsed"
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            with open(path, "w") as fh:
-                fh.write(hp.collapsed())
+            _write_text(path, hp.collapsed())
             print_fn(f"wrote collapsed stacks {path}")
         if chrome_out:
-            prefix = (
-                chrome_out[:-5] if chrome_out.endswith(".json") else chrome_out
-            )
-            path = f"{prefix}.{scheme}.{nbytes}.json"
-            export_chrome_trace(
-                cluster.tracer,
-                path,
-                counters=counter_track_events(hp.series),
+            path = export_scheme_trace(
+                cluster.tracer, chrome_out, scheme, nbytes, hp.series
             )
             print_fn(f"wrote annotated trace {path}")
         if deep:
@@ -677,19 +638,12 @@ def run_hostprof(
             )
             print_fn("")
     if json_out:
-        import os as _os
-
-        _os.makedirs(_os.path.dirname(json_out) or ".", exist_ok=True)
-        with open(json_out, "w") as fh:
-            _json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(
+            json_out, json.dumps(results, indent=2, sort_keys=True) + "\n"
+        )
         print_fn(f"wrote {json_out}")
     if markdown_out:
-        import os as _os
-
-        _os.makedirs(_os.path.dirname(markdown_out) or ".", exist_ok=True)
-        with open(markdown_out, "w") as fh:
-            fh.write(hostprof_markdown(results, workload, nbytes))
+        _write_text(markdown_out, hostprof_markdown(results, workload, nbytes))
         print_fn(f"wrote {markdown_out}")
     return results
 
@@ -705,9 +659,6 @@ def write_artifacts(
     """One-call CI artifact bundle under ``outdir``: ``hotspots.txt``,
     per-scheme collapsed stacks + annotated Chrome traces,
     ``hostprof.json`` and ``summary.md`` (top-3 table)."""
-    import os
-
-    os.makedirs(str(outdir), exist_ok=True)
     lines: list[str] = []
     results = run_hostprof(
         workload=workload,
@@ -720,7 +671,6 @@ def write_artifacts(
         markdown_out=os.path.join(str(outdir), "summary.md"),
         print_fn=lambda *parts: lines.append(" ".join(str(p) for p in parts)),
     )
-    with open(os.path.join(str(outdir), "hotspots.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(os.path.join(str(outdir), "hotspots.txt"), "\n".join(lines) + "\n")
     print_fn(f"wrote host-profile artifacts under {outdir}")
     return results

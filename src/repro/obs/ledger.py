@@ -1,8 +1,9 @@
 """Append-only JSONL run ledger: the repo's performance memory.
 
 Every bench-gate, selftest, and figure-sweep run appends one structured
-record to ``results/ledger/ledger.jsonl`` (see :func:`ledger_path` for
-the override environment).  A record captures everything needed to
+record to ``results/ledger/ledger.jsonl`` (git-ignored — CI carries it
+between builds with ``actions/cache``; see :func:`ledger_path` for the
+override environment).  A record captures everything needed to
 interpret the numbers later — git sha, wall-clock timestamp, package
 version, the full :class:`~repro.ib.costmodel.CostModel` parameter set,
 the fault-injection environment, the per-cell metric values, engine
@@ -41,6 +42,7 @@ from typing import Any, Iterable, Optional, Sequence, Union
 __all__ = [
     "SCHEMA_VERSION",
     "append_record",
+    "cost_model_params",
     "encode_record",
     "fault_env",
     "git_sha",
@@ -71,7 +73,7 @@ def ledger_dir() -> Path:
     ``$REPRO_LEDGER_DIR`` wins outright; otherwise the ledger lives in
     ``<results>/ledger`` where ``<results>`` honours the same
     ``$REPRO_RESULTS_DIR`` redirection the sweep CSVs use (so test runs
-    never touch the checked-in ledger).
+    never touch the working ledger).
     """
     env = os.environ.get(LEDGER_DIR_ENV)
     if env:
@@ -118,12 +120,16 @@ def fault_env() -> dict:
     }
 
 
-def _cost_model_params() -> dict:
+def cost_model_params(preset: Optional[str] = None) -> dict:
+    """Every parameter of a cost-model preset (default: the paper's
+    testbed).  With :func:`fault_env` this is what a simulated value
+    depends on besides its workload — ledger records carry both, and the
+    sweep cache (:func:`repro.bench.parallel.cell_key`) hashes both."""
     from dataclasses import asdict
 
-    from repro.ib.costmodel import CostModel
+    from repro.ib.costmodel import CostModel, get_preset
 
-    return asdict(CostModel.mellanox_2003())
+    return asdict(get_preset(preset) if preset else CostModel.mellanox_2003())
 
 
 def make_record(
@@ -153,7 +159,7 @@ def make_record(
         "sha": sha,
         "timestamp": timestamp,
         "version": __version__,
-        "cost_model": _cost_model_params(),
+        "cost_model": cost_model_params(),
         "fault_env": fault_env(),
     }
     if status is not None:

@@ -35,9 +35,10 @@ tracks) and wait-time histograms in the metrics registry.  Every
 instrument it creates is prefixed ``profile.`` so unprofiled runs are
 trivially shown to carry none of them.
 
-This module imports nothing from the simulator/MPI stack at module level
-(only :func:`profile_transfer` does, lazily), keeping ``repro.obs``
-import-cycle-free.
+This module imports nothing from the simulator/MPI stack at module level;
+:func:`profile_transfer` borrows the transfer itself from
+:func:`repro.bench.runner.run_oneway` (lazily) and only walks what it
+recorded.
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ _TAG_CATEGORY = {
 
 def categorize(tag: Any) -> str:
     """Map an attribution tag to one of :data:`CATEGORIES`."""
-    if tag is None:
-        return "protocol-wait"
-    if not isinstance(tag, str):
+    if not isinstance(tag, str):  # None included
         return "protocol-wait"
     cat = _TAG_CATEGORY.get(tag)
     if cat is not None:
@@ -343,35 +342,15 @@ def profile_transfer(
     testbed) — the guidelines checker profiles violations under the
     preset that produced them.
     """
-    from repro.ib.costmodel import MB
-    from repro.mpi.world import Cluster
+    from repro.bench.runner import make_cluster, run_oneway
 
-    cluster = Cluster(
-        2,
-        cost_model=cost_model,
-        scheme=scheme,
-        scheme_options=scheme_options or {},
-        memory_per_rank=512 * MB,
-        trace=True,
-        profile=True,
+    cluster = make_cluster(
+        scheme,
+        {"cost_model": cost_model, "trace": True, "profile": True},
+        scheme_options,
     )
-    span = dt.flatten(count).span + abs(dt.lb) + 64
-    holder: dict = {}
-
-    def rank0(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.send(buf, dt, count, dest=1, tag=0)
-        return mpi.now
-
-    def rank1(mpi):
-        buf = mpi.alloc(span)
-        req = yield from mpi.recv(buf, dt, count, source=0, tag=0)
-        holder["req"] = req
-        return mpi.now
-
-    cluster.run([rank0, rank1])
-    attr = critical_path(holder["req"].done)
-    return attr, cluster
+    recv_req = run_oneway(cluster, dt, count=count).values[1]
+    return critical_path(recv_req.done), cluster
 
 
 def run_profile(
@@ -386,17 +365,14 @@ def run_profile(
 
     Returns ``{scheme: (attribution, deltas)}``.
     """
-    from repro.obs.chrome import counter_track_events, export_chrome_trace
+    from repro.bench.workloads import workload_for
+    from repro.obs.chrome import export_scheme_trace
     from repro.obs.explain import explain, format_explanation
-    from repro.obs.report import workload_for
+    from repro.obs.report import DEFAULT_SCHEMES
 
-    if schemes is None:
-        from repro.obs.report import DEFAULT_SCHEMES
-
-        schemes = DEFAULT_SCHEMES
+    wl = workload_for(workload, nbytes)
     results: dict = {}
-    for scheme in schemes:
-        wl = workload_for(workload, nbytes)
+    for scheme in schemes or DEFAULT_SCHEMES:
         attr, cluster = profile_transfer(scheme, wl.datatype)
         deltas = explain(
             scheme, cluster.cm, wl.datatype.flatten(1), wl.datatype.size, attr
@@ -415,10 +391,7 @@ def run_profile(
         print_fn(format_explanation(deltas))
         print_fn("")
         if chrome_out:
-            prefix = chrome_out[:-5] if chrome_out.endswith(".json") else chrome_out
-            export_chrome_trace(
-                cluster.tracer,
-                f"{prefix}.{scheme}.{nbytes}.json",
-                counters=counter_track_events(cluster.profiler.series),
+            export_scheme_trace(
+                cluster.tracer, chrome_out, scheme, nbytes, cluster.profiler.series
             )
     return results

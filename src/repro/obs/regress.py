@@ -45,10 +45,6 @@ __all__ = [
     "parse_metric_key",
 ]
 
-#: bytes per column of the paper's 128 x 4096 int array (the gate's
-#: fig08/fig09 cells sweep column counts of this vector datatype)
-_COLUMN_BYTES = 128 * 4
-
 _KEY_RE = re.compile(r"^(fig\d+)/([^/]+)/cols=(\d+)$")
 
 #: wall-clock engine-throughput gate keys — explainable via the host-time
@@ -77,11 +73,10 @@ def cell_attribution(figure: str, scheme: str, cols: int) -> dict:
     deltas* between two attributions of the same cell isolate what a
     cost-model or protocol change moved.
     """
+    from repro.bench.workloads import figure_workload
     from repro.obs.profile import profile_transfer
-    from repro.obs.report import workload_for
 
-    wl = workload_for(figure, cols * _COLUMN_BYTES)
-    attr, _cluster = profile_transfer(scheme, wl.datatype)
+    attr, _cluster = profile_transfer(scheme, figure_workload(figure, cols).datatype)
     out = {"total_us": attr.total_us}
     for cat in CATEGORIES:
         out[cat] = attr.categories.get(cat, 0.0)
@@ -139,6 +134,16 @@ class RegressionExplanation:
         return self.moves[0] if self.moves else None
 
 
+def _moves(categories: Sequence[str], before: dict, after: dict) -> list:
+    """One :class:`CategoryMove` per category, largest ``|delta|`` first."""
+    moves = [
+        CategoryMove(c, float(before.get(c, 0.0)), float(after.get(c, 0.0)))
+        for c in categories
+    ]
+    moves.sort(key=lambda m: -abs(m.delta_us))
+    return moves
+
+
 def _explain_engine_key(
     key: str,
     bench: str,
@@ -171,18 +176,9 @@ def _explain_engine_key(
             "and no last-good host profile in the ledger yet",
             unit="ns/ev",
         )
-    moves = [
-        CategoryMove(
-            category=cat,
-            before_us=float(before_ns.get(cat, 0.0)),
-            after_us=float(now_ns.get(cat, 0.0)),
-        )
-        for cat in HOST_CATEGORIES
-    ]
-    moves.sort(key=lambda m: -abs(m.delta_us))
     return RegressionExplanation(
         key=key,
-        moves=moves,
+        moves=_moves(HOST_CATEGORIES, before_ns, now_ns),
         total_before_us=float(before_ns.get("total", 0.0)),
         total_after_us=float(now_ns.get("total", 0.0)),
         unit="ns/ev",
@@ -232,18 +228,9 @@ def explain_regressions(
                 reason="no last-good attribution in the ledger yet",
             ))
             continue
-        moves = [
-            CategoryMove(
-                category=cat,
-                before_us=float(before.get(cat, 0.0)),
-                after_us=float(now.get(cat, 0.0)),
-            )
-            for cat in CATEGORIES
-        ]
-        moves.sort(key=lambda m: -abs(m.delta_us))
         out.append(RegressionExplanation(
             key=key,
-            moves=moves,
+            moves=_moves(CATEGORIES, before, now),
             total_before_us=float(before.get("total_us", 0.0)),
             total_after_us=float(now.get("total_us", 0.0)),
         ))

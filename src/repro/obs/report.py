@@ -11,16 +11,17 @@ into the quantities the paper's Figures 2/3 discuss qualitatively:
 * **descr** — descriptors processed by both HCAs.
 
 Driven by the ``python -m repro.obs report`` CLI; also usable as a
-library (:func:`measure_breakdown`, :func:`run_report`).  Imports the MPI
-stack lazily so ``repro.obs`` itself stays import-cycle-free.
+library (:func:`measure_breakdown`, :func:`run_report`).  The transfer
+itself is :func:`repro.bench.runner.run_oneway` (imported lazily, like
+everything from the driving layers); this module only reads the tracer
+and the metrics registry it leaves behind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
-
-from repro.obs.spans import overlap_us
 
 __all__ = [
     "SchemeBreakdown",
@@ -29,14 +30,10 @@ __all__ = [
     "measure_breakdown",
     "report_json",
     "run_report",
-    "workload_for",
 ]
 
 #: schemes the report covers by default (the figures' line-up)
 DEFAULT_SCHEMES = ("generic", "bc-spup", "rwg-up", "multi-w")
-
-#: bytes per column of the paper's 128 x 4096 int array
-_COLUMN_BYTES = 128 * 4
 
 
 @dataclass(frozen=True)
@@ -58,27 +55,6 @@ class SchemeBreakdown:
         return 100.0 * self.overlap_us / self.copy_us if self.copy_us else 0.0
 
 
-def workload_for(workload: str, nbytes: int):
-    """Map a figure name + target message size to a Workload.
-
-    ``fig02``/``fig08``/``fig09`` use the column-vector datatype (the
-    message is ``512 * cols`` bytes); ``fig11`` uses the Figure 10 struct
-    (smallest power-of-two last block reaching ``nbytes``).
-    """
-    from repro.bench.workloads import column_vector, fig10_struct
-
-    if workload in ("fig02", "fig08", "fig09"):
-        return column_vector(max(1, nbytes // _COLUMN_BYTES))
-    if workload == "fig11":
-        last = 1
-        while fig10_struct(last).nbytes < nbytes and last < 1 << 20:
-            last *= 2
-        return fig10_struct(last)
-    raise ValueError(
-        f"unknown workload {workload!r}; choose fig02, fig08, fig09 or fig11"
-    )
-
-
 def measure_breakdown(
     scheme: str,
     dt,
@@ -91,31 +67,11 @@ def measure_breakdown(
     Returns ``(breakdown, cluster)`` — the cluster gives callers access to
     the tracer and metrics registry for export.
     """
-    from repro.ib.costmodel import MB
-    from repro.mpi.world import Cluster
+    from repro.bench.runner import make_cluster, run_oneway
 
-    cluster = Cluster(
-        2,
-        scheme=scheme,
-        scheme_options=scheme_options or {},
-        memory_per_rank=512 * MB,
-        trace=True,
-    )
-    span = dt.flatten(count).span + abs(dt.lb) + 64
-
-    def rank0(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.send(buf, dt, count, dest=1, tag=0)
-        return mpi.now
-
-    def rank1(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.recv(buf, dt, count, source=0, tag=0)
-        return mpi.now
-
-    result = cluster.run([rank0, rank1])
+    cluster = make_cluster(scheme, {"trace": True}, scheme_options)
+    result = run_oneway(cluster, dt, count=count)
     tracer = cluster.tracer
-    metrics = cluster.metrics
     copy_us = (
         tracer.total_time("pack", node=0)
         + tracer.total_time("user-pack", node=0)
@@ -123,8 +79,8 @@ def measure_breakdown(
     )
     # wire intervals are recorded on the sender; the receiver's inbound
     # DMA mirrors them one switch latency later
-    hidden = overlap_us(tracer, ("pack", 0), ("wire", 0)) + overlap_us(
-        tracer, ("unpack", 1), ("wire", 0)
+    hidden = tracer.overlap_time(("pack", 0), ("wire", 0)) + tracer.overlap_time(
+        ("unpack", 1), ("wire", 0)
     )
     breakdown = SchemeBreakdown(
         scheme=scheme,
@@ -134,7 +90,7 @@ def measure_breakdown(
         wire_us=tracer.total_time("wire", node=0),
         overlap_us=hidden,
         reg_us=tracer.total_time("reg"),
-        descriptors=int(metrics.value("ib.descriptors")),
+        descriptors=int(cluster.metrics.value("ib.descriptors")),
     )
     return breakdown, cluster
 
@@ -201,8 +157,6 @@ def report_json(
     This is the one schema external tooling (and the run ledger) reads;
     see docs/OBSERVABILITY.md for the field list.
     """
-    from dataclasses import asdict
-
     return {
         "schema": 1,
         "workload": workload,
@@ -230,9 +184,8 @@ def run_report(
     run's metric snapshot as CSV.  ``fmt="json"`` prints one JSON
     document (:func:`report_json`) instead of the text tables.
     """
-    import json as _json
-
-    from repro.obs.chrome import export_chrome_trace
+    from repro.bench.workloads import workload_for
+    from repro.obs.chrome import export_scheme_trace
 
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown report format {fmt!r}; use text or json")
@@ -249,10 +202,7 @@ def run_report(
             for name, value in health_counters(cluster.metrics).items():
                 health[name] = health.get(name, 0.0) + value
             if chrome_out:
-                prefix = chrome_out[:-5] if chrome_out.endswith(".json") else chrome_out
-                export_chrome_trace(
-                    cluster.tracer, f"{prefix}.{scheme}.{nbytes}.json"
-                )
+                export_scheme_trace(cluster.tracer, chrome_out, scheme, nbytes)
         if fmt == "text":
             print_fn(
                 f"workload {workload}: {wl.name} ({wl.nbytes} bytes/element)"
@@ -261,7 +211,7 @@ def run_report(
             print_fn("")
         rows.extend(size_rows)
     if fmt == "json":
-        print_fn(_json.dumps(
+        print_fn(json.dumps(
             report_json(workload, sizes, rows, health),
             indent=2,
             sort_keys=True,

@@ -50,9 +50,8 @@ class RegistrationCache:
         self.capacity_bytes = capacity_bytes
         self._hint_fn = hint_fn
         self._entries: "OrderedDict[tuple[int, int], _Entry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        # hits / misses / evictions are the node's reg.cache.* counters:
+        # one store, read back through the properties below
         metrics = node.metrics
         self._hits_metric = metrics.counter("reg.cache.hits", node.node_id)
         self._misses_metric = metrics.counter("reg.cache.misses", node.node_id)
@@ -60,6 +59,18 @@ class RegistrationCache:
             "reg.cache.evictions", node.node_id
         )
         self._pinned_gauge = metrics.gauge("reg.cache.pinned_bytes", node.node_id)
+
+    @property
+    def hits(self) -> int:
+        return int(self._hits_metric.value)
+
+    @property
+    def misses(self) -> int:
+        return int(self._misses_metric.value)
+
+    @property
+    def evictions(self) -> int:
+        return int(self._evictions_metric.value)
 
     @property
     def pinned_bytes(self) -> int:
@@ -73,12 +84,10 @@ class RegistrationCache:
         """
         for key, entry in self._entries.items():
             if entry.mr.covers(addr, length):
-                self.hits += 1
                 self._hits_metric.inc()
                 entry.refcount += 1
                 self._entries.move_to_end(key)
                 return entry.mr
-        self.misses += 1
         self._misses_metric.inc()
         mr = yield from self.node.register(addr, length)
         hinted_oneshot = (
@@ -115,7 +124,6 @@ class RegistrationCache:
             if victim_key is None:
                 return  # everything in use; over budget until releases
             entry = self._entries.pop(victim_key)
-            self.evictions += 1
             self._evictions_metric.inc()
             self._pinned_gauge.set(self.pinned_bytes)
             yield from self.node.deregister(entry.mr)

@@ -24,6 +24,7 @@ from repro.simulator.engine import (
     Simulator,
     Timeout,
 )
+from repro.simulator.metrics import MetricsRegistry
 from repro.simulator.resources import Resource, Signal, Store
 from repro.simulator.trace import Span, TraceRecord, Tracer
 
@@ -32,6 +33,7 @@ __all__ = [
     "AnyOf",
     "Event",
     "Interrupt",
+    "MetricsRegistry",
     "Process",
     "Resource",
     "Signal",

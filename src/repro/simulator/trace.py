@@ -20,9 +20,25 @@ Tracing is off by default and adds no overhead beyond a boolean check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
-__all__ = ["Span", "TraceRecord", "Tracer"]
+__all__ = ["Span", "TraceRecord", "Tracer", "merge_intervals"]
+
+#: (category, node) selector; node None selects all nodes
+Selector = Tuple[str, Optional[int]]
+
+
+def merge_intervals(intervals: Sequence[tuple]) -> list[tuple]:
+    """Merge overlapping/touching (start, end) intervals into a sorted
+    disjoint list."""
+    merged: list[tuple] = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return merged
 
 
 @dataclass(frozen=True)
@@ -172,24 +188,40 @@ class Tracer:
         """Sum of durations for a category (intervals may overlap)."""
         return sum(rec.duration for rec in self.iter_category(category, node))
 
+    def intervals(self, category: str, node: Optional[int] = None) -> list[tuple]:
+        """Merged activity intervals of one category on one node (or all)."""
+        return merge_intervals(
+            [(r.start, r.end) for r in self.iter_category(category, node)]
+        )
+
     def busy_time(self, category: str, node: Optional[int] = None) -> float:
         """Union length of the intervals for a category (overlaps merged)."""
-        spans = sorted(
-            (rec.start, rec.end) for rec in self.iter_category(category, node)
+        return sum(
+            (end - start for start, end in self.intervals(category, node)), 0.0
         )
+
+    def overlap_time(self, a: Selector, b: Selector) -> float:
+        """Simulated time during which both selectors were active.
+
+        Each selector is ``(category, node)``; ``node=None`` pools all
+        nodes.  Intervals within each selector are merged first, so the
+        result is a true intersection length — used to measure how much
+        copy time is hidden behind wire time in the pipelined schemes
+        (receiver unpack against sender wire included).
+        """
+        ia = self.intervals(*a)
+        ib = self.intervals(*b)
+        i = j = 0
         total = 0.0
-        cur_start: Optional[float] = None
-        cur_end = 0.0
-        for start, end in spans:
-            if cur_start is None:
-                cur_start, cur_end = start, end
-            elif start <= cur_end:
-                cur_end = max(cur_end, end)
+        while i < len(ia) and j < len(ib):
+            lo = max(ia[i][0], ib[j][0])
+            hi = min(ia[i][1], ib[j][1])
+            if lo < hi:
+                total += hi - lo
+            if ia[i][1] <= ib[j][1]:
+                i += 1
             else:
-                total += cur_end - cur_start
-                cur_start, cur_end = start, end
-        if cur_start is not None:
-            total += cur_end - cur_start
+                j += 1
         return total
 
     def summary(self, node: Optional[int] = None) -> dict:
@@ -229,25 +261,3 @@ class Tracer:
                         r.span_id, r.parent_id,
                     ]
                 )
-
-    def overlap_time(self, cat_a: str, cat_b: str, node: Optional[int] = None) -> float:
-        """Total time during which *both* categories were active.
-
-        Used to measure how much copy time is hidden behind wire time in the
-        pipelined schemes.
-        """
-        a = sorted((r.start, r.end) for r in self.iter_category(cat_a, node))
-        b = sorted((r.start, r.end) for r in self.iter_category(cat_b, node))
-        i = j = 0
-        total = 0.0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                total += hi - lo
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return total
-

@@ -14,8 +14,8 @@ receive's expected wire bytes from the IR alone (abstract memory from
 ``fill``/``data`` ops, per-stream FIFO matching, packed bytes via the
 send type's flatten).  :func:`check_workload` replays a program and
 asserts every delivered payload against it — the invariant that re-finds
-the PR 2 matching-order hole when the ``BREAK_MATCHING_ORDER`` mutation
-guard reverts the fix.
+the PR 2 matching-order hole when ``tests/workloads/test_mutation.py``
+monkeypatches ``RankContext._admit`` back to its pre-fix form.
 
 :func:`fuzz_time_boxed` drives seeded Hypothesis runs until a deadline,
 writing any (shrunk) counterexample as a workload JSON artifact — CI

@@ -29,10 +29,10 @@ class TestEventAccounting:
         """Regression: events dispatched before the timed ``run()`` (here:
         synthetic setup work on the same simulator) must not inflate the
         reported event count."""
-        import repro.mpi.world as world
+        import repro.bench.runner as runner  # where make_cluster looks it up
 
         baseline = engine_microbench()
-        real_cluster = world.Cluster
+        real_cluster = runner.Cluster
 
         class PreloadedCluster(real_cluster):
             def __init__(self, *args, **kwargs):
@@ -42,7 +42,7 @@ class TestEventAccounting:
                 self.sim.run()
                 assert self.sim.events_processed >= 25
 
-        monkeypatch.setattr(world, "Cluster", PreloadedCluster)
+        monkeypatch.setattr(runner, "Cluster", PreloadedCluster)
         report = engine_microbench()
         for name in ("pingpong", "bandwidth"):
             # the pre-run drains a handful of setup events the baseline

@@ -2,7 +2,7 @@
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.mpi.messages import Credit, RndvReply, RndvStart
-from repro.obs.metrics import MetricsRegistry
+from repro.simulator.metrics import MetricsRegistry
 from repro.simulator import Simulator
 
 

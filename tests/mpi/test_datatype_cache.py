@@ -112,7 +112,7 @@ class TestSenderCache:
         assert cache.misses == 2
 
     def test_eviction_counters_reach_metrics(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.simulator.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
         reg = ReceiverTypeRegistry(max_indices=1, metrics=metrics, node=1)

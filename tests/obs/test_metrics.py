@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import (
+from repro.simulator.metrics import (
     DEFAULT_US_BUCKETS,
     Counter,
     Gauge,

@@ -20,7 +20,7 @@ from repro.obs.profile import (
     format_bottlenecks,
     profile_transfer,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.simulator.metrics import MetricsRegistry
 from repro.simulator import Resource, Simulator, Store
 
 ALL_SCHEMES = ("generic", "bc-spup", "rwg-up", "p-rrs", "multi-w", "hybrid",

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.bench.workloads import workload_for
 from repro.obs.report import (
     DEFAULT_SCHEMES,
     SchemeBreakdown,
     format_table,
     measure_breakdown,
     run_report,
-    workload_for,
 )
 
 
@@ -53,14 +53,14 @@ class TestBreakdown:
         assert b.reg_us > 0  # ... but registration on both sides
 
     def test_overlap_matches_legacy_sweep(self):
-        """Regression: the span-API overlap equals the pre-refactor
-        per-record sweep (tracer.overlap_time / raw interval walk) on the
-        fig09 workload."""
+        """Regression: the merged-interval overlap equals the raw
+        per-record interval walk on the fig09 workload (whose same-category
+        intervals never coincide, so merging changes nothing)."""
         wl = workload_for("fig09", 65536)
         for scheme in ("bc-spup", "rwg-up", "generic"):
             b, cluster = measure_breakdown(scheme, wl.datatype)
             tracer = cluster.tracer
-            legacy_pack = tracer.overlap_time("pack", "wire", node=0)
+            legacy_pack = _legacy_cross_overlap(tracer, "pack", 0, "wire", 0)
             legacy_unpack = _legacy_cross_overlap(
                 tracer, "unpack", 1, "wire", 0
             )
@@ -145,7 +145,7 @@ class TestCLI:
 
 class TestHealthSection:
     def test_health_counters_filters_fault_names(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.simulator.metrics import MetricsRegistry
         from repro.obs.report import format_health, health_counters
 
         m = MetricsRegistry()

@@ -1,12 +1,7 @@
-"""Span/interval query helpers (repro.obs.spans)."""
+"""Span/interval queries over a Tracer (cross-node selectors, span tree)."""
 
-from repro.obs.spans import (
-    category_intervals,
-    merge_intervals,
-    overlap_us,
-    span_tree,
-)
 from repro.simulator import Tracer
+from repro.simulator.trace import merge_intervals
 
 
 class TestMergeIntervals:
@@ -33,16 +28,16 @@ class TestOverlap:
 
     def test_same_node_overlap(self):
         tr = self.make_tracer()
-        assert overlap_us(tr, ("pack", 0), ("wire", 0)) == 5.0
+        assert tr.overlap_time(("pack", 0), ("wire", 0)) == 5.0
 
     def test_cross_node_overlap(self):
         tr = self.make_tracer()
-        assert overlap_us(tr, ("unpack", 1), ("wire", 0)) == 2.0
+        assert tr.overlap_time(("unpack", 1), ("wire", 0)) == 2.0
 
     def test_node_none_pools_all(self):
         tr = self.make_tracer()
         tr.record(13, 20, 1, "pack")
-        assert overlap_us(tr, ("pack", None), ("wire", 0)) == 7.0
+        assert tr.overlap_time(("pack", None), ("wire", 0)) == 7.0
 
     def test_merging_prevents_double_count(self):
         tr = Tracer(enabled=True)
@@ -51,13 +46,13 @@ class TestOverlap:
         tr.record(0, 10, 0, "pack")
         tr.record(0, 10, 0, "pack")
         tr.record(0, 10, 0, "wire")
-        assert overlap_us(tr, ("pack", 0), ("wire", 0)) == 10.0
+        assert tr.overlap_time(("pack", 0), ("wire", 0)) == 10.0
 
     def test_category_intervals_merged(self):
         tr = Tracer(enabled=True)
         tr.record(0, 3, 0, "cpu")
         tr.record(2, 5, 0, "cpu")
-        assert category_intervals(tr, "cpu", 0) == [(0, 5)]
+        assert tr.intervals("cpu", 0) == [(0, 5)]
 
 
 class TestSpanTree:
@@ -68,7 +63,8 @@ class TestSpanTree:
         tr.record(2.0, 3.0, 0, "wire")
         op.finish(3.0)
         tr.record(4.0, 5.0, 0, "reg")  # root-level record
-        tree = span_tree(tr)
         scheme_rec = next(r for r in tr.records if r.category == "scheme:bc-spup")
-        assert {r.category for r in tree[scheme_rec.span_id]} == {"pack", "wire"}
-        assert {r.category for r in tree[0]} == {"scheme:bc-spup", "reg"}
+        assert {r.category for r in tr.children(scheme_rec.span_id)} == {
+            "pack", "wire",
+        }
+        assert {r.category for r in tr.roots()} == {"scheme:bc-spup", "reg"}

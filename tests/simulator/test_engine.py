@@ -412,7 +412,7 @@ class TestStepHygiene:
         assert sim._current_event is None
 
     def test_root_event_between_runs_has_no_cause(self, sim):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.simulator.metrics import MetricsRegistry
         from repro.obs.profile import Profiler
 
         sim.profiler = Profiler(MetricsRegistry())

@@ -49,11 +49,17 @@ class TestTracer:
                 (25, 26, 0, "wire"),
             ]
         )
-        assert tr.overlap_time("pack", "wire") == 6.0
+        assert tr.overlap_time(("pack", None), ("wire", None)) == 6.0
+
+    def test_overlap_time_merges_same_category_first(self):
+        # regression: the old sweep walked two *unmerged* lists, so two
+        # coincident pack intervals against one wire interval counted 20.0
+        tr = make_tracer([(0, 10, 0, "pack"), (0, 10, 0, "pack"), (0, 10, 0, "wire")])
+        assert tr.overlap_time(("pack", 0), ("wire", 0)) == 10.0
 
     def test_overlap_time_disjoint(self):
         tr = make_tracer([(0, 5, 0, "pack"), (5, 10, 0, "wire")])
-        assert tr.overlap_time("pack", "wire") == 0.0
+        assert tr.overlap_time(("pack", None), ("wire", None)) == 0.0
 
     def test_clear(self):
         tr = make_tracer([(0, 5, 0, "cpu")])
@@ -115,22 +121,22 @@ class TestTracer:
         # a zero-length interval intersects nothing, even when it sits
         # inside the other category's interval
         tr = make_tracer([(3, 3, 0, "pack"), (0, 10, 0, "wire")])
-        assert tr.overlap_time("pack", "wire") == 0.0
+        assert tr.overlap_time(("pack", None), ("wire", None)) == 0.0
 
     def test_overlap_time_exactly_touching(self):
         # [0,5) and [5,10) share only the boundary point: no overlap
         tr = make_tracer([(0, 5, 0, "pack"), (5, 10, 0, "wire")])
-        assert tr.overlap_time("pack", "wire") == 0.0
-        assert tr.overlap_time("wire", "pack") == 0.0
+        assert tr.overlap_time(("pack", None), ("wire", None)) == 0.0
+        assert tr.overlap_time(("wire", None), ("pack", None)) == 0.0
 
     def test_overlap_time_single_record_categories(self):
         tr = make_tracer([(0, 10, 0, "pack"), (4, 6, 0, "wire")])
-        assert tr.overlap_time("pack", "wire") == 2.0
-        assert tr.overlap_time("wire", "pack") == 2.0
+        assert tr.overlap_time(("pack", None), ("wire", None)) == 2.0
+        assert tr.overlap_time(("wire", None), ("pack", None)) == 2.0
 
     def test_overlap_time_identical_intervals(self):
         tr = make_tracer([(2, 8, 0, "pack"), (2, 8, 0, "wire")])
-        assert tr.overlap_time("pack", "wire") == 6.0
+        assert tr.overlap_time(("pack", None), ("wire", None)) == 6.0
 
     def test_busy_time_single_record(self):
         tr = make_tracer([(1, 4, 0, "cpu")])

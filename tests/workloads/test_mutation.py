@@ -1,19 +1,20 @@
 """Mutation test: the fuzzer must re-find the PR 2 matching-order bug.
 
-``repro.mpi.context.BREAK_MATCHING_ORDER`` reverts the per-source
-sequence-order admission fix (envelopes deliver on arrival, so a fast
-rendezvous start can overtake an earlier eager payload in the same
-stream).  With the guard flipped, (a) the corpus seed program must fail
-its oracle on every scheme, and (b) the grammar fuzzer must find a
-counterexample within a slice of the CI time box — proof that the fuzz
-effort actually covers the protocol corner the bug lives in.
+The mutant lives here, not in production: ``RankContext._admit`` is
+monkeypatched to deliver envelopes on arrival, reverting the per-source
+sequence-order admission fix (a fast rendezvous start can then overtake
+an earlier eager payload in the same stream).  With the mutant in place,
+(a) the corpus seed program must fail its oracle on every scheme, and
+(b) the grammar fuzzer must find a counterexample within a slice of the
+CI time box — proof that the fuzz effort actually covers the protocol
+corner the bug lives in.
 """
 
 from pathlib import Path
 
 import pytest
 
-import repro.mpi.context as mpi_context
+from repro.mpi.context import RankContext
 from repro.schemes import SCHEME_NAMES
 from repro.workloads import parse
 from repro.workloads.fuzz import check_workload, fuzz_time_boxed
@@ -21,17 +22,18 @@ from repro.workloads.fuzz import check_workload, fuzz_time_boxed
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
 
+def _admit_on_arrival(self, src, seq, envelope):
+    """The pre-fix ``_admit``: no sequencing, first arrival wins."""
+    yield from self._deliver_envelope(envelope)
+
+
 @pytest.fixture
 def broken_matching_order(monkeypatch):
-    monkeypatch.setattr(mpi_context, "BREAK_MATCHING_ORDER", True)
+    monkeypatch.setattr(RankContext, "_admit", _admit_on_arrival)
 
 
 def _overtake():
     return parse((CORPUS_DIR / "eager_rndv_overtake.json").read_text())
-
-
-def test_guard_defaults_off():
-    assert mpi_context.BREAK_MATCHING_ORDER is False
 
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
@@ -43,7 +45,8 @@ def test_corpus_seed_detects_reverted_fix(broken_matching_order, scheme):
 @pytest.mark.slow
 @pytest.mark.faultfree
 def test_fuzzer_refinds_matching_order_bug(monkeypatch, tmp_path):
-    monkeypatch.setattr(mpi_context, "BREAK_MATCHING_ORDER", True)
+    fixed_admit = RankContext._admit
+    monkeypatch.setattr(RankContext, "_admit", _admit_on_arrival)
     report = fuzz_time_boxed(
         90, seed=42, artifact_dir=str(tmp_path)
     )
@@ -56,5 +59,5 @@ def test_fuzzer_refinds_matching_order_bug(monkeypatch, tmp_path):
     path = report.failure["path"]
     assert path is not None and Path(path).is_file()
     counterexample = parse(Path(path).read_text())
-    monkeypatch.setattr(mpi_context, "BREAK_MATCHING_ORDER", False)
+    monkeypatch.setattr(RankContext, "_admit", fixed_admit)
     check_workload(counterexample)
