@@ -15,7 +15,7 @@ segment boundaries independent of the data layout.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,11 +35,25 @@ class SegmentCursor:
     def __init__(self, datatype: Datatype, count: int = 1):
         self.datatype = datatype
         self.count = count
-        self.flat: Flattened = datatype.flatten(count)
+        self._index(datatype.flatten(count))
+
+    @classmethod
+    def over_blocks(cls, blocks: Iterable[tuple[int, int]]) -> "SegmentCursor":
+        """Cursor over an explicit ``(offset, length)`` block list taken
+        *as given*: stream order is list order and touching blocks stay
+        separate, where :meth:`Flattened.from_blocks` would sort and merge
+        them — and so change the block count a copy is billed for.  The
+        Hybrid scheme packs its small refined pieces through this."""
+        self = cls.__new__(cls)
+        self.datatype, self.count = None, 1
+        table = np.array(list(blocks), dtype=np.int64).reshape(-1, 2)
+        self._index(Flattened(table[:, 0].copy(), table[:, 1].copy()))
+        return self
+
+    def _index(self, flat: Flattened) -> None:
+        self.flat = flat
         # cum[i] = packed offset of the start of block i; cum[-1] = total
-        self._cum = np.concatenate(
-            ([0], np.cumsum(self.flat.lengths, dtype=np.int64))
-        )
+        self._cum = np.concatenate(([0], np.cumsum(flat.lengths, dtype=np.int64)))
         self.total = int(self._cum[-1])
         self._pos = 0
 

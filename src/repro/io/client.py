@@ -32,6 +32,8 @@ from repro.simulator import SimulationError, Store
 __all__ = ["IOClient"]
 
 _CTRL_DEPTH = 1024
+#: wr-id tag of the data-moving opcodes ("wp" / "rp" through the bounce)
+_WR_TAG = {Opcode.RDMA_WRITE: "w", Opcode.RDMA_READ: "r"}
 
 
 @dataclass
@@ -150,7 +152,7 @@ class IOClient:
         nbytes = cur.total
         self._check_extent(fh, file_offset, nbytes)
         if strategy == "rdma":
-            yield from self._write_rdma(fh, file_offset, addr, cur)
+            yield from self._rdma_direct(Opcode.RDMA_WRITE, fh, file_offset, addr, cur)
         elif strategy == "pack":
             yield from self._write_pack(fh, file_offset, addr, cur)
         else:
@@ -174,7 +176,7 @@ class IOClient:
         nbytes = cur.total
         self._check_extent(fh, file_offset, nbytes)
         if strategy == "rdma":
-            yield from self._read_rdma(fh, file_offset, addr, cur)
+            yield from self._rdma_direct(Opcode.RDMA_READ, fh, file_offset, addr, cur)
         elif strategy == "pack":
             yield from self._read_pack(fh, file_offset, addr, cur)
         else:
@@ -356,7 +358,10 @@ class IOClient:
             pos = hi
         return chunks
 
-    def _write_rdma(self, fh, file_offset, addr, cur):
+    def _rdma_direct(self, opcode, fh, file_offset, addr, cur):
+        """Zero-copy strategy: register the user blocks, then one
+        ``opcode`` (RDMA write or read) per <= MAX_SGE gather/scatter
+        entries of each stripe chunk."""
         slices = cur.slices(0, cur.total)
         yield from self.node.cpu_work(
             self.cm.dt_startup + len(slices) * self.cm.dt_per_block, "dtproc"
@@ -367,110 +372,65 @@ class IOClient:
             part = fh.parts[server]
             qp = self._qps[server]
             chunk_slices = cur.slices(lo, hi)
-            dst = part.addr + local
+            remote = part.addr + local
             for k in range(0, len(chunk_slices), MAX_SGE):
                 group = chunk_slices[k : k + MAX_SGE]
                 sges = [
                     SGE(addr + off, ln, self._lkey(mrs, addr + off, ln))
                     for off, ln in group
                 ]
-                nbytes = sum(ln for _o, ln in group)
-                wr_id = (self.client_id, "w", lo, k)
+                wr_id = (self.client_id, _WR_TAG[opcode], lo, k)
                 ev = self.sim.event()
                 self._track(qp, wr_id, ev)
                 yield from qp.post_send(
                     SendWR(
-                        Opcode.RDMA_WRITE,
+                        opcode,
                         sges=sges,
-                        remote_addr=dst,
+                        remote_addr=remote,
                         rkey=part.rkey,
                         wr_id=wr_id,
                     )
                 )
                 completions.append(ev)
-                dst += nbytes
+                remote += sum(ln for _o, ln in group)
         yield self.sim.all_of(completions)
         yield from self._release_blocks(mrs)
+
+    def _rdma_bounce(self, opcode, fh, file_offset, total, bounce):
+        """One ``opcode`` per stripe chunk between the packed bounce
+        buffer and the file."""
+        completions = []
+        for lo, hi, server, local in self._stripe_chunks(fh, file_offset, total):
+            part = fh.parts[server]
+            qp = self._qps[server]
+            wr_id = (self.client_id, _WR_TAG[opcode] + "p", lo)
+            ev = self.sim.event()
+            self._track(qp, wr_id, ev)
+            yield from qp.post_send(
+                SendWR(
+                    opcode,
+                    sges=[SGE(bounce + lo, hi - lo, self._bounce_mr.lkey)],
+                    remote_addr=part.addr + local,
+                    rkey=part.rkey,
+                    wr_id=wr_id,
+                )
+            )
+            completions.append(ev)
+        yield self.sim.all_of(completions)
 
     def _write_pack(self, fh, file_offset, addr, cur):
         bounce = yield from self._bounce(cur.total)
         nblocks = pack_bytes(self.node.memory, addr, cur, 0, cur.total, bounce)
         yield from self.node.copy_work(cur.total, nblocks, "fio-pack")
-        completions = []
-        for lo, hi, server, local in self._stripe_chunks(fh, file_offset, cur.total):
-            part = fh.parts[server]
-            qp = self._qps[server]
-            wr_id = (self.client_id, "wp", lo)
-            ev = self.sim.event()
-            self._track(qp, wr_id, ev)
-            yield from qp.post_send(
-                SendWR(
-                    Opcode.RDMA_WRITE,
-                    sges=[SGE(bounce + lo, hi - lo, self._bounce_mr.lkey)],
-                    remote_addr=part.addr + local,
-                    rkey=part.rkey,
-                    wr_id=wr_id,
-                )
-            )
-            completions.append(ev)
-        yield self.sim.all_of(completions)
-
-    def _read_rdma(self, fh, file_offset, addr, cur):
-        slices = cur.slices(0, cur.total)
-        yield from self.node.cpu_work(
-            self.cm.dt_startup + len(slices) * self.cm.dt_per_block, "dtproc"
+        yield from self._rdma_bounce(
+            Opcode.RDMA_WRITE, fh, file_offset, cur.total, bounce
         )
-        mrs = yield from self._register_blocks(addr, slices)
-        completions = []
-        for lo, hi, server, local in self._stripe_chunks(fh, file_offset, cur.total):
-            part = fh.parts[server]
-            qp = self._qps[server]
-            chunk_slices = cur.slices(lo, hi)
-            src = part.addr + local
-            for k in range(0, len(chunk_slices), MAX_SGE):
-                group = chunk_slices[k : k + MAX_SGE]
-                sges = [
-                    SGE(addr + off, ln, self._lkey(mrs, addr + off, ln))
-                    for off, ln in group
-                ]
-                nbytes = sum(ln for _o, ln in group)
-                wr_id = (self.client_id, "r", lo, k)
-                ev = self.sim.event()
-                self._track(qp, wr_id, ev)
-                yield from qp.post_send(
-                    SendWR(
-                        Opcode.RDMA_READ,
-                        sges=sges,
-                        remote_addr=src,
-                        rkey=part.rkey,
-                        wr_id=wr_id,
-                    )
-                )
-                completions.append(ev)
-                src += nbytes
-        yield self.sim.all_of(completions)
-        yield from self._release_blocks(mrs)
 
     def _read_pack(self, fh, file_offset, addr, cur):
         bounce = yield from self._bounce(cur.total)
-        completions = []
-        for lo, hi, server, local in self._stripe_chunks(fh, file_offset, cur.total):
-            part = fh.parts[server]
-            qp = self._qps[server]
-            wr_id = (self.client_id, "rp", lo)
-            ev = self.sim.event()
-            self._track(qp, wr_id, ev)
-            yield from qp.post_send(
-                SendWR(
-                    Opcode.RDMA_READ,
-                    sges=[SGE(bounce + lo, hi - lo, self._bounce_mr.lkey)],
-                    remote_addr=part.addr + local,
-                    rkey=part.rkey,
-                    wr_id=wr_id,
-                )
-            )
-            completions.append(ev)
-        yield self.sim.all_of(completions)
+        yield from self._rdma_bounce(
+            Opcode.RDMA_READ, fh, file_offset, cur.total, bounce
+        )
         nblocks = unpack_bytes(self.node.memory, addr, cur, 0, cur.total, bounce)
         yield from self.node.copy_work(cur.total, nblocks, "fio-unpack")
 

@@ -192,7 +192,7 @@ def _apply_op(ctx, op, accum_addr, contrib_addr, count, np_dtype):
     yield from ctx.node.copy_work(count * itemsize, 0, f"reduce-{op}")
 
 
-def reduce(ctx, sendaddr, recvaddr, count, np_dtype, op, root):
+def reduce(ctx, sendaddr, recvaddr, count, np_dtype, op="sum", root=0):
     """Binomial-tree reduction of ``count`` elements of ``np_dtype``.
 
     Contiguous data only (reductions on derived datatypes reduce their
@@ -227,7 +227,7 @@ def reduce(ctx, sendaddr, recvaddr, count, np_dtype, op, root):
     ctx.node.memory.free(scratch)
 
 
-def allreduce(ctx, sendaddr, recvaddr, count, np_dtype, op):
+def allreduce(ctx, sendaddr, recvaddr, count, np_dtype, op="sum"):
     """Reduce to rank 0, then broadcast (the classic two-phase allreduce)."""
     import numpy as np
 

@@ -25,6 +25,7 @@ Structure (mirroring MVAPICH, Section 3.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.datatypes.base import Datatype
 from repro.datatypes.pack import pack_bytes, unpack_bytes
 from repro.datatypes.segment import SegmentCursor
 from repro.ib.verbs import Opcode, RecvWR, SGE, SendWR
+from repro.mpi import collectives
 from repro.mpi.matching import ANY_TAG, MatchEngine
 from repro.mpi.messages import (
     CTRL_HEADER_BYTES,
@@ -180,8 +182,6 @@ class RankContext:
         #: wr_id -> Event resolved by the send-completion dispatcher
         self._send_events: dict[object, Event] = {}
         self._schemes: dict[str, object] = {}
-        self._pack_pool = None
-        self._unpack_pool = None
         # wired by _setup_network
         self.ctrl_qps: dict[int, object] = {}
         self.data_qps: dict[int, object] = {}
@@ -557,71 +557,17 @@ class RankContext:
             self._probe_waiters.append(ev)
             yield ev
 
-    # collectives are implemented in repro.mpi.collectives and re-exported
-    # as bound helpers here
-
-    def barrier(self):
-        from repro.mpi.collectives import barrier
-
-        yield from barrier(self)
-
-    def alltoall(self, sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount):
-        from repro.mpi.collectives import alltoall
-
-        yield from alltoall(
-            self, sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount
-        )
-
-    def bcast(self, addr, datatype, count, root):
-        from repro.mpi.collectives import bcast
-
-        yield from bcast(self, addr, datatype, count, root)
-
-    def allgather(self, sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount):
-        from repro.mpi.collectives import allgather
-
-        yield from allgather(
-            self, sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount
-        )
-
-    def alltoallv(
-        self, sendaddr, sendtype, sendcounts, sdispls,
-        recvaddr, recvtype, recvcounts, rdispls,
-    ):
-        from repro.mpi.collectives import alltoallv
-
-        yield from alltoallv(
-            self, sendaddr, sendtype, sendcounts, sdispls,
-            recvaddr, recvtype, recvcounts, rdispls,
-        )
-
-    def gather(
-        self, sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount, root
-    ):
-        from repro.mpi.collectives import gather
-
-        yield from gather(
-            self, sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount, root
-        )
-
-    def scatter(
-        self, sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount, root
-    ):
-        from repro.mpi.collectives import scatter
-
-        yield from scatter(
-            self, sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount, root
-        )
-
-    def reduce(self, sendaddr, recvaddr, count, np_dtype, op="sum", root=0):
-        from repro.mpi.collectives import reduce
-
-        yield from reduce(self, sendaddr, recvaddr, count, np_dtype, op, root)
-
-    def allreduce(self, sendaddr, recvaddr, count, np_dtype, op="sum"):
-        from repro.mpi.collectives import allreduce
-
-        yield from allreduce(self, sendaddr, recvaddr, count, np_dtype, op)
+    # collectives live in repro.mpi.collectives as functions whose first
+    # parameter is the context; bound here, they are its methods
+    barrier = collectives.barrier
+    alltoall = collectives.alltoall
+    alltoallv = collectives.alltoallv
+    bcast = collectives.bcast
+    allgather = collectives.allgather
+    gather = collectives.gather
+    scatter = collectives.scatter
+    reduce = collectives.reduce
+    allreduce = collectives.allreduce
 
     # ------------------------------------------------------------------
     # scheme / pool access
@@ -635,33 +581,26 @@ class RankContext:
             self._schemes[name] = make_scheme(name, self)
         return self._schemes[name]
 
-    @property
+    def _segment_pool(self, kind: str):
+        from repro.schemes.buffers import SegmentPool
+
+        return SegmentPool(
+            self.node,
+            self.cm.pool_size,
+            self.cm.segment_size,
+            enabled=self.cluster.staging_pools,
+            name=f"{kind}{self.rank}",
+        )
+
+    @cached_property
     def pack_pool(self):
-        if self._pack_pool is None:
-            from repro.schemes.buffers import SegmentPool
+        """Pre-registered pack segment pool (built on first use)."""
+        return self._segment_pool("pack")
 
-            self._pack_pool = SegmentPool(
-                self.node,
-                self.cm.pool_size,
-                self.cm.segment_size,
-                enabled=self.cluster.staging_pools,
-                name=f"pack{self.rank}",
-            )
-        return self._pack_pool
-
-    @property
+    @cached_property
     def unpack_pool(self):
-        if self._unpack_pool is None:
-            from repro.schemes.buffers import SegmentPool
-
-            self._unpack_pool = SegmentPool(
-                self.node,
-                self.cm.pool_size,
-                self.cm.segment_size,
-                enabled=self.cluster.staging_pools,
-                name=f"unpack{self.rank}",
-            )
-        return self._unpack_pool
+        """Pre-registered unpack segment pool (built on first use)."""
+        return self._segment_pool("unpack")
 
     # ------------------------------------------------------------------
     # rendezvous plumbing used by the schemes
@@ -816,10 +755,9 @@ class RankContext:
 
     def _self_deliver(self, rreq: Request, envelope: _Envelope):
         sreq, tmp = envelope.header
-        cur = SegmentCursor(rreq.datatype, rreq.count)
-        if cur.total < sreq.datatype.size * sreq.count:
-            raise TruncationError("receive buffer too small for self message")
-        hi = sreq.datatype.size * sreq.count
+        hi = sreq.nbytes
+        self._check_fits(rreq, hi, sreq.tag)
+        cur = rreq.cursor
         nblocks = unpack_bytes(self.node.memory, rreq.addr, cur, 0, hi, tmp)
         yield from self.charge_pack(hi, nblocks, "unpack")
         self.node.memory.free(tmp)
@@ -908,11 +846,7 @@ class RankContext:
         peer, slot_addr, slot_kind = envelope.slot
         nbytes = header.nbytes
         cur = rreq.cursor
-        if nbytes > cur.total:
-            raise TruncationError(
-                f"rank {self.rank}: {nbytes}-byte message overruns "
-                f"{cur.total}-byte receive buffer (tag {header.tag})"
-            )
+        self._check_fits(rreq, nbytes, header.tag)
         scheme = self.get_scheme(self.cluster.scheme_name)
         two_copy = getattr(scheme, "eager_two_copy", False) and cur.flat.nblocks > 1
         if two_copy and nbytes:
@@ -975,6 +909,9 @@ class RankContext:
         self._complete(req)
 
     def _run_receiver(self, rreq: Request, start: RndvStart):
+        # one truncation check for every scheme, before the receive takes
+        # a rendezvous slot or acquires / advertises any buffer
+        self._check_fits(rreq, start.nbytes, start.tag)
         grant = yield self._rndv_recv_slots.acquire()
         span = self.node.tracer.begin(
             self.sim.now, self.rank, f"scheme:{start.scheme}", "recv",
@@ -989,6 +926,14 @@ class RankContext:
         self.close_inbox(start.msg_id)
         self._rndv_replies.pop(start.msg_id, None)
         self._complete(rreq, src=start.src, tag=start.tag)
+
+    def _check_fits(self, rreq: Request, nbytes: int, tag: int) -> None:
+        """MPI_ERR_TRUNCATE: a matched message must fit the posted receive."""
+        if rreq.cursor.total < nbytes:
+            raise TruncationError(
+                f"rank {self.rank}: {nbytes}-byte message overruns "
+                f"{rreq.cursor.total}-byte receive buffer (tag {tag})"
+            )
 
     def _dispatch_matched(self, rreq: Request, envelope: _Envelope) -> None:
         """A posted receive matched a queued unexpected message."""

@@ -14,7 +14,6 @@ __all__ = [
     "CTRL_HEADER_BYTES",
     "Credit",
     "EagerHeader",
-    "RndvFin",
     "RndvReply",
     "RndvStart",
     "SegArrival",
@@ -77,15 +76,6 @@ class SegArrival:
     lo: int
     hi: int
     last: bool
-
-
-@dataclass(frozen=True)
-class RndvFin:
-    """Sender -> receiver: all data for ``msg_id`` has been written (used
-    by schemes that do not notify per segment)."""
-
-    msg_id: int
-    meta: Any = None
 
 
 @dataclass(frozen=True)

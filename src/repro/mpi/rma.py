@@ -30,6 +30,7 @@ from typing import Optional
 
 from repro.datatypes import Datatype, SegmentCursor
 from repro.ib.verbs import Opcode, SGE, SendWR
+from repro.schemes.base import RegisteredUserBuffer, charge_dtproc, piece_writes
 from repro.schemes.multiw import refine
 
 __all__ = ["Window", "fence", "get", "lock", "put", "unlock", "win_create"]
@@ -123,25 +124,13 @@ def put(
             ctx.node.memory.view(dst, ln)[:] = ctx.node.memory.view(src, ln)
         yield from ctx.node.copy_work(origin_flat.size, len(pieces), "rma-local")
         return
-    from repro.schemes.base import RegisteredUserBuffer
-
     reg = yield from RegisteredUserBuffer.acquire(ctx, origin_addr, origin_flat)
     pieces = refine(origin_flat, origin_addr, target_flat, tbase)
-    yield from ctx.node.cpu_work(
-        ctx.cm.dt_startup + len(pieces) * ctx.cm.dt_per_block, "dtproc"
-    )
-    wrs = []
-    for k, (src, dst, ln) in enumerate(pieces):
-        wrs.append(
-            SendWR(
-                Opcode.RDMA_WRITE,
-                sges=[SGE(src, ln, reg.lkey_for(src, ln))],
-                remote_addr=dst,
-                rkey=trkey,
-                wr_id=ctx.new_wr_id(),
-                signaled=(k == len(pieces) - 1),
-            )
-        )
+    yield from charge_dtproc(ctx, len(pieces))
+    # the Multi-W write list; the whole window is one region, and the
+    # last write's completion stands for the put at the next fence
+    wrs = piece_writes(ctx, pieces, reg, lambda _addr, _length: trkey)
+    wrs[-1].signaled = True
     done = ctx.send_completion(wrs[-1].wr_id)
     yield from ctx.ctrl_qps[target_rank].post_send_list(wrs)
     win._pending.append((done, reg))
@@ -170,14 +159,10 @@ def get(
             ctx.node.memory.view(dst, ln)[:] = ctx.node.memory.view(src, ln)
         yield from ctx.node.copy_work(origin_flat.size, len(pieces), "rma-local")
         return
-    from repro.schemes.base import RegisteredUserBuffer
-
     reg = yield from RegisteredUserBuffer.acquire(ctx, origin_addr, origin_flat)
     # pieces: (target_src, origin_dst, len); one read per piece
     pieces = refine(target_flat, tbase, origin_flat, origin_addr)
-    yield from ctx.node.cpu_work(
-        ctx.cm.dt_startup + len(pieces) * ctx.cm.dt_per_block, "dtproc"
-    )
+    yield from charge_dtproc(ctx, len(pieces))
     events = []
     for src, dst, ln in pieces:
         wr_id = ctx.new_wr_id()

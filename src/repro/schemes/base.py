@@ -10,10 +10,22 @@ protocol:
   ``RndvStart`` matches a posted receive; must return when all data is in
   the user receive buffer.
 
-Shared helpers here implement the pieces several schemes have in common:
-segment-buffer advertisement, the staged (segment-unpack) receiver used
-by BC-SPUP and RWG-UP, and user-buffer registration through the OGR
-planner + pin-down cache.
+Every scheme is an orchestration of a few verbs primitives plus CPU
+copies, and each of those mechanisms lives here exactly once — the scheme
+files (and ``mpi.rma.put``) contain the *order* in which they are called:
+
+* the handshake: :func:`send_rndv_start`, :func:`advertise_layout`;
+* user-buffer registration through the OGR planner + pin-down cache
+  (:class:`RegisteredUserBuffer`) and the lookup of a peer's advertised
+  regions (:func:`rkey_for`);
+* one write per refined piece: :func:`piece_writes`, :func:`post_writes`
+  (the caller bills the list with :func:`charge_dtproc`);
+* gather / scatter lists of at most ``MAX_SGE`` entries, billed the same
+  way: :func:`sge_chunks`;
+* a staging buffer into an advertised segment: :func:`write_segment`,
+  with :func:`recycle_pack_buffer` returning the pool buffer afterwards;
+* a landed segment into user memory: :func:`unpack_segment`, the step
+  :func:`staged_receiver` (BC-SPUP, RWG-UP) and Hybrid both take.
 """
 
 from __future__ import annotations
@@ -21,7 +33,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from repro.mpi.messages import RndvReply, RndvStart, SegArrival
+from repro.datatypes.pack import unpack_bytes
+from repro.ib.verbs import MAX_SGE, Opcode, SGE, SendWR
+from repro.mpi.messages import CTRL_HEADER_BYTES, RndvReply, RndvStart, SegArrival
 from repro.registration.ogr import plan_regions
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,10 +45,21 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DatatypeScheme",
     "RegisteredUserBuffer",
+    "advertise_layout",
+    "charge_dtproc",
+    "piece_writes",
+    "plan_segments",
+    "post_writes",
     "predicted_handshake",
     "predicted_pipeline",
+    "recycle_pack_buffer",
+    "rkey_for",
+    "segment_shape",
     "send_rndv_start",
+    "sge_chunks",
     "staged_receiver",
+    "unpack_segment",
+    "write_segment",
 ]
 
 
@@ -74,8 +99,24 @@ def predicted_pipeline(profile: dict, nseg: int, stage_times: dict) -> None:
     profile[category] += (nseg - 1) * per_seg
 
 
-def send_rndv_start(ctx: "RankContext", req: "Request", scheme: str, meta=None):
-    """Send the rendezvous start control message (generator)."""
+def segment_shape(cm, nblocks: int, nbytes: int) -> tuple[int, int, int]:
+    """``(nseg, seg, bseg)`` — segment count, bytes per segment and blocks
+    per segment — of an ``nbytes`` message of ``nblocks`` blocks under the
+    static segment-size rule (Section 7.2); the preamble of every
+    segmenting scheme's :meth:`~DatatypeScheme.predict_profile`."""
+    segsize = cm.segment_size_for(nbytes)
+    nseg = max(1, math.ceil(nbytes / segsize))
+    seg = min(segsize, max(nbytes, 1))
+    bseg = max(1, math.ceil(max(1, nblocks) / nseg))
+    return nseg, seg, bseg
+
+
+def send_rndv_start(
+    ctx: "RankContext", req: "Request", scheme: str, meta=None,
+    nbytes: int = CTRL_HEADER_BYTES,
+):
+    """Send the rendezvous start control message (generator); ``nbytes``
+    is its size on the wire (header plus any layout riding along)."""
     start = RndvStart(
         src=ctx.rank,
         tag=req.tag,
@@ -85,8 +126,134 @@ def send_rndv_start(ctx: "RankContext", req: "Request", scheme: str, meta=None):
         seq=req.seq,
         meta=meta,
     )
-    yield from ctx.ctrl_send(req.peer, start)
+    yield from ctx.ctrl_send(req.peer, start, nbytes=nbytes)
     return start
+
+
+def advertise_layout(ctx: "RankContext", peer: int, req: "Request"):
+    """``(layout, extra wire bytes)`` advertising ``req``'s flattened
+    layout to ``peer`` through the version-numbered datatype cache
+    (Section 5.4.2): a full layout rides the wire at 16 bytes per block,
+    a cached reference costs only the header."""
+    flat = req.cursor.flat
+    layout = ctx.type_registry.encode_for(
+        peer, (req.datatype.signature(), req.count), flat,
+        force_full=ctx.faults_active,
+    )
+    return layout, flat.wire_bytes if layout[0] == "full" else 0
+
+
+def rkey_for(regions, addr: int, length: int) -> int:
+    """The rkey of the advertised ``(addr, length, rkey)`` region that
+    covers ``[addr, addr + length)`` at the peer."""
+    for raddr, rlen, rkey in regions:
+        if raddr <= addr and addr + length <= raddr + rlen:
+            return rkey
+    raise KeyError(f"no receiver region covers [{addr:#x}, +{length})")
+
+
+def charge_dtproc(ctx: "RankContext", nblocks: int):
+    """Charge the datatype processing that builds an ``nblocks``-entry
+    descriptor or gather list (generator)."""
+    yield from ctx.node.cpu_work(
+        ctx.cm.dt_startup + nblocks * ctx.cm.dt_per_block, "dtproc"
+    )
+
+
+def piece_writes(ctx: "RankContext", pieces, reg, rkey_of) -> list[SendWR]:
+    """One unsignaled RDMA write per refined ``(src, dst, len)`` piece,
+    from registered user memory (``reg``) straight into the peer's
+    (``rkey_of(dst, len)``).  Callers that need a completion or an
+    arrival notification upgrade the last descriptor."""
+    return [
+        SendWR(
+            Opcode.RDMA_WRITE,
+            sges=[SGE(src, length, reg.lkey_for(src, length))],
+            remote_addr=dst,
+            rkey=rkey_of(dst, length),
+            wr_id=ctx.new_wr_id(),
+            signaled=False,
+        )
+        for src, dst, length in pieces
+    ]
+
+
+def post_writes(qp, wrs, list_post: bool):
+    """Post descriptors through the Mellanox extended list-post interface
+    or one by one (generator; Figure 13 measures the difference)."""
+    if list_post:
+        yield from qp.post_send_list(wrs)
+    else:
+        for wr in wrs:
+            yield from qp.post_send(wr)
+
+
+def sge_chunks(ctx: "RankContext", base_addr: int, cursor, lo: int, hi: int, reg):
+    """Gather/scatter lists for packed bytes [lo, hi) of the stream rooted
+    at ``base_addr`` (generator): charges the datatype processing, then
+    returns ``(sges, nbytes)`` per descriptor, at most ``MAX_SGE`` (the
+    Mellanox limit) entries each — RWG-UP's write-gather and P-RRS's
+    read-scatter alike."""
+    slices = cursor.slices(lo, hi)
+    yield from charge_dtproc(ctx, len(slices))
+    chunks = (slices[k : k + MAX_SGE] for k in range(0, len(slices), MAX_SGE))
+    return [
+        (
+            [
+                SGE(base_addr + off, length, reg.lkey_for(base_addr + off, length))
+                for off, length in chunk
+            ],
+            sum(length for _off, length in chunk),
+        )
+        for chunk in chunks
+    ]
+
+
+def write_segment(
+    ctx: "RankContext", req: "Request", segment, index: int, lo: int, hi: int,
+    addr: int, lkey: int, last: bool,
+):
+    """RDMA-write packed bytes [lo, hi), staged at ``addr``, into the
+    advertised ``(addr, rkey, capacity)`` ``segment``; the immediate
+    carries the :class:`SegArrival` that drives the receiver's unpack
+    (generator returning the send-completion event)."""
+    dst_addr, dst_rkey, cap = segment
+    assert hi - lo <= cap
+    wr_id = ctx.new_wr_id()
+    done = ctx.send_completion(wr_id)
+    yield from ctx.ctrl_qps[req.peer].post_send(
+        SendWR(
+            Opcode.RDMA_WRITE_IMM,
+            sges=[SGE(addr, hi - lo, lkey)],
+            remote_addr=dst_addr,
+            rkey=dst_rkey,
+            imm=index,
+            wr_id=wr_id,
+            payload=SegArrival(req.msg_id, index, lo, hi, last=last),
+        )
+    )
+    return done
+
+
+def recycle_pack_buffer(ctx: "RankContext", done, buf):
+    """Return a pack-pool buffer once the HCA is done with it (spawned as
+    its own process, so the pipeline never stalls on a send CQE)."""
+    yield done
+    yield from ctx.pack_pool.release(buf)
+
+
+def unpack_segment(
+    ctx: "RankContext", base_addr: int, cursor, note: SegArrival, buf,
+    penalty: float = 1.0,
+):
+    """Unpack the landed segment ``note`` announces from ``buf`` into the
+    stream rooted at ``base_addr``, charge the copy, and return the
+    buffer to the unpack pool (generator)."""
+    nblocks = unpack_bytes(
+        ctx.node.memory, base_addr, cursor, note.lo, note.hi, buf.addr
+    )
+    yield from ctx.charge_pack(note.hi - note.lo, nblocks, "unpack", penalty=penalty)
+    yield from ctx.unpack_pool.release(buf)
 
 
 class RegisteredUserBuffer:
@@ -222,14 +389,6 @@ def staged_receiver(
         segments=tuple((b.addr, b.rkey, b.size) for b in bufs),
     )
     yield from ctx.rndv_reply(start, reply)
-    cursor = rreq.cursor
-    if cursor.total < nbytes:
-        from repro.mpi.errors import TruncationError
-
-        raise TruncationError(
-            f"rank {ctx.rank}: receive buffer ({cursor.total} B) smaller "
-            f"than incoming message ({nbytes} B)"
-        )
     inbox = ctx.msg_inbox(start.msg_id)
     pending: list[SegArrival] = []
     arrived = 0
@@ -238,29 +397,16 @@ def staged_receiver(
         assert isinstance(note, SegArrival)
         arrived += 1
         if segment_unpack:
-            from repro.datatypes.pack import unpack_bytes
-
-            nblocks = unpack_bytes(
-                ctx.node.memory, rreq.addr, cursor, note.lo, note.hi,
-                bufs[note.index].addr,
+            yield from unpack_segment(
+                ctx, rreq.addr, rreq.cursor, note, bufs[note.index]
             )
-            yield from ctx.charge_pack(note.hi - note.lo, nblocks, "unpack")
-            yield from ctx.unpack_pool.release(bufs[note.index])
         else:
             pending.append(note)
-    if not segment_unpack:
-        # whole-message unpack after everything arrived: no overlap, and
-        # the multi-megabyte staging footprint streams through the cache
-        # cold (CostModel.deferred_unpack_penalty; Figure 12)
-        from repro.datatypes.pack import unpack_bytes
-
-        for note in sorted(pending, key=lambda s: s.index):
-            nblocks = unpack_bytes(
-                ctx.node.memory, rreq.addr, cursor, note.lo, note.hi,
-                bufs[note.index].addr,
-            )
-            yield from ctx.charge_pack(
-                note.hi - note.lo, nblocks, "unpack",
-                penalty=ctx.cm.deferred_unpack_penalty,
-            )
-            yield from ctx.unpack_pool.release(bufs[note.index])
+    # whole-message unpack after everything arrived: no overlap, and the
+    # multi-megabyte staging footprint streams through the cache cold
+    # (CostModel.deferred_unpack_penalty; Figure 12)
+    for note in sorted(pending, key=lambda s: s.index):
+        yield from unpack_segment(
+            ctx, rreq.addr, rreq.cursor, note, bufs[note.index],
+            penalty=ctx.cm.deferred_unpack_penalty,
+        )

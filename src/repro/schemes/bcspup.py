@@ -18,13 +18,17 @@ buffers instead of draining the pool.
 from __future__ import annotations
 
 from repro.datatypes.pack import pack_bytes
-from repro.ib.verbs import Opcode, SGE, SendWR
-from repro.mpi.messages import RndvReply, SegArrival
+from repro.mpi.messages import RndvReply
 from repro.schemes.base import (
     DatatypeScheme,
     plan_segments,
+    predicted_handshake,
+    predicted_pipeline,
+    recycle_pack_buffer,
+    segment_shape,
     send_rndv_start,
     staged_receiver,
+    write_segment,
 )
 
 __all__ = ["BCSPUPScheme"]
@@ -46,15 +50,8 @@ class BCSPUPScheme(DatatypeScheme):
     def predict_profile(cls, cm, flat, nbytes):
         """Segmented pack/wire/unpack pipeline: the slowest stage repeats
         per segment; one traversal of each other stage frames it."""
-        import math
-
-        from repro.schemes.base import predicted_handshake, predicted_pipeline
-
         p = predicted_handshake(cm)
-        segsize = cm.segment_size_for(nbytes)
-        nseg = max(1, math.ceil(nbytes / segsize))
-        seg = min(segsize, max(nbytes, 1))
-        bseg = max(1, math.ceil(max(1, flat.nblocks) / nseg))
+        nseg, seg, bseg = segment_shape(cm, flat.nblocks, nbytes)
         pack = cm.pack_time(seg, bseg)
         p["copy"] += 2 * pack  # first pack + last unpack
         p["wire"] += cm.wire_time(seg) + cm.wire_latency
@@ -92,27 +89,14 @@ class BCSPUPScheme(DatatypeScheme):
             buf = bufs[i]
             nblocks = pack_bytes(node.memory, req.addr, cur, lo, hi, buf.addr)
             yield from ctx.charge_pack(hi - lo, nblocks)
-            dst_addr, dst_rkey, cap = reply.segments[i]
-            assert hi - lo <= cap
-            wr_id = ctx.new_wr_id()
-            done = ctx.send_completion(wr_id)
-            completions.append(done)
-            yield from ctx.ctrl_qps[req.peer].post_send(
-                SendWR(
-                    Opcode.RDMA_WRITE_IMM,
-                    sges=[SGE(buf.addr, hi - lo, buf.lkey)],
-                    remote_addr=dst_addr,
-                    rkey=dst_rkey,
-                    imm=i,
-                    wr_id=wr_id,
-                    payload=SegArrival(
-                        req.msg_id, i, lo, hi, last=(i == len(segs) - 1)
-                    ),
-                )
+            done = yield from write_segment(
+                ctx, req, reply.segments[i], i, lo, hi, buf.addr, buf.lkey,
+                last=(i == len(segs) - 1),
             )
+            completions.append(done)
             # recycle the pack buffer once the HCA is done with it, without
             # stalling the pipeline
-            ctx.sim.process(self._recycle(ctx, done, buf))
+            ctx.sim.process(recycle_pack_buffer(ctx, done, buf))
         # the send completes when every segment has left the pack buffers;
         # time spent here is pipeline drain (CPU done, HCA still injecting)
         t_drain = ctx.sim.now
@@ -120,11 +104,6 @@ class BCSPUPScheme(DatatypeScheme):
         ctx.metrics.counter("scheme.drain_wait_us", ctx.rank).inc(
             ctx.sim.now - t_drain
         )
-
-    @staticmethod
-    def _recycle(ctx, done, buf):
-        yield done
-        yield from ctx.pack_pool.release(buf)
 
     def receiver(self, ctx, rreq, start):
         yield from staged_receiver(ctx, rreq, start, segment_unpack=True)

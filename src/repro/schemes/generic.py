@@ -28,9 +28,13 @@ too (``eager_two_copy``), per Figure 1.
 from __future__ import annotations
 
 from repro.datatypes.pack import pack_bytes, unpack_bytes
-from repro.ib.verbs import Opcode, SGE, SendWR
 from repro.mpi.messages import RndvReply, SegArrival
-from repro.schemes.base import DatatypeScheme, send_rndv_start
+from repro.schemes.base import (
+    DatatypeScheme,
+    predicted_handshake,
+    send_rndv_start,
+    write_segment,
+)
 
 __all__ = ["GenericScheme"]
 
@@ -92,8 +96,6 @@ class GenericScheme(DatatypeScheme):
     def predict_profile(cls, cm, flat, nbytes):
         """Fully serialized: whole-message pack, one write, whole unpack
         (warm staging buffers — the Figure 2 "Datatype" case)."""
-        from repro.schemes.base import predicted_handshake
-
         p = predicted_handshake(cm)
         b = max(1, flat.nblocks)
         p["copy"] += 2 * cm.pack_time(nbytes, b)  # pack + unpack, no overlap
@@ -116,19 +118,8 @@ class GenericScheme(DatatypeScheme):
         start = yield from send_rndv_start(ctx, req, self.name)
         reply = yield from ctx.rndv_await_reply(req, start)
         assert isinstance(reply, RndvReply)
-        dst_addr, dst_rkey, _cap = reply.segments[0]
-        wr_id = ctx.new_wr_id()
-        done = ctx.send_completion(wr_id)
-        yield from ctx.ctrl_qps[req.peer].post_send(
-            SendWR(
-                Opcode.RDMA_WRITE_IMM,
-                sges=[SGE(addr, nbytes, mr.lkey)],
-                remote_addr=dst_addr,
-                rkey=dst_rkey,
-                imm=0,
-                wr_id=wr_id,
-                payload=SegArrival(req.msg_id, 0, 0, nbytes, last=True),
-            )
+        done = yield from write_segment(
+            ctx, req, reply.segments[0], 0, 0, nbytes, addr, mr.lkey, last=True
         )
         yield done
         yield from self._pack_stage.release(node, entry, self.fresh_buffers)

@@ -31,11 +31,29 @@ for every block; the hybrid takes each piece's best path.
 
 from __future__ import annotations
 
-from repro.ib.verbs import Opcode, SGE, SendWR
+from functools import partial
+
+from repro.datatypes.flatten import Flattened
+from repro.datatypes.pack import pack_bytes
+from repro.datatypes.segment import SegmentCursor
+from repro.ib.verbs import Opcode, SendWR
 from repro.mpi.messages import CTRL_HEADER_BYTES, RndvReply, SegArrival
 from repro.schemes.base import (
     DatatypeScheme,
     RegisteredUserBuffer,
+    advertise_layout,
+    charge_dtproc,
+    piece_writes,
+    plan_segments,
+    post_writes,
+    predicted_handshake,
+    predicted_pipeline,
+    recycle_pack_buffer,
+    rkey_for,
+    segment_shape,
+    send_rndv_start,
+    unpack_segment,
+    write_segment,
 )
 from repro.schemes.multiw import refine
 
@@ -66,16 +84,11 @@ class HybridScheme(DatatypeScheme):
     def predict_profile(cls, cm, flat, nbytes):
         """Per-piece best path: big pieces take the Multi-W zero-copy
         treatment, small ones the BC-SPUP packed-segment treatment."""
-        import math
-
-        from repro.schemes.base import predicted_handshake, predicted_pipeline
-
         p = predicted_handshake(cm)
         threshold = 4096  # default split_threshold
         direct = [ln for _off, ln in flat.blocks() if ln >= threshold]
         packed = [ln for _off, ln in flat.blocks() if ln < threshold]
         direct_bytes = sum(direct)
-        packed_bytes = sum(packed)
         p["descriptor"] += cm.dt_startup + flat.nblocks * cm.dt_per_block
         if direct:
             p["descriptor"] += cm.post_time(len(direct), list_post=True) + len(
@@ -83,10 +96,7 @@ class HybridScheme(DatatypeScheme):
             ) * cm.hca_startup
             p["wire"] += cm.wire_time(direct_bytes)
         if packed:
-            segsize = cm.segment_size_for(max(packed_bytes, 1))
-            nseg = max(1, math.ceil(packed_bytes / segsize))
-            seg = min(segsize, max(packed_bytes, 1))
-            bseg = max(1, math.ceil(len(packed) / nseg))
+            nseg, seg, bseg = segment_shape(cm, len(packed), sum(packed))
             pack = cm.pack_time(seg, bseg)
             p["copy"] += 2 * pack
             p["wire"] += cm.wire_time(seg)
@@ -106,93 +116,47 @@ class HybridScheme(DatatypeScheme):
     # -- sender -----------------------------------------------------------
 
     def sender(self, ctx, req):
-        node = ctx.node
         cur = req.cursor
         # ship the sender layout (cached per datatype) in the start
-        signature = (req.datatype.signature(), req.count)
-        src_layout = ctx.type_registry.encode_for(
-            req.peer, signature, cur.flat, force_full=ctx.faults_active
+        src_layout, layout_bytes = advertise_layout(ctx, req.peer, req)
+        start = yield from send_rndv_start(
+            ctx, req, self.name,
+            meta={"layout": src_layout, "threshold": self.split_threshold},
+            nbytes=CTRL_HEADER_BYTES + layout_bytes,
         )
-        layout_bytes = cur.flat.wire_bytes if src_layout[0] == "full" else 0
-        start = yield from self._send_start(ctx, req, src_layout, layout_bytes)
         reply = yield from ctx.rndv_await_reply(req, start)
         assert isinstance(reply, RndvReply)
         dst_flat = ctx.dt_cache.resolve(req.peer, reply.layout)
-        dst_base = reply.meta["base"]
-        dst_regions = reply.meta["regions"]
-        pieces = refine(cur.flat, req.addr, dst_flat, dst_base)
+        pieces = refine(cur.flat, req.addr, dst_flat, reply.meta["base"])
         direct, packed = split_pieces(pieces, self.split_threshold)
-        yield from ctx.node.cpu_work(
-            ctx.cm.dt_startup + len(pieces) * ctx.cm.dt_per_block, "dtproc"
-        )
-        # register only what the direct path reads from user memory
+        yield from charge_dtproc(ctx, len(pieces))
+        qp = ctx.ctrl_qps[req.peer]
+        # 1. the Multi-W treatment for the big pieces: direct zero-copy
+        # writes, registering only what they read from user memory
         reg = None
         if direct:
-            from repro.datatypes.flatten import Flattened
-
             direct_blocks = Flattened.from_blocks(
                 sorted((src - req.addr, ln) for src, _dst, ln in direct)
             )
             reg = yield from RegisteredUserBuffer.acquire(ctx, req.addr, direct_blocks)
-
-        def rkey_for(addr, length):
-            for raddr, rlen, rkey in dst_regions:
-                if raddr <= addr and addr + length <= raddr + rlen:
-                    return rkey
-            raise KeyError(f"no receiver region covers [{addr:#x}, +{length})")
-
-        qp = ctx.ctrl_qps[req.peer]
-        # 1. direct zero-copy writes for the big pieces
-        if direct:
-            wrs = [
-                SendWR(
-                    Opcode.RDMA_WRITE,
-                    sges=[SGE(src, ln, reg.lkey_for(src, ln))],
-                    remote_addr=dst,
-                    rkey=rkey_for(dst, ln),
-                    signaled=False,
-                )
-                for src, dst, ln in direct
-            ]
-            if self.list_post:
-                yield from qp.post_send_list(wrs)
-            else:
-                for wr in wrs:
-                    yield from qp.post_send(wr)
-        # 2. packed segments for the small pieces
-        total_packed = sum(ln for _s, _d, ln in packed)
-        seg_bufs = []
-        if packed:
-            segsize = ctx.cm.segment_size_for(max(total_packed, 1))
-            seg_index = 0
-            pos = 0
-            while pos < total_packed:
-                take = min(segsize, total_packed - pos)
+            wrs = piece_writes(
+                ctx, direct, reg, partial(rkey_for, reply.meta["regions"])
+            )
+            yield from post_writes(qp, wrs, self.list_post)
+        # 2. the BC-SPUP treatment for the small pieces: packed, in stream
+        # order, through pool segments (a cursor over absolute addresses)
+        small = SegmentCursor.over_blocks([(src, ln) for src, _dst, ln in packed])
+        if small.total:
+            segsize = ctx.cm.segment_size_for(small.total)
+            for i, (lo, hi) in enumerate(plan_segments(small.total, segsize)):
                 buf = yield from ctx.pack_pool.acquire()
-                seg_bufs.append(buf)
-                # pack pieces overlapping packed-byte range [pos, pos+take)
-                nblocks = self._pack_range(node, packed, pos, take, buf.addr)
-                yield from ctx.charge_pack(take, nblocks)
-                dst_addr, dst_rkey, cap = reply.segments[seg_index]
-                assert take <= cap
-                wr_id = ctx.new_wr_id()
-                done = ctx.send_completion(wr_id)
-                yield from qp.post_send(
-                    SendWR(
-                        Opcode.RDMA_WRITE_IMM,
-                        sges=[SGE(buf.addr, take, buf.lkey)],
-                        remote_addr=dst_addr,
-                        rkey=dst_rkey,
-                        imm=seg_index,
-                        wr_id=wr_id,
-                        payload=SegArrival(
-                            req.msg_id, seg_index, pos, pos + take, last=False
-                        ),
-                    )
+                nblocks = pack_bytes(ctx.node.memory, 0, small, lo, hi, buf.addr)
+                yield from ctx.charge_pack(hi - lo, nblocks)
+                done = yield from write_segment(
+                    ctx, req, reply.segments[i], i, lo, hi, buf.addr, buf.lkey,
+                    last=False,
                 )
-                ctx.sim.process(self._recycle(ctx, done, buf))
-                pos += take
-                seg_index += 1
+                ctx.sim.process(recycle_pack_buffer(ctx, done, buf))
         # 3. fin marker: zero-byte write-with-immediate closes the message
         wr_id = ctx.new_wr_id()
         fin_done = ctx.send_completion(wr_id)
@@ -208,85 +172,28 @@ class HybridScheme(DatatypeScheme):
         if reg is not None:
             yield from reg.release(ctx)
 
-    def _send_start(self, ctx, req, src_layout, layout_bytes):
-        from repro.mpi.messages import RndvStart
-
-        start = RndvStart(
-            src=ctx.rank,
-            tag=req.tag,
-            msg_id=req.msg_id,
-            nbytes=req.nbytes,
-            scheme=self.name,
-            seq=req.seq,
-            meta={"layout": src_layout, "threshold": self.split_threshold},
-        )
-        yield from ctx.ctrl_send(
-            req.peer, start, nbytes=CTRL_HEADER_BYTES + layout_bytes
-        )
-        return start
-
-    @staticmethod
-    def _pack_range(node, packed, pos, take, dest_addr):
-        """Copy packed-byte range [pos, pos+take) of the small pieces
-        (concatenated in stream order) into a contiguous buffer."""
-        out = node.memory.view(dest_addr, take)
-        written = 0
-        walked = 0
-        nblocks = 0
-        for src, _dst, ln in packed:
-            if walked + ln <= pos:
-                walked += ln
-                continue
-            lo = max(0, pos - walked)
-            hi = min(ln, pos + take - walked)
-            if hi <= lo:
-                break
-            out[written : written + hi - lo] = node.memory.view(src + lo, hi - lo)
-            written += hi - lo
-            nblocks += 1
-            walked += ln
-            if written >= take:
-                break
-        return nblocks
-
-    @staticmethod
-    def _recycle(ctx, done, buf):
-        yield done
-        yield from ctx.pack_pool.release(buf)
-
     # -- receiver ----------------------------------------------------------
 
     def receiver(self, ctx, rreq, start):
-        node = ctx.node
         cur = rreq.cursor
         src_flat = ctx.dt_cache.resolve(start.src, start.meta["layout"])
-        threshold = start.meta["threshold"]
         pieces = refine(src_flat, 0, cur.flat, rreq.addr)
-        _direct, packed = split_pieces(pieces, threshold)
-        total_packed = sum(ln for _s, _d, ln in packed)
+        _direct, packed = split_pieces(pieces, start.meta["threshold"])
+        small = SegmentCursor.over_blocks([(dst, ln) for _src, dst, ln in packed])
         # register the whole receive layout: direct pieces land in it, and
         # the registration must cover them (OGR groups as usual)
         reg = yield from RegisteredUserBuffer.acquire(ctx, rreq.addr, cur.flat)
         # advertise segment buffers for the packed portion
         bufs = []
-        segments = ()
-        if total_packed:
-            segsize = ctx.cm.segment_size_for(total_packed)
-            from repro.schemes.base import plan_segments
-
-            segs = plan_segments(total_packed, segsize)
+        if small.total:
+            segs = plan_segments(small.total, ctx.cm.segment_size_for(small.total))
             bufs = yield from ctx.unpack_pool.acquire_block(
                 [hi - lo for lo, hi in segs]
             )
-            segments = tuple((b.addr, b.rkey, b.size) for b in bufs)
-        signature = (rreq.datatype.signature(), rreq.count)
-        layout = ctx.type_registry.encode_for(
-            start.src, signature, cur.flat, force_full=ctx.faults_active
-        )
-        extra = cur.flat.wire_bytes if layout[0] == "full" else 0
+        layout, extra = advertise_layout(ctx, start.src, rreq)
         reply = RndvReply(
             msg_id=start.msg_id,
-            segments=segments,
+            segments=tuple((b.addr, b.rkey, b.size) for b in bufs),
             layout=layout,
             meta={"base": rreq.addr, "regions": reg.regions()},
         )
@@ -298,37 +205,9 @@ class HybridScheme(DatatypeScheme):
             assert isinstance(note, SegArrival)
             if note.last:
                 break
-            nblocks = self._unpack_range(
-                node, packed, note.lo, note.hi - note.lo, bufs[note.index].addr
-            )
-            yield from ctx.charge_pack(note.hi - note.lo, nblocks, "unpack")
-            yield from ctx.unpack_pool.release(bufs[note.index])
+            yield from unpack_segment(ctx, 0, small, note, bufs[note.index])
             bufs[note.index] = None
         for buf in bufs:
             if buf is not None:  # fin can outrun nothing on RC, but be safe
                 yield from ctx.unpack_pool.release(buf)
         yield from reg.release(ctx)
-
-    @staticmethod
-    def _unpack_range(node, packed, pos, take, src_addr):
-        """Scatter packed-byte range [pos, pos+take) into the small
-        pieces' destination addresses."""
-        src = node.memory.view(src_addr, take)
-        consumed = 0
-        walked = 0
-        nblocks = 0
-        for _src, dst, ln in packed:
-            if walked + ln <= pos:
-                walked += ln
-                continue
-            lo = max(0, pos - walked)
-            hi = min(ln, pos + take - walked)
-            if hi <= lo:
-                break
-            node.memory.view(dst + lo, hi - lo)[:] = src[consumed : consumed + hi - lo]
-            consumed += hi - lo
-            nblocks += 1
-            walked += ln
-            if consumed >= take:
-                break
-        return nblocks

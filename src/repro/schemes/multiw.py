@@ -22,12 +22,20 @@ message is complete (writes are ordered on an RC queue pair).
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.datatypes.flatten import Flattened
-from repro.ib.verbs import Opcode, SGE, SendWR
+from repro.ib.verbs import Opcode
 from repro.mpi.messages import CTRL_HEADER_BYTES, RndvReply, SegArrival
 from repro.schemes.base import (
     DatatypeScheme,
     RegisteredUserBuffer,
+    advertise_layout,
+    charge_dtproc,
+    piece_writes,
+    post_writes,
+    predicted_handshake,
+    rkey_for,
     send_rndv_start,
 )
 
@@ -89,8 +97,6 @@ class MultiWScheme(DatatypeScheme):
     def predict_profile(cls, cm, flat, nbytes):
         """Zero copy: one descriptor per refined piece; descriptor startup
         and both-side registration buy the absence of any memcpy."""
-        from repro.schemes.base import predicted_handshake
-
         p = predicted_handshake(cm)
         npieces = max(1, flat.nblocks)  # same layout both sides -> no refinement
         p["descriptor"] += (
@@ -115,51 +121,21 @@ class MultiWScheme(DatatypeScheme):
         reply = yield from ctx.rndv_await_reply(req, start)
         assert isinstance(reply, RndvReply)
         dst_flat = ctx.dt_cache.resolve(req.peer, reply.layout)
-        dst_base = reply.meta["base"]
-        dst_regions = reply.meta["regions"]  # [(addr, len, rkey)]
-
-        def rkey_for(addr: int, length: int) -> int:
-            for raddr, rlen, rkey in dst_regions:
-                if raddr <= addr and addr + length <= raddr + rlen:
-                    return rkey
-            raise KeyError(f"no receiver region covers [{addr:#x}, +{length})")
-
-        pieces = refine(cur.flat, req.addr, dst_flat, dst_base)
+        pieces = refine(cur.flat, req.addr, dst_flat, reply.meta["base"])
         ctx.metrics.counter("scheme.rdma_pieces", ctx.rank).inc(len(pieces))
         # datatype processing to build the descriptor list
-        yield from ctx.node.cpu_work(
-            ctx.cm.dt_startup + len(pieces) * ctx.cm.dt_per_block, "dtproc"
-        )
-        wrs = []
-        last = len(pieces) - 1
-        for k, (src, dst, length) in enumerate(pieces):
-            if k == last:
-                wr = SendWR(
-                    Opcode.RDMA_WRITE_IMM,
-                    sges=[SGE(src, length, reg.lkey_for(src, length))],
-                    remote_addr=dst,
-                    rkey=rkey_for(dst, length),
-                    imm=k,
-                    wr_id=ctx.new_wr_id(),
-                    payload=SegArrival(req.msg_id, k, 0, cur.total, last=True),
-                )
-            else:
-                wr = SendWR(
-                    Opcode.RDMA_WRITE,
-                    sges=[SGE(src, length, reg.lkey_for(src, length))],
-                    remote_addr=dst,
-                    rkey=rkey_for(dst, length),
-                    wr_id=ctx.new_wr_id(),
-                    signaled=False,
-                )
-            wrs.append(wr)
-        done = ctx.send_completion(wrs[-1].wr_id)
-        qp = ctx.ctrl_qps[req.peer]
-        if self.list_post:
-            yield from qp.post_send_list(wrs)
-        else:
-            for wr in wrs:
-                yield from qp.post_send(wr)
+        yield from charge_dtproc(ctx, len(pieces))
+        # regions: [(addr, len, rkey)] of the receiver's registered buffer
+        wrs = piece_writes(ctx, pieces, reg, partial(rkey_for, reply.meta["regions"]))
+        # the last descriptor carries the immediate that tells the receiver
+        # the message is complete, and the send completion
+        fin = wrs[-1]
+        fin.opcode = Opcode.RDMA_WRITE_IMM
+        fin.imm = len(wrs) - 1
+        fin.signaled = True
+        fin.payload = SegArrival(req.msg_id, fin.imm, 0, cur.total, last=True)
+        done = ctx.send_completion(fin.wr_id)
+        yield from post_writes(ctx.ctrl_qps[req.peer], wrs, self.list_post)
         yield done
         yield from reg.release(ctx)
 
@@ -170,18 +146,15 @@ class MultiWScheme(DatatypeScheme):
         reg = yield from RegisteredUserBuffer.acquire(
             ctx, rreq.addr, cur.flat, mode=self.registration_mode
         )
-        signature = (rreq.datatype.signature(), rreq.count)
-        if self.use_dtype_cache:
-            layout = ctx.type_registry.encode_for(
-                start.src, signature, cur.flat, force_full=ctx.faults_active
-            )
-        else:
-            # ablation: always ship the full representation
-            idx, version = ctx.type_registry.intern(signature, cur.flat)
-            layout = ("full", idx, version, cur.flat)
         # a full layout rides the wire at 16 bytes per block; a cached
         # reference costs only the header
-        extra = cur.flat.wire_bytes if layout[0] == "full" else 0
+        if self.use_dtype_cache:
+            layout, extra = advertise_layout(ctx, start.src, rreq)
+        else:
+            # ablation: always ship the full representation
+            signature = (rreq.datatype.signature(), rreq.count)
+            idx, version = ctx.type_registry.intern(signature, cur.flat)
+            layout, extra = ("full", idx, version, cur.flat), cur.flat.wire_bytes
         reply = RndvReply(
             msg_id=start.msg_id,
             layout=layout,

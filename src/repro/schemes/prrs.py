@@ -17,13 +17,19 @@ where only the receiver side is noncontiguous.
 from __future__ import annotations
 
 from repro.datatypes.pack import pack_bytes
-from repro.ib.verbs import MAX_SGE, Opcode, SGE, SendWR
+import math
+
+from repro.ib.verbs import MAX_SGE, Opcode, SendWR
 from repro.mpi.messages import RndvReply, SegAck, SegReady
 from repro.schemes.base import (
     DatatypeScheme,
     RegisteredUserBuffer,
     plan_segments,
+    predicted_handshake,
+    predicted_pipeline,
+    segment_shape,
     send_rndv_start,
+    sge_chunks,
 )
 
 __all__ = ["PRRSScheme"]
@@ -38,16 +44,8 @@ class PRRSScheme(DatatypeScheme):
         """Sender packs segments; receiver RDMA-read-scatters each one
         straight into user memory (no unpack copy), paying the slower
         read path and a control message per segment."""
-        import math
-
-        from repro.ib.verbs import MAX_SGE
-        from repro.schemes.base import predicted_handshake, predicted_pipeline
-
         p = predicted_handshake(cm)
-        segsize = cm.segment_size_for(nbytes)
-        nseg = max(1, math.ceil(nbytes / segsize))
-        seg = min(segsize, max(nbytes, 1))
-        bseg = max(1, math.ceil(max(1, flat.nblocks) / nseg))
+        nseg, seg, bseg = segment_shape(cm, flat.nblocks, nbytes)
         nchunks = max(1, math.ceil(bseg / MAX_SGE))
         pack = cm.pack_time(seg, bseg)
         read = seg / cm.rdma_read_bandwidth + cm.rdma_read_extra
@@ -107,10 +105,6 @@ class PRRSScheme(DatatypeScheme):
 
     def receiver(self, ctx, rreq, start):
         cur = rreq.cursor
-        if cur.total < start.nbytes:
-            from repro.mpi.errors import TruncationError
-
-            raise TruncationError("receive buffer smaller than incoming message")
         if ctx.faults_active:
             # ack the start so the sender's timeout machinery can tell a
             # lost start from a slow receiver (see sender above)
@@ -122,20 +116,11 @@ class PRRSScheme(DatatypeScheme):
         while done < nseg:
             ready = yield inbox.get()
             assert isinstance(ready, SegReady)
-            slices = cur.slices(ready.lo, ready.hi)
-            yield from ctx.node.cpu_work(
-                ctx.cm.dt_startup + len(slices) * ctx.cm.dt_per_block, "dtproc"
-            )
             # read-scatter: one RDMA read per <= MAX_SGE scatter entries
+            chunks = yield from sge_chunks(ctx, rreq.addr, cur, ready.lo, ready.hi, reg)
             src_off = 0
             reads = []
-            for k in range(0, len(slices), MAX_SGE):
-                chunk = slices[k : k + MAX_SGE]
-                sges = [
-                    SGE(rreq.addr + off, length, reg.lkey_for(rreq.addr + off, length))
-                    for off, length in chunk
-                ]
-                chunk_bytes = sum(length for _o, length in chunk)
+            for sges, chunk_bytes in chunks:
                 wr_id = ctx.new_wr_id()
                 reads.append(ctx.send_completion(wr_id))
                 yield from ctx.ctrl_qps[start.src].post_send(

@@ -14,13 +14,19 @@ waits for the whole message before unpacking.
 
 from __future__ import annotations
 
-from repro.ib.verbs import MAX_SGE, Opcode, SGE, SendWR
+import math
+
+from repro.ib.verbs import MAX_SGE, Opcode, SendWR
 from repro.mpi.messages import RndvReply, SegArrival
 from repro.schemes.base import (
     DatatypeScheme,
     RegisteredUserBuffer,
     plan_segments,
+    predicted_handshake,
+    predicted_pipeline,
+    segment_shape,
     send_rndv_start,
+    sge_chunks,
     staged_receiver,
 )
 
@@ -41,15 +47,8 @@ class RWGUPScheme(DatatypeScheme):
     def predict_profile(cls, cm, flat, nbytes):
         """No sender copy: per segment, datatype processing + gather posts
         feed the HCA; the receiver unpacks each segment on arrival."""
-        import math
-
-        from repro.schemes.base import predicted_handshake, predicted_pipeline
-
         p = predicted_handshake(cm)
-        segsize = cm.segment_size_for(nbytes)
-        nseg = max(1, math.ceil(nbytes / segsize))
-        seg = min(segsize, max(nbytes, 1))
-        bseg = max(1, math.ceil(max(1, flat.nblocks) / nseg))
+        nseg, seg, bseg = segment_shape(cm, flat.nblocks, nbytes)
         nchunks = max(1, math.ceil(bseg / MAX_SGE))
         # sender CPU per segment: build the gather list, post the chain
         desc_cpu = cm.dt_startup + bseg * cm.dt_per_block + cm.post_time(nchunks)
@@ -70,7 +69,6 @@ class RWGUPScheme(DatatypeScheme):
         return p
 
     def sender(self, ctx, req):
-        node = ctx.node
         cur = req.cursor
         nbytes = cur.total
         segsize = ctx.cm.segment_size_for(nbytes)
@@ -89,24 +87,14 @@ class RWGUPScheme(DatatypeScheme):
         for i, (lo, hi) in enumerate(segs):
             dst_addr, dst_rkey, cap = reply.segments[i]
             assert hi - lo <= cap
-            slices = cur.slices(lo, hi)
-            # datatype processing to build the gather list
-            yield from ctx.node.cpu_work(
-                ctx.cm.dt_startup + len(slices) * ctx.cm.dt_per_block, "dtproc"
-            )
-            # chunk into <= MAX_SGE gather entries per descriptor; only the
-            # last descriptor of the segment carries the arrival notification
-            chunks = [slices[k : k + MAX_SGE] for k in range(0, len(slices), MAX_SGE)]
+            # datatype processing builds the gather list, <= MAX_SGE
+            # entries per descriptor; only the last descriptor of the
+            # segment carries the arrival notification
+            chunks = yield from sge_chunks(ctx, req.addr, cur, lo, hi, reg)
             dst_off = 0
-            for c, chunk in enumerate(chunks):
-                sges = [
-                    SGE(req.addr + off, length, reg.lkey_for(req.addr + off, length))
-                    for off, length in chunk
-                ]
-                chunk_bytes = sum(length for _off, length in chunk)
-                is_last_chunk = c == len(chunks) - 1
+            for c, (sges, chunk_bytes) in enumerate(chunks):
                 wr_id = ctx.new_wr_id()
-                if is_last_chunk:
+                if c == len(chunks) - 1:
                     done = ctx.send_completion(wr_id)
                     completions.append(done)
                     wr = SendWR(

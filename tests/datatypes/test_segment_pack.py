@@ -17,6 +17,7 @@ from repro.datatypes import (
     unpack_bytes,
     vector,
 )
+from repro.datatypes.flatten import Flattened
 from repro.ib.memory import NodeMemory
 
 
@@ -99,6 +100,61 @@ class TestSegmentCursor:
     def test_segments_bad_size(self):
         with pytest.raises(ValueError):
             list(SegmentCursor(INT).segments(0))
+
+
+def piece_walk(blocks, pos, take):
+    """Reference: the byte-walk Hybrid used to carry (``_pack_range``) —
+    the (address, length) runs holding packed bytes [pos, pos + take) of
+    ``blocks`` concatenated in list order."""
+    runs, walked = [], 0
+    for addr, ln in blocks:
+        lo = max(0, pos - walked)
+        hi = min(ln, pos + take - walked)
+        if hi > lo:
+            runs.append((addr + lo, hi - lo))
+        walked += ln
+    return runs
+
+
+class TestOverBlocks:
+    """``SegmentCursor.over_blocks``: the block list taken as given."""
+
+    # stream order is not address order; blocks 2 and 3 touch
+    BLOCKS = [(900, 10), (100, 7), (200, 16), (216, 4), (50, 1), (300, 26)]
+
+    def test_touching_and_unsorted_blocks_stay_as_given(self):
+        cur = SegmentCursor.over_blocks(self.BLOCKS)
+        assert list(cur.flat.blocks()) == self.BLOCKS
+        assert cur.flat.nblocks == 6  # Flattened.from_blocks would give 5
+        assert Flattened.from_blocks(self.BLOCKS).nblocks == 5
+        assert cur.total == 64
+        assert cur.block_count(0, cur.total) == 6
+
+    def test_slices_equal_the_piece_walk(self):
+        cur = SegmentCursor.over_blocks(self.BLOCKS)
+        for lo in range(cur.total + 1):
+            for hi in range(lo, cur.total + 1):
+                assert cur.slices(lo, hi) == piece_walk(self.BLOCKS, lo, hi - lo)
+
+    def test_pack_unpack_through_it(self, mem):
+        cur = SegmentCursor.over_blocks(self.BLOCKS)
+        original = np.arange(1024, dtype=np.uint16).astype(np.uint8)
+        base, buf = mem.alloc(1024), mem.alloc(64)
+        mem.view(base, 1024)[:] = original
+        runs = piece_walk(self.BLOCKS, 5, 35)
+        assert pack_bytes(mem, base, cur, 5, 40, buf) == len(runs) == 6
+        packed = np.concatenate([original[a : a + n] for a, n in runs])
+        assert np.array_equal(mem.view(buf, 35), packed)
+        mem.view(base, 1024)[:] = 0
+        assert unpack_bytes(mem, base, cur, 5, 40, buf) == 6
+        expect = np.zeros(1024, dtype=np.uint8)
+        for a, n in runs:
+            expect[a : a + n] = original[a : a + n]
+        assert np.array_equal(mem.view(base, 1024), expect)
+
+    def test_empty(self):
+        cur = SegmentCursor.over_blocks([])
+        assert cur.total == 0 and cur.slices(0, 0) == []
 
 
 class TestPackUnpack:

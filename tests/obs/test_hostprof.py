@@ -201,9 +201,17 @@ class TestDutyCycle:
 
     def test_pack_unpack_attributed(self):
         # bc-spup packs on the sender and unpacks on the receiver — the
-        # nested probes must see it even under the default duty cycle
-        hp, _ = hostprof_transfer("bc-spup", column_dt(), iters=4)
-        assert hp.totals()["pack-unpack"] > 0
+        # nested probes must see it even under the default duty cycle;
+        # Hybrid's small pieces (the 4 B .. 2 KB blocks of a 256 KB
+        # Figure 10 struct) go through the same pack_bytes / unpack_bytes
+        from repro.bench.workloads import workload_for
+
+        for scheme, dt in (
+            ("bc-spup", column_dt()),
+            ("hybrid", workload_for("fig11", 262144).datatype),
+        ):
+            hp, _ = hostprof_transfer(scheme, dt, iters=4)
+            assert hp.totals()["pack-unpack"] > 0, scheme
 
 
 class TestExports:
