@@ -12,7 +12,7 @@ composition nests arbitrarily (a struct of vectors of indexed of ...).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.datatypes.base import Datatype
 from repro.datatypes.flatten import Flattened
@@ -37,7 +37,7 @@ class Derived(Datatype):
     def __init__(
         self,
         kind: str,
-        parts: Sequence[tuple[int, Datatype, int]],
+        parts: Iterable[tuple[int, Datatype, int]],
         lb: int | None = None,
         ub: int | None = None,
     ):
@@ -46,23 +46,23 @@ class Derived(Datatype):
         ``byte_displacement``."""
         super().__init__()
         self.kind = kind
-        self.parts = [(int(d), t, int(c)) for d, t, c in parts]
-        for _d, t, c in self.parts:
-            if c < 0:
+        self.parts, self.size = [], 0
+        lows, highs, seen = [], [], None
+        for disp, base, count in parts:
+            disp, count = int(disp), int(count)
+            if count < 0:
                 raise ValueError("blocklength must be non-negative")
-            if not isinstance(t, Datatype):
-                raise TypeError(f"base must be a Datatype, got {type(t)!r}")
-        self.size = sum(t.size * c for _d, t, c in self.parts)
-        live = [(d, t, c) for d, t, c in self.parts if c > 0]
-        if live:
-            natural_lb = min(d + t.lb for d, t, c in live)
-            natural_ub = max(
-                d + t.lb + (c - 1) * t.extent + (t.ub - t.lb) for d, t, c in live
-            )
-        else:
-            natural_lb = natural_ub = 0
-        self.lb = natural_lb if lb is None else int(lb)
-        self.ub = natural_ub if ub is None else int(ub)
+            if base is not seen:  # checked and read once per run of parts
+                if not isinstance(base, Datatype):
+                    raise TypeError(f"base must be a Datatype, got {type(base)!r}")
+                seen, base_lb, extent = base, base.lb, base.extent
+            self.parts.append((disp, base, count))
+            if count:
+                self.size += base.size * count
+                lows.append(disp + base_lb)
+                highs.append(disp + base_lb + count * extent)
+        self.lb = min(lows, default=0) if lb is None else int(lb)
+        self.ub = max(highs, default=0) if ub is None else int(ub)
 
     def _flatten_one(self) -> Flattened:
         blocks: list[tuple[int, int]] = []
@@ -108,7 +108,7 @@ def hvector(count: int, blocklength: int, stride_bytes: int, base: Datatype) -> 
     """MPI_Type_hvector: like vector with the stride in bytes."""
     if count < 0 or blocklength < 0:
         raise ValueError("count and blocklength must be non-negative")
-    parts = [(i * stride_bytes, base, blocklength) for i in range(count)]
+    parts = ((i * stride_bytes, base, blocklength) for i in range(count))
     return Derived("hvector", parts)
 
 
@@ -127,7 +127,7 @@ def hindexed(
     """MPI_Type_hindexed: displacements in bytes."""
     if len(blocklengths) != len(displacements_bytes):
         raise ValueError("blocklengths and displacements length mismatch")
-    parts = [(d, base, b) for d, b in zip(displacements_bytes, blocklengths)]
+    parts = ((d, base, b) for d, b in zip(displacements_bytes, blocklengths))
     return Derived("hindexed", parts)
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
+
+from repro.ib.memory import block_arrays
 
 __all__ = ["Flattened", "layout_cache_get", "layout_cache_put", "layout_cache_clear"]
 
@@ -82,28 +84,24 @@ class Flattened:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[tuple[int, int]]) -> "Flattened":
-        """Build from (offset, length) pairs: sort, drop empties, merge
-        adjacent/overlapping-free runs."""
-        pairs = [(int(o), int(l)) for o, l in blocks if l > 0]
-        pairs.sort()
-        merged: list[list[int]] = []
-        for off, length in pairs:
-            if merged and off < merged[-1][0] + merged[-1][1]:
-                raise ValueError(
-                    f"overlapping blocks at offset {off} "
-                    f"(previous block ends at {merged[-1][0] + merged[-1][1]})"
-                )
-            if merged and off == merged[-1][0] + merged[-1][1]:
-                merged[-1][1] += length
-            else:
-                merged.append([off, length])
-        if merged:
-            offs = np.array([m[0] for m in merged], dtype=np.int64)
-            lens = np.array([m[1] for m in merged], dtype=np.int64)
-        else:
-            offs = np.empty(0, dtype=np.int64)
-            lens = np.empty(0, dtype=np.int64)
+    def from_blocks(cls, blocks) -> "Flattened":
+        """Build from (offset, length) pairs — any iterable of them or an
+        ``(n, 2)`` array: sort, drop empties, merge touching runs."""
+        offsets, lengths = block_arrays(blocks)
+        live = lengths > 0
+        offsets, lengths = offsets[live], lengths[live]
+        order = np.lexsort((lengths, offsets))
+        offsets, ends = offsets[order], (offsets + lengths)[order]
+        after, before = offsets[1:], ends[:-1]  # the two sides of every gap
+        clash = np.flatnonzero(after < before)
+        if len(clash):
+            raise ValueError(
+                f"overlapping blocks at offset {after[clash[0]]} "
+                f"(previous block ends at {before[clash[0]]})"
+            )
+        parts = after != before  # a run goes on where the next block touches
+        offs = np.concatenate((offsets[:1], after[parts]))
+        lens = np.concatenate((before[parts], ends[-1:])) - offs
         offs.setflags(write=False)
         lens.setflags(write=False)
         return cls(offs, lens)
@@ -169,36 +167,11 @@ class Flattened:
         laid out."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        if count == 0 or self.nblocks == 0:
-            return Flattened.empty()
         if count == 1:
             return self
-        first = int(self.offsets[0])
-        last_end = int(self.offsets[-1] + self.lengths[-1])
-        if extent > 0 and first + extent > last_end:
-            # consecutive copies neither touch nor overlap: the repeated
-            # block list is just the shifted concatenation — build it
-            # directly instead of re-merging pair by pair in Python
-            shifts = np.arange(count, dtype=np.int64) * extent
-            offs = (self.offsets[None, :] + shifts[:, None]).ravel()
-            lens = np.ascontiguousarray(
-                np.broadcast_to(self.lengths, (count, self.nblocks))
-            ).ravel()
-            offs.setflags(write=False)
-            lens.setflags(write=False)
-            return Flattened(offs, lens)
-        if (
-            extent > 0
-            and self.nblocks == 1
-            and first + extent == last_end
-            and int(self.lengths[0]) == extent
-        ):
-            # fully contiguous element: count copies merge into one block
-            return Flattened.from_blocks([(first, count * extent)])
-        shifts = np.arange(count, dtype=np.int64) * extent
-        offs = (self.offsets[None, :] + shifts[:, None]).ravel()
-        lens = np.broadcast_to(self.lengths, (count, self.nblocks)).ravel()
-        return Flattened.from_blocks(zip(offs.tolist(), lens.tolist()))
+        offsets = self.offsets + np.arange(count, dtype=np.int64)[:, None] * extent
+        lengths = np.broadcast_to(self.lengths, offsets.shape)
+        return Flattened.from_blocks(np.stack((offsets, lengths), axis=-1))
 
     def shift(self, delta: int) -> "Flattened":
         """Translate all offsets by ``delta`` bytes."""
@@ -208,8 +181,7 @@ class Flattened:
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """Iterate (offset, length) pairs."""
-        for off, length in zip(self.offsets.tolist(), self.lengths.tolist()):
-            yield off, length
+        return zip(self.offsets.tolist(), self.lengths.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Flattened):

@@ -29,44 +29,36 @@ probe: Any = None
 
 
 def pack_bytes(
-    memory: NodeMemory,
-    base_addr: int,
-    cursor: SegmentCursor,
-    lo: int,
-    hi: int,
-    dest_addr: int,
+    memory: NodeMemory, base_addr: int, cursor: SegmentCursor,
+    lo: int, hi: int, dest_addr: int,
 ) -> int:
     """Pack packed-byte range [lo, hi) of the stream rooted at
     ``base_addr`` into the contiguous buffer at ``dest_addr``.
 
     Returns the number of memory blocks visited (for cost accounting).
     """
-    p = probe
-    t0 = 0 if p is None else p.clock()
-    slices = cursor.slices(lo, hi)
-    memory.gather_blocks(base_addr, slices, dest_addr)
-    if p is not None:
-        p.add_nested("pack-unpack", p.clock() - t0)
-    return len(slices)
+    return _move(memory, base_addr, cursor, lo, hi, dest_addr, gather=True)
 
 
 def unpack_bytes(
-    memory: NodeMemory,
-    base_addr: int,
-    cursor: SegmentCursor,
-    lo: int,
-    hi: int,
-    src_addr: int,
+    memory: NodeMemory, base_addr: int, cursor: SegmentCursor,
+    lo: int, hi: int, src_addr: int,
 ) -> int:
     """Unpack the contiguous buffer at ``src_addr`` into packed-byte range
     [lo, hi) of the stream rooted at ``base_addr``.
 
     Returns the number of memory blocks visited.
     """
+    return _move(memory, base_addr, cursor, lo, hi, src_addr, gather=False)
+
+
+def _move(memory, base_addr, cursor, lo, hi, flat_addr, gather: bool) -> int:
     p = probe
     t0 = 0 if p is None else p.clock()
-    slices = cursor.slices(lo, hi)
-    memory.scatter_blocks(base_addr, slices, src_addr)
+    offsets, lengths = cursor.slices(lo, hi)
+    memory.copy_blocks(
+        base_addr + offsets, lengths, memory.view(flat_addr, hi - lo), gather=gather
+    )
     if p is not None:
         p.add_nested("pack-unpack", p.clock() - t0)
-    return len(slices)
+    return len(offsets)

@@ -15,12 +15,13 @@ segment boundaries independent of the data layout.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.datatypes.base import Datatype
 from repro.datatypes.flatten import Flattened
+from repro.ib.memory import block_arrays
 
 __all__ = ["SegmentCursor"]
 
@@ -38,7 +39,7 @@ class SegmentCursor:
         self._index(datatype.flatten(count))
 
     @classmethod
-    def over_blocks(cls, blocks: Iterable[tuple[int, int]]) -> "SegmentCursor":
+    def over_blocks(cls, blocks) -> "SegmentCursor":
         """Cursor over an explicit ``(offset, length)`` block list taken
         *as given*: stream order is list order and touching blocks stay
         separate, where :meth:`Flattened.from_blocks` would sort and merge
@@ -46,8 +47,9 @@ class SegmentCursor:
         Hybrid scheme packs its small refined pieces through this."""
         self = cls.__new__(cls)
         self.datatype, self.count = None, 1
-        table = np.array(list(blocks), dtype=np.int64).reshape(-1, 2)
-        self._index(Flattened(table[:, 0].copy(), table[:, 1].copy()))
+        offsets, lengths = block_arrays(blocks)
+        live = lengths > 0
+        self._index(Flattened(offsets[live], lengths[live]))
         return self
 
     def _index(self, flat: Flattened) -> None:
@@ -59,39 +61,36 @@ class SegmentCursor:
 
     # -- random access -----------------------------------------------------
 
-    def slices(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Memory (offset, length) slices storing packed bytes [lo, hi).
-
-        Offsets are relative to the buffer origin, in stream order.
-        """
+    def slices(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The memory blocks storing packed bytes [lo, hi), in stream
+        order, as an ``(offsets, lengths)`` pair of int64 arrays — the
+        currency of ``NodeMemory.copy_blocks``, ``plan_regions`` and
+        ``sge_chunks``.  Offsets are relative to the buffer origin; the
+        first and last block are cut where the range cuts them."""
         if lo < 0 or hi > self.total or lo > hi:
             raise ValueError(
                 f"packed range [{lo}, {hi}) outside [0, {self.total})"
             )
-        if lo == hi:
-            return []
-        offsets, cum = self.flat.offsets, self._cum
+        cum = self._cum
         first = int(np.searchsorted(cum, lo, side="right")) - 1
-        last = int(np.searchsorted(cum, hi, side="left")) - 1
-        starts = cum[first : last + 1]
-        blk_lo = np.maximum(lo, starts)
-        blk_hi = np.minimum(hi, cum[first + 1 : last + 2])
-        mem_off = offsets[first : last + 1] + (blk_lo - starts)
-        lens = blk_hi - blk_lo
-        pairs = [
-            (o, l) for o, l in zip(mem_off.tolist(), lens.tolist()) if l > 0
-        ]
-        return pairs
+        # one past the last block; an empty range is the empty slice
+        stop = int(np.searchsorted(cum, hi, side="left")) if lo < hi else first
+        offsets = self.flat.offsets[first:stop].copy()
+        lengths = self.flat.lengths[first:stop].copy()
+        if lo < hi:
+            head = lo - int(cum[first])
+            offsets[0] += head
+            lengths[0] -= head
+            lengths[-1] -= int(cum[stop]) - hi
+        return offsets, lengths
 
     def block_count(self, lo: int, hi: int) -> int:
         """Number of memory slices the packed range [lo, hi) touches —
         the block count the cost model charges datatype processing for."""
         if lo >= hi:
             return 0
-        cum = self._cum
-        first = int(np.searchsorted(cum, lo, side="right")) - 1
-        last = int(np.searchsorted(cum, hi, side="left")) - 1
-        return last - first + 1
+        first = np.searchsorted(self._cum, lo, side="right") - 1
+        return int(np.searchsorted(self._cum, hi, side="left") - first)
 
     # -- streaming ------------------------------------------------------
 
@@ -108,7 +107,7 @@ class SegmentCursor:
     def done(self) -> bool:
         return self._pos >= self.total
 
-    def advance(self, nbytes: int) -> list[tuple[int, int]]:
+    def advance(self, nbytes: int) -> tuple[np.ndarray, np.ndarray]:
         """Consume the next ``nbytes`` packed bytes; returns their slices."""
         hi = min(self._pos + nbytes, self.total)
         out = self.slices(self._pos, hi)

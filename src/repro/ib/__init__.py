@@ -33,6 +33,7 @@ from repro.ib.verbs import (
     RecvWR,
     SendWR,
     SGE,
+    SGEList,
 )
 
 __all__ = [
@@ -50,5 +51,6 @@ __all__ = [
     "QueuePair",
     "RecvWR",
     "SGE",
+    "SGEList",
     "SendWR",
 ]

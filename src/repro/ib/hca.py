@@ -37,6 +37,7 @@ from repro.ib.verbs import (
     Opcode,
     QPState,
     QueuePair,
+    SGEList,
     SendWR,
 )
 from repro.simulator import Resource, SimulationError, Simulator, Store, Tracer
@@ -472,25 +473,33 @@ class HCA:
         if not wr.sges:
             return np.empty(0, dtype=np.uint8)
         if len(wr.sges) == 1:
-            sge = wr.sges[0]
+            (sge,) = wr.sges
             return self.memory.view(sge.addr, sge.length).copy()
-        return np.concatenate(
-            [self.memory.view(s.addr, s.length) for s in wr.sges]
-        )
+        sges = SGEList.of(wr.sges)
+        data = np.empty(sges.nbytes, dtype=np.uint8)
+        self.memory.copy_blocks(sges.addrs, sges.lengths, data, gather=True)
+        return data
 
     def _scatter(self, sges, data: np.ndarray) -> None:
-        off = 0
-        for sge in sges:
-            take = min(sge.length, len(data) - off)
-            if take <= 0:
-                break
-            self.memory.view(sge.addr, take)[:] = data[off : off + take]
-            off += take
-        if off != len(data):
+        """Fill ``sges`` in order with ``data``; a short message leaves
+        the tail of the list untouched."""
+        if not len(data):
+            return
+        if len(sges) == 1:
+            (sge,) = sges
+            if len(data) <= sge.length:
+                self.memory.view(sge.addr, len(data))[:] = data
+                return
+        sges = SGEList.of(sges)
+        if len(data) > sges.nbytes:
             raise SimulationError(
                 f"node {self.node_id}: scatter list too small for "
                 f"{len(data)} inbound bytes"
             )
+        lengths = sges.lengths
+        if len(data) < sges.nbytes:  # clip the list where the data ends
+            lengths = np.diff(np.minimum(np.cumsum(lengths), len(data)), prepend=0)
+        self.memory.copy_blocks(sges.addrs, lengths, data, gather=False)
 
     # -- remote delivery ----------------------------------------------------
 

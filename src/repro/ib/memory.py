@@ -20,11 +20,32 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate, chain
 
 import numpy as np
 
-__all__ = ["MemoryRegion", "NodeMemory", "ProtectionError"]
+__all__ = ["MemoryRegion", "NodeMemory", "ProtectionError", "block_arrays"]
+
+#: block length (bytes) up to which equal-length blocks are copied by one
+#: index operation instead of one memoryview slice each.  On the hostbench
+#: ladder the index copy costs ~13 ns a block at 32 B, ~45 ns at 256 B and
+#: ~660 ns at 4096 B (two passes over the bytes) against ~215 / ~215 /
+#: ~540 ns for slices; the curves cross near 2 KB, so 2 KB blocks stay slices.
+SLICE_COPY_BYTES = 1024
+
+
+def block_arrays(blocks, width: int = 2) -> tuple[np.ndarray, ...]:
+    """The ``(offsets, lengths)`` int64 arrays of a block list given as
+    any iterable of ``(offset, length)`` pairs or as an ``(n, 2)`` array:
+    the one normalisation at every door that takes a block list (or, with
+    ``width`` 3, a list of scatter/gather entries)."""
+    if not isinstance(blocks, np.ndarray):
+        blocks = np.fromiter(chain.from_iterable(blocks), dtype=np.int64)
+    return tuple(blocks.reshape(-1, width).T)
+
+
+def _outside(lo: int, hi: int) -> str:
+    return f"block copy outside address space ([{lo:#x}, {hi:#x}))"
 
 
 class ProtectionError(RuntimeError):
@@ -155,47 +176,72 @@ class NodeMemory:
         nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
         return self.view(addr, nbytes).view(dtype).reshape(shape)
 
-    def gather_blocks(
-        self, base_addr: int, blocks: Iterable[tuple[int, int]], dest_addr: int
-    ) -> int:
+    def gather_blocks(self, base_addr: int, blocks, dest_addr: int) -> int:
         """Copy ``(offset, length)`` blocks rooted at ``base_addr`` into the
-        contiguous range at ``dest_addr``; returns total bytes copied.
+        contiguous range at ``dest_addr``, which overlaps no block (pack
+        staging never aliases the user buffer); returns bytes copied."""
+        return self._move(base_addr, blocks, dest_addr, gather=True)
 
-        Block offsets are relative to ``base_addr``.  The destination must
-        not overlap any source block (pack staging buffers never alias the
-        user buffer); copies go through the cached memoryview.
+    def scatter_blocks(self, base_addr: int, blocks, src_addr: int) -> int:
+        """The inverse of :meth:`gather_blocks`: the contiguous range at
+        ``src_addr`` out to the blocks, same non-aliasing contract."""
+        return self._move(base_addr, blocks, src_addr, gather=False)
+
+    def _move(self, base_addr: int, blocks, flat_addr: int, gather: bool) -> int:
+        offsets, lengths = block_arrays(blocks)
+        end = flat_addr + int(lengths.sum())
+        if flat_addr < 0 or end > self.capacity:
+            raise ValueError(_outside(flat_addr, end))
+        self.copy_blocks(
+            base_addr + offsets, lengths, self.data[flat_addr:end], gather=gather
+        )
+        return end - flat_addr
+
+    def copy_blocks(
+        self, addrs: np.ndarray, lengths: np.ndarray, flat: np.ndarray, *, gather: bool
+    ) -> None:
+        """The one block copy: between the disjoint blocks ``(addrs[i],
+        lengths[i])`` of this address space, in list order, and the
+        contiguous ``uint8`` array ``flat`` of ``lengths.sum()`` bytes —
+        into ``flat`` when ``gather``, out of it otherwise.  ``flat`` is a
+        view of this memory (pack staging) or the HCA's own DMA snapshot
+        and overlaps no block.
+
+        Interior blocks of one length, at most ``SLICE_COPY_BYTES``, move
+        in a single index copy through a sliding-window view of the space
+        (row ``a`` is ``data[a : a + length]``) whatever their spacing: a
+        strided vector and an irregular hindexed cost the same.  The first
+        and last block, which a segment boundary may have cut, and any
+        other list (few, large or unequal blocks) go through memoryview
+        slices.  A block outside the space is an error on either path.
         """
-        mv = self._mv
-        pos = dest_addr
-        for off, length in blocks:
-            src = base_addr + off
-            if src < 0 or pos < 0:
-                raise ValueError(
-                    f"block copy outside address space (src {src:#x})"
-                )
-            mv[pos : pos + length] = mv[src : src + length]
-            pos += length
-        return pos - dest_addr
-
-    def scatter_blocks(
-        self, base_addr: int, blocks: Iterable[tuple[int, int]], src_addr: int
-    ) -> int:
-        """Copy the contiguous range at ``src_addr`` out to ``(offset,
-        length)`` blocks rooted at ``base_addr``; returns bytes copied.
-
-        The inverse of :meth:`gather_blocks`, same non-aliasing contract.
-        """
-        mv = self._mv
-        pos = src_addr
-        for off, length in blocks:
-            dst = base_addr + off
-            if dst < 0 or pos < 0:
-                raise ValueError(
-                    f"block copy outside address space (dst {dst:#x})"
-                )
-            mv[dst : dst + length] = mv[pos : pos + length]
-            pos += length
-        return pos - src_addr
+        n = len(addrs)
+        width = int(lengths[1]) if n > 2 else 0
+        if 0 < width <= SLICE_COPY_BYTES and (lengths[1:-1] == width).all():
+            mid = addrs[1:-1]  # checked before the window is built over them
+            if mid.min() < 0 or mid.max() + width > self.capacity:
+                raise ValueError(_outside(int(mid.min()), int(mid.max()) + width))
+            window = np.ndarray(
+                (self.capacity - width + 1, width), np.uint8, self.data, strides=(1, 1)
+            )
+            head, tail = int(lengths[0]), len(flat) - int(lengths[-1])
+            rows = flat[head:tail].reshape(n - 2, width)
+            if gather:
+                rows[...] = window[mid]
+            else:
+                window[mid] = rows
+            edges = [(0, int(addrs[0]), head), (tail, int(addrs[-1]), len(flat) - tail)]
+        else:
+            runs = lengths.tolist()
+            edges = zip(accumulate(runs, initial=0), addrs.tolist(), runs)
+        mv, fv, capacity = self._mv, memoryview(flat), self.capacity
+        for pos, addr, length in edges:
+            if addr < 0 or addr + length > capacity:
+                raise ValueError(_outside(addr, addr + length))
+            if gather:
+                fv[pos : pos + length] = mv[addr : addr + length]
+            else:
+                mv[addr : addr + length] = fv[pos : pos + length]
 
     # -- registration -----------------------------------------------------
 

@@ -28,8 +28,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
+import numpy as np
+
+from repro.ib.memory import block_arrays
 from repro.simulator import Event, SimulationError, Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +47,7 @@ __all__ = [
     "QueuePair",
     "RecvWR",
     "SGE",
+    "SGEList",
     "SendWR",
 ]
 
@@ -81,8 +85,7 @@ class Opcode(enum.Enum):
     RDMA_READ = "rdma_read"
 
 
-@dataclass(frozen=True)
-class SGE:
+class SGE(NamedTuple):
     """A scatter/gather entry: one contiguous local range."""
 
     addr: int
@@ -90,12 +93,46 @@ class SGE:
     lkey: int
 
 
+class SGEList:
+    """A gather/scatter list as three parallel int64 arrays — what
+    :func:`repro.schemes.base.sge_chunks` builds for ``MAX_SGE`` blocks at
+    once.  Sized, and iterable as :class:`SGE` objects for code that asks;
+    validation and the HCA's DMA read the arrays."""
+
+    __slots__ = ("addrs", "lengths", "lkeys", "nbytes")
+
+    def __init__(self, addrs: np.ndarray, lengths: np.ndarray, lkeys: np.ndarray):
+        self.addrs, self.lengths, self.lkeys = addrs, lengths, lkeys
+        self.nbytes = int(lengths.sum())
+
+    @classmethod
+    def of(cls, sges) -> "SGEList":
+        """``sges`` itself, or the arrays of a sequence of :class:`SGE`."""
+        return sges if isinstance(sges, cls) else cls(*block_arrays(sges, 3))
+
+    def hulls(self):
+        """``(addr, length, lkey)`` spanning the entries under each lkey:
+        the list lies inside its regions exactly if these ranges do."""
+        ends = self.addrs + self.lengths
+        for lkey in set(self.lkeys.tolist()):
+            mine = self.lkeys == lkey
+            lo = int(self.addrs[mine].min())
+            yield lo, int(ends[mine].max()) - lo, lkey
+
+    def __len__(self) -> int:
+        return len(self.addrs)
+
+    def __iter__(self):
+        return map(SGE, *(a.tolist() for a in (self.addrs, self.lengths, self.lkeys)))
+
+
 @dataclass
 class SendWR:
     """A send-queue work request.
 
     ``sges`` is the local gather list (for SEND / RDMA_WRITE*) or the local
-    scatter list (for RDMA_READ).  ``remote_addr``/``rkey`` address the
+    scatter list (for RDMA_READ) — a sequence of :class:`SGE` or an
+    :class:`SGEList`.  ``remote_addr``/``rkey`` address the
     remote contiguous range for RDMA opcodes.  ``payload`` lets channel
     semantics carry a control-message object alongside (or instead of)
     bytes, like a real MPI implementation lays a header struct into the
@@ -116,9 +153,15 @@ class SendWR:
     #: which occupy the wire but do not land in remote data buffers.
     extra_bytes: int = 0
 
+    def __post_init__(self) -> None:
+        if len(self.sges) > 1:  # the door: validation and DMA read arrays
+            self.sges = SGEList.of(self.sges)
+
     @property
     def byte_len(self) -> int:
-        return sum(sge.length for sge in self.sges) + self.extra_bytes
+        sges = self.sges
+        size = sges.nbytes if isinstance(sges, SGEList) else sum(s.length for s in sges)
+        return size + self.extra_bytes
 
     def validate(self) -> None:
         if len(self.sges) > MAX_SGE:
@@ -360,8 +403,9 @@ class QueuePair:
         wr.validate()
         if self.peer is None:
             raise SimulationError(f"qp{self.qp_num} is not connected")
-        for sge in wr.sges:
-            self.hca.memory.check_local(sge.addr, sge.length, sge.lkey)
+        sges = wr.sges.hulls() if isinstance(wr.sges, SGEList) else wr.sges
+        for addr, length, lkey in sges:
+            self.hca.memory.check_local(addr, length, lkey)
 
     # -- error handling ---------------------------------------------------
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.datatypes import Datatype, SegmentCursor
 from repro.datatypes.pack import pack_bytes, unpack_bytes
 from repro.ib.verbs import MAX_SGE, Opcode, RecvWR, SGE, SendWR
@@ -210,8 +212,7 @@ class IOClient:
             pieces = self._view_pieces(
                 fh, file_offset, cur, nbytes, file_dt, packed=False
             )
-            slices = cur.slices(0, nbytes)
-            mrs = yield from self._register_blocks(addr, slices)
+            mrs = yield from self._register_blocks(addr, *cur.slices(0, nbytes))
             yield from self._issue_view_ops(fh, pieces, Opcode.RDMA_WRITE,
                                             addr, mrs, bounce=None)
             yield from self._release_blocks(mrs)
@@ -249,8 +250,7 @@ class IOClient:
             pieces = self._view_pieces(
                 fh, file_offset, cur, nbytes, file_dt, packed=False
             )
-            slices = cur.slices(0, nbytes)
-            mrs = yield from self._register_blocks(addr, slices)
+            mrs = yield from self._register_blocks(addr, *cur.slices(0, nbytes))
             yield from self._issue_view_ops(fh, pieces, Opcode.RDMA_READ,
                                             addr, mrs, bounce=None)
             yield from self._release_blocks(mrs)
@@ -362,23 +362,23 @@ class IOClient:
         """Zero-copy strategy: register the user blocks, then one
         ``opcode`` (RDMA write or read) per <= MAX_SGE gather/scatter
         entries of each stripe chunk."""
-        slices = cur.slices(0, cur.total)
+        offsets, lengths = cur.slices(0, cur.total)
         yield from self.node.cpu_work(
-            self.cm.dt_startup + len(slices) * self.cm.dt_per_block, "dtproc"
+            self.cm.dt_startup + len(offsets) * self.cm.dt_per_block, "dtproc"
         )
-        mrs = yield from self._register_blocks(addr, slices)
+        mrs = yield from self._register_blocks(addr, offsets, lengths)
         completions = []
         for lo, hi, server, local in self._stripe_chunks(fh, file_offset, cur.total):
             part = fh.parts[server]
             qp = self._qps[server]
-            chunk_slices = cur.slices(lo, hi)
+            offsets, lengths = cur.slices(lo, hi)
             remote = part.addr + local
-            for k in range(0, len(chunk_slices), MAX_SGE):
-                group = chunk_slices[k : k + MAX_SGE]
-                sges = [
-                    SGE(addr + off, ln, self._lkey(mrs, addr + off, ln))
-                    for off, ln in group
-                ]
+            for k in range(0, len(offsets), MAX_SGE):
+                group = list(zip(
+                    (addr + offsets[k : k + MAX_SGE]).tolist(),
+                    lengths[k : k + MAX_SGE].tolist(),
+                ))
+                sges = [SGE(a, ln, self._lkey(mrs, a, ln)) for a, ln in group]
                 wr_id = (self.client_id, _WR_TAG[opcode], lo, k)
                 ev = self.sim.event()
                 self._track(qp, wr_id, ev)
@@ -471,8 +471,8 @@ class IOClient:
 
         self.sim.process(waiter(), name=f"fio-cqe{self.client_id}")
 
-    def _register_blocks(self, addr, slices):
-        blocks = [(addr + off, ln) for off, ln in slices]
+    def _register_blocks(self, addr, offsets, lengths):
+        blocks = np.column_stack((addr + offsets, lengths))
         mrs = []
         for raddr, rlen in plan_regions(blocks, self.cm):
             mr = yield from self.reg_cache.acquire(raddr, rlen)

@@ -16,11 +16,10 @@ Copy-Reduced schemes stand or fall on how registration is handled
 """
 
 from repro.registration.cache import RegistrationCache
-from repro.registration.ogr import GroupRegistration, plan_regions, region_cost
+from repro.registration.ogr import GroupRegistration, plan_regions
 
 __all__ = [
     "GroupRegistration",
     "RegistrationCache",
     "plan_regions",
-    "region_cost",
 ]

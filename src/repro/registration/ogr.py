@@ -22,49 +22,46 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.ib.costmodel import CostModel
-from repro.ib.memory import MemoryRegion
+from repro.ib.memory import MemoryRegion, block_arrays
 
-__all__ = ["GroupRegistration", "plan_regions", "region_cost"]
-
-
-def region_cost(cm: CostModel, addr: int, length: int) -> float:
-    """Registration time of one covering region."""
-    return cm.reg_time(length, addr)
+__all__ = ["GroupRegistration", "plan_regions"]
 
 
-def plan_regions(
-    blocks: Iterable[tuple[int, int]], cm: CostModel
-) -> list[tuple[int, int]]:
-    """Group (addr, length) blocks into covering regions.
+def plan_regions(blocks, cm: CostModel) -> list[tuple[int, int]]:
+    """Group (addr, length) blocks — any iterable of pairs or an (n, 2)
+    array — into covering regions.
 
     Blocks must be disjoint; they are sorted internally.  Returns a list of
     (addr, length) regions, each to be registered with one operation.
+    Wherever a region began, extending it over the next block costs the
+    pages strictly inside the gap (-1: they share one) and saves a
+    ``reg_base``: all gaps are decided at once; a tie keeps blocks apart.
     """
-    blocks = sorted((int(a), int(l)) for a, l in blocks if l > 0)
-    if not blocks:
-        return []
-    regions: list[list[int]] = [[blocks[0][0], blocks[0][1]]]
-    for addr, length in blocks[1:]:
-        cur = regions[-1]
-        cur_end = cur[0] + cur[1]
-        if addr < cur_end:
-            raise ValueError(f"overlapping blocks at {addr:#x}")
-        # Cost of extending the current region to cover this block vs
-        # opening a fresh registration for it.  Compare real page spans so
-        # page-boundary sharing is accounted for.
-        merged = region_cost(cm, cur[0], addr + length - cur[0])
-        separate = region_cost(cm, cur[0], cur[1]) + region_cost(cm, addr, length)
-        if merged < separate:
-            cur[1] = addr + length - cur[0]
-        else:
-            regions.append([addr, length])
-    return [(a, l) for a, l in regions]
+    addrs, lengths = block_arrays(blocks)
+    live = lengths > 0
+    addrs, lengths = addrs[live], lengths[live]
+    if len(addrs) < 2:  # nothing to group: a contiguous buffer, the common case
+        return list(zip(addrs.tolist(), lengths.tolist()))
+    order = np.argsort(addrs, kind="stable")
+    addrs, ends = addrs[order], (addrs + lengths)[order]
+    after, before = addrs[1:], ends[:-1]  # the two sides of every gap
+    overlap = after < before
+    if overlap.any():
+        raise ValueError(f"overlapping blocks at {after[overlap.argmax()]:#x}")
+    gap_pages = after // cm.page_size - (before - 1) // cm.page_size - 1
+    # a gap parts two regions unless it is cheaper to pin than a new base
+    parts = gap_pages * cm.reg_per_page >= cm.reg_base
+    starts = np.concatenate((addrs[:1], after[parts]))
+    stops = np.concatenate((before[parts], ends[-1:]))
+    return list(zip(starts.tolist(), (stops - starts).tolist()))
 
 
 def plan_cost(cm: CostModel, regions: Sequence[tuple[int, int]]) -> float:
     """Total registration time of a region plan."""
-    return sum(region_cost(cm, a, l) for a, l in regions)
+    return sum(cm.reg_time(l, a) for a, l in regions)
 
 
 @dataclass

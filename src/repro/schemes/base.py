@@ -33,8 +33,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.datatypes.pack import unpack_bytes
-from repro.ib.verbs import MAX_SGE, Opcode, SGE, SendWR
+from repro.ib.verbs import MAX_SGE, Opcode, SGE, SGEList, SendWR
 from repro.mpi.messages import CTRL_HEADER_BYTES, RndvReply, RndvStart, SegArrival
 from repro.registration.ogr import plan_regions
 
@@ -191,21 +193,16 @@ def post_writes(qp, wrs, list_post: bool):
 def sge_chunks(ctx: "RankContext", base_addr: int, cursor, lo: int, hi: int, reg):
     """Gather/scatter lists for packed bytes [lo, hi) of the stream rooted
     at ``base_addr`` (generator): charges the datatype processing, then
-    returns ``(sges, nbytes)`` per descriptor, at most ``MAX_SGE`` (the
-    Mellanox limit) entries each — RWG-UP's write-gather and P-RRS's
-    read-scatter alike."""
-    slices = cursor.slices(lo, hi)
-    yield from charge_dtproc(ctx, len(slices))
-    chunks = (slices[k : k + MAX_SGE] for k in range(0, len(slices), MAX_SGE))
+    returns one :class:`~repro.ib.verbs.SGEList` per descriptor, at most
+    ``MAX_SGE`` (the Mellanox limit) entries each — RWG-UP's write-gather
+    and P-RRS's read-scatter alike."""
+    offsets, lengths = cursor.slices(lo, hi)
+    yield from charge_dtproc(ctx, len(offsets))
+    addrs = base_addr + offsets
+    lkeys = reg.lkeys_for(addrs, lengths)
     return [
-        (
-            [
-                SGE(base_addr + off, length, reg.lkey_for(base_addr + off, length))
-                for off, length in chunk
-            ],
-            sum(length for _off, length in chunk),
-        )
-        for chunk in chunks
+        SGEList(*(a[k : k + MAX_SGE] for a in (addrs, lengths, lkeys)))
+        for k in range(0, len(addrs), MAX_SGE)
     ]
 
 
@@ -281,17 +278,16 @@ class RegisteredUserBuffer:
         """Register the block list ``flat`` (offsets relative to
         ``base_addr``) per the chosen strategy (generator)."""
         self = cls()
-        blocks = [(base_addr + off, length) for off, length in flat.blocks()]
-        if not blocks:
+        if not flat.nblocks:
             return self
+        addrs = base_addr + flat.offsets
         if mode == "ogr":
-            plan = plan_regions(blocks, ctx.cm)
+            plan = plan_regions(np.column_stack((addrs, flat.lengths)), ctx.cm)
         elif mode == "per-block":
-            plan = blocks
+            plan = zip(addrs.tolist(), flat.lengths.tolist())
         elif mode == "whole":
-            lo = min(a for a, _l in blocks)
-            hi = max(a + l for a, l in blocks)
-            plan = [(lo, hi - lo)]
+            lo = int(addrs.min())
+            plan = [(lo, int((addrs + flat.lengths).max()) - lo)]
         else:
             raise ValueError(f"unknown registration mode {mode!r}")
         for addr, length in plan:
@@ -304,6 +300,17 @@ class RegisteredUserBuffer:
             if mr.covers(addr, length):
                 return mr.lkey
         raise KeyError(f"no registered region covers [{addr:#x}, +{length})")
+
+    def lkeys_for(self, addrs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """:meth:`lkey_for` of every block: one binary search by region start;
+        a block the region found there does not cover is looked up alone."""
+        mrs = sorted(self._mrs, key=lambda mr: mr.addr)
+        found = np.searchsorted([mr.addr for mr in mrs], addrs, side="right") - 1
+        lkeys = np.array([mr.lkey for mr in mrs], dtype=np.int64)[found]
+        ends = np.array([mr.end for mr in mrs], dtype=np.int64)[found]
+        for i in np.flatnonzero((found < 0) | (addrs + lengths > ends)).tolist():
+            lkeys[i] = self.lkey_for(int(addrs[i]), int(lengths[i]))
+        return lkeys
 
     def regions(self) -> list[tuple[int, int, int]]:
         """(addr, length, rkey) advertisement for the remote side."""

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
+
 from repro.datatypes.flatten import Flattened
 from repro.ib.verbs import Opcode
 from repro.mpi.messages import CTRL_HEADER_BYTES, RndvReply, SegArrival
@@ -55,29 +57,21 @@ def refine(
             f"type signatures disagree: sender has {src_flat.size} bytes, "
             f"receiver expects {dst_flat.size}"
         )
-    pieces: list[tuple[int, int, int]] = []
-    si = di = 0
-    s_off = d_off = 0  # consumed bytes within the current blocks
-    while si < src_flat.nblocks and di < dst_flat.nblocks:
-        s_rem = int(src_flat.lengths[si]) - s_off
-        d_rem = int(dst_flat.lengths[di]) - d_off
-        take = min(s_rem, d_rem)
-        pieces.append(
-            (
-                src_base + int(src_flat.offsets[si]) + s_off,
-                dst_base + int(dst_flat.offsets[di]) + d_off,
-                take,
-            )
-        )
-        s_off += take
-        d_off += take
-        if s_off == int(src_flat.lengths[si]):
-            si += 1
-            s_off = 0
-        if d_off == int(dst_flat.lengths[di]):
-            di += 1
-            d_off = 0
-    return pieces
+    lengths = src_flat.lengths
+    if len(lengths) == dst_flat.nblocks and (lengths == dst_flat.lengths).all():
+        # the same type on both sides, the usual case: block for block
+        src, dst = src_base + src_flat.offsets, dst_base + dst_flat.offsets
+        return list(zip(src.tolist(), dst.tolist(), lengths.tolist()))
+    # piece boundaries on the packed-byte axis: every block end of either side
+    src_ends, dst_ends = np.cumsum(src_flat.lengths), np.cumsum(dst_flat.lengths)
+    stops = np.union1d(src_ends, dst_ends)
+    starts = np.concatenate(([0], stops[:-1]))
+    si = np.searchsorted(src_ends, starts, side="right")
+    di = np.searchsorted(dst_ends, starts, side="right")
+    # address of a piece = its block's address + its distance from the block start
+    src = src_base + src_flat.offsets[si] + starts - (src_ends - src_flat.lengths)[si]
+    dst = dst_base + dst_flat.offsets[di] + starts - (dst_ends - dst_flat.lengths)[di]
+    return list(zip(src.tolist(), dst.tolist(), (stops - starts).tolist()))
 
 
 class MultiWScheme(DatatypeScheme):

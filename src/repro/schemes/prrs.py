@@ -120,7 +120,7 @@ class PRRSScheme(DatatypeScheme):
             chunks = yield from sge_chunks(ctx, rreq.addr, cur, ready.lo, ready.hi, reg)
             src_off = 0
             reads = []
-            for sges, chunk_bytes in chunks:
+            for sges in chunks:
                 wr_id = ctx.new_wr_id()
                 reads.append(ctx.send_completion(wr_id))
                 yield from ctx.ctrl_qps[start.src].post_send(
@@ -132,7 +132,7 @@ class PRRSScheme(DatatypeScheme):
                         wr_id=wr_id,
                     )
                 )
-                src_off += chunk_bytes
+                src_off += sges.nbytes
             yield ctx.sim.all_of(reads)
             yield from ctx.ctrl_send(
                 start.src, SegAck(start.msg_id, ready.index, ready.last)

@@ -92,7 +92,7 @@ class RWGUPScheme(DatatypeScheme):
             # segment carries the arrival notification
             chunks = yield from sge_chunks(ctx, req.addr, cur, lo, hi, reg)
             dst_off = 0
-            for c, (sges, chunk_bytes) in enumerate(chunks):
+            for c, sges in enumerate(chunks):
                 wr_id = ctx.new_wr_id()
                 if c == len(chunks) - 1:
                     done = ctx.send_completion(wr_id)
@@ -118,7 +118,7 @@ class RWGUPScheme(DatatypeScheme):
                         signaled=False,
                     )
                 yield from ctx.ctrl_qps[req.peer].post_send(wr)
-                dst_off += chunk_bytes
+                dst_off += sges.nbytes
         yield ctx.sim.all_of(completions)
         yield from reg.release(ctx)
 

@@ -69,10 +69,9 @@ class ReplayResult:
 def pack_typed(memory, addr: int, dt, count: int) -> bytes:
     """The packed wire bytes of ``(datatype, count)`` at ``addr``."""
     flat = dt.flatten(count)
-    out = bytearray()
-    for off, length in flat.blocks():
-        out += memory.view(addr + int(off), int(length)).tobytes()
-    return bytes(out)
+    out = np.empty(flat.size, dtype=np.uint8)
+    memory.copy_blocks(addr + flat.offsets, flat.lengths, out, gather=True)
+    return out.tobytes()
 
 
 def _make_program(

@@ -2,8 +2,66 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datatypes.flatten import Flattened
+
+
+def merge_walk(blocks):
+    """The per-pair loop ``Flattened.from_blocks`` used to be: the oracle
+    for its sort / drop / overlap / merge, message included."""
+    pairs = sorted((int(o), int(l)) for o, l in blocks if l > 0)
+    merged = []
+    for off, length in pairs:
+        if merged and off < merged[-1][0] + merged[-1][1]:
+            raise ValueError(
+                f"overlapping blocks at offset {off} "
+                f"(previous block ends at {merged[-1][0] + merged[-1][1]})"
+            )
+        if merged and off == merged[-1][0] + merged[-1][1]:
+            merged[-1][1] += length
+        else:
+            merged.append([off, length])
+    return [tuple(m) for m in merged]
+
+
+class TestAgainstTheMergeWalk:
+    #: small offsets and lengths: touching, empty, overlapping and
+    #: duplicate blocks are all likely
+    pairs = st.lists(
+        st.tuples(st.integers(-40, 40), st.integers(0, 6)), max_size=14
+    )
+
+    @given(pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_same_blocks_or_same_error(self, blocks):
+        try:
+            want = merge_walk(blocks)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Flattened.from_blocks(blocks)
+            assert str(got.value) == str(exc)
+            return
+        flat = Flattened.from_blocks(blocks)
+        assert list(flat.blocks()) == want
+        assert flat.offsets.dtype == flat.lengths.dtype == np.int64
+        assert flat == Flattened.from_blocks(np.array(blocks).reshape(-1, 2))
+
+    @given(pairs, st.integers(0, 5), st.integers(-30, 120))
+    @settings(max_examples=100, deadline=None)
+    def test_repeat_is_the_walk_over_shifted_copies(self, blocks, count, extent):
+        try:
+            one = Flattened.from_blocks(blocks)
+            want = merge_walk(
+                (off + i * extent, length)
+                for i in range(count) for off, length in one.blocks()
+            )
+        except ValueError:
+            with pytest.raises(ValueError, match="overlapping"):
+                Flattened.from_blocks(blocks).repeat(count, extent)
+            return
+        assert list(one.repeat(count, extent).blocks()) == want
 
 
 class TestFromBlocks:

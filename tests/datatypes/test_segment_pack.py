@@ -21,6 +21,13 @@ from repro.datatypes.flatten import Flattened
 from repro.ib.memory import NodeMemory
 
 
+def pairs(slices):
+    """An ``(offsets, lengths)`` array pair as a list of int tuples."""
+    offsets, lengths = slices
+    assert offsets.dtype == lengths.dtype == np.int64
+    return list(zip(offsets.tolist(), lengths.tolist()))
+
+
 @pytest.fixture
 def mem():
     return NodeMemory(node=0, capacity=1 << 22)
@@ -34,23 +41,23 @@ class TestSegmentCursor:
     def test_full_range_covers_all_blocks(self):
         dt = vector(4, 2, 8, INT)
         cur = SegmentCursor(dt)
-        slices = cur.slices(0, cur.total)
-        assert sum(l for _o, l in slices) == dt.size
-        assert [o for o, _l in slices] == list(dt.flatten(1).offsets)
+        offsets, lengths = cur.slices(0, cur.total)
+        assert lengths.sum() == dt.size
+        assert np.array_equal(offsets, dt.flatten(1).offsets)
 
     def test_mid_block_split(self):
         dt = vector(2, 2, 8, INT)  # blocks of 8 bytes at 0 and 32
         cur = SegmentCursor(dt)
-        assert cur.slices(4, 12) == [(4, 4), (32, 4)]
+        assert pairs(cur.slices(4, 12)) == [(4, 4), (32, 4)]
 
     def test_range_inside_one_block(self):
         dt = vector(2, 2, 8, INT)
         cur = SegmentCursor(dt)
-        assert cur.slices(1, 3) == [(1, 2)]
+        assert pairs(cur.slices(1, 3)) == [(1, 2)]
 
     def test_empty_range(self):
         cur = SegmentCursor(INT)
-        assert cur.slices(2, 2) == []
+        assert pairs(cur.slices(2, 2)) == []
 
     def test_out_of_range_rejected(self):
         cur = SegmentCursor(INT)
@@ -75,10 +82,10 @@ class TestSegmentCursor:
         assert cur.pos == 6
         second = cur.advance(100)  # clamped to total
         assert cur.done
-        combined = first + second
-        full = cur.slices(0, cur.total)
-        # recombine: total bytes match and offsets are consistent
-        assert sum(l for _o, l in combined) == sum(l for _o, l in full)
+        # recombine: the two pieces are the full walk, cut inside block 1
+        assert pairs(first) == [(0, 4), (16, 2)]
+        assert pairs(second) == [(18, 2), (32, 4)]
+        assert first[1].sum() + second[1].sum() == cur.slices(0, cur.total)[1].sum()
 
     def test_reset(self):
         cur = SegmentCursor(INT)
@@ -134,7 +141,7 @@ class TestOverBlocks:
         cur = SegmentCursor.over_blocks(self.BLOCKS)
         for lo in range(cur.total + 1):
             for hi in range(lo, cur.total + 1):
-                assert cur.slices(lo, hi) == piece_walk(self.BLOCKS, lo, hi - lo)
+                assert pairs(cur.slices(lo, hi)) == piece_walk(self.BLOCKS, lo, hi - lo)
 
     def test_pack_unpack_through_it(self, mem):
         cur = SegmentCursor.over_blocks(self.BLOCKS)
@@ -154,7 +161,7 @@ class TestOverBlocks:
 
     def test_empty(self):
         cur = SegmentCursor.over_blocks([])
-        assert cur.total == 0 and cur.slices(0, 0) == []
+        assert cur.total == 0 and pairs(cur.slices(0, 0)) == []
 
 
 class TestPackUnpack:

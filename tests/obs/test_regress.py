@@ -240,13 +240,25 @@ class TestEngineKeyHostExplanation:
 
     def test_engineered_pack_slowdown_is_named(self, monkeypatch):
         """Issue acceptance: slow the real pack/unpack byte movement and
-        the explainer names ``pack-unpack`` as the moved host category."""
-        import time as _time
+        the explainer names ``pack-unpack`` as the moved host category.
 
+        No wall clock: the profiler reads an injected clock that ticks
+        100 ns a read, and the slowdown is 500 us added to that clock in
+        the one block-copy entry point every pack and unpack goes through.
+        """
         from repro.bench.workloads import column_vector
         from repro.ib.memory import NodeMemory
         from repro.obs.hostprof import hostprof_transfer
 
+        class Clock:
+            now = 0
+
+            def __call__(self):
+                self.now += 100
+                return self.now
+
+        clock = Clock()
+        monkeypatch.setattr("repro.mpi.world.perf_counter_ns", clock)
         dt = column_vector(64).datatype
 
         def profile():
@@ -263,18 +275,13 @@ class TestEngineKeyHostExplanation:
 
         before = profile()
 
-        real_gather = NodeMemory.gather_blocks
+        real_copy = NodeMemory.copy_blocks
 
-        def slow_gather(self, *args, **kwargs):
-            # 500 us busy-wait per pack pass: large enough that the
-            # injected pack-unpack delta dwarfs scheduler noise in the
-            # other categories even on a loaded shared host
-            t0 = _time.perf_counter_ns()
-            while _time.perf_counter_ns() - t0 < 500_000:
-                pass
-            return real_gather(self, *args, **kwargs)
+        def slow_copy(self, *args, **kwargs):
+            clock.now += 500_000
+            return real_copy(self, *args, **kwargs)
 
-        monkeypatch.setattr(NodeMemory, "gather_blocks", slow_gather)
+        monkeypatch.setattr(NodeMemory, "copy_blocks", slow_copy)
         after = profile()
 
         key = "engine/bandwidth/events_per_sec"

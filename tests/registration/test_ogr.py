@@ -2,11 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ib import CostModel, Fabric
+from repro.ib.costmodel import PRESETS, get_preset
 from repro.registration.ogr import GroupRegistration, plan_cost, plan_regions
 from repro.simulator import Simulator
 
@@ -112,6 +114,105 @@ class TestPlanRegions:
                     regions.append([addr, length])
             best = min(best, plan_cost(cm, [(a, l) for a, l in regions]))
         assert plan_cost(cm, plan) == pytest.approx(best)
+
+
+def sequential_plan(blocks, cm):
+    """The per-block greedy loop ``plan_regions`` used to be — three
+    ``reg_time`` evaluations a block — kept as the oracle."""
+    blocks = sorted((int(a), int(l)) for a, l in blocks if l > 0)
+    if not blocks:
+        return []
+    regions = [list(blocks[0])]
+    for addr, length in blocks[1:]:
+        cur = regions[-1]
+        if addr < cur[0] + cur[1]:
+            raise ValueError(f"overlapping blocks at {addr:#x}")
+        merged = cm.reg_time(addr + length - cur[0], cur[0])
+        separate = cm.reg_time(cur[1], cur[0]) + cm.reg_time(length, addr)
+        if merged < separate:
+            cur[1] = addr + length - cur[0]
+        else:
+            regions.append([addr, length])
+    return [(a, l) for a, l in regions]
+
+
+#: (reg_base, reg_per_page) with the ratio a whole number of pages and
+#: every sum exact in binary floating point, so that the loop's three
+#: rounded ``reg_time`` values cannot blur a tie
+TIE_MODELS = [(1.0, 0.25), (3.0, 0.125), (22.0, 0.5)]
+
+
+@st.composite
+def block_lists(draw, overlap=False):
+    """Blocks whose gaps crowd the tie of ``model``: unsorted, with
+    zero-length entries, touching blocks and page-sharing neighbours."""
+    base, per_page = draw(st.sampled_from(TIE_MODELS))
+    cm = CostModel(reg_base=base, reg_per_page=per_page)
+    tie = int(base / per_page)
+    blocks, pos = [], draw(st.integers(0, 3 * cm.page_size))
+    for _ in range(draw(st.integers(1, 30))):
+        pages = draw(st.sampled_from([0, 0, 1, tie - 1, tie, tie, tie + 1, 3 * tie]))
+        pos += pages * cm.page_size + draw(st.integers(0, cm.page_size))
+        length = draw(st.sampled_from([0, 1, 4, 100, cm.page_size, 5000]))
+        blocks.append((pos, length))
+        pos += length
+    if overlap:
+        addr, length = draw(st.sampled_from([b for b in blocks]))
+        blocks.append((addr + draw(st.integers(0, max(length - 1, 0))), 8))
+        blocks.append((addr, max(length, 1)))
+    return draw(st.permutations(blocks)), cm
+
+
+class TestAgainstTheSequentialLoop:
+    @given(block_lists())
+    @settings(max_examples=120, deadline=None)
+    def test_same_plan(self, case):
+        blocks, cm = case
+        want = sequential_plan(blocks, cm)
+        assert plan_regions(blocks, cm) == want
+        # every door takes the same list
+        assert plan_regions(iter(blocks), cm) == want
+        assert plan_regions(np.array(blocks).reshape(-1, 2), cm) == want
+
+    @pytest.mark.parametrize("base, per_page", TIE_MODELS)
+    def test_the_exact_tie_keeps_blocks_apart(self, base, per_page):
+        cm = CostModel(reg_base=base, reg_per_page=per_page)
+        tie = int(base / per_page)
+        for start in (0, 5 * cm.page_size + 17):
+            for pages, nregions in ((tie - 1, 1), (tie, 2), (tie + 1, 2)):
+                # page-aligned ends: exactly ``pages`` whole pages between
+                blocks = [
+                    (start, 2 * cm.page_size - start % cm.page_size),
+                    ((start // cm.page_size + 2 + pages) * cm.page_size, 64),
+                ]
+                plan = plan_regions(blocks, cm)
+                assert plan == sequential_plan(blocks, cm)
+                assert len(plan) == nregions, (pages, plan)
+
+    @given(block_lists(overlap=True))
+    @settings(max_examples=50, deadline=None)
+    def test_same_overlap_error(self, case):
+        blocks, cm = case
+        with pytest.raises(ValueError) as want:
+            sequential_plan(blocks, cm)
+        with pytest.raises(ValueError) as got:
+            plan_regions(blocks, cm)
+        assert str(got.value) == str(want.value)
+
+    def test_presets_on_the_benchmark_layouts(self):
+        """The shipped cost models, whose ratios are not whole pages, on
+        strided and irregular block lists of the hostbench sizes."""
+        rng = np.random.default_rng(7)
+        layouts = [
+            [(i * 256, 4) for i in range(4096)],
+            [(i * 16384, 128) for i in range(128)],
+            [(int(s) * 8, 4) for s in rng.choice(1 << 17, 4096, replace=False)],
+            [(int(s) * 4096 * 7, 100) for s in rng.choice(1 << 12, 300, replace=False)],
+        ]
+        for name in PRESETS:
+            cm = get_preset(name)
+            for blocks in layouts:
+                assert plan_regions(blocks, cm) == sequential_plan(blocks, cm)
 
 
 class TestGroupRegistration:

@@ -13,11 +13,43 @@ def flat(*blocks):
     return Flattened.from_blocks(blocks)
 
 
+def two_pointer_refine(src_flat, src_base, dst_flat, dst_base):
+    """The two-pointer walk ``refine`` used to be, kept as the oracle."""
+    pieces = []
+    si = di = 0
+    s_off = d_off = 0  # consumed bytes within the current blocks
+    while si < src_flat.nblocks and di < dst_flat.nblocks:
+        s_rem = int(src_flat.lengths[si]) - s_off
+        d_rem = int(dst_flat.lengths[di]) - d_off
+        take = min(s_rem, d_rem)
+        pieces.append((
+            src_base + int(src_flat.offsets[si]) + s_off,
+            dst_base + int(dst_flat.offsets[di]) + d_off,
+            take,
+        ))
+        s_off += take
+        d_off += take
+        if s_off == int(src_flat.lengths[si]):
+            si, s_off = si + 1, 0
+        if d_off == int(dst_flat.lengths[di]):
+            di, d_off = di + 1, 0
+    return pieces
+
+
 class TestRefine:
     def test_identical_layouts(self):
         f = flat((0, 4), (8, 4))
         pieces = refine(f, 100, f, 200)
         assert pieces == [(100, 200, 4), (108, 208, 4)]
+
+    def test_same_lengths_different_spacing(self):
+        """Block for block without a refinement; same answer as the walk."""
+        src = flat((0, 4), (8, 2), (16, 6))
+        dst = flat((3, 4), (40, 2), (50, 6))
+        pieces = refine(src, 100, dst, 200)
+        assert pieces == [(100, 203, 4), (108, 240, 2), (116, 250, 6)]
+        assert pieces == two_pointer_refine(src, 100, dst, 200)
+        assert all(type(v) is int for piece in pieces for v in piece)
 
     def test_contiguous_to_blocks(self):
         src = flat((0, 12))
@@ -63,6 +95,14 @@ class TestRefine:
             return Flattened.from_blocks(blocks)
 
         return partition(), partition()
+
+    @given(two_partitions(), st.integers(0, 1 << 40), st.integers(0, 1 << 40))
+    @settings(max_examples=100, deadline=None)
+    def test_identical_to_the_two_pointer_walk(self, pair, src_base, dst_base):
+        src, dst = pair
+        pieces = refine(src, src_base, dst, dst_base)
+        assert pieces == two_pointer_refine(src, src_base, dst, dst_base)
+        assert all(type(v) is int for piece in pieces for v in piece)
 
     @given(two_partitions())
     @settings(max_examples=100, deadline=None)
