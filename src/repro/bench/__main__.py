@@ -7,16 +7,15 @@ Usage::
     python -m repro.bench all -j 0             # ... fanned out over all cores
     python -m repro.bench fig08 --cols 64 2048 # restricted sweep
     python -m repro.bench overlap              # Figure-3 overlap analysis
-    python -m repro.bench selftest             # events/sec + wall-clock report
-    python -m repro.bench selftest --repeats 5 --json report.json
+    python -m repro.bench selftest             # cold/warm sweep + cache check
+    python -m repro.bench selftest --json report.json
 
 Tables print to stdout; CSVs land in ``results/``.  Figure sweeps run
 through the parallel executor (``-j``/``$REPRO_BENCH_JOBS`` workers) and
 the content-addressed result cache under ``.repro-cache/`` — pass
-``--fresh`` to ignore cached cells.  ``--live`` (stderr) or
-``--live-log FILE`` streams per-cell progress telemetry while a sweep
-runs; every figure sweep and selftest appends a record to the run
-ledger (``results/ledger/``, disable with ``--no-ledger``).
+``--fresh`` to ignore cached cells.  Every figure sweep and selftest
+appends a record to the run ledger (``results/ledger/``, disable with
+``--no-ledger``).
 """
 
 from __future__ import annotations
@@ -68,8 +67,7 @@ def _append_sweep_record(target: str, result) -> None:
 
 
 def _append_selftest_record(report: dict) -> None:
-    """Ledger one selftest run: engine events/sec + host-time ns/event
-    per category + sweep throughput."""
+    """Ledger one selftest run: cold sweep throughput per figure."""
     from repro.obs import ledger
 
     metrics = {
@@ -78,21 +76,11 @@ def _append_selftest_record(report: dict) -> None:
         }
         for fig, m in report.get("figures", {}).items()
     }
-    host = {
-        name: m["host"]
-        for name, m in report.get("engine", {}).items()
-        if "host" in m
-    }
     record = ledger.make_record(
         "selftest",
         timestamp=time.time(),
         sha=ledger.git_sha(),
         metrics=metrics,
-        events_per_sec={
-            name: m["events_per_sec"]
-            for name, m in report.get("engine", {}).items()
-        },
-        host_profile=host or None,
         extra={"jobs": report.get("jobs")},
     )
     ledger.append_record(record)
@@ -120,7 +108,7 @@ def main(argv=None) -> int:
         choices=sorted(FIGURES)
         + sorted(ABLATIONS)
         + ["all", "ablations", "overlap", "selftest"],
-        help="figures, ablations, or 'selftest' (performance microbenchmark)",
+        help="figures, ablations, or 'selftest' (cold/warm sweep timing)",
     )
     parser.add_argument(
         "--cols",
@@ -143,28 +131,9 @@ def main(argv=None) -> int:
         help="ignore the .repro-cache result cache and re-measure every cell",
     )
     parser.add_argument(
-        "--live",
-        action="store_true",
-        help="stream per-cell sweep telemetry (JSONL) to stderr",
-    )
-    parser.add_argument(
-        "--live-log",
-        metavar="FILE",
-        default=None,
-        help="stream per-cell sweep telemetry (JSONL) to FILE",
-    )
-    parser.add_argument(
         "--no-ledger",
         action="store_true",
         help="do not append run records to results/ledger/",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="selftest only: best-of-N engine microbenchmark runs "
-        "(default 3)",
     )
     parser.add_argument(
         "--json",
@@ -177,10 +146,6 @@ def main(argv=None) -> int:
         parallel.set_jobs(args.jobs)
     if args.fresh:
         parallel.set_cache_enabled(False)
-    if args.live_log is not None:
-        parallel.set_live_log(args.live_log)
-    elif args.live:
-        parallel.set_live_log("-")
     targets = list(args.targets)
     if "all" in targets:
         targets = sorted(FIGURES) + sorted(ABLATIONS) + ["overlap"]
@@ -195,7 +160,7 @@ def main(argv=None) -> int:
 
             from repro.bench.selftest import format_selftest, run_selftest
 
-            selftest = run_selftest(jobs=args.jobs, repeats=args.repeats)
+            selftest = run_selftest(jobs=args.jobs)
             print(format_selftest(selftest))
             if args.json is not None:
                 from pathlib import Path

@@ -1,32 +1,28 @@
 """Benchmark regression gate for CI.
 
 Measures per-scheme simulated performance at a few fig08 (ping-pong
-latency) and fig09 (streaming bandwidth) workload points plus the
-engine-throughput microbenchmark, writes the numbers to a JSON report
-(``--out`` with no argument auto-numbers ``BENCH_<n>.json``), and
-compares them against the checked-in ``benchmarks/baseline.json``: any
-metric more than its tolerance *worse* than baseline fails the run.
-Simulated metrics use ``--tolerance`` (default 10%); the wall-clock
-``engine/*`` metrics carry their own looser per-entry tolerance (25%)
-in the baseline.
+latency) and fig09 (streaming bandwidth) workload points, writes the
+numbers to a JSON report (``--out`` with no argument auto-numbers
+``BENCH_<n>.json``), and compares them against the checked-in
+``benchmarks/baseline.json``: any metric more than ``--tolerance``
+(default 10%) *worse* than baseline fails the run.
 
-The simulated metrics are deterministic, so in the absence of cost-model
-or protocol changes the measured numbers equal the baseline exactly; the
-tolerance only absorbs intentional small re-calibrations.  Fault
-injection is force-disabled for the measurement — faulty timings are a
-different experiment (see ``docs/FAULTS.md``).
+The metrics are simulated and deterministic, so in the absence of
+cost-model or protocol changes the measured numbers equal the baseline
+exactly; the tolerance only absorbs intentional small re-calibrations.
+Fault injection is disabled for the duration of the measurement —
+faulty timings are a different experiment (see ``docs/FAULTS.md``).
+Host speed is not gated here: that is ``hostbench/``'s measurement.
 
-Every gate run appends one record to the append-only run ledger
-(``results/ledger/ledger.jsonl``; see docs/OBSERVABILITY.md) carrying
-the metric values, engine events/sec, the host-time profiler's
-per-category ns/event for the engine benchmarks, and the critical-path
-profiler's per-category attribution for every cell.  On failure the
-**regression explainer** (:mod:`repro.obs.regress`) diffs the fresh
-attribution against the ledger's last-good record and names which
-category moved (copy / wire / descriptor / registration /
-resource-wait / protocol-wait for simulated cells; heap / dispatch /
-callback / pack-unpack host categories for the wall-clock ``engine/*``
-metrics) and by how much.
+``--write-baseline`` stores, beside each cell's value, its critical-path
+attribution (copy / wire / descriptor / registration / resource-wait /
+protocol-wait).  On failure the **regression explainer**
+(:mod:`repro.obs.regress`) profiles the regressed cells only, diffs them
+against that stored attribution and names which category moved and by
+how much — from a fresh clone, with no run history.  Every gate run also
+appends one record of its metric values to the append-only run ledger
+(``results/ledger/ledger.jsonl``; see docs/OBSERVABILITY.md), which is
+what ``python -m repro.obs trends`` reads.
 
 Usage::
 
@@ -39,15 +35,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
-from repro.bench import parallel
 from repro.bench.parallel import Cell, run_cells
 
 __all__ = [
@@ -70,27 +66,33 @@ DEFAULT_BASELINE = Path("benchmarks/baseline.json")
 #: the representative profile CI attaches as an artifact (fig09, 64 KB)
 PROFILE_WORKLOAD = ("fig09", 65536)
 
-#: allowed relative regression of the wall-clock engine/* metrics —
-#: looser than the simulated 10% because host timing is noisy
-ENGINE_TOLERANCE = 0.25
-#: best-of-N engine microbench runs, damping scheduler noise further
-ENGINE_REPEATS = 3
+
+@contextlib.contextmanager
+def _fault_free() -> Iterator[None]:
+    """Strip the fault-injection environment for the duration of a gate
+    run and put it back.  Everything :func:`main` measures, profiles or
+    records is the fault-free cost model (worker processes inherit the
+    stripped copy), but a caller's profile must outlive the call — the
+    CI fault matrix runs ``main`` in-process, mid-session."""
+    saved = {
+        var: os.environ.pop(var, None)
+        for var in ("REPRO_FAULT_PROFILE", "REPRO_FAULT_SEED")
+    }
+    try:
+        yield
+    finally:
+        os.environ.update({k: v for k, v in saved.items() if v is not None})
 
 
-def collect(jobs: int | None = None, engine: bool = True) -> dict:
+def collect(jobs: int | None = None) -> dict:
     """Measure every gated metric; returns the report dict.
 
     Keys are ``fig08/<scheme>/cols=<n>`` (one-way latency, us, lower is
-    better), ``fig09/<scheme>/cols=<n>`` (streaming bandwidth, MB/s,
-    higher is better) and — unless ``engine=False`` — ``engine/<bench>/
-    events_per_sec`` (wall-clock simulator throughput, higher is better,
-    with its own looser tolerance).  Cells fan out over ``jobs`` worker
-    processes; the result cache is bypassed — a regression gate always
-    measures fresh, whatever ``.repro-cache/`` holds.
+    better) and ``fig09/<scheme>/cols=<n>`` (streaming bandwidth, MB/s,
+    higher is better).  Cells fan out over ``jobs`` worker processes;
+    the result cache is bypassed — a regression gate always measures
+    fresh, whatever ``.repro-cache/`` holds.
     """
-    # the gate measures the fault-free cost model regardless of env
-    for var in ("REPRO_FAULT_PROFILE", "REPRO_FAULT_SEED"):
-        os.environ.pop(var, None)
     cells = [
         Cell(fig, scheme, cols)
         for cols in COLUMNS
@@ -109,28 +111,11 @@ def collect(jobs: int | None = None, engine: bool = True) -> dict:
                 "value": values[Cell("fig09", scheme, cols)],
                 "unit": "MB/s", "better": "higher",
             }
-    report = {
+    return {
         "schemes": list(SCHEMES),
         "columns": list(COLUMNS),
         "metrics": metrics,
     }
-    if engine:
-        from repro.bench.selftest import engine_microbench
-
-        eng = engine_microbench(repeats=ENGINE_REPEATS, host_profile=True)
-        report["engine"] = eng
-        for name, m in eng.items():
-            metrics[f"engine/{name}/events_per_sec"] = {
-                "value": m["events_per_sec"],
-                "unit": "ev/s", "better": "higher",
-                "tolerance": ENGINE_TOLERANCE,
-            }
-        # host-time attribution of the same runs: recorded in the ledger
-        # so an engine/* failure can name the host category that moved
-        host = {name: m["host"] for name, m in eng.items() if "host" in m}
-        if host:
-            report["host_profile"] = host
-    return report
 
 
 def load_baseline(path: Path) -> dict:
@@ -173,12 +158,10 @@ def missing_entries(report: dict, baseline: dict) -> list[str]:
     ]
 
 
-def compare(report: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Regression messages (empty when the gate passes).
-
-    ``tolerance`` is the default; a baseline entry carrying its own
-    ``"tolerance"`` (the engine throughput metrics) overrides it.
-    """
+def compare(
+    report: dict, baseline: dict, tolerance: float
+) -> list[tuple[str, str]]:
+    """``(metric key, message)`` per regression (empty when the gate passes)."""
     failures = []
     base_metrics = baseline.get("metrics", {})
     for key, entry in report["metrics"].items():
@@ -188,23 +171,18 @@ def compare(report: dict, baseline: dict, tolerance: float) -> list[str]:
         value, ref = entry["value"], base["value"]
         if ref == 0:
             continue
-        tol = base.get("tolerance", tolerance)
         if entry["better"] == "lower":
             change = (value - ref) / ref
         else:
             change = (ref - value) / ref
-        if change > tol:
-            failures.append(
+        if change > tolerance:
+            failures.append((
+                key,
                 f"{key}: {value:.2f} {entry['unit']} vs baseline "
                 f"{ref:.2f} ({change * 100:.1f}% worse, "
-                f"tolerance {tol * 100:.0f}%)"
-            )
+                f"tolerance {tolerance * 100:.0f}%)",
+            ))
     return failures
-
-
-def regressed_keys(failures: list[str]) -> list[str]:
-    """Metric keys named in :func:`compare` failure messages."""
-    return [msg.split(":", 1)[0] for msg in failures]
 
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
@@ -213,9 +191,9 @@ _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
 def next_bench_path(directory: Path = Path(".")) -> Path:
     """Next free ``BENCH_<n>.json`` in ``directory``.
 
-    Numbering starts at 2 (BENCH_0/1 were the seed's empty trajectory
-    slots) and continues past the highest existing report, so repeated
-    gate runs accumulate a trajectory instead of overwriting one file.
+    Numbering starts at 2 and continues past the highest existing
+    report, so repeated gate runs accumulate a trajectory instead of
+    overwriting one file.
     """
     taken = [
         int(m.group(1))
@@ -257,37 +235,20 @@ def _append_ledger_record(
     status: str,
     ledger_file: Optional[Path],
     out_path: Optional[Path],
-) -> tuple[Optional[dict], dict]:
-    """Append this run's record; returns (last_good_record, attribution).
-
-    The last-good record is captured *before* appending so a failing run
-    never compares against itself; the attribution (critical-path
-    categories per cell) is computed fresh and stored in the record for
-    future explanations.
-    """
+) -> None:
+    """Append this run's metric values to the run ledger."""
     from repro.obs import ledger as ledger_mod
-    from repro.obs.regress import collect_attributions
 
-    records = ledger_mod.read_ledger(ledger_file)
-    prev_good = ledger_mod.last_good(records, require=("attribution",))
-    attribution = collect_attributions(report["metrics"])
-    events = {
-        name: m["events_per_sec"] for name, m in report.get("engine", {}).items()
-    }
     record = ledger_mod.make_record(
         "gate",
         timestamp=time.time(),
         sha=ledger_mod.git_sha(),
         status=status,
         metrics=report["metrics"],
-        attribution=attribution,
-        events_per_sec=events or None,
-        host_profile=report.get("host_profile"),
         extra={"out": str(out_path)} if out_path else None,
     )
     path = ledger_mod.append_record(record, ledger_file)
     print(f"appended {status!r} record to ledger {path}")
-    return prev_good, attribution
 
 
 def main(argv=None) -> int:
@@ -299,11 +260,10 @@ def main(argv=None) -> int:
                          "with no PATH, pick the next free BENCH_<n>.json "
                          "so trajectories accumulate")
     ap.add_argument("--tolerance", type=float, default=0.10,
-                    help="allowed relative regression (default 0.10; "
-                         "engine/* metrics use their baseline entry's own "
-                         "looser tolerance)")
+                    help="allowed relative regression (default 0.10)")
     ap.add_argument("--write-baseline", action="store_true",
-                    help="overwrite the baseline with fresh measurements")
+                    help="overwrite the baseline with fresh measurements "
+                         "and each cell's critical-path attribution")
     ap.add_argument("--profile-dir", type=Path, default=None,
                     help="also run the representative critical-path profile "
                          "(fig09, 64 KB, every scheme) and write the "
@@ -311,13 +271,6 @@ def main(argv=None) -> int:
     ap.add_argument("-j", "--jobs", type=int, default=None,
                     help="worker processes for the measurement cells "
                          "(0 = all cores; default $REPRO_BENCH_JOBS or 1)")
-    ap.add_argument("--selftest", type=Path, default=None, metavar="PATH",
-                    help="also run the wall-clock selftest (events/sec, "
-                         "per-figure sweep timing), write its report to "
-                         "PATH, and embed it in the gate's JSON output")
-    ap.add_argument("--no-engine", action="store_true",
-                    help="skip the engine events/sec metrics (simulated "
-                         "cells only)")
     ap.add_argument("--ledger", type=Path, default=None, metavar="PATH",
                     help="ledger file to append this run's record to "
                          "(default results/ledger/ledger.jsonl)")
@@ -327,28 +280,13 @@ def main(argv=None) -> int:
                     help="write the regression explanation (markdown/text) "
                          "here; on a pass the file records that no metric "
                          "regressed")
-    ap.add_argument("--live", action="store_true",
-                    help="stream per-cell sweep telemetry to stderr")
-    ap.add_argument("--live-log", type=Path, default=None, metavar="FILE",
-                    help="stream per-cell sweep telemetry (JSONL) to FILE")
     args = ap.parse_args(argv)
+    with _fault_free():
+        return _run(args)
 
-    if args.live_log is not None:
-        parallel.set_live_log(str(args.live_log))
-    elif args.live:
-        parallel.set_live_log("-")
 
-    report = collect(jobs=args.jobs, engine=not args.no_engine)
-    if args.selftest is not None:
-        from repro.bench.selftest import format_selftest, run_selftest
-
-        selftest = run_selftest(jobs=args.jobs)
-        report["selftest"] = selftest
-        args.selftest.write_text(
-            json.dumps(selftest, indent=2, sort_keys=True) + "\n"
-        )
-        print(format_selftest(selftest))
-        print(f"\nwrote selftest report {args.selftest}")
+def _run(args: argparse.Namespace) -> int:
+    report = collect(jobs=args.jobs)
     out_path: Optional[Path] = None
     if args.out is not None:
         out_path = next_bench_path() if args.out == "auto" else Path(args.out)
@@ -358,8 +296,15 @@ def main(argv=None) -> int:
         path = write_profile_artifacts(args.profile_dir)
         print(f"wrote profile artifacts under {path.parent}")
     if args.write_baseline:
+        from repro.obs.regress import collect_attributions
+
+        attribution = collect_attributions(report["metrics"])
+        baseline = dict(report, metrics={
+            key: dict(entry, attribution=attribution[key])
+            for key, entry in report["metrics"].items()
+        })
         args.baseline.write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
+            json.dumps(baseline, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote baseline {args.baseline}")
         if not args.no_ledger:
@@ -397,38 +342,26 @@ def main(argv=None) -> int:
         )
         return 2
 
-    prev_good: Optional[dict] = None
-    attribution: dict = {}
     if not args.no_ledger:
-        prev_good, attribution = _append_ledger_record(
+        _append_ledger_record(
             report, "fail" if failures else "pass", args.ledger, out_path
         )
 
     if failures:
-        print("\nbenchmark regressions:", file=sys.stderr)
-        for msg in failures:
-            print(f"  {msg}", file=sys.stderr)
-        explanation = None
-        if not args.no_ledger:
-            from repro.obs.regress import (
-                explain_regressions,
-                format_regressions,
-            )
+        from repro.obs.regress import explain_regressions, format_regressions
 
-            explanations = explain_regressions(
-                regressed_keys(failures),
-                attribution,
-                prev_good,
-                host_now=report.get("host_profile"),
-            )
-            explanation = format_regressions(explanations, prev_good)
-            print("", file=sys.stderr)
-            print(explanation, file=sys.stderr)
+        print("\nbenchmark regressions:", file=sys.stderr)
+        for _key, msg in failures:
+            print(f"  {msg}", file=sys.stderr)
+        explanation = format_regressions(
+            explain_regressions([key for key, _msg in failures], base_metrics)
+        )
+        print("", file=sys.stderr)
+        print(explanation, file=sys.stderr)
         if args.explain_out is not None:
             body = ["# benchmark regressions", ""]
-            body += [f"- {msg}" for msg in failures]
-            if explanation:
-                body += ["", "```", explanation, "```"]
+            body += [f"- {msg}" for _key, msg in failures]
+            body += ["", "```", explanation, "```"]
             args.explain_out.write_text("\n".join(body) + "\n")
         return 1
     if args.explain_out is not None:

@@ -29,12 +29,6 @@ nothing.
 Worker count resolution order: explicit ``jobs=`` argument, then
 :func:`set_jobs` (the CLI's ``-j``), then ``$REPRO_BENCH_JOBS``, then 1
 (serial).  ``jobs <= 0`` means "all cores".
-
-Long sweeps can stream **live telemetry** (``--live`` / ``--live-log
-FILE`` on the CLIs, or ``$REPRO_LIVE_LOG``): one JSON line per completed
-cell — value, cache hit/miss, progress, ETA, worker utilization — plus
-start/end records whose final counters reconcile with :data:`STATS`.
-See :mod:`repro.obs.live`.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,19 +53,16 @@ __all__ = [
     "run_cells",
     "set_cache_enabled",
     "set_jobs",
-    "set_live_log",
 ]
 
 JOBS_ENV = "REPRO_BENCH_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_ENV = "REPRO_BENCH_CACHE"
-LIVE_ENV = "REPRO_LIVE_LOG"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: process-wide defaults installed by the CLIs (None = consult the env)
 _default_jobs: Optional[int] = None
 _cache_enabled: Optional[bool] = None
-_live_spec: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -158,32 +148,6 @@ def cache_enabled() -> bool:
 def cache_dir() -> Path:
     """Root of the content-addressed result cache."""
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
-
-
-def set_live_log(spec: Optional[str]) -> None:
-    """Install a process-wide live-telemetry destination.
-
-    ``"-"``/``"stderr"`` streams to stderr, any other string is a file
-    path (appended), ``None`` reverts to ``$REPRO_LIVE_LOG``.
-    """
-    global _live_spec
-    _live_spec = spec
-
-
-def live_spec() -> Optional[str]:
-    if _live_spec is not None:
-        return _live_spec
-    return os.environ.get(LIVE_ENV) or None
-
-
-def _open_live(jobs: int):
-    """LiveLog for the configured destination, or None when disabled."""
-    spec = live_spec()
-    if not spec:
-        return None
-    from repro.obs.live import open_live_log
-
-    return open_live_log(spec, clock=time.perf_counter, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -310,50 +274,20 @@ def run_cells(
     STATS.cells += len(cells)
     STATS.cache_hits += len(cells) - len(misses)
 
-    live = _open_live(jobs)
-    try:
-        if live:
-            live.sweep_start(len(cells), len(cells) - len(misses), len(misses))
-            for cell in cells:
-                if cell in results:
-                    live.cell_done(cell, results[cell], cached=True)
+    def record(cell: Cell, value: float) -> None:
+        results[cell] = value
+        if caching:
+            _cache_store(keys[cell], cell, value)
+        STATS.by_figure[cell.figure] = STATS.by_figure.get(cell.figure, 0) + 1
+        STATS.executed += 1
 
-        def record(cell: Cell, value: float, in_flight: int = 0) -> None:
-            results[cell] = value
-            if caching:
-                _cache_store(keys[cell], cell, value)
-            STATS.by_figure[cell.figure] = (
-                STATS.by_figure.get(cell.figure, 0) + 1
-            )
-            STATS.executed += 1
-            if live:
-                live.cell_done(cell, value, cached=False, in_flight=in_flight)
-
-        if misses:
-            if jobs > 1 and len(misses) > 1:
-                workers = min(jobs, len(misses))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(evaluate_cell, cell): cell
-                        for cell in misses
-                    }
-                    pending = len(futures)
-                    for fut in as_completed(futures):
-                        pending -= 1
-                        record(
-                            futures[fut],
-                            fut.result(),
-                            in_flight=min(workers, pending),
-                        )
-            else:
-                for i, cell in enumerate(misses):
-                    record(cell, evaluate_cell(cell),
-                           in_flight=min(1, len(misses) - i - 1))
-
-        if live:
-            live.sweep_end(STATS)
-    finally:
-        if live:
-            live.close()
+    if jobs > 1 and len(misses) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
+            futures = {pool.submit(evaluate_cell, cell): cell for cell in misses}
+            for fut in as_completed(futures):
+                record(futures[fut], fut.result())
+    else:
+        for cell in misses:
+            record(cell, evaluate_cell(cell))
 
     return results

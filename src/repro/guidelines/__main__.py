@@ -16,7 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench import parallel
 from repro.guidelines import harness, report, waivers as waivers_mod
 from repro.ib.costmodel import preset_names, preset_provenance
 
@@ -106,18 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not append a run record to the ledger",
     )
-    check.add_argument(
-        "--live",
-        action="store_true",
-        help="stream per-cell sweep telemetry to stderr",
-    )
-    check.add_argument(
-        "--live-log",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="stream per-cell sweep telemetry (JSONL) to FILE",
-    )
 
     sub.add_parser("presets", help="list cost-model presets with provenance")
     return parser
@@ -131,11 +118,6 @@ def run_presets() -> int:
 
 
 def run_checkcmd(args) -> int:
-    if args.live_log is not None:
-        parallel.set_live_log(str(args.live_log))
-    elif args.live:
-        parallel.set_live_log("-")
-
     presets = tuple(args.presets) if args.presets else harness.DEFAULT_PRESETS
     results = harness.run_check(
         presets=presets,

@@ -468,8 +468,8 @@ def append_guidelines_record(
 
     Per-preset violation / crossover-shift / waived counts land in the
     record's ``metrics`` section under ``guidelines/<preset>/...`` keys,
-    so the existing trends CLI and dashboard chart them with no extra
-    wiring; the full per-check classification rides in ``checks``.
+    so the trends CLI charts them with no extra wiring; the full
+    per-check classification rides in ``checks``.
     """
     from repro.obs import ledger as ledger_mod
 

@@ -784,12 +784,16 @@ class RankContext:
         if two_copy:
             # Generic path (Figure 1): pack into a temporary buffer, then
             # copy into the eager internal buffer.
+            # The stage is one buffer per rank, shared with
+            # _eager_deliver: bytes go in and come out again before the
+            # next yield, or a delivery progressing meanwhile overwrites
+            # what this send is about to put on the wire.
             stage = yield from self._acquire_eager_stage(nbytes)
             nblocks = pack_bytes(self.node.memory, req.addr, cur, 0, nbytes, stage)
-            yield from self.charge_pack(nbytes, nblocks)
             self.node.memory.view(slot_addr, nbytes)[:] = self.node.memory.view(
                 stage, nbytes
             )
+            yield from self.charge_pack(nbytes, nblocks)
             yield from self.node.copy_work(nbytes, 0, "copy")
         else:
             # optimized path (Figure 7): pack straight into the slot
@@ -854,8 +858,8 @@ class RankContext:
             self.node.memory.view(stage, nbytes)[:] = self.node.memory.view(
                 slot_addr, nbytes
             )
-            yield from self.node.copy_work(nbytes, 0, "copy")
             nblocks = unpack_bytes(self.node.memory, rreq.addr, cur, 0, nbytes, stage)
+            yield from self.node.copy_work(nbytes, 0, "copy")
             yield from self.charge_pack(nbytes, nblocks, "unpack")
         elif nbytes:
             nblocks = unpack_bytes(

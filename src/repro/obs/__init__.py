@@ -16,10 +16,10 @@ docs/OBSERVABILITY.md):
   predicted-vs-simulated cost explainer (:mod:`repro.obs.explain`); see
   docs/PROFILING.md.
 * **perf observatory** — the append-only run ledger
-  (:mod:`repro.obs.ledger`), trajectory tables + offline HTML dashboard
-  (:mod:`repro.obs.trends`), the gate-failure regression explainer
-  (:mod:`repro.obs.regress`), and the live sweep telemetry stream
-  (:mod:`repro.obs.live`).
+  (:mod:`repro.obs.ledger`), trajectory tables over it
+  (:mod:`repro.obs.trends`) and the gate-failure regression explainer
+  (:mod:`repro.obs.regress`), which diffs a regressed cell against the
+  attribution committed in ``benchmarks/baseline.json``.
 
 Nothing in this package builds a world: the probes that need a transfer
 (:func:`~repro.obs.report.measure_breakdown`,
@@ -36,12 +36,10 @@ from repro.obs.chrome import (
 from repro.obs.explain import CategoryDelta, explain, format_explanation
 from repro.obs.ledger import (
     append_record,
-    last_good,
     ledger_path,
     make_record,
     read_ledger,
 )
-from repro.obs.live import LiveLog, open_live_log
 from repro.obs.profile import (
     CATEGORIES,
     Attribution,
@@ -57,13 +55,7 @@ from repro.obs.regress import (
     explain_regressions,
     format_regressions,
 )
-from repro.obs.trends import (
-    dashboard_html,
-    format_trends,
-    run_trends,
-    sparkline,
-    write_dashboard,
-)
+from repro.obs.trends import format_trends, run_trends, sparkline
 from repro.simulator.metrics import (
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_US_BUCKETS,
@@ -83,7 +75,6 @@ __all__ = [
     "DEFAULT_US_BUCKETS",
     "Gauge",
     "Histogram",
-    "LiveLog",
     "MetricsRegistry",
     "PathStep",
     "Profiler",
@@ -93,7 +84,6 @@ __all__ = [
     "chrome_trace_events",
     "counter_track_events",
     "critical_path",
-    "dashboard_html",
     "explain",
     "explain_regressions",
     "export_chrome_trace",
@@ -101,12 +91,9 @@ __all__ = [
     "format_explanation",
     "format_regressions",
     "format_trends",
-    "last_good",
     "ledger_path",
     "make_record",
-    "open_live_log",
     "read_ledger",
     "run_trends",
     "sparkline",
-    "write_dashboard",
 ]

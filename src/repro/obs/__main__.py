@@ -10,7 +10,7 @@ host-time profiler: ranked ns/event hotspot tables per scheme,
 collapsed stacks for flamegraphs, host-time counter tracks in the
 Chrome trace, and an optional cProfile deep mode.  ``trends`` renders
 the append-only run ledger as per-metric trajectory tables with
-sparklines and can emit a self-contained offline HTML dashboard.
+sparklines.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trd = sub.add_parser(
         "trends",
-        help="per-metric trajectories over the run ledger (+ dashboard)",
+        help="per-metric trajectories over the run ledger",
     )
     trd.add_argument(
         "--ledger",
@@ -162,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ledger file to read (default: results/ledger/ledger.jsonl, "
         "honouring $REPRO_LEDGER_DIR / $REPRO_RESULTS_DIR)",
-    )
-    trd.add_argument(
-        "--html",
-        metavar="PATH",
-        default=None,
-        help="also write a self-contained offline HTML dashboard here",
     )
     trd.add_argument(
         "--metric",
@@ -203,7 +197,6 @@ def main(argv=None) -> int:
 
         return run_trends(
             ledger=args.ledger,
-            html=args.html,
             patterns=args.metric,
             last=args.last,
         )

@@ -2,8 +2,8 @@
 
 The critical-path profiler (:mod:`repro.obs.profile`) explains where
 *simulated* microseconds go; this module explains where *host*
-nanoseconds go while the engine produces them — the number the selftest
-otherwise reduces to one opaque events/sec figure.  The engine is not
+nanoseconds go while the engine produces them — the number hostbench
+reports as one ``simulator.run_ns_per_event`` figure.  The engine is not
 forked to do it: :meth:`HostProfiler.attach` brackets the simulator's
 own ``run()`` and rides :attr:`Simulator.dispatch_hook
 <repro.simulator.engine.Simulator.dispatch_hook>`, so what is measured
@@ -45,7 +45,7 @@ instrumented dispatches alternate with stretches where the hook only
 counts, whose wall time — one clock read each — lands in an
 ``unsampled`` pool, apportioned pro-rata over the measured categories at
 reporting time.  Closure stays exact; overhead scales with the duty
-fraction (<= 15% is asserted by the bench selftest).
+fraction (``tests/obs/test_hostprof.py`` pins the clock reads per event).
 Everything here is pure aggregation over an *injected* ns clock — this
 package never reads the host clock itself (``tests/obs/test_no_wallclock
 .py``), and neither do the simulator or the datatype engine; the clock
@@ -56,10 +56,7 @@ collapsed-stack text for flamegraph.pl / speedscope
 (:meth:`HostProfiler.collapsed`), cumulative host-time counter tracks
 for the Chrome trace (:attr:`HostProfiler.series`), and an optional
 cProfile deep mode (:func:`run_hostprof` ``deep=True``).  The ``python
--m repro.obs hostprof`` CLI drives all of them; the selftest and bench
-gate record :meth:`HostProfiler.ns_per_event` into the run ledger so
-``obs trends`` charts host-category trajectories and ``obs regress``
-can name the host category that moved when engine throughput regresses.
+-m repro.obs hostprof`` CLI drives all of them.
 """
 
 from __future__ import annotations

@@ -6,12 +6,11 @@ between builds with ``actions/cache``; see :func:`ledger_path` for the
 override environment).  A record captures everything needed to
 interpret the numbers later — git sha, wall-clock timestamp, package
 version, the full :class:`~repro.ib.costmodel.CostModel` parameter set,
-the fault-injection environment, the per-cell metric values, engine
-events/sec, the host-time profiler's per-category ns/event
-(``host_profile``), and (for gate runs) the critical-path profiler's
-per-category attribution — so the trends CLI (:mod:`repro.obs.trends`)
-and the regression explainer (:mod:`repro.obs.regress`) can compare any
-two points in the repo's history without re-running them.
+the fault-injection environment and the per-cell metric values — so the
+trends CLI (:mod:`repro.obs.trends`) can chart any stretch of the repo's
+history without re-running it.  The ledger is a convenience, not the
+reference: what a regression is measured and explained against is the
+committed ``benchmarks/baseline.json`` (:mod:`repro.obs.regress`).
 
 Durability contract:
 
@@ -37,7 +36,7 @@ import json
 import os
 import subprocess
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,7 +45,6 @@ __all__ = [
     "encode_record",
     "fault_env",
     "git_sha",
-    "last_good",
     "ledger_dir",
     "ledger_path",
     "make_record",
@@ -62,9 +60,6 @@ LEDGER_FILENAME = "ledger.jsonl"
 
 #: record kinds the bench, guidelines, and workload-suite layers write
 KINDS = ("gate", "selftest", "sweep", "guidelines", "scenario")
-
-#: statuses that count as "good" for regression comparison
-GOOD_STATUSES = ("pass", "baseline")
 
 
 def ledger_dir() -> Path:
@@ -139,9 +134,6 @@ def make_record(
     sha: Optional[str] = None,
     status: Optional[str] = None,
     metrics: Optional[dict] = None,
-    attribution: Optional[dict] = None,
-    events_per_sec: Optional[dict] = None,
-    host_profile: Optional[dict] = None,
     extra: Optional[dict] = None,
 ) -> dict:
     """Build one ledger record (a plain JSON-serializable dict).
@@ -166,12 +158,6 @@ def make_record(
         record["status"] = status
     if metrics is not None:
         record["metrics"] = metrics
-    if attribution is not None:
-        record["attribution"] = attribution
-    if events_per_sec is not None:
-        record["events_per_sec"] = events_per_sec
-    if host_profile is not None:
-        record["host_profile"] = host_profile
     if extra:
         record.update(extra)
     return record
@@ -239,23 +225,3 @@ def read_ledger(
         records.append(rec)
     return records
 
-
-def last_good(
-    records: Iterable[dict],
-    *,
-    kind: str = "gate",
-    require: Sequence[str] = (),
-) -> Optional[dict]:
-    """Newest record of ``kind`` whose status is good and which carries
-    every key in ``require`` — the regression explainer's comparison
-    point.  None when the ledger has no such record yet.
-    """
-    for rec in reversed(list(records)):
-        if rec.get("kind") != kind:
-            continue
-        if rec.get("status") not in GOOD_STATUSES:
-            continue
-        if any(key not in rec for key in require):
-            continue
-        return rec
-    return None

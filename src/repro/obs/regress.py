@@ -5,26 +5,20 @@ baseline, detection alone says nothing actionable.  This module re-runs
 the critical-path profiler (:func:`repro.obs.profile.critical_path`, via
 :func:`~repro.obs.profile.profile_transfer`) on each regressed cell and
 diffs the per-category attribution — copy / wire / descriptor /
-registration / resource-wait / protocol-wait — against the ledger's
-last-good record (:func:`repro.obs.ledger.last_good`).  The output names
-the moved category and its magnitude in simulated microseconds, e.g.::
+registration / resource-wait / protocol-wait — against the attribution
+``--write-baseline`` stored beside the cell's value in
+``benchmarks/baseline.json``.  Both sides are deterministic simulated
+numbers, so a fresh clone explains a regression without any run history.
+The output names the moved category and its magnitude in simulated
+microseconds, e.g.::
 
-    fig08/bc-spup/cols=64 (191.5 us vs last-good 166.2 us)
-      moved: copy +25.1 us (+52.3%)  [34.1 -> 59.2 us on the critical path]
+    fig08/bc-spup/cols=64: critical path 166.20 -> 191.50 us (+25.30 us)
+      moved: copy +25.10 us (+73.6%)  [34.10 -> 59.20 us]
 
 Gate metric keys look like ``fig08/<scheme>/cols=<n>``;
-:func:`parse_metric_key` recovers the cell coordinates.  The wall-clock
-``engine/<bench>/events_per_sec`` metrics have no simulated critical
-path, but when both the current run and the last-good ledger record
-carry a ``host_profile`` section (per-category host ns/event from
-:mod:`repro.obs.hostprof`) the explainer diffs *that* instead and names
-the host category that moved::
-
-    engine/bandwidth/events_per_sec: host time 7282.00 -> 9150.00 ns/ev
-      moved: pack-unpack +1790.10 ns/ev (+612.3%)
-
-Keys that can be explained neither way are reported as unexplainable
-rather than silently dropped.
+:func:`parse_metric_key` recovers the cell coordinates.  Keys that name
+no such cell, and cells whose baseline entry predates the stored
+attribution, are reported as unexplained rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -47,16 +41,11 @@ __all__ = [
 
 _KEY_RE = re.compile(r"^(fig\d+)/([^/]+)/cols=(\d+)$")
 
-#: wall-clock engine-throughput gate keys — explainable via the host-time
-#: profile instead of the (nonexistent) simulated critical path
-_ENGINE_KEY_RE = re.compile(r"^engine/([^/]+)/events_per_sec$")
-
 
 def parse_metric_key(key: str) -> Optional[tuple[str, str, int]]:
     """``"fig08/bc-spup/cols=64"`` -> ``("fig08", "bc-spup", 64)``.
 
-    Returns None for keys that do not name a profilable sweep cell
-    (engine throughput, future metric families).
+    Returns None for keys that do not name a profilable sweep cell.
     """
     m = _KEY_RE.match(key)
     if m is None:
@@ -120,13 +109,9 @@ class RegressionExplanation:
     moves: list = field(default_factory=list)  #: CategoryMove, |delta| desc
     total_before_us: float = 0.0
     total_after_us: float = 0.0
-    #: set when the cell could not be attributed (non-cell metric, or no
-    #: last-good attribution in the ledger)
+    #: set when the cell could not be attributed (non-cell metric, or a
+    #: baseline entry without an attribution)
     reason: Optional[str] = None
-    #: measurement unit of the totals/moves: simulated critical-path
-    #: diffs are in ``us``; engine-key host-time diffs are in ``ns/ev``
-    #: (the CategoryMove ``*_us`` field names are historical)
-    unit: str = "us"
 
     @property
     def moved(self) -> Optional[CategoryMove]:
@@ -134,146 +119,73 @@ class RegressionExplanation:
         return self.moves[0] if self.moves else None
 
 
-def _moves(categories: Sequence[str], before: dict, after: dict) -> list:
-    """One :class:`CategoryMove` per category, largest ``|delta|`` first."""
-    moves = [
-        CategoryMove(c, float(before.get(c, 0.0)), float(after.get(c, 0.0)))
-        for c in categories
-    ]
-    moves.sort(key=lambda m: -abs(m.delta_us))
-    return moves
-
-
-def _explain_engine_key(
-    key: str,
-    bench: str,
-    host_now: Optional[dict],
-    last_good_record: Optional[dict],
-) -> RegressionExplanation:
-    """Host-time diff for one ``engine/<bench>/events_per_sec`` key.
-
-    Falls back to an unexplained entry (keeping the historical "no
-    critical path" wording) when either side lacks host-profile data.
-    """
-    from repro.obs.hostprof import HOST_CATEGORIES
-
-    now = (host_now or {}).get(bench)
-    now_ns = now.get("ns_per_event") if isinstance(now, dict) else None
-    if not isinstance(now_ns, dict):
-        return RegressionExplanation(
-            key=key,
-            reason="not a sweep cell (no critical path to attribute; "
-            "no host profile in this run either)",
-        )
-    ref = (last_good_record or {}).get("host_profile", {})
-    before = ref.get(bench) if isinstance(ref, dict) else None
-    before_ns = before.get("ns_per_event") if isinstance(before, dict) else None
-    if not isinstance(before_ns, dict):
-        return RegressionExplanation(
-            key=key,
-            total_after_us=float(now_ns.get("total", 0.0)),
-            reason="not a sweep cell (no critical path to attribute), "
-            "and no last-good host profile in the ledger yet",
-            unit="ns/ev",
-        )
-    return RegressionExplanation(
-        key=key,
-        moves=_moves(HOST_CATEGORIES, before_ns, now_ns),
-        total_before_us=float(before_ns.get("total", 0.0)),
-        total_after_us=float(now_ns.get("total", 0.0)),
-        unit="ns/ev",
-    )
-
-
 def explain_regressions(
-    regressed_keys: Sequence[str],
-    now_attribution: dict,
-    last_good_record: Optional[dict],
-    host_now: Optional[dict] = None,
+    regressed_keys: Sequence[str], baseline_metrics: dict
 ) -> list[RegressionExplanation]:
-    """Diff each regressed cell's fresh attribution against the ledger.
+    """Profile each regressed cell and diff it against the baseline.
 
-    ``now_attribution`` is the current run's ``{key: attribution}`` (the
-    gate computes it for every cell while appending its own ledger
-    record); ``last_good_record`` is the newest passing ledger record
-    carrying an ``attribution`` section.  ``host_now`` is the current
-    run's host-profile section (``{bench: {"ns_per_event": ...}}``) —
-    with it, regressed ``engine/*`` throughput keys are explained by
-    diffing per-category host ns/event against the last-good record's
-    ``host_profile`` instead of being reported unexplainable.
+    ``baseline_metrics`` is the ``metrics`` section of
+    ``benchmarks/baseline.json``: ``{key: {"value": ..., "attribution":
+    {...}}}``.  Only the regressed cells are profiled — a passing gate
+    run profiles nothing.
     """
-    ref = (last_good_record or {}).get("attribution", {})
     out: list[RegressionExplanation] = []
     for key in regressed_keys:
-        if parse_metric_key(key) is None:
-            eng = _ENGINE_KEY_RE.match(key)
-            if eng is not None:
-                out.append(_explain_engine_key(
-                    key, eng.group(1), host_now, last_good_record
-                ))
-                continue
+        cell = parse_metric_key(key)
+        if cell is None:
             out.append(RegressionExplanation(
                 key=key,
                 reason="not a sweep cell (no critical path to attribute)",
             ))
             continue
-        now = now_attribution.get(key) or cell_attribution(
-            *parse_metric_key(key)  # type: ignore[misc]
-        )
-        before = ref.get(key)
+        now = cell_attribution(*cell)
+        before = baseline_metrics.get(key, {}).get("attribution")
         if not isinstance(before, dict):
             out.append(RegressionExplanation(
                 key=key,
-                total_after_us=now.get("total_us", 0.0),
-                reason="no last-good attribution in the ledger yet",
+                total_after_us=now["total_us"],
+                reason="the baseline entry carries no attribution — refresh "
+                "it with `python -m repro.bench.gate --write-baseline`",
             ))
             continue
+        moves = [
+            CategoryMove(c, float(before.get(c, 0.0)), now[c])
+            for c in CATEGORIES
+        ]
+        moves.sort(key=lambda m: -abs(m.delta_us))
         out.append(RegressionExplanation(
             key=key,
-            moves=_moves(CATEGORIES, before, now),
+            moves=moves,
             total_before_us=float(before.get("total_us", 0.0)),
-            total_after_us=float(now.get("total_us", 0.0)),
+            total_after_us=now["total_us"],
         ))
     return out
 
 
-def format_regressions(
-    explanations: Sequence[RegressionExplanation],
-    last_good_record: Optional[dict] = None,
-) -> str:
+def format_regressions(explanations: Sequence[RegressionExplanation]) -> str:
     """Render explanations as plain text (also readable as markdown)."""
-    lines = []
-    if last_good_record is not None:
-        sha = (last_good_record.get("sha") or "unknown")[:12]
-        lines.append(
-            f"regression explanation (vs last-good ledger record "
-            f"sha={sha}, version={last_good_record.get('version')}):"
-        )
-    else:
-        lines.append("regression explanation:")
+    lines = ["regression explanation (critical path vs the baseline's):"]
     for exp in explanations:
         if exp.reason is not None:
             lines.append(f"  {exp.key}: unexplained — {exp.reason}")
             continue
-        unit = exp.unit
-        label = "critical path" if unit == "us" else "host time"
         total_delta = exp.total_after_us - exp.total_before_us
         lines.append(
-            f"  {exp.key}: {label} {exp.total_before_us:.2f} -> "
-            f"{exp.total_after_us:.2f} {unit} ({total_delta:+.2f} {unit})"
+            f"  {exp.key}: critical path {exp.total_before_us:.2f} -> "
+            f"{exp.total_after_us:.2f} us ({total_delta:+.2f} us)"
         )
         top = exp.moved
         if top is not None:
             lines.append(
-                f"    moved: {top.category} {top.delta_us:+.2f} {unit} "
+                f"    moved: {top.category} {top.delta_us:+.2f} us "
                 f"({top.pct:+.1f}%)  "
-                f"[{top.before_us:.2f} -> {top.after_us:.2f} {unit}]"
+                f"[{top.before_us:.2f} -> {top.after_us:.2f} us]"
             )
         for mv in exp.moves[1:]:
             if abs(mv.delta_us) < 1e-9:
                 continue
             lines.append(
-                f"           {mv.category} {mv.delta_us:+.2f} {unit} "
+                f"           {mv.category} {mv.delta_us:+.2f} us "
                 f"({mv.pct:+.1f}%)"
             )
     return "\n".join(lines)

@@ -1,24 +1,19 @@
-"""Performance trends over the run ledger: tables, sparklines, dashboard.
+"""Performance trends over the run ledger: tables and sparklines.
 
 Reads the append-only ledger (:mod:`repro.obs.ledger`) and renders, per
 metric key, the trajectory of values across recorded runs — newest last,
 one row per record with its git sha, value, and delta vs the previous
-record — plus a unicode sparkline of the whole series.  The same data
-can be written as a fully self-contained offline HTML dashboard (inline
-CSS + SVG only, no external resources, no JavaScript required to read
-it).
+record — plus a unicode sparkline of the whole series.
 
 Driven by ``python -m repro.obs trends``::
 
     python -m repro.obs trends                     # text tables
-    python -m repro.obs trends --html dash.html    # + offline dashboard
     python -m repro.obs trends --metric 'fig08/*'  # filter keys
 """
 
 from __future__ import annotations
 
 import fnmatch
-import html as _html
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -26,14 +21,12 @@ from typing import Optional, Sequence, Union
 from repro.obs.ledger import read_ledger
 
 __all__ = [
-    "dashboard_html",
     "format_trends",
     "metric_keys",
     "metric_trajectory",
     "record_metrics",
     "run_trends",
     "sparkline",
-    "write_dashboard",
 ]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
@@ -55,41 +48,17 @@ def sparkline(values: Sequence[float]) -> str:
 
 
 def record_metrics(record: dict) -> dict:
-    """Flatten one ledger record to ``{key: {value, unit, better}}``.
-
-    Gate records carry a ``metrics`` section verbatim; selftest records
-    expose their engine throughput under the same ``engine/<bench>/
-    events_per_sec`` keys the gate uses, so one key space spans both.
-    Records carrying a ``host_profile`` section (gate and selftest runs
-    with host profiling on) additionally expose each host category's
-    per-event cost as ``host/<bench>/<category>`` in ns/event — the
-    trajectories that show *which* part of the host loop drifted.
-    """
-    out: dict = {}
+    """One ledger record's ``{key: {value, unit, better}}``: the
+    well-formed entries of its ``metrics`` section (gate cells, a sweep's
+    grid, selftest throughput, guideline counts share one key space)."""
     metrics = record.get("metrics")
-    if isinstance(metrics, dict):
-        for key, entry in metrics.items():
-            if isinstance(entry, dict) and "value" in entry:
-                out[key] = entry
-    eps = record.get("events_per_sec")
-    if isinstance(eps, dict):
-        for name, value in eps.items():
-            key = f"engine/{name}/events_per_sec"
-            out.setdefault(
-                key, {"value": value, "unit": "ev/s", "better": "higher"}
-            )
-    host = record.get("host_profile")
-    if isinstance(host, dict):
-        for bench, data in host.items():
-            nspe = data.get("ns_per_event") if isinstance(data, dict) else None
-            if not isinstance(nspe, dict):
-                continue
-            for cat, value in nspe.items():
-                out.setdefault(
-                    f"host/{bench}/{cat}",
-                    {"value": value, "unit": "ns/ev", "better": "lower"},
-                )
-    return out
+    if not isinstance(metrics, dict):
+        return {}
+    return {
+        key: entry
+        for key, entry in metrics.items()
+        if isinstance(entry, dict) and "value" in entry
+    }
 
 
 def metric_keys(records: Sequence[dict]) -> list[str]:
@@ -174,191 +143,11 @@ def format_trends(
 
 
 # ----------------------------------------------------------------------
-# offline HTML dashboard
-# ----------------------------------------------------------------------
-
-#: chart palette (see docs: validated default palette; light / dark pairs)
-_CSS = """\
-:root { color-scheme: light dark; }
-body {
-  margin: 0; padding: 24px;
-  font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif;
-  background: #fcfcfb; color: #0b0b0b;
-  --surface-2: #f1f0ee; --ink-2: #52514e; --series-1: #2a78d6;
-  --good: #008300; --bad: #e34948; --grid: #e4e3e0;
-}
-@media (prefers-color-scheme: dark) {
-  body {
-    background: #1a1a19; color: #ffffff;
-    --surface-2: #242423; --ink-2: #c3c2b7; --series-1: #3987e5;
-    --good: #33a033; --bad: #e66767; --grid: #3a3a38;
-  }
-}
-h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 15px; margin: 28px 0 10px; color: var(--ink-2);
-     text-transform: uppercase; letter-spacing: .04em; }
-.sub { color: var(--ink-2); margin: 0 0 18px; }
-.tiles { display: flex; gap: 12px; flex-wrap: wrap; margin: 16px 0 8px; }
-.tile { background: var(--surface-2); border-radius: 8px;
-        padding: 10px 16px; min-width: 120px; }
-.tile .v { font-size: 22px; font-weight: 600; }
-.tile .k { color: var(--ink-2); font-size: 12px; }
-.badge { display: inline-block; border-radius: 99px; padding: 1px 10px;
-         font-size: 12px; font-weight: 600; color: #fff; }
-.badge.pass { background: var(--good); }
-.badge.fail { background: var(--bad); }
-.grid { display: grid; gap: 12px;
-        grid-template-columns: repeat(auto-fill, minmax(300px, 1fr)); }
-.card { background: var(--surface-2); border-radius: 8px; padding: 12px 14px; }
-.card .name { font-size: 13px; font-weight: 600; word-break: break-all; }
-.card .dir { color: var(--ink-2); font-size: 11px; }
-.card .latest { font-size: 20px; font-weight: 600; margin: 4px 0 0; }
-.card .latest small { font-size: 12px; font-weight: 400;
-                      color: var(--ink-2); }
-.card .delta { font-size: 12px; color: var(--ink-2); }
-svg.spark { display: block; margin: 8px 0 2px; width: 100%; height: 48px; }
-details { margin-top: 6px; }
-summary { cursor: pointer; color: var(--ink-2); font-size: 12px; }
-table { border-collapse: collapse; width: 100%; margin-top: 6px;
-        font-size: 12px; font-variant-numeric: tabular-nums; }
-th, td { text-align: right; padding: 2px 6px;
-         border-bottom: 1px solid var(--grid); }
-th:first-child, td:first-child { text-align: left; font-family: ui-monospace,
-  SFMono-Regular, Menlo, monospace; }
-th { color: var(--ink-2); font-weight: 500; }
-"""
-
-
-def _spark_svg(values: Sequence[float], width: int = 280, height: int = 48) -> str:
-    """Inline SVG sparkline: 2px line, end-point marker, no axes."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return ""
-    pad = 6
-    lo, hi = min(vals), max(vals)
-    span = (hi - lo) or 1.0
-    n = len(vals)
-    xs = [
-        pad + (width - 2 * pad) * (i / (n - 1) if n > 1 else 0.5)
-        for i in range(n)
-    ]
-    ys = [height - pad - (height - 2 * pad) * ((v - lo) / span) for v in vals]
-    points = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs, ys))
-    return (
-        f'<svg class="spark" viewBox="0 0 {width} {height}" '
-        f'preserveAspectRatio="none" role="img" '
-        f'aria-label="trend of {n} runs">'
-        f'<polyline points="{points}" fill="none" stroke="var(--series-1)" '
-        f'stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
-        f'<circle cx="{xs[-1]:.1f}" cy="{ys[-1]:.1f}" r="3.5" '
-        f'fill="var(--series-1)"/></svg>'
-    )
-
-
-def _family(key: str) -> str:
-    return key.split("/", 1)[0]
-
-
-def dashboard_html(
-    records: Sequence[dict],
-    keys: Optional[Sequence[str]] = None,
-    title: str = "repro perf observatory",
-) -> str:
-    """Build the self-contained dashboard (inline CSS/SVG, offline-safe)."""
-    if keys is None:
-        keys = metric_keys(records)
-    latest = records[-1]
-    status = str(latest.get("status", ""))
-    esc = _html.escape
-    parts: list[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{esc(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>{esc(title)}</h1>",
-        f'<p class="sub">append-only run ledger · {len(records)} record(s) '
-        f"· {esc(_stamp(records[0]))} — {esc(_stamp(latest))} UTC</p>",
-        '<div class="tiles">',
-        f'<div class="tile"><div class="v">{len(records)}</div>'
-        f'<div class="k">ledger records</div></div>',
-        f'<div class="tile"><div class="v">{esc(_short_sha(latest))}</div>'
-        f'<div class="k">latest sha</div></div>',
-        f'<div class="tile"><div class="v">'
-        f'{esc(str(latest.get("version", "?")))}</div>'
-        f'<div class="k">package version</div></div>',
-    ]
-    if status:
-        cls = "pass" if status in ("pass", "baseline") else "fail"
-        parts.append(
-            f'<div class="tile"><div class="v">'
-            f'<span class="badge {cls}">{esc(status)}</span></div>'
-            f'<div class="k">latest gate</div></div>'
-        )
-    parts.append("</div>")
-
-    families: dict[str, list[str]] = {}
-    for key in keys:
-        families.setdefault(_family(key), []).append(key)
-    for family in sorted(families):
-        parts.append(f"<h2>{esc(family)}</h2>")
-        parts.append('<div class="grid">')
-        for key in families[family]:
-            traj = metric_trajectory(records, key)
-            if not traj:
-                continue
-            values = [float(e["value"]) for _r, e in traj]
-            entry = traj[-1][1]
-            unit = str(entry.get("unit", ""))
-            better = str(entry.get("better", ""))
-            deltas = _deltas(values)
-            last_delta = deltas[-1] if len(deltas) > 1 else None
-            delta_txt = (
-                "first record"
-                if last_delta is None
-                else f"{last_delta * 100:+.1f}% vs previous run"
-            )
-            rows = "".join(
-                f"<tr><td>{esc(_short_sha(rec))}</td>"
-                f"<td>{esc(_stamp(rec))}</td>"
-                f"<td>{value:.2f}</td>"
-                f"<td>{'' if d is None else f'{d * 100:+.1f}%'}</td></tr>"
-                for (rec, _e), value, d in zip(traj, values, deltas)
-            )
-            parts.append(
-                f'<div class="card"><div class="name">{esc(key)}</div>'
-                f'<div class="dir">{esc(unit)} · {esc(better)} is better · '
-                f"{len(values)} run(s)</div>"
-                f"{_spark_svg(values)}"
-                f'<div class="latest">{values[-1]:.2f} '
-                f"<small>{esc(unit)}</small></div>"
-                f'<div class="delta">{esc(delta_txt)}</div>'
-                f"<details><summary>all runs</summary><table>"
-                f"<tr><th>sha</th><th>when (UTC)</th><th>value</th>"
-                f"<th>delta</th></tr>{rows}</table></details></div>"
-            )
-        parts.append("</div>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
-
-
-def write_dashboard(
-    records: Sequence[dict],
-    path: Union[str, Path],
-    keys: Optional[Sequence[str]] = None,
-) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(dashboard_html(records, keys), encoding="utf-8")
-    return out
-
-
-# ----------------------------------------------------------------------
 # CLI driver
 # ----------------------------------------------------------------------
 
 def run_trends(
     ledger: Optional[Union[str, Path]] = None,
-    html: Optional[Union[str, Path]] = None,
     patterns: Optional[Sequence[str]] = None,
     last: int = 20,
     print_fn=print,
@@ -385,7 +174,4 @@ def run_trends(
             print_fn(f"no ledger metrics match {list(patterns)!r}")
             return 0
     print_fn(format_trends(records, keys, last=last))
-    if html is not None:
-        out = write_dashboard(records, html, keys)
-        print_fn(f"\nwrote dashboard {out}")
     return 0

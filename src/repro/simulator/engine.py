@@ -396,7 +396,7 @@ class Simulator:
         #: costs one ``is None`` check per dispatched event.
         self.dispatch_hook: Optional[Callable[[Event], None]] = None
         #: total events dispatched by :meth:`step` (cancelled heap entries
-        #: excluded) — the numerator of the selftest's events/sec metric
+        #: excluded) — hostbench's ``events_per_msg`` and ns/event read it
         self.events_processed: int = 0
 
     # -- factory helpers --------------------------------------------------

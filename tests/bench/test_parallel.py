@@ -192,13 +192,30 @@ class TestGateErrors:
     def test_complete_baseline_passes(self, tmp_path, monkeypatch, capsys):
         self._shrink(monkeypatch)
         path = tmp_path / "baseline.json"
-        # --no-engine: wall-clock engine/*/events_per_sec re-gated in the
-        # same process is host noise, which tier-1 never asserts on
-        rc = gate.main(
-            ["--baseline", str(path), "--write-baseline", "--no-engine"]
-        )
+        rc = gate.main(["--baseline", str(path), "--write-baseline"])
         assert rc == 0
-        rc = gate.main(["--baseline", str(path), "--no-engine"])
+        rc = gate.main(["--baseline", str(path)])
         assert rc == 0
         assert "benchmark gate passed" in capsys.readouterr().out
+
+    def test_fault_profile_outlives_the_gate(self, tmp_path, monkeypatch):
+        """Regression: the gate measures fault-free, but it used to get
+        there by popping the profile from the live environment — so in
+        the CI fault matrix the first in-process ``gate.main`` call
+        switched fault injection off for the rest of the pytest session."""
+        self._shrink(monkeypatch)
+        monkeypatch.setenv("REPRO_FAULT_PROFILE", "lossy")
+        monkeypatch.setenv("REPRO_FAULT_SEED", "3")
+        seen = []
+        real = parallel.evaluate_cell
+
+        def spy(cell):
+            seen.append(os.environ.get("REPRO_FAULT_PROFILE"))
+            return real(cell)
+
+        monkeypatch.setattr(parallel, "evaluate_cell", spy)
+        assert gate.main(["--baseline", str(tmp_path / "nope.json")]) == 2
+        assert seen == [None, None]  # the measurement itself ran fault-free
+        assert os.environ.get("REPRO_FAULT_PROFILE") == "lossy"
+        assert os.environ.get("REPRO_FAULT_SEED") == "3"
 

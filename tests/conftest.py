@@ -27,6 +27,9 @@ hypothesis_settings.load_profile(
 )
 
 
+FAULT_ENV = ("REPRO_FAULT_PROFILE", "REPRO_FAULT_SEED")
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
@@ -44,5 +47,15 @@ def pytest_configure(config):
 def _pin_fault_profile(request, monkeypatch):
     """Strip the fault-profile environment for ``faultfree`` tests."""
     if request.node.get_closest_marker("faultfree") is not None:
-        monkeypatch.delenv("REPRO_FAULT_PROFILE", raising=False)
-        monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
+        for name in FAULT_ENV:
+            monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _fault_profile_outlives_the_session():
+    """The fault matrix means what it says only if the profile it sets is
+    still in force when the last test runs: fail the session if anything
+    (once: the bench gate) stripped it from the live environment."""
+    before = {name: os.environ.get(name) for name in FAULT_ENV}
+    yield
+    assert {name: os.environ.get(name) for name in FAULT_ENV} == before

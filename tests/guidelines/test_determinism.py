@@ -9,6 +9,8 @@ second trivially replaying the first.
 
 import json
 
+import pytest
+
 from repro.guidelines import harness, report
 
 PRESETS = ("mellanox_2003",)
@@ -37,6 +39,7 @@ def test_serial_and_parallel_reports_identical():
     )
 
 
+@pytest.mark.faultfree  # asserts a classification of simulated timings
 def test_report_shape():
     doc = _doc(jobs=1)
     assert doc["schema"] == report.SCHEMA_VERSION

@@ -7,6 +7,7 @@ run must produce byte-identical simulated results, metrics, and traces
 to an unprofiled one.
 """
 
+import re
 from dataclasses import asdict
 
 from repro.ib.costmodel import MB
@@ -41,6 +42,28 @@ def transfer(host_profile, trace=False):
 
     result = cluster.run([rank0, rank1])
     return cluster, result
+
+
+def trace_records(cluster):
+    """The trace as dicts, with fault records' QP labels cluster-relative.
+
+    ``qp_num`` is a process-wide serial (``QueuePair._qp_seq``) and a
+    fault record names the QP it hit, so the same faulted run reads
+    ``qp30`` in the cluster built second where the first read ``qp26`` —
+    whatever host profiling does.  Fault-free traces carry no QP label.
+    """
+    first = cluster.contexts[0].ctrl_qps[1].qp_num
+    return [
+        dict(
+            asdict(r),
+            meta=re.sub(
+                r"^qp(\d+)$", lambda m: f"qp+{int(m.group(1)) - first}", r.meta
+            ),
+        )
+        if r.category == "fault"
+        else asdict(r)
+        for r in cluster.tracer.records
+    ]
 
 
 class TestOffMeansOff:
@@ -78,9 +101,7 @@ class TestByteIdentity:
     def test_traces_identical(self):
         c_off, _ = transfer(host_profile=False, trace=True)
         c_on, _ = transfer(host_profile=True, trace=True)
-        recs_off = [asdict(r) for r in c_off.tracer.records]
-        recs_on = [asdict(r) for r in c_on.tracer.records]
-        assert recs_on == recs_off
+        assert trace_records(c_on) == trace_records(c_off)
 
     def test_stats_identical(self):
         c_off, _ = transfer(host_profile=False)
@@ -117,9 +138,7 @@ class TestByteIdentity:
         assert marks_off[1][0] > 20.0 and marks_off[1][2] == 0
         assert marks_on == marks_off
         assert c_on.metrics.snapshot() == c_off.metrics.snapshot()
-        assert [asdict(r) for r in c_on.tracer.records] == [
-            asdict(r) for r in c_off.tracer.records
-        ]
+        assert trace_records(c_on) == trace_records(c_off)
         hp = c_on.host_profiler
         assert hp.runs == 2
         assert hp.total_events == c_on.sim.events_processed

@@ -122,24 +122,6 @@ class TestDeterminism:
         assert ledger.git_sha() == "f" * 40
 
 
-class TestLastGood:
-    def test_picks_newest_passing_with_required_keys(self, ledger_file):
-        ledger.append_record(_record(0, extra={"attribution": {}}))
-        ledger.append_record(_record(1))  # newer but no attribution
-        ledger.append_record(_record(2, status="fail"))
-        records = ledger.read_ledger()
-        best = ledger.last_good(records, require=("attribution",))
-        assert best is not None and best["timestamp"] == 1000.0
-
-    def test_baseline_status_counts_as_good(self, ledger_file):
-        ledger.append_record(_record(0, status="baseline"))
-        best = ledger.last_good(ledger.read_ledger())
-        assert best is not None and best["status"] == "baseline"
-
-    def test_none_on_empty(self):
-        assert ledger.last_good([]) is None
-
-
 def _hammer(args):
     """Worker: append ``count`` records to one shared ledger file."""
     path, writer, count = args

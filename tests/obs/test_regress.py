@@ -1,11 +1,12 @@
-"""Regression explainer: category attribution diffs vs the ledger.
+"""Regression explainer: category attribution diffs vs the baseline.
 
 Includes the end-to-end acceptance test: an injected cost-model slowdown
 (halving copy bandwidth) makes the bench gate fail AND the explainer
 names ``copy`` as the moved category with a magnitude within 20% of the
-analytically predicted delta.
+analytically predicted delta — with or without a run ledger.
 """
 
+import json
 import re
 
 import pytest
@@ -49,39 +50,45 @@ class TestCellAttribution:
 
 
 class TestExplainRegressions:
+    KEY = "fig08/bc-spup/cols=64"
+
+    @pytest.fixture
+    def now(self, monkeypatch):
+        """Pin the fresh profile of ``KEY`` to a fabricated attribution."""
+        after = {"total_us": 130.0, **{c: 0.0 for c in CATEGORIES}}
+        after.update(copy=68.0, wire=32.0)
+        monkeypatch.setattr(
+            regress, "cell_attribution", lambda fig, scheme, cols: dict(after)
+        )
+        return after
+
     def test_non_cell_key_reported_unexplainable(self):
         (exp,) = regress.explain_regressions(
-            ["engine/post_poll/events_per_sec"], {}, None
+            ["engine/post_poll/events_per_sec"], {}
         )
         assert exp.reason is not None and "no critical path" in exp.reason
         assert exp.moved is None
         text = regress.format_regressions([exp])
         assert "unexplained" in text
 
-    def test_no_last_good_record(self):
+    def test_baseline_entry_without_attribution(self, now):
         (exp,) = regress.explain_regressions(
-            ["fig08/bc-spup/cols=64"],
-            {"fig08/bc-spup/cols=64": {"total_us": 10.0}},
-            None,
+            [self.KEY], {self.KEY: {"value": 100.0}}
         )
-        assert exp.reason is not None and "last-good" in exp.reason
+        assert exp.reason is not None and "--write-baseline" in exp.reason
+        assert exp.total_after_us == 130.0
 
-    def test_diff_names_biggest_mover(self):
-        key = "fig08/bc-spup/cols=64"
+    def test_diff_names_biggest_mover(self, now):
         before = {"total_us": 100.0, **{c: 0.0 for c in CATEGORIES}}
         before.update(copy=40.0, wire=30.0)
-        after = {"total_us": 130.0, **{c: 0.0 for c in CATEGORIES}}
-        after.update(copy=68.0, wire=32.0)
         (exp,) = regress.explain_regressions(
-            [key], {key: after}, {"attribution": {key: before}}
+            [self.KEY], {self.KEY: {"value": 100.0, "attribution": before}}
         )
         assert exp.reason is None
         assert exp.moved.category == "copy"
         assert exp.moved.delta_us == pytest.approx(28.0)
         assert exp.moved.pct == pytest.approx(70.0)
-        text = regress.format_regressions(
-            [exp], {"sha": "a" * 40, "version": "1.0"}
-        )
+        text = regress.format_regressions([exp])
         assert "moved: copy +28.00 us (+70.0%)" in text
         assert "critical path 100.00 -> 130.00 us (+30.00 us)" in text
 
@@ -107,14 +114,26 @@ class TestGateAcceptance:
     def test_injected_copy_slowdown_is_named_with_magnitude(
         self, gate_env, tmp_path, monkeypatch, capsys
     ):
-        from repro.ib.costmodel import CostModel
+        self.inject_and_gate(gate_env, tmp_path, monkeypatch, capsys, [])
 
-        gate = gate_env
+    def test_injected_copy_slowdown_is_named_without_a_ledger(
+        self, gate_env, tmp_path, monkeypatch, capsys
+    ):
+        """``--no-ledger`` is a fresh clone: the reference attribution
+        comes from the baseline file, so the explanation is the same."""
+        self.inject_and_gate(
+            gate_env, tmp_path, monkeypatch, capsys, ["--no-ledger"]
+        )
+
+    def inject_and_gate(self, gate, tmp_path, monkeypatch, capsys, ledger_args):
+        from repro.ib.costmodel import CostModel
+        from repro.obs import ledger
+
         baseline = tmp_path / "baseline.json"
         explain = tmp_path / "explain.md"
 
         rc = gate.main(
-            ["--write-baseline", "--baseline", str(baseline), "--no-engine"]
+            ["--write-baseline", "--baseline", str(baseline), *ledger_args]
         )
         assert rc == 0
         capsys.readouterr()
@@ -127,13 +146,11 @@ class TestGateAcceptance:
         )
 
         rc = gate.main(
-            [
-                "--baseline", str(baseline),
-                "--no-engine",
-                "--explain-out", str(explain),
-            ]
+            ["--baseline", str(baseline), "--explain-out", str(explain),
+             *ledger_args]
         )
         assert rc == 1  # the gate fails...
+        assert len(ledger.read_ledger()) == (0 if ledger_args else 2)
         err = capsys.readouterr().err
         assert "benchmark regressions" in err
         assert "moved: copy" in err  # ...and the explainer names copy
@@ -152,21 +169,22 @@ class TestGateAcceptance:
         assert abs(reported_delta - predicted) / predicted < 0.20
 
     def test_passing_gate_writes_clean_explanation(
-        self, gate_env, tmp_path, capsys
+        self, gate_env, tmp_path, monkeypatch, capsys
     ):
         gate = gate_env
         baseline = tmp_path / "baseline.json"
         explain = tmp_path / "explain.md"
 
         assert gate.main(
-            ["--write-baseline", "--baseline", str(baseline), "--no-engine"]
+            ["--write-baseline", "--baseline", str(baseline)]
         ) == 0
+        # a passing run profiles nothing: only regressed cells are
+        monkeypatch.setattr(
+            "repro.obs.regress.cell_attribution",
+            lambda *cell: pytest.fail(f"profiled {cell} on a passing run"),
+        )
         assert gate.main(
-            [
-                "--baseline", str(baseline),
-                "--no-engine",
-                "--explain-out", str(explain),
-            ]
+            ["--baseline", str(baseline), "--explain-out", str(explain)]
         ) == 0
         assert "benchmark gate passed" in explain.read_text()
 
@@ -178,120 +196,21 @@ class TestGateAcceptance:
         gate = gate_env
         baseline = tmp_path / "baseline.json"
         assert gate.main(
-            ["--write-baseline", "--baseline", str(baseline), "--no-engine"]
+            ["--write-baseline", "--baseline", str(baseline)]
         ) == 0
-        assert gate.main(["--baseline", str(baseline), "--no-engine"]) == 0
+        assert gate.main(["--baseline", str(baseline)]) == 0
 
         records = ledger.read_ledger(kind="gate")
         assert [r["status"] for r in records] == ["baseline", "pass"]
-        assert all("attribution" in r for r in records)
+        # the ledger holds metric values; the attribution lives in the
+        # baseline file, beside each value
+        key = "fig08/bc-spup/cols=64"
+        for rec in records:
+            assert set(rec["metrics"][key]) == {"value", "unit", "better"}
+        assert "attribution" in json.loads(baseline.read_text())["metrics"][key]
         # two records are enough for a rendered trajectory
         out = []
         assert trends.run_trends(print_fn=out.append) == 0
         text = "\n".join(out)
         assert "2 ledger record(s)" in text
         assert "fig08/bc-spup/cols=64" in text
-
-
-class TestEngineKeyHostExplanation:
-    """Regressed engine/* throughput keys are explained by diffing the
-    host-time profile instead of the (nonexistent) simulated path."""
-
-    def host(self, **overrides):
-        from repro.obs.hostprof import HOST_CATEGORIES
-
-        nspe = {cat: 100.0 for cat in HOST_CATEGORIES}
-        nspe.update(overrides)
-        nspe["total"] = sum(nspe.values())
-        return {"ns_per_event": nspe, "closure": 1.0, "overhead": 0.06}
-
-    def test_names_moved_host_category(self):
-        key = "engine/bandwidth/events_per_sec"
-        before = {"bandwidth": self.host()}
-        after = {"bandwidth": self.host(**{"pack-unpack": 2100.0})}
-        (exp,) = regress.explain_regressions(
-            [key], {},
-            {"attribution": {}, "host_profile": before},
-            host_now=after,
-        )
-        assert exp.reason is None
-        assert exp.unit == "ns/ev"
-        assert exp.moved.category == "pack-unpack"
-        assert exp.moved.delta_us == pytest.approx(2000.0)
-        text = regress.format_regressions([exp])
-        assert "host time" in text
-        assert "moved: pack-unpack +2000.00 ns/ev" in text
-
-    def test_without_current_host_data_stays_unexplained(self):
-        (exp,) = regress.explain_regressions(
-            ["engine/bandwidth/events_per_sec"], {},
-            {"attribution": {}, "host_profile": {"bandwidth": self.host()}},
-        )
-        assert exp.reason is not None and "no critical path" in exp.reason
-
-    def test_without_last_good_host_profile(self):
-        (exp,) = regress.explain_regressions(
-            ["engine/bandwidth/events_per_sec"], {},
-            {"attribution": {}},
-            host_now={"bandwidth": self.host()},
-        )
-        assert exp.reason is not None
-        assert "no last-good host profile" in exp.reason
-
-    def test_engineered_pack_slowdown_is_named(self, monkeypatch):
-        """Issue acceptance: slow the real pack/unpack byte movement and
-        the explainer names ``pack-unpack`` as the moved host category.
-
-        No wall clock: the profiler reads an injected clock that ticks
-        100 ns a read, and the slowdown is 500 us added to that clock in
-        the one block-copy entry point every pack and unpack goes through.
-        """
-        from repro.bench.workloads import column_vector
-        from repro.ib.memory import NodeMemory
-        from repro.obs.hostprof import hostprof_transfer
-
-        class Clock:
-            now = 0
-
-            def __call__(self):
-                self.now += 100
-                return self.now
-
-        clock = Clock()
-        monkeypatch.setattr("repro.mpi.world.perf_counter_ns", clock)
-        dt = column_vector(64).datatype
-
-        def profile():
-            hp, _cluster = hostprof_transfer(
-                "bc-spup", dt, iters=3, duty=(1, 0)
-            )
-            return {
-                "bandwidth": {
-                    "ns_per_event": hp.ns_per_event(),
-                    "closure": hp.closure(),
-                    "overhead": 0.0,
-                }
-            }
-
-        before = profile()
-
-        real_copy = NodeMemory.copy_blocks
-
-        def slow_copy(self, *args, **kwargs):
-            clock.now += 500_000
-            return real_copy(self, *args, **kwargs)
-
-        monkeypatch.setattr(NodeMemory, "copy_blocks", slow_copy)
-        after = profile()
-
-        key = "engine/bandwidth/events_per_sec"
-        (exp,) = regress.explain_regressions(
-            [key], {},
-            {"attribution": {}, "host_profile": before},
-            host_now=after,
-        )
-        assert exp.reason is None
-        assert exp.moved.category == "pack-unpack", (
-            regress.format_regressions([exp])
-        )
-        assert exp.moved.delta_us > 0

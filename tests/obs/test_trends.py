@@ -1,11 +1,11 @@
-"""Trends CLI and offline dashboard over the run ledger."""
+"""Trends CLI over the run ledger."""
 
 import pytest
 
 from repro.obs import ledger, trends
 
 
-def _record(i, value, status="pass", **kw):
+def _record(i, value, status="pass"):
     return ledger.make_record(
         "gate",
         timestamp=1700000000.0 + i * 3600,
@@ -16,15 +16,14 @@ def _record(i, value, status="pass", **kw):
                 "value": value, "unit": "us", "better": "lower",
             }
         },
-        **kw,
     )
 
 
 @pytest.fixture
 def two_records(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-    ledger.append_record(_record(0, 100.0, events_per_sec={"post_poll": 5e6}))
-    ledger.append_record(_record(1, 120.0, events_per_sec={"post_poll": 6e6}))
+    ledger.append_record(_record(0, 100.0))
+    ledger.append_record(_record(1, 120.0))
     return tmp_path / "ledger.jsonl"
 
 
@@ -41,54 +40,22 @@ class TestSparkline:
 
 
 class TestRecordMetrics:
-    def test_flattens_metrics_and_engine_throughput(self):
-        flat = trends.record_metrics(_record(0, 42.0,
-                                             events_per_sec={"pp": 1e6}))
-        assert flat["fig08/bc-spup/cols=64"]["value"] == 42.0
-        assert flat["engine/pp/events_per_sec"] == {
-            "value": 1e6, "unit": "ev/s", "better": "higher",
-        }
-
     def test_ignores_malformed_entries(self):
         rec = {"metrics": {"a": 3, "b": {"novalue": 1}, "c": {"value": 2}}}
         assert list(trends.record_metrics(rec)) == ["c"]
 
-    def test_flattens_host_profile_categories(self):
-        flat = trends.record_metrics(_record(0, 42.0, host_profile={
-            "bandwidth": {
-                "ns_per_event": {"heap": 900.0, "pack-unpack": 1400.0,
-                                 "total": 8000.0},
-                "closure": 1.0, "overhead": 0.06,
-            },
-        }))
-        assert flat["host/bandwidth/heap"] == {
-            "value": 900.0, "unit": "ns/ev", "better": "lower",
-        }
-        assert flat["host/bandwidth/pack-unpack"]["value"] == 1400.0
-        assert flat["host/bandwidth/total"]["value"] == 8000.0
-
-    def test_malformed_host_profile_ignored(self):
-        rec = {"host_profile": {"bad": 3, "also-bad": {"ns_per_event": 7}}}
-        assert trends.record_metrics(rec) == {}
-
-
-class TestHostTrajectory:
-    def test_host_keys_chart_over_the_ledger(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-        for i, pack_ns in enumerate((1400.0, 3100.0)):
-            ledger.append_record(_record(i, 100.0, host_profile={
-                "bandwidth": {
-                    "ns_per_event": {"pack-unpack": pack_ns,
-                                     "total": 7000.0 + pack_ns},
-                    "closure": 1.0, "overhead": 0.06,
-                },
-            }))
-        records = ledger.read_ledger()
-        assert "host/bandwidth/pack-unpack" in trends.metric_keys(records)
-        text = trends.format_trends(records, ["host/bandwidth/pack-unpack"])
-        assert "host/bandwidth/pack-unpack" in text
-        assert "(ns/ev, lower is better)" in text
-        assert "+121.4%" in text  # 1400 -> 3100
+    def test_fields_of_older_records_are_ignored(self):
+        """Ledger lines written before the gate stopped recording engine
+        throughput, host profiles and attributions still read: their
+        ``metrics`` chart, the dropped sections are skipped."""
+        rec = dict(
+            _record(0, 42.0),
+            events_per_sec={"pp": 1e6},
+            host_profile={"pp": {"ns_per_event": {"heap": 900.0}}},
+            attribution={"fig08/bc-spup/cols=64": {"total_us": 1.0}},
+        )
+        assert list(trends.record_metrics(rec)) == ["fig08/bc-spup/cols=64"]
+        assert trends.record_metrics({"events_per_sec": {"pp": 1e6}}) == {}
 
 
 class TestFormatTrends:
@@ -99,37 +66,12 @@ class TestFormatTrends:
         assert "fig08/bc-spup/cols=64" in text
         assert "+20.0%" in text  # 100 -> 120
         assert "▁█" in text
-        # engine throughput rides along under the unified key space
-        assert "engine/post_poll/events_per_sec" in text
 
     def test_last_window_truncates(self, two_records):
         records = ledger.read_ledger(two_records)
         text = trends.format_trends(records, last=1)
         # only the newest row survives, so no delta column value
         assert "100.00" not in text and "120.00" in text
-
-
-class TestDashboard:
-    def test_offline_self_contained_html(self, two_records, tmp_path):
-        records = ledger.read_ledger(two_records)
-        out = trends.write_dashboard(records, tmp_path / "dash.html")
-        html = out.read_text(encoding="utf-8")
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html  # sparkline rendered inline
-        assert "fig08/bc-spup/cols=64" in html
-        assert "prefers-color-scheme: dark" in html
-        # fully offline: no external fetches of any kind
-        for needle in ("http://", "https://", "<script", "@import"):
-            assert needle not in html
-        # table view + status badge (never color-alone)
-        assert "<table>" in html
-        assert 'class="badge pass">pass<' in html
-
-    def test_fail_badge(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-        ledger.append_record(_record(0, 100.0, status="fail"))
-        html = trends.dashboard_html(ledger.read_ledger())
-        assert 'class="badge fail">fail<' in html
 
 
 class TestRunTrends:
@@ -141,12 +83,16 @@ class TestRunTrends:
 
     def test_metric_filter(self, two_records):
         out = []
+        ledger.append_record(ledger.make_record(
+            "selftest", timestamp=1700007200.0,
+            metrics={"selftest/fig08/cells_per_sec": {"value": 30.0}},
+        ))
         rc = trends.run_trends(
-            two_records, patterns=["engine/*"], print_fn=out.append
+            two_records, patterns=["selftest/*"], print_fn=out.append
         )
         assert rc == 0
         text = "\n".join(out)
-        assert "engine/post_poll/events_per_sec" in text
+        assert "selftest/fig08/cells_per_sec" in text
         assert "fig08/bc-spup/cols=64" not in text
 
     def test_filter_with_no_match_still_exits_zero(self, two_records):
@@ -156,14 +102,6 @@ class TestRunTrends:
         )
         assert rc == 0
         assert "no ledger metrics match" in out[0]
-
-    def test_writes_dashboard(self, two_records, tmp_path):
-        out = []
-        html = tmp_path / "d" / "dash.html"
-        rc = trends.run_trends(two_records, html=html, print_fn=out.append)
-        assert rc == 0
-        assert html.exists()
-        assert any("wrote dashboard" in line for line in out)
 
     def test_cli_entrypoint(self, two_records, capsys):
         from repro.obs.__main__ import main
