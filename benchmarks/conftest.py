@@ -2,12 +2,14 @@
 
 Every benchmark target runs one full figure sweep (simulated time inside,
 wall time measured by pytest-benchmark) and asserts the paper's
-qualitative claims about that figure.  Sweeps are cached per session
-(``functools.lru_cache`` on the figure functions), so asking for the same
-figure twice costs nothing.
+qualitative claims about that figure.  Cells are cached on disk
+(``.repro-cache/``), so asking for the same sweep twice re-reads them,
+prints the table and rewrites the (identical) CSV.
 """
 
 import pytest
+
+from repro.bench.sweeps import run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -20,10 +22,12 @@ def _no_fault_injection(monkeypatch):
 
 @pytest.fixture
 def run_figure(benchmark):
-    """Run a cached figure sweep under pytest-benchmark; returns the
-    figure's (x_values, series) result."""
+    """Run one row of the sweep table under pytest-benchmark; returns
+    its (x_values, series) result."""
 
-    def runner(fn, *args):
-        return benchmark.pedantic(fn, args=args, rounds=1, iterations=1)
+    def runner(name):
+        return benchmark.pedantic(
+            run_sweep, args=(name,), rounds=1, iterations=1
+        )
 
     return runner

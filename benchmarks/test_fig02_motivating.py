@@ -13,11 +13,9 @@ Paper's observations to reproduce:
    enough", but collapses for small blocks.
 """
 
-from repro.bench.figures import fig02
-
 
 def test_fig02_motivating_example(run_figure):
-    cols, out = run_figure(fig02)
+    cols, out = run_figure("fig02")
     contig = out["Contig"].y
     datatype = out["Datatype"].y
     dt_reg = out["DT+reg"].y

@@ -16,11 +16,9 @@ Paper's observations to reproduce:
 
 import pytest
 
-from repro.bench.figures import fig08
-
 
 def test_fig08_latency(run_figure):
-    cols, out = run_figure(fig08)
+    cols, out = run_figure("fig08")
     gen = out["generic"].y
     bcs = out["bc-spup"].y
     rwg = out["rwg-up"].y

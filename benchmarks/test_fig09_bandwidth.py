@@ -10,11 +10,9 @@ Paper's observations to reproduce:
    operations and the small message size in each operation".
 """
 
-from repro.bench.figures import fig09
-
 
 def test_fig09_bandwidth(run_figure):
-    cols, out = run_figure(fig09)
+    cols, out = run_figure("fig09")
     gen = out["generic"].y
     bcs = out["bc-spup"].y
     rwg = out["rwg-up"].y

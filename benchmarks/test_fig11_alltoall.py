@@ -13,8 +13,6 @@ Paper's observations to reproduce:
 
 import pytest
 
-from repro.bench.figures import fig11
-
 
 def _stats(gen, series):
     factors = [g / s for g, s in zip(gen, series)]
@@ -22,7 +20,7 @@ def _stats(gen, series):
 
 
 def test_fig11_alltoall(run_figure):
-    xs, out = run_figure(fig11)
+    xs, out = run_figure("fig11")
     gen = out["generic"].y
     bcs = out["bc-spup"].y
     rwg = out["rwg-up"].y

@@ -8,11 +8,9 @@ the whole message.
 
 import pytest
 
-from repro.bench.figures import fig12
-
 
 def test_fig12_segment_unpack(run_figure):
-    cols, out = run_figure(fig12)
+    cols, out = run_figure("fig12")
     seg = out["seg-unpack"].y
     whole = out["whole-unpack"].y
 

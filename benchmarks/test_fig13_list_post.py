@@ -14,11 +14,9 @@ EXPERIMENTS.md as a known deviation.
 
 import pytest
 
-from repro.bench.figures import fig13
-
 
 def test_fig13_list_post(run_figure):
-    cols, out = run_figure(fig13)
+    cols, out = run_figure("fig13")
     listed = out["list"].y
     single = out["single"].y
     factors = {c: l / s for c, l, s in zip(cols, listed, single)}

@@ -17,11 +17,9 @@ Paper's observations to reproduce:
    communication, and unpacking."
 """
 
-from repro.bench.figures import fig14
-
 
 def test_fig14_worst_case(run_figure):
-    cols, out = run_figure(fig14)
+    cols, out = run_figure("fig14")
     gen = out["generic"].y
     bcs = out["bc-spup"].y
     rwg = out["rwg-up"].y

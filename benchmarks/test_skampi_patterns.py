@@ -7,11 +7,11 @@ the block-size story across shapes.
 
 import pytest
 
-from repro.bench.skampi import PATTERNS, make_pattern, skampi_sweep
+from repro.bench.skampi import PATTERNS, make_pattern
 
 
-def test_skampi_patterns(benchmark):
-    patterns, out = benchmark.pedantic(skampi_sweep, rounds=1, iterations=1)
+def test_skampi_patterns(run_figure):
+    patterns, out = run_figure("skampi")
     idx = {name: i for i, name in enumerate(patterns)}
 
     # every scheme produced a finite latency for every shape

@@ -1,32 +1,26 @@
-"""Benchmark harness: workloads, measurement runners, reporting.
+"""Benchmark harness: workloads, measurement probes, the sweep table.
 
-One function per data figure of the paper lives in
-:mod:`repro.bench.figures`; the ``benchmarks/`` directory wraps them in
-pytest-benchmark targets and asserts the reproduced shapes.
+Every data figure of the paper, every ablation and the SKaMPI pattern
+sweep is one row of :data:`repro.bench.sweeps.SWEEPS`, run by
+:func:`~repro.bench.sweeps.run_sweep` over the three probes of
+:mod:`repro.bench.runner`; the ``benchmarks/`` directory wraps the rows
+in pytest-benchmark targets and asserts the reproduced shapes.
 """
 
 from repro.bench.workloads import column_vector, fig10_struct
 from repro.bench.runner import (
     measure_alltoall,
     measure_bandwidth,
-    measure_contig_pingpong,
-    measure_manual_pingpong,
-    measure_multiple_pingpong,
     measure_pingpong,
 )
-from repro.bench.report import Series, improvement, print_table, write_csv
+from repro.bench.sweeps import SWEEPS, run_sweep
 
 __all__ = [
-    "Series",
+    "SWEEPS",
     "column_vector",
     "fig10_struct",
-    "improvement",
     "measure_alltoall",
     "measure_bandwidth",
-    "measure_contig_pingpong",
-    "measure_manual_pingpong",
-    "measure_multiple_pingpong",
     "measure_pingpong",
-    "print_table",
-    "write_csv",
+    "run_sweep",
 ]

@@ -2,19 +2,21 @@
 
 Usage::
 
-    python -m repro.bench fig08 fig09          # specific figures
-    python -m repro.bench all                  # everything (several minutes)
+    python -m repro.bench fig08 fig09          # specific rows of the table
+    python -m repro.bench all                  # every row + overlap (~70 s cold)
     python -m repro.bench all -j 0             # ... fanned out over all cores
-    python -m repro.bench fig08 --cols 64 2048 # restricted sweep
+    python -m repro.bench ablations skampi     # the rows beyond the paper
+    python -m repro.bench fig08 --cols 64 2048 # restricted column sweep
     python -m repro.bench overlap              # Figure-3 overlap analysis
     python -m repro.bench selftest             # cold/warm sweep + cache check
     python -m repro.bench selftest --json report.json
 
-Tables print to stdout; CSVs land in ``results/``.  Figure sweeps run
+Targets are the rows of :data:`repro.bench.sweeps.SWEEPS` that own a
+CSV.  Tables print to stdout; CSVs land in ``results/``.  Every row runs
 through the parallel executor (``-j``/``$REPRO_BENCH_JOBS`` workers) and
 the content-addressed result cache under ``.repro-cache/`` — pass
-``--fresh`` to ignore cached cells.  Every figure sweep and selftest
-appends a record to the run ledger (``results/ledger/``, disable with
+``--fresh`` to ignore cached cells.  Every sweep and selftest appends a
+record to the run ledger (``results/ledger/``, disable with
 ``--no-ledger``).
 """
 
@@ -24,66 +26,46 @@ import argparse
 import sys
 import time
 
-from repro.bench import ablations, figures, parallel
+from repro.bench import parallel
 from repro.bench.overlap import measure_overlap
+from repro.bench.sweeps import SWEEPS, run_sweep
 from repro.bench.workloads import column_vector
+from repro.schemes import PAPER_SCHEMES
 
-#: every data figure ``repro.bench.figures`` declares, by name
-FIGURES = {name: getattr(figures, name) for name in figures.__all__}
+#: the rows with a CLI target, and the ``ablations`` group among them
+ROWS = [name for name, row in SWEEPS.items() if row.csv]
+ABLATIONS = [n for n in ROWS if SWEEPS[n].csv.startswith("results/ablation_")]
 
-ABLATIONS = {
-    "segment-size": ablations.segment_size,
-    "registration": ablations.registration_strategies,
-    "dtcache": ablations.datatype_cache,
-    "adaptive": ablations.adaptive_vs_fixed,
-    "prrs": ablations.prrs_vs_rwgup,
-    "hybrid": ablations.hybrid_bimodal,
-    "network": ablations.network_presets,
-    "window": ablations.window_sweep,
-    "eager-threshold": ablations.eager_threshold,
-}
+
+def _append_record(kind: str, metrics: dict, extra: dict) -> None:
+    from repro.obs import ledger
+
+    ledger.append_record(ledger.make_record(
+        kind, timestamp=time.time(), sha=ledger.git_sha(),
+        metrics=metrics, extra=extra,
+    ))
 
 
 def _append_sweep_record(target: str, result) -> None:
-    """Ledger one figure sweep: the full series grid as metric values."""
-    from repro.obs import ledger
-
-    try:
-        xs, series_map = result
-    except (TypeError, ValueError):
-        return
-    metrics = {}
-    for key, series in series_map.items():
-        for x, y in zip(xs, series.y):
-            metrics[f"{target}/{key}/x={x}"] = {"value": y}
-    record = ledger.make_record(
-        "sweep",
-        timestamp=time.time(),
-        sha=ledger.git_sha(),
-        metrics=metrics,
-        extra={"figure": target},
-    )
-    ledger.append_record(record)
+    """Ledger one sweep: the full series grid as metric values."""
+    xs, series_map = result
+    metrics = {
+        f"{target}/{key}/x={x}": {"value": y}
+        for key, series in series_map.items()
+        for x, y in zip(xs, series.y)
+    }
+    _append_record("sweep", metrics, {"figure": target})
 
 
 def _append_selftest_record(report: dict) -> None:
-    """Ledger one selftest run: cold sweep throughput per figure."""
-    from repro.obs import ledger
-
+    """Ledger one selftest run: cold sweep throughput per row."""
     metrics = {
         f"selftest/{fig}/cells_per_sec": {
             "value": m["cells_per_sec"], "unit": "cells/s", "better": "higher",
         }
         for fig, m in report.get("figures", {}).items()
     }
-    record = ledger.make_record(
-        "selftest",
-        timestamp=time.time(),
-        sha=ledger.git_sha(),
-        metrics=metrics,
-        extra={"jobs": report.get("jobs")},
-    )
-    ledger.append_record(record)
+    _append_record("selftest", metrics, {"jobs": report.get("jobs")})
 
 
 def _run_overlap(cols: int = 1024) -> None:
@@ -92,7 +74,7 @@ def _run_overlap(cols: int = 1024) -> None:
         f"\nOverlap analysis (Figure 3), single {w.nbytes >> 10} KB vector "
         f"message, {cols} columns:"
     )
-    for scheme in ("generic", "bc-spup", "rwg-up", "multi-w"):
+    for scheme in PAPER_SCHEMES:
         print(" ", measure_overlap(scheme, w.datatype).describe())
 
 
@@ -105,24 +87,23 @@ def main(argv=None) -> int:
     parser.add_argument(
         "targets",
         nargs="+",
-        choices=sorted(FIGURES)
-        + sorted(ABLATIONS)
-        + ["all", "ablations", "overlap", "selftest"],
-        help="figures, ablations, or 'selftest' (cold/warm sweep timing)",
+        choices=ROWS + ["all", "ablations", "overlap", "selftest"],
+        help="sweep rows, groups of them, or 'selftest' (cold/warm sweep "
+        "timing)",
     )
     parser.add_argument(
         "--cols",
         type=int,
         nargs="+",
         default=None,
-        help="restrict the column sweep (figures 2, 8, 9, 12, 13, 14)",
+        help="restrict the sweep of every row whose x axis is columns",
     )
     parser.add_argument(
         "-j",
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for figure sweeps (0 = all cores; default "
+        help="worker processes for the sweeps (0 = all cores; default "
         "$REPRO_BENCH_JOBS or 1)",
     )
     parser.add_argument(
@@ -146,11 +127,17 @@ def main(argv=None) -> int:
         parallel.set_jobs(args.jobs)
     if args.fresh:
         parallel.set_cache_enabled(False)
+    for target in args.targets:
+        if args.cols and target in SWEEPS and SWEEPS[target].axis != "cols":
+            parser.error(
+                f"--cols does not apply to {target}: its x axis is "
+                f"{SWEEPS[target].axis}"
+            )
     targets = list(args.targets)
     if "all" in targets:
-        targets = sorted(FIGURES) + sorted(ABLATIONS) + ["overlap"]
+        targets = ROWS + ["overlap"]
     elif "ablations" in targets:
-        targets = [t for t in targets if t != "ablations"] + sorted(ABLATIONS)
+        targets = [t for t in targets if t != "ablations"] + ABLATIONS
     for target in targets:
         if target == "overlap":
             _run_overlap()
@@ -174,14 +161,8 @@ def main(argv=None) -> int:
             if not args.no_ledger:
                 _append_selftest_record(selftest)
             continue
-        if target in ABLATIONS:
-            ABLATIONS[target]()
-            continue
-        fn = FIGURES[target]
-        if args.cols and target != "fig11":
-            result = fn(tuple(args.cols))
-        else:
-            result = fn()
+        cols = args.cols if SWEEPS[target].axis == "cols" else None
+        result = run_sweep(target, cols)
         if not args.no_ledger:
             _append_sweep_record(target, result)
     return 0

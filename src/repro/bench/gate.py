@@ -45,6 +45,8 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.bench.parallel import Cell, run_cells
+from repro.bench.sweeps import SWEEPS
+from repro.schemes import PAPER_SCHEMES
 
 __all__ = [
     "collect",
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 #: schemes gated in CI (the paper's four implemented schemes)
-SCHEMES = ("generic", "bc-spup", "rwg-up", "multi-w")
+SCHEMES = PAPER_SCHEMES
 #: column-vector sizes: one small (latency-dominated, fig08's left edge)
 #: and one large (bandwidth-dominated, fig09's right half)
 COLUMNS = (64, 512)
@@ -100,17 +102,15 @@ def collect(jobs: int | None = None) -> dict:
         for fig in ("fig08", "fig09")
     ]
     values = run_cells(cells, jobs=jobs, use_cache=False)
-    metrics: dict[str, dict] = {}
-    for cols in COLUMNS:
-        for scheme in SCHEMES:
-            metrics[f"fig08/{scheme}/cols={cols}"] = {
-                "value": values[Cell("fig08", scheme, cols)],
-                "unit": "us", "better": "lower",
-            }
-            metrics[f"fig09/{scheme}/cols={cols}"] = {
-                "value": values[Cell("fig09", scheme, cols)],
-                "unit": "MB/s", "better": "higher",
-            }
+    better = {"us": "lower", "MB/s": "higher"}
+    metrics = {
+        f"{c.figure}/{c.series}/cols={c.x}": {
+            "value": values[c],
+            "unit": SWEEPS[c.figure].unit,
+            "better": better[SWEEPS[c.figure].unit],
+        }
+        for c in cells
+    }
     return {
         "schemes": list(SCHEMES),
         "columns": list(COLUMNS),

@@ -1,30 +1,23 @@
 """Deterministic multi-process sweep executor with a result cache.
 
-The figure sweeps (``repro.bench.figures``) and the CI gate
-(``repro.bench.gate``) are grids of independent **cells** — one
-``(figure, series, x)`` measurement each, every cell building its own
-fresh :class:`~repro.mpi.world.Cluster`.  The simulation is
+Every row of the sweep table (``repro.bench.sweeps``), the CI gate
+(``repro.bench.gate``), the guidelines harness and the workload suite
+are grids of independent **cells** — one ``(figure, series, x)``
+measurement each, every cell building its own fresh
+:class:`~repro.mpi.world.Cluster`.  The simulation is
 deterministic and cells share no mutable state, so cells can be fanned
 out over a :class:`~concurrent.futures.ProcessPoolExecutor` and merged
 back in canonical cell order: the resulting CSV/JSON output is
 byte-identical to the serial path, whatever the worker count or
 completion order.
 
-On top of the executor sits a content-addressed result cache under
-``.repro-cache/`` (override with ``$REPRO_CACHE_DIR``).  The key hashes
-everything a cell's value depends on:
-
-* the cell coordinates (figure, series, x, extra kwargs),
-* the workload spec the figure derives from ``x``,
-* every parameter of the default cost model,
-* the package version,
-* the fault-injection environment (profile + seed).
-
-Unchanged cells are skipped on re-runs; a cost-model recalibration, a
-version bump, or a different fault profile changes the key and forces
-re-measurement.  The CI regression gate always measures fresh
-(``use_cache=False``) — a gate that trusts yesterday's numbers gates
-nothing.
+On top of the executor sits the one result cache, content-addressed
+under ``.repro-cache/`` (override with ``$REPRO_CACHE_DIR``): the key
+(:func:`cell_key`) hashes everything a cell's value depends on, so
+unchanged cells are skipped on re-runs and a cost-model recalibration, a
+version bump, or a different fault profile forces re-measurement.  The
+CI regression gate always measures fresh (``use_cache=False``) — a gate
+that trusts yesterday's numbers gates nothing.
 
 Worker count resolution order: explicit ``jobs=`` argument, then
 :func:`set_jobs` (the CLI's ``-j``), then ``$REPRO_BENCH_JOBS``, then 1
@@ -38,7 +31,7 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -69,14 +62,16 @@ _cache_enabled: Optional[bool] = None
 class Cell:
     """One sweep cell: a single measurement of ``series`` at ``x``.
 
-    ``extra`` carries figure-specific kwargs as a sorted tuple of
-    ``(name, value)`` pairs (e.g. ``(("nranks", 8),)`` for fig11) so the
-    cell stays hashable and picklable.
+    ``figure`` names a row of :data:`repro.bench.sweeps.SWEEPS` (or a
+    ``workload:<name>`` library replay) and ``x`` a point on its axis —
+    a name where the axis is one (``network``'s preset).  ``extra``
+    carries further kwargs as a sorted tuple of ``(name, value)`` pairs
+    (e.g. ``(("nranks", 8),)`` for fig11), hashable and picklable.
     """
 
     figure: str
     series: str
-    x: int
+    x: int | str
     extra: tuple = ()
 
 
@@ -87,18 +82,9 @@ class SweepStats:
     cells: int = 0
     cache_hits: int = 0
     executed: int = 0
-    #: per-figure executed-cell counts (diagnostics for the selftest)
-    by_figure: dict = field(default_factory=dict)
 
     def reset(self) -> None:
-        self.cells = 0
-        self.cache_hits = 0
-        self.executed = 0
-        self.by_figure.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.cells if self.cells else 0.0
+        self.cells = self.cache_hits = self.executed = 0
 
 
 #: module-wide counters — tests and the selftest read (and reset) these
@@ -155,23 +141,29 @@ def cache_dir() -> Path:
 # ----------------------------------------------------------------------
 
 def cell_key(cell: Cell) -> str:
-    """Content hash of everything the cell's value depends on.
+    """Content hash of everything the cell's value depends on: its
+    coordinates, the workload spec its row derives from ``x``, every
+    cost-model parameter, the package version and the fault environment.
 
     A cell carrying a cost-model preset in ``extra`` is keyed on the
     preset's *resolved parameter set*, not just its name — recalibrating
     a preset invalidates exactly that preset's cached cells.
     """
     from repro import __version__
-    from repro.bench.figures import cell_workload_spec
     from repro.obs.ledger import cost_model_params, fault_env
 
+    if cell.figure.startswith("workload:"):
+        from repro.workloads.library import workload_spec
+
+        workload = workload_spec(cell.figure.split(":", 1)[1])
+    else:
+        from repro.bench.sweeps import SWEEPS
+
+        workload = SWEEPS[cell.figure].layout(cell.x).name
     preset = dict(cell.extra).get("preset")
     material = {
-        "figure": cell.figure,
-        "series": cell.series,
-        "x": cell.x,
-        "extra": list(cell.extra),
-        "workload": cell_workload_spec(cell.figure, cell.x),
+        **asdict(cell),
+        "workload": workload,
         "cost_model": cost_model_params(preset),
         "version": __version__,
         "fault_env": fault_env(),
@@ -197,13 +189,7 @@ def _cache_load(key: str) -> Optional[float]:
 def _cache_store(key: str, cell: Cell, value: float) -> None:
     path = _cache_path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "figure": cell.figure,
-        "series": cell.series,
-        "x": cell.x,
-        "extra": list(cell.extra),
-        "value": value,
-    }
+    payload = {**asdict(cell), "value": value}
     # atomic publish: concurrent sweeps may race on the same key, and a
     # torn write must never be readable as a (corrupt) cached value
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -224,21 +210,29 @@ def _cache_store(key: str, cell: Cell, value: float) -> None:
 # ----------------------------------------------------------------------
 
 def evaluate_cell(cell: Cell) -> float:
-    """Measure one cell in the current process (the worker entry point)."""
+    """Measure one cell in the current process (the worker entry point):
+    its row says which probe runs, on what layout, under which scheme and
+    options.  A cost-model preset travels *by name* in ``extra``
+    (``("preset", name)``) so cells stay picklable; it is resolved here,
+    on top of the row's own cluster kwargs."""
+    extra = dict(cell.extra)
     if cell.figure.startswith("workload:"):
         from repro.workloads.suite import evaluate_workload_cell
 
-        return evaluate_workload_cell(
-            cell.figure, cell.series, dict(cell.extra)
-        )
-    from repro.bench.figures import CELL_EVALUATORS
-    from repro.bench.workloads import figure_workload
+        return evaluate_workload_cell(cell.figure, cell.series, extra)
+    from repro.bench.sweeps import SWEEPS
 
-    fn = CELL_EVALUATORS.get(cell.figure)
-    if fn is None:
-        raise KeyError(f"no cell evaluator registered for {cell.figure!r}")
-    return fn(
-        cell.series, figure_workload(cell.figure, cell.x), dict(cell.extra)
+    row = SWEEPS[cell.figure]
+    probe, scheme, options, cluster, kwargs = row.config(
+        cell.series, cell.x, extra
+    )
+    if extra.get("preset"):
+        from repro.ib.costmodel import get_preset
+
+        cluster = {**(cluster or {}), "cost_model": get_preset(extra["preset"])}
+    return probe(
+        scheme, row.layout(cell.x).datatype,
+        cluster_kwargs=cluster, scheme_options=options, **kwargs,
     )
 
 
@@ -278,7 +272,6 @@ def run_cells(
         results[cell] = value
         if caching:
             _cache_store(keys[cell], cell, value)
-        STATS.by_figure[cell.figure] = STATS.by_figure.get(cell.figure, 0) + 1
         STATS.executed += 1
 
     if jobs > 1 and len(misses) > 1:

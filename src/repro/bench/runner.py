@@ -23,13 +23,14 @@ from repro.ib.costmodel import MB
 from repro.mpi.world import Cluster, RunResult
 
 __all__ = [
+    "contig_leg",
+    "datatype_leg",
     "make_cluster",
+    "manual_leg",
     "measure_alltoall",
     "measure_bandwidth",
-    "measure_contig_pingpong",
-    "measure_manual_pingpong",
-    "measure_multiple_pingpong",
     "measure_pingpong",
+    "multiple_leg",
     "run_oneway",
 ]
 
@@ -83,8 +84,66 @@ def run_oneway(
 
 
 # ----------------------------------------------------------------------
-# ping-pong latency
+# ping-pong latency: four legs, one timed loop
 # ----------------------------------------------------------------------
+
+def datatype_leg(mpi, dt: Datatype, count: int = 1):
+    """The library moves the layout: one datatype send, one datatype
+    receive ("Datatype")."""
+    buf = mpi.alloc(_span(dt, count))
+    peer = 1 - mpi.rank
+
+    def push():
+        yield from mpi.send(buf, dt, count, dest=peer, tag=mpi.rank)
+
+    def pull():
+        yield from mpi.recv(buf, dt, count, source=peer, tag=peer)
+
+    return push, pull
+
+
+def contig_leg(mpi, dt: Datatype, count: int = 1):
+    """The same byte count sent as one contiguous block ("Contig")."""
+    return datatype_leg(mpi, contiguous(dt.size * count, BYTE))
+
+
+def manual_leg(mpi, dt: Datatype, count: int = 1):
+    """The paper's "Manual" strategy: the application packs into its own
+    contiguous buffer, sends contiguously, and unpacks by hand."""
+    buf = mpi.alloc(_span(dt, count))
+    stage = mpi.alloc(max(dt.size * count, 1))
+    contig = contiguous(dt.size * count, BYTE)
+    peer = 1 - mpi.rank
+
+    def push():
+        yield from mpi.user_pack(buf, dt, count, stage)
+        yield from mpi.send(stage, contig, 1, dest=peer, tag=mpi.rank)
+
+    def pull():
+        yield from mpi.recv(stage, contig, 1, source=peer, tag=peer)
+        yield from mpi.user_unpack(buf, dt, count, stage)
+
+    return push, pull
+
+
+def multiple_leg(mpi, dt: Datatype, count: int = 1):
+    """The paper's "Multiple" strategy: one MPI call per contiguous block
+    ("transfers each contiguous block one by one using individual MPI
+    calls"), in both directions — the pong posts one receive per block
+    too.  Block ``k`` travels under tag ``k``."""
+    buf = mpi.alloc(_span(dt, count))
+    blocks = list(dt.flatten(count).blocks())
+    peer = 1 - mpi.rank
+
+    def each_block(post):
+        reqs = []
+        for k, (off, ln) in enumerate(blocks):
+            r = yield from post(buf + off, contiguous(ln, BYTE), 1, peer, k)
+            reqs.append(r)
+        yield from mpi.waitall(reqs)
+
+    return (lambda: each_block(mpi.isend)), (lambda: each_block(mpi.irecv))
+
 
 def measure_pingpong(
     scheme: str,
@@ -95,140 +154,31 @@ def measure_pingpong(
     warmup: int = 1,
     cluster_kwargs: Optional[dict] = None,
     scheme_options: Optional[dict] = None,
+    leg=datatype_leg,
 ) -> float:
-    """One-way datatype ping-pong latency in simulated microseconds."""
+    """One-way ping-pong latency of ``(dt, count)`` in simulated
+    microseconds.
 
-    def rank0(mpi):
-        buf = mpi.alloc(_span(dt, count))
+    ``leg`` is how one direction moves: called once per rank as
+    ``leg(mpi, dt, count)`` it allocates that rank's buffers and returns
+    the pair of generator functions ``(push, pull)`` the timed loop
+    alternates.  Messages carry the sending rank as their tag unless the
+    leg says otherwise.
+    """
+
+    def program(mpi):
+        push, pull = leg(mpi, dt, count)
+        first, second = (push, pull) if mpi.rank == 0 else (pull, push)
         t0 = None
         for i in range(warmup + iters):
             if i == warmup:
                 t0 = mpi.now
-            yield from mpi.send(buf, dt, count, dest=1, tag=0)
-            yield from mpi.recv(buf, dt, count, source=1, tag=1)
+            yield from first()
+            yield from second()
         return (mpi.now - t0) / iters / 2
-
-    def rank1(mpi):
-        buf = mpi.alloc(_span(dt, count))
-        for _ in range(warmup + iters):
-            yield from mpi.recv(buf, dt, count, source=0, tag=0)
-            yield from mpi.send(buf, dt, count, dest=0, tag=1)
 
     cluster = make_cluster(scheme, cluster_kwargs, scheme_options)
-    return cluster.run([rank0, rank1]).values[0]
-
-
-def measure_contig_pingpong(
-    nbytes: int,
-    *,
-    scheme: str = "bc-spup",
-    iters: int = 5,
-    warmup: int = 1,
-    cluster_kwargs: Optional[dict] = None,
-) -> float:
-    """Contiguous-transfer ping-pong of the same byte count ("Contig")."""
-    dt = contiguous(nbytes, BYTE)
-    return measure_pingpong(
-        scheme, dt, iters=iters, warmup=warmup, cluster_kwargs=cluster_kwargs
-    )
-
-
-def measure_manual_pingpong(
-    dt: Datatype,
-    *,
-    scheme: str = "generic",
-    iters: int = 5,
-    warmup: int = 1,
-    cluster_kwargs: Optional[dict] = None,
-) -> float:
-    """The paper's "Manual" strategy: the application packs into its own
-    contiguous buffer, sends contiguously, and unpacks by hand."""
-    contig = contiguous(dt.size, BYTE)
-
-    def rank0(mpi):
-        buf = mpi.alloc(_span(dt))
-        stage = mpi.alloc(max(dt.size, 1))
-        t0 = None
-        for i in range(warmup + iters):
-            if i == warmup:
-                t0 = mpi.now
-            yield from mpi.user_pack(buf, dt, 1, stage)
-            yield from mpi.send(stage, contig, 1, dest=1, tag=0)
-            yield from mpi.recv(stage, contig, 1, source=1, tag=1)
-            yield from mpi.user_unpack(buf, dt, 1, stage)
-        return (mpi.now - t0) / iters / 2
-
-    def rank1(mpi):
-        buf = mpi.alloc(_span(dt))
-        stage = mpi.alloc(max(dt.size, 1))
-        for _ in range(warmup + iters):
-            yield from mpi.recv(stage, contig, 1, source=0, tag=0)
-            yield from mpi.user_unpack(buf, dt, 1, stage)
-            yield from mpi.user_pack(buf, dt, 1, stage)
-            yield from mpi.send(stage, contig, 1, dest=0, tag=1)
-
-    cluster = make_cluster(scheme, cluster_kwargs, None)
-    return cluster.run([rank0, rank1]).values[0]
-
-
-def measure_multiple_pingpong(
-    dt: Datatype,
-    *,
-    scheme: str = "generic",
-    iters: int = 3,
-    warmup: int = 1,
-    cluster_kwargs: Optional[dict] = None,
-) -> float:
-    """The paper's "Multiple" strategy: one MPI call per contiguous block
-    ("transfers each contiguous block one by one using individual MPI
-    calls")."""
-    flat = dt.flatten(1)
-    blocks = list(flat.blocks())
-
-    def rank0(mpi):
-        buf = mpi.alloc(_span(dt))
-        t0 = None
-        for i in range(warmup + iters):
-            if i == warmup:
-                t0 = mpi.now
-            reqs = []
-            for k, (off, ln) in enumerate(blocks):
-                r = yield from mpi.isend(
-                    buf + off, contiguous(ln, BYTE), 1, dest=1, tag=k
-                )
-                reqs.append(r)
-            yield from mpi.waitall(reqs)
-            # wait for the pong (a single small ack models the reverse
-            # direction of the ping-pong at equal cost per block)
-            reqs = []
-            for k, (off, ln) in enumerate(blocks):
-                r = yield from mpi.irecv(
-                    buf + off, contiguous(ln, BYTE), 1, source=1, tag=k
-                )
-                reqs.append(r)
-            yield from mpi.waitall(reqs)
-        return (mpi.now - t0) / iters / 2
-
-    def rank1(mpi):
-        buf = mpi.alloc(_span(dt))
-        for _ in range(warmup + iters):
-            reqs = []
-            for k, (off, ln) in enumerate(blocks):
-                r = yield from mpi.irecv(
-                    buf + off, contiguous(ln, BYTE), 1, source=0, tag=k
-                )
-                reqs.append(r)
-            yield from mpi.waitall(reqs)
-            reqs = []
-            for k, (off, ln) in enumerate(blocks):
-                r = yield from mpi.isend(
-                    buf + off, contiguous(ln, BYTE), 1, dest=0, tag=k
-                )
-                reqs.append(r)
-            yield from mpi.waitall(reqs)
-
-    cluster = make_cluster(scheme, cluster_kwargs, None)
-    return cluster.run([rank0, rank1]).values[0]
+    return cluster.run(program).values[0]
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Wall-clock selftest: per-figure sweep timing and a cache check.
+"""Wall-clock selftest: per-row sweep timing and a cache check.
 
-``python -m repro.bench selftest`` runs each figure on a small fixed
-grid twice against a private result cache: the cold pass measures
-measurement throughput (cells per wall-clock second), the warm pass
-measures the cache-hit speedup and **fails** unless every cell was
+``python -m repro.bench selftest`` runs every row of the sweep table at
+its smallest grid point twice against a private result cache: the cold
+pass measures measurement throughput (cells per wall-clock second), the
+warm pass the cache-hit speedup, and it **fails** unless every cell was
 served from cache — a cell whose key is not a pure function of its spec
 would silently re-measure on every sweep.
 
@@ -20,25 +20,17 @@ import os
 import tempfile
 import time
 from typing import Optional
+from unittest import mock
 
 from repro.bench import parallel
+from repro.bench.sweeps import SWEEPS, run_sweep
 
-__all__ = [
-    "SELFTEST_GRIDS",
-    "format_selftest",
-    "run_selftest",
-]
+__all__ = ["SELFTEST_GRIDS", "format_selftest", "run_selftest"]
 
-#: small fixed grid per figure — big enough to exercise every scheme and
-#: both latency- and bandwidth-style cells, small enough for CI
+#: the smallest grid point of every row that owns a CSV — every series,
+#: probe and option of the table once, small enough for CI
 SELFTEST_GRIDS = {
-    "fig02": (8,),
-    "fig08": (8, 64),
-    "fig09": (8, 64),
-    "fig11": (2048,),
-    "fig12": (16,),
-    "fig13": (4,),
-    "fig14": (8, 64),
+    name: row.xs[:1] for name, row in SWEEPS.items() if row.csv
 }
 
 
@@ -50,31 +42,24 @@ def run_selftest(jobs: Optional[int] = None) -> dict:
     checked-in ``results/`` CSVs.  Raises :class:`AssertionError` when a
     warm pass re-measured a cell the cold pass had just stored.
     """
-    from repro.bench import figures
-
     report: dict = {"jobs": parallel.resolve_jobs(jobs), "figures": {}}
 
-    saved_env = {
-        k: os.environ.get(k) for k in ("REPRO_CACHE_DIR", "REPRO_RESULTS_DIR")
-    }
-    with tempfile.TemporaryDirectory(prefix="repro-selftest-") as tmp:
-        os.environ["REPRO_CACHE_DIR"] = os.path.join(tmp, "cache")
-        os.environ["REPRO_RESULTS_DIR"] = os.path.join(tmp, "results")
+    with tempfile.TemporaryDirectory(prefix="repro-selftest-") as tmp, \
+            mock.patch.dict(os.environ, {
+                "REPRO_CACHE_DIR": os.path.join(tmp, "cache"),
+                "REPRO_RESULTS_DIR": os.path.join(tmp, "results"),
+            }):
         try:
             for figure, grid in SELFTEST_GRIDS.items():
-                # bypass the per-sweep lru memo: the warm pass must hit the
-                # on-disk cell cache, not the in-process result object
-                fn = getattr(figures, figure).__wrapped__
-                sink = io.StringIO()
                 parallel.STATS.reset()
-                with contextlib.redirect_stdout(sink):
+                with contextlib.redirect_stdout(io.StringIO()):
                     t0 = time.perf_counter()
-                    fn(grid)
+                    run_sweep(figure, grid)
                     cold = time.perf_counter() - t0
                     cells = parallel.STATS.cells
                     executed = parallel.STATS.executed
                     t0 = time.perf_counter()
-                    fn(grid)
+                    run_sweep(figure, grid)
                     warm = time.perf_counter() - t0
                 hits = parallel.STATS.cache_hits
                 if hits != cells:
@@ -93,11 +78,6 @@ def run_selftest(jobs: Optional[int] = None) -> dict:
                     "cells_per_sec": cells / cold if cold > 0 else 0.0,
                 }
         finally:
-            for key, value in saved_env.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
             parallel.STATS.reset()
     return report
 
@@ -106,14 +86,14 @@ def format_selftest(report: dict) -> str:
     """Render the selftest report as an aligned text table."""
     lines = [f"bench selftest (jobs={report['jobs']})", ""]
     header = (
-        f"  {'figure':<7} {'cells':>5} {'cold_ms':>9} {'warm_ms':>9} "
+        f"  {'row':<15} {'cells':>5} {'cold_ms':>9} {'warm_ms':>9} "
         f"{'hits':>5} {'cells/s':>8}"
     )
-    lines.append("figure sweeps (small grids, private cold/warm cell cache):")
+    lines.append("sweep rows (smallest grid point, private cold/warm cell cache):")
     lines.append(header)
     for figure, m in report["figures"].items():
         lines.append(
-            f"  {figure:<7} {m['cells']:>5d} {m['cold_wall_s'] * 1e3:>9.1f} "
+            f"  {figure:<15} {m['cells']:>5d} {m['cold_wall_s'] * 1e3:>9.1f} "
             f"{m['warm_wall_s'] * 1e3:>9.1f} {m['warm_cache_hits']:>5d} "
             f"{m['cells_per_sec']:>8.2f}"
         )

@@ -17,10 +17,6 @@ can be compared across datatype *shapes* rather than just sizes:
 
 from __future__ import annotations
 
-import functools
-
-from repro.bench.report import Series, print_table, write_csv
-from repro.bench.runner import measure_pingpong
 from repro.datatypes import (
     DOUBLE,
     INT,
@@ -32,7 +28,7 @@ from repro.datatypes import (
     vector,
 )
 
-__all__ = ["PATTERNS", "make_pattern", "skampi_sweep"]
+__all__ = ["PATTERNS", "make_pattern"]
 
 #: total payload of every pattern, in bytes
 TOTAL_BYTES = 256 * 1024
@@ -55,9 +51,8 @@ def make_pattern(name: str, total_bytes: int = TOTAL_BYTES) -> Datatype:
         inner = vector(4, 64, 128, INT)  # 1 KB data over 2 KB span
         return vector(total_bytes // 1024, 1, 2, inner)
     if name == "struct-mixed":
-        # alternating int and double runs with pagey gaps
-        nrep = total_bytes // 2048
-        blocklens = [128, 128]  # 512 B of ints + 1 KB of doubles... per rep
+        # 512 B of ints at 0 and 1.5 KB of doubles at 768 (a 256 B gap
+        # between them), repeated with 256 B of padding after each pair
         one = struct([128, 192], [0, 768], [INT, DOUBLE])
         assert one.size == 128 * 4 + 192 * 8
         reps = total_bytes // one.size
@@ -91,25 +86,3 @@ PATTERNS = (
     "indexed-random",
     "sparse-resized",
 )
-
-_SCHEMES = ("generic", "bc-spup", "rwg-up", "multi-w", "adaptive")
-
-
-@functools.lru_cache(maxsize=None)
-def skampi_sweep(total_bytes: int = TOTAL_BYTES):
-    """Latency of every scheme on every pattern; returns (patterns, series)."""
-    out = {s: Series(s) for s in _SCHEMES}
-    shapes = []
-    for name in PATTERNS:
-        dt = make_pattern(name, total_bytes)
-        flat = dt.flatten(1)
-        shapes.append(f"{name} ({flat.nblocks} blk, ~{int(flat.mean_block)} B)")
-        for s in _SCHEMES:
-            out[s].y.append(measure_pingpong(s, dt, iters=3))
-    series = [out[s] for s in _SCHEMES]
-    print_table(
-        f"SKaMPI-style pattern sweep, {total_bytes >> 10} KB payload (us)",
-        "pattern", shapes, series, unit="us", baseline="generic",
-    )
-    write_csv("results/skampi.csv", "pattern", list(PATTERNS), series)
-    return list(PATTERNS), out

@@ -8,20 +8,21 @@
   one integer up to ``last_block_ints`` integers, and "the gap between
   two blocks equals the size of the first [of the two] block[s]".
 
-:func:`figure_workload` is the one place that knows which of them a
-figure name means at a sweep coordinate; :func:`workload_for` inverts it
-for the probes that are given a message size instead.
+:func:`figure_workload` reads which of them a sweep row transfers at a
+coordinate off the sweep table; :func:`workload_for` inverts it for the
+probes that are given a message size instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.datatypes import BYTE, INT, Datatype, contiguous, struct, vector
+from repro.datatypes import INT, Datatype, hindexed, struct, vector
 
 __all__ = [
     "PROBE_FIGURES",
     "Workload",
+    "bimodal",
     "column_vector",
     "fig10_struct",
     "figure_workload",
@@ -50,19 +51,18 @@ class Workload:
     #: size of a typical block in bytes
     block_bytes: float
 
+    @classmethod
+    def of(cls, name: str, dt: Datatype) -> "Workload":
+        flat = dt.flatten(1)
+        return cls(name, dt, dt.size, flat.nblocks, flat.mean_block)
+
 
 def column_vector(cols: int, rows: int = ROWS, row_len: int = ROW_LEN) -> Workload:
     """``cols`` columns of a ``rows x row_len`` int array."""
     if not 1 <= cols <= row_len:
         raise ValueError(f"cols must be in [1, {row_len}]")
-    dt = vector(rows, cols, row_len, INT)
-    flat = dt.flatten(1)
-    return Workload(
-        name=f"vector[{rows}x{cols} of {row_len}]",
-        datatype=dt,
-        nbytes=dt.size,
-        nblocks=flat.nblocks,
-        block_bytes=flat.mean_block,
+    return Workload.of(
+        f"vector[{rows}x{cols} of {row_len}]", vector(rows, cols, row_len, INT)
     )
 
 
@@ -78,27 +78,32 @@ def fig10_struct(last_block_ints: int) -> Workload:
         disps.append(pos * 4)
         pos += 2 * n  # block plus an equal-sized gap
         n *= 2
-    dt = struct(lengths, disps, [INT] * len(lengths))
-    flat = dt.flatten(1)
-    return Workload(
-        name=f"struct[1..{last_block_ints} ints]",
-        datatype=dt,
-        nbytes=dt.size,
-        nblocks=flat.nblocks,
-        block_bytes=flat.mean_block,
+    return Workload.of(
+        f"struct[1..{last_block_ints} ints]",
+        struct(lengths, disps, [INT] * len(lengths)),
     )
 
 
-def figure_workload(figure: str, x: int) -> Workload:
-    """What figure ``figure`` transfers at sweep coordinate ``x``: the
-    Figure 10 struct with an ``x``-integer last block for ``fig11``,
-    ``x`` contiguous bytes for the ``contig`` probe, ``x`` columns of the
-    128 x 4096 int array for every other figure."""
-    if figure == "fig11":
-        return fig10_struct(x)
-    if figure == "contig":
-        return Workload(f"contig:{x}B", contiguous(x, BYTE), x, 1, float(x))
-    return column_vector(x)
+def bimodal(tiny: int, huge: int = 6) -> Workload:
+    """``tiny`` 64-byte blocks plus ``huge`` 128 KB blocks — the layout
+    where per-piece scheme selection pays (the ``hybrid`` row)."""
+    # 16-int blocks 16 B apart, then from the next page 32768-int blocks
+    # 4 KB apart
+    base = (tiny * 80 + 4095) // 4096 * 4096
+    disps = [i * 80 for i in range(tiny)]
+    disps += [base + j * (32768 * 4 + 4096) for j in range(huge)]
+    return Workload.of(
+        f"bimodal[{tiny}x64B + {huge}x128KB]",
+        hindexed([16] * tiny + [32768] * huge, disps, INT),
+    )
+
+
+def figure_workload(figure: str, x) -> Workload:
+    """What sweep row ``figure`` transfers at coordinate ``x`` — the
+    row's ``layout`` column of :data:`repro.bench.sweeps.SWEEPS`."""
+    from repro.bench.sweeps import SWEEPS
+
+    return SWEEPS[figure].layout(x)
 
 
 def workload_for(figure: str, nbytes: int) -> Workload:

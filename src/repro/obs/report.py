@@ -23,6 +23,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+from repro.schemes import PAPER_SCHEMES
+
 __all__ = [
     "SchemeBreakdown",
     "format_health",
@@ -33,7 +35,7 @@ __all__ = [
 ]
 
 #: schemes the report covers by default (the figures' line-up)
-DEFAULT_SCHEMES = ("generic", "bc-spup", "rwg-up", "multi-w")
+DEFAULT_SCHEMES = PAPER_SCHEMES
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ SCHEME_NAMES = (
     "generic", "bc-spup", "rwg-up", "p-rrs", "multi-w", "hybrid", "adaptive"
 )
 
+#: the four schemes the paper implements and every figure lines up
+PAPER_SCHEMES = ("generic", "bc-spup", "rwg-up", "multi-w")
+
 _FACTORIES = {
     "generic": GenericScheme,
     "bc-spup": BCSPUPScheme,
@@ -66,6 +69,7 @@ __all__ = [
     "GenericScheme",
     "HybridScheme",
     "MultiWScheme",
+    "PAPER_SCHEMES",
     "PRRSScheme",
     "PoolBuffer",
     "RWGUPScheme",

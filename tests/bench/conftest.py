@@ -1,11 +1,11 @@
 """Bench-test fixtures: keep sweep output away from checked-in results/.
 
-The figure and ablation sweeps write CSVs to relative ``results/...``
-paths, so a test run from the repo root would silently overwrite the
-checked-in reproduction data with tiny smoke-test sweeps.  Every test in
-this directory therefore gets ``REPRO_RESULTS_DIR`` pointed at one shared
-temporary directory (session-scoped, because the sweep functions are
-lru_cached across tests and only write their CSV on the first call).
+Every sweep writes its CSV to a relative ``results/...`` path, so a test
+run from the repo root would silently overwrite the checked-in
+reproduction data with tiny smoke-test sweeps.  Every test in this
+directory therefore gets ``REPRO_RESULTS_DIR`` pointed at one shared
+temporary directory (tests that compare CSV bytes take their own, see
+``test_parallel.py::isolated_dirs``).
 """
 
 import os

@@ -6,14 +6,15 @@ import os
 
 import pytest
 
-from repro.bench import figures, gate, parallel
+from repro.bench import gate, parallel
 from repro.bench.parallel import Cell, cell_key, resolve_jobs, run_cells
+from repro.bench.sweeps import SWEEPS, run_sweep
 
 
 @pytest.fixture
 def isolated_dirs(tmp_path, monkeypatch):
-    """Per-test results + cache dirs (figures are called via __wrapped__
-    to bypass the lru memo, so every call re-runs the sweep)."""
+    """Per-test results + cache dirs: CSV bytes are compared between
+    runs, and hit counts are asserted from an empty cache."""
     results = tmp_path / "results"
     cache = tmp_path / "cache"
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))
@@ -66,6 +67,24 @@ class TestCacheKey:
         }
         assert len(keys) == 6
 
+    def test_known_keys_survive_the_table(self, monkeypatch):
+        """Keys computed before ``Cell.x`` became ``int | str`` and before
+        the sweep table existed: cached figure cells and the gate's cells
+        keep theirs.  (A version bump or a recalibration of the default
+        cost model changes them on purpose — recompute then.)"""
+        monkeypatch.delenv("REPRO_FAULT_PROFILE", raising=False)
+        monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
+        assert cell_key(Cell("fig08", "bc-spup", 64)) == (
+            "5831161259fc99f3a16985a2bfd6eb69c86a86d1c2e505c1dad52aa41d3a007b"
+        )
+        assert cell_key(Cell("fig11", "multi-w", 2048, (("nranks", 8),))) == (
+            "6af044a0ac1badbea6d4ddde5f89ccf1e5cdb8e396abfe3c9cbce807ffda46c2"
+        )
+
+    def test_named_axis_points_are_keyed_apart(self):
+        keys = {cell_key(Cell("network", "generic", x)) for x in SWEEPS["network"].xs}
+        assert len(keys) == 3
+
     def test_fault_environment_changes_key(self, monkeypatch):
         cell = Cell("fig08", "bc-spup", 8)
         monkeypatch.delenv("REPRO_FAULT_PROFILE", raising=False)
@@ -114,20 +133,20 @@ class TestEquivalence:
         parallel.STATS.reset()
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-serial"))
-        figures.fig08.__wrapped__(self.GRID)
+        run_sweep("fig08", self.GRID)
         serial = _csv_bytes(results, "fig08.csv")
         assert parallel.STATS.cache_hits == 0
         assert parallel.STATS.executed == len(self.GRID) * 4
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-par"))
         parallel.STATS.reset()
-        figures.fig08.__wrapped__(self.GRID)
-        # same dir, same filename: the parallel run overwrites the serial CSV
+        run_sweep("fig08", self.GRID)
+        # same dir, same filename: the second cold run overwrites the CSV
         assert _csv_bytes(results, "fig08.csv") == serial
 
         # warm re-run: every cell served from cache, output still identical
         parallel.STATS.reset()
-        figures.fig08.__wrapped__(self.GRID)
+        run_sweep("fig08", self.GRID)
         assert parallel.STATS.cache_hits == parallel.STATS.cells
         assert parallel.STATS.executed == 0
         assert _csv_bytes(results, "fig08.csv") == serial
@@ -138,18 +157,46 @@ class TestEquivalence:
         results, _cache = isolated_dirs
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-a"))
         parallel.set_jobs(None)
-        figures.fig08.__wrapped__(self.GRID)
+        run_sweep("fig08", self.GRID)
         serial = _csv_bytes(results, "fig08.csv")
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-b"))
         parallel.set_jobs(4)
         try:
             parallel.STATS.reset()
-            figures.fig08.__wrapped__(self.GRID)
+            run_sweep("fig08", self.GRID)
         finally:
             parallel.set_jobs(None)
         assert parallel.STATS.executed == len(self.GRID) * 4
         assert _csv_bytes(results, "fig08.csv") == serial
+
+    def test_ablation_row_serial_warm_pool_identical(self, isolated_dirs,
+                                                     tmp_path, monkeypatch):
+        """An ablation is a row like any figure: its cells enter
+        ``run_cells``, so it is cached and fans out over workers too."""
+        results, _cache = isolated_dirs
+        csv = "ablation_registration.csv"
+        parallel.set_jobs(None)
+        parallel.STATS.reset()
+        run_sweep("registration", (64,))
+        serial = _csv_bytes(results, csv)
+        assert parallel.STATS.executed == 3
+
+        parallel.STATS.reset()
+        run_sweep("registration", (64,))
+        assert parallel.STATS.cache_hits == parallel.STATS.cells == 3
+        assert parallel.STATS.executed == 0
+        assert _csv_bytes(results, csv) == serial
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache-pool"))
+        parallel.set_jobs(4)
+        try:
+            parallel.STATS.reset()
+            run_sweep("registration", (64,))
+        finally:
+            parallel.set_jobs(None)
+        assert parallel.STATS.executed == 3
+        assert _csv_bytes(results, csv) == serial
 
 
 class TestGateErrors:

@@ -7,14 +7,15 @@ import pytest
 
 from repro.bench.overlap import measure_overlap
 from repro.bench.runner import (
+    contig_leg,
+    manual_leg,
     measure_alltoall,
     measure_bandwidth,
-    measure_contig_pingpong,
-    measure_manual_pingpong,
-    measure_multiple_pingpong,
     measure_pingpong,
+    multiple_leg,
 )
 from repro.bench.workloads import column_vector, fig10_struct
+from repro.datatypes import BYTE, contiguous
 
 # timing anchors are meaningless under fault injection
 pytestmark = pytest.mark.faultfree
@@ -41,19 +42,33 @@ class TestPingpong:
 
     def test_contig_faster_than_datatype(self):
         w = column_vector(256)
-        contig = measure_contig_pingpong(w.nbytes, iters=2)
+        contig = measure_pingpong(
+            "bc-spup", contiguous(w.nbytes, BYTE), iters=2
+        )
         datatype = measure_pingpong("generic", w.datatype, iters=2)
         assert contig < datatype
 
+    def test_contig_leg_is_the_contiguous_layout(self):
+        """Figure 2's "Contig" series: the layout's byte count as one
+        block is the same experiment as sending that contiguous type."""
+        w = column_vector(256)
+        assert measure_pingpong(
+            "generic", w.datatype, iters=2, leg=contig_leg
+        ) == measure_pingpong("generic", contiguous(w.nbytes, BYTE), iters=2)
+
     def test_manual_close_to_datatype(self):
         w = column_vector(256)
-        manual = measure_manual_pingpong(w.datatype, iters=2)
+        manual = measure_pingpong(
+            "generic", w.datatype, iters=2, leg=manual_leg
+        )
         datatype = measure_pingpong("generic", w.datatype, iters=2)
         assert manual == pytest.approx(datatype, rel=0.15)
 
     def test_multiple_pays_per_block(self):
         w = column_vector(8)
-        multiple = measure_multiple_pingpong(w.datatype, iters=1)
+        multiple = measure_pingpong(
+            "generic", w.datatype, iters=1, leg=multiple_leg
+        )
         datatype = measure_pingpong("generic", w.datatype, iters=1)
         assert multiple > datatype
 

@@ -13,6 +13,14 @@ def one_figure(monkeypatch):
     monkeypatch.setattr(selftest, "SELFTEST_GRIDS", {"fig08": (8,)})
 
 
+def test_grids_cover_every_csv_row_at_its_smallest_point():
+    from repro.bench.sweeps import SWEEPS
+
+    grids = selftest.SELFTEST_GRIDS
+    assert len(grids) == 17 and "contig" not in grids
+    assert all(grid == (SWEEPS[name].xs[0],) for name, grid in grids.items())
+
+
 class TestWarmPassCacheCheck:
     def test_every_cell_served_from_cache(self, one_figure):
         report = run_selftest(jobs=1)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import Cluster, CostModel, types
-from repro.bench.runner import measure_bandwidth, measure_contig_pingpong
+from repro.bench.runner import measure_bandwidth, measure_pingpong
 from repro.ib.costmodel import MB
 
 # timing anchors are meaningless under fault injection
@@ -22,7 +22,9 @@ pytestmark = pytest.mark.faultfree
 
 class TestContiguousAnchors:
     def test_small_message_latency_single_digit_us(self):
-        lat = measure_contig_pingpong(8, iters=4)
+        lat = measure_pingpong(
+            "bc-spup", types.contiguous(8, types.BYTE), iters=4
+        )
         assert 4.0 < lat < 14.0, lat
 
     def test_large_message_bandwidth_near_wire(self):
@@ -76,18 +78,16 @@ class TestEndToEndAnchors:
         than ~a quarter (here <= 0.35) of contiguous performance."""
         cols = 1024
         dt = types.vector(128, cols, 4096, types.INT)
-        from repro.bench.runner import measure_pingpong
-
         datatype = measure_pingpong("generic", dt, iters=3)
-        contig = measure_contig_pingpong(dt.size, iters=3)
+        contig = measure_pingpong(
+            "bc-spup", types.contiguous(dt.size, types.BYTE), iters=3
+        )
         assert contig / datatype < 0.35
 
     def test_multiw_headline_factor(self):
         """Figure 8's headline: Multi-W improves 1 MB vector latency by
         ~3x (paper: 3.4x, ours: >= 2.4x)."""
         dt = types.vector(128, 2048, 4096, types.INT)
-        from repro.bench.runner import measure_pingpong
-
         gen = measure_pingpong("generic", dt, iters=3)
         mw = measure_pingpong("multi-w", dt, iters=3)
         assert gen / mw > 2.4
