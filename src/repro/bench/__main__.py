@@ -15,16 +15,13 @@ Targets are the rows of :data:`repro.bench.sweeps.SWEEPS` that own a
 CSV.  Tables print to stdout; CSVs land in ``results/``.  Every row runs
 through the parallel executor (``-j``/``$REPRO_BENCH_JOBS`` workers) and
 the content-addressed result cache under ``.repro-cache/`` — pass
-``--fresh`` to ignore cached cells.  Every sweep and selftest appends a
-record to the run ledger (``results/ledger/``, disable with
-``--no-ledger``).
+``--fresh`` to ignore cached cells.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from repro.bench import parallel
 from repro.bench.overlap import measure_overlap
@@ -35,37 +32,6 @@ from repro.schemes import PAPER_SCHEMES
 #: the rows with a CLI target, and the ``ablations`` group among them
 ROWS = [name for name, row in SWEEPS.items() if row.csv]
 ABLATIONS = [n for n in ROWS if SWEEPS[n].csv.startswith("results/ablation_")]
-
-
-def _append_record(kind: str, metrics: dict, extra: dict) -> None:
-    from repro.obs import ledger
-
-    ledger.append_record(ledger.make_record(
-        kind, timestamp=time.time(), sha=ledger.git_sha(),
-        metrics=metrics, extra=extra,
-    ))
-
-
-def _append_sweep_record(target: str, result) -> None:
-    """Ledger one sweep: the full series grid as metric values."""
-    xs, series_map = result
-    metrics = {
-        f"{target}/{key}/x={x}": {"value": y}
-        for key, series in series_map.items()
-        for x, y in zip(xs, series.y)
-    }
-    _append_record("sweep", metrics, {"figure": target})
-
-
-def _append_selftest_record(report: dict) -> None:
-    """Ledger one selftest run: cold sweep throughput per row."""
-    metrics = {
-        f"selftest/{fig}/cells_per_sec": {
-            "value": m["cells_per_sec"], "unit": "cells/s", "better": "higher",
-        }
-        for fig, m in report.get("figures", {}).items()
-    }
-    _append_record("selftest", metrics, {"jobs": report.get("jobs")})
 
 
 def _run_overlap(cols: int = 1024) -> None:
@@ -112,11 +78,6 @@ def main(argv=None) -> int:
         help="ignore the .repro-cache result cache and re-measure every cell",
     )
     parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append run records to results/ledger/",
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -158,13 +119,8 @@ def main(argv=None) -> int:
                     json.dumps(selftest, indent=2, sort_keys=True) + "\n"
                 )
                 print(f"\nwrote selftest report {out}")
-            if not args.no_ledger:
-                _append_selftest_record(selftest)
             continue
-        cols = args.cols if SWEEPS[target].axis == "cols" else None
-        result = run_sweep(target, cols)
-        if not args.no_ledger:
-            _append_sweep_record(target, result)
+        run_sweep(target, args.cols if SWEEPS[target].axis == "cols" else None)
     return 0
 
 

@@ -2,9 +2,8 @@
 
 Measures per-scheme simulated performance at a few fig08 (ping-pong
 latency) and fig09 (streaming bandwidth) workload points, writes the
-numbers to a JSON report (``--out`` with no argument auto-numbers
-``BENCH_<n>.json``), and compares them against the checked-in
-``benchmarks/baseline.json``: any metric more than ``--tolerance``
+numbers to a JSON report (``--out PATH``), and compares them against the
+checked-in ``benchmarks/baseline.json``: any metric more than ``--tolerance``
 (default 10%) *worse* than baseline fails the run.
 
 The metrics are simulated and deterministic, so in the absence of
@@ -19,16 +18,12 @@ attribution (copy / wire / descriptor / registration / resource-wait /
 protocol-wait).  On failure the **regression explainer**
 (:mod:`repro.obs.regress`) profiles the regressed cells only, diffs them
 against that stored attribution and names which category moved and by
-how much — from a fresh clone, with no run history.  Every gate run also
-appends one record of its metric values to the append-only run ledger
-(``results/ledger/ledger.jsonl``; see docs/OBSERVABILITY.md), which is
-what ``python -m repro.obs trends`` reads.
+how much — from a fresh clone, with no run history.
 
 Usage::
 
-    python -m repro.bench.gate --out                  # measure + gate,
-                                                      # next free BENCH_<n>.json
-    python -m repro.bench.gate --out BENCH_9.json     # explicit report path
+    python -m repro.bench.gate                        # measure + gate
+    python -m repro.bench.gate --out gate.json        # ... and keep the report
     python -m repro.bench.gate --write-baseline       # refresh baseline
 """
 
@@ -38,11 +33,9 @@ import argparse
 import contextlib
 import json
 import os
-import re
 import sys
-import time
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.bench.parallel import Cell, run_cells
 from repro.bench.sweeps import SWEEPS
@@ -53,7 +46,6 @@ __all__ = [
     "compare",
     "load_baseline",
     "main",
-    "next_bench_path",
     "write_profile_artifacts",
 ]
 
@@ -185,24 +177,6 @@ def compare(
     return failures
 
 
-_BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
-
-
-def next_bench_path(directory: Path = Path(".")) -> Path:
-    """Next free ``BENCH_<n>.json`` in ``directory``.
-
-    Numbering starts at 2 and continues past the highest existing
-    report, so repeated gate runs accumulate a trajectory instead of
-    overwriting one file.
-    """
-    taken = [
-        int(m.group(1))
-        for m in (_BENCH_RE.match(p.name) for p in directory.glob("BENCH_*.json"))
-        if m
-    ]
-    return directory / f"BENCH_{max(taken, default=1) + 1}.json"
-
-
 def write_profile_artifacts(outdir: Path) -> Path:
     """Run the representative critical-path profile; write CI artifacts.
 
@@ -230,35 +204,11 @@ def write_profile_artifacts(outdir: Path) -> Path:
     return report
 
 
-def _append_ledger_record(
-    report: dict,
-    status: str,
-    ledger_file: Optional[Path],
-    out_path: Optional[Path],
-) -> None:
-    """Append this run's metric values to the run ledger."""
-    from repro.obs import ledger as ledger_mod
-
-    record = ledger_mod.make_record(
-        "gate",
-        timestamp=time.time(),
-        sha=ledger_mod.git_sha(),
-        status=status,
-        metrics=report["metrics"],
-        extra={"out": str(out_path)} if out_path else None,
-    )
-    path = ledger_mod.append_record(record, ledger_file)
-    print(f"appended {status!r} record to ledger {path}")
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
-    ap.add_argument("--out", nargs="?", const="auto", default=None,
-                    metavar="PATH",
-                    help="write the measured report to this JSON file; "
-                         "with no PATH, pick the next free BENCH_<n>.json "
-                         "so trajectories accumulate")
+    ap.add_argument("--out", type=Path, default=None, metavar="PATH",
+                    help="write the measured report to this JSON file")
     ap.add_argument("--tolerance", type=float, default=0.10,
                     help="allowed relative regression (default 0.10)")
     ap.add_argument("--write-baseline", action="store_true",
@@ -271,11 +221,6 @@ def main(argv=None) -> int:
     ap.add_argument("-j", "--jobs", type=int, default=None,
                     help="worker processes for the measurement cells "
                          "(0 = all cores; default $REPRO_BENCH_JOBS or 1)")
-    ap.add_argument("--ledger", type=Path, default=None, metavar="PATH",
-                    help="ledger file to append this run's record to "
-                         "(default results/ledger/ledger.jsonl)")
-    ap.add_argument("--no-ledger", action="store_true",
-                    help="do not append a run record to the ledger")
     ap.add_argument("--explain-out", type=Path, default=None, metavar="PATH",
                     help="write the regression explanation (markdown/text) "
                          "here; on a pass the file records that no metric "
@@ -287,11 +232,9 @@ def main(argv=None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     report = collect(jobs=args.jobs)
-    out_path: Optional[Path] = None
     if args.out is not None:
-        out_path = next_bench_path() if args.out == "auto" else Path(args.out)
-        out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out_path}")
+        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.out}")
     if args.profile_dir is not None:
         path = write_profile_artifacts(args.profile_dir)
         print(f"wrote profile artifacts under {path.parent}")
@@ -307,8 +250,6 @@ def _run(args: argparse.Namespace) -> int:
             json.dumps(baseline, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote baseline {args.baseline}")
-        if not args.no_ledger:
-            _append_ledger_record(report, "baseline", args.ledger, out_path)
         return 0
     try:
         baseline = load_baseline(args.baseline)
@@ -341,11 +282,6 @@ def _run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-
-    if not args.no_ledger:
-        _append_ledger_record(
-            report, "fail" if failures else "pass", args.ledger, out_path
-        )
 
     if failures:
         from repro.obs.regress import explain_regressions, format_regressions

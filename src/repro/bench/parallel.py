@@ -14,8 +14,9 @@ completion order.
 On top of the executor sits the one result cache, content-addressed
 under ``.repro-cache/`` (override with ``$REPRO_CACHE_DIR``): the key
 (:func:`cell_key`) hashes everything a cell's value depends on, so
-unchanged cells are skipped on re-runs and a cost-model recalibration, a
-version bump, or a different fault profile forces re-measurement.  The
+unchanged cells are skipped on re-runs and a cost-model recalibration, an
+edit to any source file of the package, or a different fault profile
+forces re-measurement.  The
 CI regression gate always measures fresh (``use_cache=False``) — a gate
 that trusts yesterday's numbers gates nothing.
 
@@ -26,6 +27,7 @@ Worker count resolution order: explicit ``jobs=`` argument, then
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -46,12 +48,16 @@ __all__ = [
     "run_cells",
     "set_cache_enabled",
     "set_jobs",
+    "source_digest",
 ]
 
 JOBS_ENV = "REPRO_BENCH_JOBS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_ENV = "REPRO_BENCH_CACHE"
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: the package whose sources a cached value is only as fresh as
+_SOURCES = Path(__file__).resolve().parents[1]
 
 #: process-wide defaults installed by the CLIs (None = consult the env)
 _default_jobs: Optional[int] = None
@@ -140,17 +146,31 @@ def cache_dir() -> Path:
 # cache keying
 # ----------------------------------------------------------------------
 
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over every ``*.py`` of the package (relative path and
+    bytes, in sorted order), computed once per process: the part of a
+    cell's key that makes any source edit a cache miss."""
+    digest = hashlib.sha256()
+    for path in sorted(_SOURCES.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(_SOURCES).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def cell_key(cell: Cell) -> str:
     """Content hash of everything the cell's value depends on: its
     coordinates, the workload spec its row derives from ``x``, every
-    cost-model parameter, the package version and the fault environment.
+    cost-model parameter, the package's sources (:func:`source_digest`)
+    and the fault environment.
 
     A cell carrying a cost-model preset in ``extra`` is keyed on the
     preset's *resolved parameter set*, not just its name — recalibrating
     a preset invalidates exactly that preset's cached cells.
     """
-    from repro import __version__
-    from repro.obs.ledger import cost_model_params, fault_env
+    from repro.ib.costmodel import CostModel, get_preset
 
     if cell.figure.startswith("workload:"):
         from repro.workloads.library import workload_spec
@@ -164,9 +184,14 @@ def cell_key(cell: Cell) -> str:
     material = {
         **asdict(cell),
         "workload": workload,
-        "cost_model": cost_model_params(preset),
-        "version": __version__,
-        "fault_env": fault_env(),
+        "cost_model": asdict(
+            get_preset(preset) if preset else CostModel.mellanox_2003()
+        ),
+        "sources": source_digest(),
+        "fault_env": {
+            "profile": os.environ.get("REPRO_FAULT_PROFILE", ""),
+            "seed": os.environ.get("REPRO_FAULT_SEED", ""),
+        },
     }
     blob = json.dumps(material, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -3,8 +3,8 @@
 ``check`` sweeps every (scheme x preset x workload) cell, classifies
 the guideline catalogue (pass / violation / crossover-shift), explains
 violations via the predicted-vs-simulated cost-model machinery, applies
-the checked-in waiver file, appends a record to the run ledger, and
-exits nonzero when any *unwaived* violation remains — the CI gate.
+the checked-in waiver file, and exits nonzero when any *unwaived*
+violation remains — the CI gate.
 
 ``presets`` lists the registered cost-model presets with their
 provenance lines.
@@ -93,18 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the per-violation cost-category attribution",
     )
-    check.add_argument(
-        "--ledger",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="ledger file to append this run's record to",
-    )
-    check.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append a run record to the ledger",
-    )
 
     sub.add_parser("presets", help="list cost-model presets with provenance")
     return parser
@@ -148,9 +136,6 @@ def run_checkcmd(args) -> int:
     if args.markdown is not None:
         args.markdown.write_text(report.format_markdown(results, presets))
         print(f"wrote {args.markdown}")
-    if not args.no_ledger:
-        path = harness.append_guidelines_record(results, presets, path=args.ledger)
-        print(f"appended guidelines record to ledger {path}")
 
     return 1 if any(r.failing for r in results) else 0
 

@@ -29,7 +29,6 @@ waiver can pin (:mod:`repro.guidelines.waivers`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,7 +43,6 @@ __all__ = [
     "GUIDELINE_SCHEMES",
     "LAT_COLUMNS",
     "CheckResult",
-    "append_guidelines_record",
     "build_cells",
     "crossover_sizes",
     "evaluate",
@@ -108,7 +106,7 @@ class CheckResult:
         return self.status == "violation" and not self.waived
 
     def key(self) -> str:
-        """Stable coordinate string (reports, ledger, debugging)."""
+        """Stable coordinate string (reports, debugging)."""
         parts = [self.guideline, self.preset]
         if self.scheme:
             parts.append(self.scheme)
@@ -451,61 +449,3 @@ def run_check(
     """Sweep + evaluate in one call (the CLI's core)."""
     values = sweep(presets, schemes, lat_cols, bw_cols, jobs, use_cache)
     return evaluate(values, presets, schemes, lat_cols, bw_cols, explain_violations)
-
-
-# ----------------------------------------------------------------------
-# ledger integration
-# ----------------------------------------------------------------------
-
-
-def append_guidelines_record(
-    results: Sequence[CheckResult],
-    presets: Sequence[str],
-    timestamp: Optional[float] = None,
-    path=None,
-):
-    """Append one ``guidelines`` record to the append-only run ledger.
-
-    Per-preset violation / crossover-shift / waived counts land in the
-    record's ``metrics`` section under ``guidelines/<preset>/...`` keys,
-    so the trends CLI charts them with no extra wiring; the full
-    per-check classification rides in ``checks``.
-    """
-    from repro.obs import ledger as ledger_mod
-
-    metrics: dict = {}
-    for preset in presets:
-        mine = [r for r in results if r.preset == preset]
-        counts = {
-            "violations": sum(r.status == "violation" for r in mine),
-            "crossover_shifts": sum(r.status == "crossover-shift" for r in mine),
-            "waived": sum(r.waived for r in mine),
-        }
-        for name, value in counts.items():
-            metrics[f"guidelines/{preset}/{name}"] = {
-                "value": value,
-                "unit": "checks",
-                "better": "lower",
-            }
-    status = "fail" if any(r.failing for r in results) else "pass"
-    record = ledger_mod.make_record(
-        "guidelines",
-        timestamp=time.time() if timestamp is None else timestamp,
-        sha=ledger_mod.git_sha(),
-        status=status,
-        metrics=metrics,
-        extra={
-            "presets": list(presets),
-            "checks": [
-                {
-                    "key": r.key(),
-                    "status": r.status,
-                    "waived": r.waived,
-                    "moved_category": (r.explanation or {}).get("moved_category"),
-                }
-                for r in results
-                if r.status != "pass"
-            ],
-        },
-    )
-    return ledger_mod.append_record(record, path)

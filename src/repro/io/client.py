@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.datatypes import Datatype, SegmentCursor
 from repro.datatypes.pack import pack_bytes, unpack_bytes
-from repro.ib.verbs import MAX_SGE, Opcode, RecvWR, SGE, SendWR
+from repro.ib.verbs import MAX_SGE, Opcode, RecvWR, SGE, SGEList, SendWR
 from repro.io.server import FileHandle, _Commit, _CommitAck, _OpenReply, _OpenReq
 from repro.registration import RegistrationCache
-from repro.registration.ogr import plan_regions
+from repro.schemes.base import RegisteredUserBuffer, charge_dtproc
 from repro.simulator import SimulationError, Store
 
 __all__ = ["IOClient"]
@@ -67,7 +65,10 @@ class StripedHandle:
 
 
 class IOClient:
-    """One client node's connections to the storage servers."""
+    """One client node's connections to the storage servers.  It carries
+    the ``node`` / ``cm`` / ``reg_cache`` the rendezvous toolkit in
+    :mod:`repro.schemes.base` asks of a context, so registration and the
+    datatype-processing charge are that toolkit's."""
 
     def __init__(self, node, client_id: int, reg_cache_bytes: int,
                  stripe_size: int = 64 * 1024):
@@ -79,6 +80,8 @@ class IOClient:
         self.reg_cache = RegistrationCache(node, reg_cache_bytes)
         self._req_seq = 0
         self._replies: Store = Store(self.sim)
+        #: wr_id -> completion event of every signaled WR in flight
+        self._send_events: dict = {}
         self._qps: dict[int, object] = {}
         self._bounce_addr = 0
         self._bounce_size = 0
@@ -92,6 +95,7 @@ class IOClient:
         wr = RecvWR(wr_id=("cli-ctrl", self.client_id))
         qp.post_recv_nocost(wr, _CTRL_DEPTH)
         self.sim.process(self._pump(qp, wr), name=f"fcli{self.client_id}s{server_id}")
+        self.sim.process(self._send_dispatcher(qp), name=f"fio-cqe{self.client_id}")
 
     @property
     def _qp(self):
@@ -103,6 +107,12 @@ class IOClient:
             cqe = yield qp.recv_cq.wait()
             qp.post_recv_nocost(wr)
             self._replies.put(cqe.payload)
+
+    def _send_dispatcher(self, qp):
+        """Drain ``qp``'s send CQ, resolving each CQE's event by ``wr_id``."""
+        while True:
+            cqe = yield qp.send_cq.wait()
+            self._send_events.pop(cqe.wr_id).succeed(cqe)
 
     # -- public API -------------------------------------------------------
 
@@ -212,10 +222,10 @@ class IOClient:
             pieces = self._view_pieces(
                 fh, file_offset, cur, nbytes, file_dt, packed=False
             )
-            mrs = yield from self._register_blocks(addr, *cur.slices(0, nbytes))
+            reg = yield from RegisteredUserBuffer.acquire(self, addr, cur.flat)
             yield from self._issue_view_ops(fh, pieces, Opcode.RDMA_WRITE,
-                                            addr, mrs, bounce=None)
-            yield from self._release_blocks(mrs)
+                                            addr, reg, bounce=None)
+            yield from reg.release(self)
         elif strategy == "pack":
             pieces = self._view_pieces(
                 fh, file_offset, cur, nbytes, file_dt, packed=True
@@ -250,10 +260,10 @@ class IOClient:
             pieces = self._view_pieces(
                 fh, file_offset, cur, nbytes, file_dt, packed=False
             )
-            mrs = yield from self._register_blocks(addr, *cur.slices(0, nbytes))
+            reg = yield from RegisteredUserBuffer.acquire(self, addr, cur.flat)
             yield from self._issue_view_ops(fh, pieces, Opcode.RDMA_READ,
-                                            addr, mrs, bounce=None)
-            yield from self._release_blocks(mrs)
+                                            addr, reg, bounce=None)
+            yield from reg.release(self)
         elif strategy == "pack":
             pieces = self._view_pieces(
                 fh, file_offset, cur, nbytes, file_dt, packed=True
@@ -304,13 +314,10 @@ class IOClient:
             mem_side = cur.flat
         return refine(mem_side, 0, clipped, file_offset)
 
-    def _issue_view_ops(self, fh, pieces, opcode, addr, mrs, bounce):
+    def _issue_view_ops(self, fh, pieces, opcode, addr, reg, bounce):
         """Issue one RDMA op per refined piece, split at stripe borders."""
-        yield from self.node.cpu_work(
-            self.cm.dt_startup + len(pieces) * self.cm.dt_per_block, "dtproc"
-        )
+        yield from charge_dtproc(self, len(pieces))
         completions = []
-        k = 0
         for mem_off, file_off, ln in pieces:
             pos = 0
             while pos < ln:
@@ -318,27 +325,16 @@ class IOClient:
                 server, local = fh.locate(goff)
                 stripe_left = fh.stripe_size - (goff % fh.stripe_size)
                 take = min(ln - pos, stripe_left)
-                part = fh.parts[server]
-                qp = self._qps[server]
                 if bounce is not None:
                     sge = SGE(bounce + mem_off + pos, take, self._bounce_mr.lkey)
                 else:
                     local_addr = addr + mem_off + pos
-                    sge = SGE(local_addr, take, self._lkey(mrs, local_addr, take))
-                wr_id = (self.client_id, "view", k)
-                k += 1
-                ev = self.sim.event()
-                self._track(qp, wr_id, ev)
-                yield from qp.post_send(
-                    SendWR(
-                        opcode,
-                        sges=[sge],
-                        remote_addr=part.addr + local,
-                        rkey=part.rkey,
-                        wr_id=wr_id,
-                    )
+                    sge = SGE(local_addr, take, reg.lkey_for(local_addr, take))
+                done = yield from self._post(
+                    opcode, [sge], fh, server, local,
+                    (self.client_id, "view", len(completions)),
                 )
-                completions.append(ev)
+                completions.append(done)
                 pos += take
         yield self.sim.all_of(completions)
 
@@ -362,60 +358,35 @@ class IOClient:
         """Zero-copy strategy: register the user blocks, then one
         ``opcode`` (RDMA write or read) per <= MAX_SGE gather/scatter
         entries of each stripe chunk."""
-        offsets, lengths = cur.slices(0, cur.total)
-        yield from self.node.cpu_work(
-            self.cm.dt_startup + len(offsets) * self.cm.dt_per_block, "dtproc"
-        )
-        mrs = yield from self._register_blocks(addr, offsets, lengths)
+        yield from charge_dtproc(self, cur.flat.nblocks)
+        reg = yield from RegisteredUserBuffer.acquire(self, addr, cur.flat)
         completions = []
         for lo, hi, server, local in self._stripe_chunks(fh, file_offset, cur.total):
-            part = fh.parts[server]
-            qp = self._qps[server]
             offsets, lengths = cur.slices(lo, hi)
-            remote = part.addr + local
-            for k in range(0, len(offsets), MAX_SGE):
-                group = list(zip(
-                    (addr + offsets[k : k + MAX_SGE]).tolist(),
-                    lengths[k : k + MAX_SGE].tolist(),
-                ))
-                sges = [SGE(a, ln, self._lkey(mrs, a, ln)) for a, ln in group]
-                wr_id = (self.client_id, _WR_TAG[opcode], lo, k)
-                ev = self.sim.event()
-                self._track(qp, wr_id, ev)
-                yield from qp.post_send(
-                    SendWR(
-                        opcode,
-                        sges=sges,
-                        remote_addr=remote,
-                        rkey=part.rkey,
-                        wr_id=wr_id,
-                    )
+            addrs = addr + offsets
+            lkeys = reg.lkeys_for(addrs, lengths)
+            for k in range(0, len(addrs), MAX_SGE):
+                sges = SGEList(*(a[k : k + MAX_SGE] for a in (addrs, lengths, lkeys)))
+                done = yield from self._post(
+                    opcode, sges, fh, server, local,
+                    (self.client_id, _WR_TAG[opcode], lo, k),
                 )
-                completions.append(ev)
-                remote += sum(ln for _o, ln in group)
+                completions.append(done)
+                local += sges.nbytes
         yield self.sim.all_of(completions)
-        yield from self._release_blocks(mrs)
+        yield from reg.release(self)
 
     def _rdma_bounce(self, opcode, fh, file_offset, total, bounce):
         """One ``opcode`` per stripe chunk between the packed bounce
         buffer and the file."""
         completions = []
         for lo, hi, server, local in self._stripe_chunks(fh, file_offset, total):
-            part = fh.parts[server]
-            qp = self._qps[server]
-            wr_id = (self.client_id, _WR_TAG[opcode] + "p", lo)
-            ev = self.sim.event()
-            self._track(qp, wr_id, ev)
-            yield from qp.post_send(
-                SendWR(
-                    opcode,
-                    sges=[SGE(bounce + lo, hi - lo, self._bounce_mr.lkey)],
-                    remote_addr=part.addr + local,
-                    rkey=part.rkey,
-                    wr_id=wr_id,
-                )
+            done = yield from self._post(
+                opcode, [SGE(bounce + lo, hi - lo, self._bounce_mr.lkey)],
+                fh, server, local,
+                (self.client_id, _WR_TAG[opcode] + "p", lo),
             )
-            completions.append(ev)
+            completions.append(done)
         yield self.sim.all_of(completions)
 
     def _write_pack(self, fh, file_offset, addr, cur):
@@ -457,38 +428,22 @@ class IOClient:
             assert isinstance(ack, _CommitAck)
             expected.discard(ack.req_id)
 
-    def _track(self, qp, wr_id, ev):
-        """Resolve ``ev`` when the send CQE for ``wr_id`` arrives on ``qp``."""
-
-        def waiter():
-            while True:
-                cqe = yield qp.send_cq.wait()
-                if cqe.wr_id == wr_id:
-                    ev.succeed(cqe)
-                    return
-                # someone else's completion: re-queue it
-                qp.send_cq.push(cqe)
-
-        self.sim.process(waiter(), name=f"fio-cqe{self.client_id}")
-
-    def _register_blocks(self, addr, offsets, lengths):
-        blocks = np.column_stack((addr + offsets, lengths))
-        mrs = []
-        for raddr, rlen in plan_regions(blocks, self.cm):
-            mr = yield from self.reg_cache.acquire(raddr, rlen)
-            mrs.append(mr)
-        return mrs
-
-    def _release_blocks(self, mrs):
-        for mr in mrs:
-            yield from self.reg_cache.release(mr)
-
-    @staticmethod
-    def _lkey(mrs, addr, length):
-        for mr in mrs:
-            if mr.covers(addr, length):
-                return mr.lkey
-        raise KeyError(f"no region covers [{addr:#x}, +{length})")
+    def _post(self, opcode, sges, fh, server, local, wr_id):
+        """Post one signaled RDMA op between ``sges`` and byte ``local``
+        of ``server``'s extent of ``fh`` (generator returning the
+        completion event the send-CQ dispatcher resolves)."""
+        part = fh.parts[server]
+        done = self._send_events[wr_id] = self.sim.event()
+        yield from self._qps[server].post_send(
+            SendWR(
+                opcode,
+                sges=sges,
+                remote_addr=part.addr + local,
+                rkey=part.rkey,
+                wr_id=wr_id,
+            )
+        )
+        return done
 
     def _bounce(self, nbytes):
         """Persistent registered bounce buffer, grown on demand."""

@@ -15,11 +15,11 @@ docs/OBSERVABILITY.md):
   engine's provenance records (:mod:`repro.obs.profile`) and the
   predicted-vs-simulated cost explainer (:mod:`repro.obs.explain`); see
   docs/PROFILING.md.
-* **perf observatory** — the append-only run ledger
-  (:mod:`repro.obs.ledger`), trajectory tables over it
-  (:mod:`repro.obs.trends`) and the gate-failure regression explainer
-  (:mod:`repro.obs.regress`), which diffs a regressed cell against the
-  attribution committed in ``benchmarks/baseline.json``.
+* **perf observatory** — trajectory tables over the hostbench reports
+  committed under ``benchmarks/history/`` (:mod:`repro.obs.trends`) and
+  the gate-failure regression explainer (:mod:`repro.obs.regress`),
+  which diffs a regressed cell against the attribution committed in
+  ``benchmarks/baseline.json``.
 
 Nothing in this package builds a world: the probes that need a transfer
 (:func:`~repro.obs.report.measure_breakdown`,
@@ -34,12 +34,6 @@ from repro.obs.chrome import (
     export_chrome_trace,
 )
 from repro.obs.explain import CategoryDelta, explain, format_explanation
-from repro.obs.ledger import (
-    append_record,
-    ledger_path,
-    make_record,
-    read_ledger,
-)
 from repro.obs.profile import (
     CATEGORIES,
     Attribution,
@@ -79,7 +73,6 @@ __all__ = [
     "PathStep",
     "Profiler",
     "RegressionExplanation",
-    "append_record",
     "categorize",
     "chrome_trace_events",
     "counter_track_events",
@@ -91,9 +84,6 @@ __all__ = [
     "format_explanation",
     "format_regressions",
     "format_trends",
-    "ledger_path",
-    "make_record",
-    "read_ledger",
     "run_trends",
     "sparkline",
 ]

@@ -9,8 +9,8 @@ Chrome trace with resource counter tracks.  ``hostprof`` runs the
 host-time profiler: ranked ns/event hotspot tables per scheme,
 collapsed stacks for flamegraphs, host-time counter tracks in the
 Chrome trace, and an optional cProfile deep mode.  ``trends`` renders
-the append-only run ledger as per-metric trajectory tables with
-sparklines.
+the committed hostbench reports (``benchmarks/history/``) as per-metric
+trajectory tables with sparklines.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 
 from repro.bench.workloads import PROBE_FIGURES
 from repro.obs.report import DEFAULT_SCHEMES, run_report
+from repro.obs.trends import HISTORY, run_trends
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,14 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trd = sub.add_parser(
         "trends",
-        help="per-metric trajectories over the run ledger",
+        help="per-metric trajectories over benchmarks/history/BENCH_<n>.json",
     )
     trd.add_argument(
-        "--ledger",
-        metavar="PATH",
-        default=None,
-        help="ledger file to read (default: results/ledger/ledger.jsonl, "
-        "honouring $REPRO_LEDGER_DIR / $REPRO_RESULTS_DIR)",
+        "--history",
+        metavar="DIR",
+        default=HISTORY,
+        help=f"directory of committed hostbench reports (default: {HISTORY})",
     )
     trd.add_argument(
         "--metric",
@@ -169,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         help="only metrics matching this glob (repeatable), "
-        "e.g. --metric 'fig08/*'",
+        "e.g. --metric 'stream_copy/*'",
     )
     trd.add_argument(
         "--last",
         type=int,
         default=20,
-        help="show at most the last N records per metric (default 20)",
+        help="show at most the last N reports per metric (default 20)",
     )
     return parser
 
@@ -193,13 +193,7 @@ def main(argv=None) -> int:
         )
         return 0
     if args.command == "trends":
-        from repro.obs.trends import run_trends
-
-        return run_trends(
-            ledger=args.ledger,
-            patterns=args.metric,
-            last=args.last,
-        )
+        return run_trends(args.history, patterns=args.metric, last=args.last)
     probe = dict(workload=args.workload, nbytes=args.size, schemes=args.schemes)
     if args.command == "profile":
         from repro.obs.profile import run_profile

@@ -405,7 +405,7 @@ class HostProfiler:
         return self.attributed_ns / self.run_wall_ns
 
     def ns_per_event(self) -> dict[str, float]:
-        """Per-category ns/event plus ``total`` — the ledger payload."""
+        """Per-category ns/event plus ``total``."""
         n = max(1, self.total_events)
         out = {cat: ns / n for cat, ns in self.totals().items()}
         out["total"] = self.run_wall_ns / n

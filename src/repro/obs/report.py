@@ -156,7 +156,7 @@ def report_json(
 ) -> dict:
     """The machine-readable report: same data as the text tables.
 
-    This is the one schema external tooling (and the run ledger) reads;
+    This is the one schema external tooling reads;
     see docs/OBSERVABILITY.md for the field list.
     """
     return {

@@ -1,34 +1,44 @@
-"""Performance trends over the run ledger: tables and sparklines.
+"""Performance trends over the committed history: tables and sparklines.
 
-Reads the append-only ledger (:mod:`repro.obs.ledger`) and renders, per
-metric key, the trajectory of values across recorded runs — newest last,
-one row per record with its git sha, value, and delta vs the previous
-record — plus a unicode sparkline of the whole series.
+``benchmarks/history/BENCH_<n>.json`` is the unedited report of
+``python3 hostbench/run.py --workload all --seed 0 --out …`` as measured
+for PR *n* (``BENCH_<n>-trace.json`` beside it: the same with
+``--trace 1``, the per-layer ladder).  This module reads that directory
+and renders, per ``<workload>/<metric>`` key, the values in PR order —
+one row per report with its delta vs the previous one — plus a unicode
+sparkline of the whole series.  Units come from the reports, directions
+from ``BENCHMARK.json``; both paths are relative to the working
+directory, the repository root.
 
 Driven by ``python -m repro.obs trends``::
 
-    python -m repro.obs trends                     # text tables
-    python -m repro.obs trends --metric 'fig08/*'  # filter keys
+    python -m repro.obs trends                           # text tables
+    python -m repro.obs trends --metric 'stream_copy/*'  # filter keys
 """
 
 from __future__ import annotations
 
 import fnmatch
-from datetime import datetime, timezone
+import json
+import re
+import sys
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.obs.ledger import read_ledger
-
 __all__ = [
+    "HISTORY",
     "format_trends",
+    "metric_directions",
     "metric_keys",
-    "metric_trajectory",
-    "record_metrics",
+    "read_history",
     "run_trends",
     "sparkline",
 ]
 
+HISTORY = Path("benchmarks/history")
+SPEC = Path("BENCHMARK.json")
+
+_REPORT_NAME = re.compile(r"BENCH_(\d+)(-trace)?\.json")
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
 
@@ -47,53 +57,51 @@ def sparkline(values: Sequence[float]) -> str:
     )
 
 
-def record_metrics(record: dict) -> dict:
-    """One ledger record's ``{key: {value, unit, better}}``: the
-    well-formed entries of its ``metrics`` section (gate cells, a sweep's
-    grid, selftest throughput, guideline counts share one key space)."""
-    metrics = record.get("metrics")
-    if not isinstance(metrics, dict):
+def read_history(directory: Union[str, Path] = HISTORY) -> list[tuple[int, dict]]:
+    """``[(n, {key: {"value", "unit"}})]`` in PR order, keys
+    ``<workload>/<metric>``; a ``-trace`` report's metrics merge into
+    the same *n*.  A file that does not read as a hostbench report
+    (truncated, or another tool's JSON under the same name) is skipped
+    and named on stderr, so one bad file never wedges the reader."""
+    points: dict[int, dict] = {}
+    for path in sorted(Path(directory).glob("BENCH_*.json")):
+        name = _REPORT_NAME.fullmatch(path.name)
+        if not name:
+            continue
+        try:
+            metrics = {
+                f"{workload}/{metric}": {
+                    "value": float(entry["value"]), "unit": entry["unit"],
+                }
+                for workload, report in
+                json.loads(path.read_text())["workloads"].items()
+                for metric, entry in report["metrics"].items()
+            }
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            print(f"trends: skipping {path}: not a hostbench report",
+                  file=sys.stderr)
+            continue
+        points.setdefault(int(name.group(1)), {}).update(metrics)
+    return sorted(points.items())
+
+
+def metric_directions(spec: Union[str, Path] = SPEC) -> dict[str, str]:
+    """``{metric name: "lower" | "higher"}`` as ``BENCHMARK.json``
+    declares it (empty when run away from the repository root)."""
+    try:
+        declared = json.loads(Path(spec).read_text())
+    except (OSError, ValueError):
         return {}
     return {
-        key: entry
-        for key, entry in metrics.items()
-        if isinstance(entry, dict) and "value" in entry
+        metric["name"]: metric["better"]
+        for section in ("end_to_end", "per_layer")
+        for metric in declared.get(section, [])
     }
 
 
-def metric_keys(records: Sequence[dict]) -> list[str]:
-    """Every metric key appearing anywhere in the ledger, sorted."""
-    keys: set = set()
-    for rec in records:
-        keys.update(record_metrics(rec))
-    return sorted(keys)
-
-
-def metric_trajectory(
-    records: Sequence[dict], key: str
-) -> list[tuple[dict, dict]]:
-    """``[(record, metric_entry)]`` for records carrying ``key``, oldest
-    first — the per-metric time series the tables and sparklines render."""
-    out = []
-    for rec in records:
-        entry = record_metrics(rec).get(key)
-        if entry is not None:
-            out.append((rec, entry))
-    return out
-
-
-def _short_sha(record: dict) -> str:
-    sha = record.get("sha")
-    return sha[:7] if isinstance(sha, str) and sha else "-------"
-
-
-def _stamp(record: dict) -> str:
-    ts = record.get("timestamp")
-    if not isinstance(ts, (int, float)):
-        return "?"
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime(
-        "%Y-%m-%d %H:%M"
-    )
+def metric_keys(history: Sequence[tuple[int, dict]]) -> list[str]:
+    """Every ``<workload>/<metric>`` key of any report, sorted."""
+    return sorted({key for _n, metrics in history for key in metrics})
 
 
 def _deltas(values: Sequence[float]) -> list[Optional[float]]:
@@ -105,73 +113,58 @@ def _deltas(values: Sequence[float]) -> list[Optional[float]]:
 
 
 def format_trends(
-    records: Sequence[dict],
+    history: Sequence[tuple[int, dict]],
     keys: Optional[Sequence[str]] = None,
     last: int = 20,
+    directions: Optional[dict] = None,
 ) -> str:
-    """Render per-metric trajectory tables with sparklines as text."""
+    """Render per-metric trajectory tables with sparklines as text.  A
+    report that lacks a metric has no row in that metric's table."""
     if keys is None:
-        keys = metric_keys(records)
-    lines: list[str] = []
-    first, latest = records[0], records[-1]
-    lines.append(
-        f"perf trends — {len(records)} ledger record(s), "
-        f"{_stamp(first)} .. {_stamp(latest)} UTC"
-    )
+        keys = metric_keys(history)
+    directions = directions or {}
+    lines = [
+        f"perf trends — {len(history)} committed report(s), "
+        f"PR {history[0][0]} .. PR {history[-1][0]}"
+    ]
+    header = f"  {'PR':<6} {'value':>14} {'delta':>8}"
     for key in keys:
-        traj = metric_trajectory(records, key)
-        if not traj:
+        series = [(n, m[key]) for n, m in history if key in m][-last:]
+        if not series:
             continue
-        traj = traj[-last:]
-        values = [float(e["value"]) for _r, e in traj]
-        unit = traj[-1][1].get("unit", "")
-        better = traj[-1][1].get("better", "")
-        lines.append("")
-        lines.append(
-            f"{key}  ({unit}, {better} is better)  {sparkline(values)}"
-        )
-        header = f"  {'sha':<9} {'when (UTC)':<17} {'value':>14} {'delta':>8}"
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for (rec, _e), value, delta in zip(traj, values, _deltas(values)):
+        values = [entry["value"] for _n, entry in series]
+        better = directions.get(key.split("/", 1)[1])
+        note = f"{series[-1][1]['unit']}, {better} is better" if better \
+            else series[-1][1]["unit"]
+        lines += ["", f"{key}  ({note})  {sparkline(values)}",
+                  header, "  " + "-" * (len(header) - 2)]
+        for (n, _entry), value, delta in zip(series, values, _deltas(values)):
             d = "" if delta is None else f"{delta * 100:+.1f}%"
-            lines.append(
-                f"  {_short_sha(rec):<9} {_stamp(rec):<17} "
-                f"{value:>14.2f} {d:>8}"
-            )
+            lines.append(f"  {n:<6} {value:>14.2f} {d:>8}")
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# CLI driver
-# ----------------------------------------------------------------------
-
 def run_trends(
-    ledger: Optional[Union[str, Path]] = None,
+    history: Union[str, Path] = HISTORY,
     patterns: Optional[Sequence[str]] = None,
     last: int = 20,
     print_fn=print,
 ) -> int:
     """``python -m repro.obs trends`` entry point; returns the exit code.
-
-    An empty (or absent) ledger is not an error — the tool explains how
-    to populate it and exits 0 so fresh checkouts can run it blind.
-    """
-    records = read_ledger(ledger)
-    if not records:
+    An empty (or absent) directory is not an error."""
+    points = read_history(history)
+    if not points:
         print_fn(
-            "ledger is empty — no runs recorded yet.\n"
-            "Run `python -m repro.bench.gate` or `python -m repro.bench "
-            "selftest` to append the first record."
+            f"no BENCH_<n>.json under {history} — commit one with `python3 "
+            f"hostbench/run.py --workload all --seed 0 --out "
+            f"{history}/BENCH_<n>.json`"
         )
         return 0
-    keys = metric_keys(records)
+    keys = metric_keys(points)
     if patterns:
-        keys = [
-            k for k in keys if any(fnmatch.fnmatch(k, p) for p in patterns)
-        ]
+        keys = [k for k in keys if any(fnmatch.fnmatch(k, p) for p in patterns)]
         if not keys:
-            print_fn(f"no ledger metrics match {list(patterns)!r}")
+            print_fn(f"no committed metrics match {list(patterns)!r}")
             return 0
-    print_fn(format_trends(records, keys, last=last))
+    print_fn(format_trends(points, keys, last, metric_directions()))
     return 0

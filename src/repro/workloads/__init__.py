@@ -8,7 +8,7 @@ a validator with rank/op-indexed errors
 (:mod:`repro.workloads.replay`), a recorder that captures traces from
 live API use (:mod:`repro.workloads.record`), a Hypothesis grammar over
 the IR (:mod:`repro.workloads.fuzz`), and a usage-weighted scenario
-suite feeding the run ledger (:mod:`repro.workloads.suite`).
+suite (:mod:`repro.workloads.suite`).
 
 Quick tour::
 

@@ -6,8 +6,8 @@ errors.  ``replay`` lowers a workload onto the simulator (any scheme or
 cost-model preset) and prints the simulated time.  ``record`` captures
 one of the example patterns into a fresh trace JSON.  ``run`` executes
 the usage-weighted scenario suite through the cached pool runner and
-appends a ``scenario`` ledger record.  ``fuzz`` runs the time-boxed
-grammar fuzzer and writes any counterexample as a workload artifact.
+prints its metrics.  ``fuzz`` runs the time-boxed grammar fuzzer and
+writes any counterexample as a workload artifact.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output JSON path (default: <pattern>.json)",
     )
 
-    run = sub.add_parser(
-        "run", help="usage-weighted scenario suite -> ledger"
-    )
+    run = sub.add_parser("run", help="usage-weighted scenario suite")
     run.add_argument(
         "--workloads", nargs="+", default=None, metavar="NAME",
         help="library workloads (default: all)",
@@ -71,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "-j", "--jobs", type=int, default=None,
         help="worker processes (default: auto)",
-    )
-    run.add_argument(
-        "--no-ledger", action="store_true",
-        help="print metrics without appending a ledger record",
     )
 
     fuzz = sub.add_parser("fuzz", help="time-boxed grammar fuzzing")
@@ -169,15 +163,10 @@ def _cmd_run(args) -> int:
         schemes=args.schemes,
         presets=args.presets,
         jobs=args.jobs,
-        ledger=not args.no_ledger,
     )
     width = max(len(k) for k in metrics)
     for key in sorted(metrics):
         print(f"{key:{width}s}  {metrics[key]:12.1f} us")
-    if not args.no_ledger:
-        from repro.obs.ledger import ledger_path
-
-        print(f"scenario record appended to {ledger_path()}")
     return 0
 
 

@@ -1,10 +1,8 @@
 """Usage-weighted scenario suite over the checked-in workload library.
 
 Sweeps every library workload across datatype schemes and cost-model
-presets through the cached pool runner (``repro.bench.parallel``), then
-appends one ``scenario`` record to the run ledger so ``obs trends``
-charts per-workload and weighted-aggregate trajectories alongside the
-figure sweeps.
+presets through the cached pool runner (``repro.bench.parallel``) and
+returns per-workload and usage-weighted aggregate simulated times.
 
 The weights approximate how often each communication shape occurs in
 real MPI applications, following the large-scale static-usage surveys
@@ -17,7 +15,6 @@ particle migration with fresh datatypes) is next, dense collectives
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 from repro.bench.parallel import Cell, run_cells
@@ -90,14 +87,12 @@ def run_suite(
     schemes: Optional[Sequence[str]] = None,
     presets: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-    ledger: bool = True,
 ) -> dict:
     """Run the scenario suite; returns ``{metric key: simulated us}``.
 
     Metric keys are ``scenario/<workload>/<scheme>/<preset>`` per cell
     plus ``scenario/weighted/<scheme>/<preset>`` usage-weighted
-    aggregates.  With ``ledger=True`` the metrics are appended to the
-    run ledger as one ``scenario`` record.
+    aggregates.
     """
     cells = suite_cells(workloads, schemes, presets)
     results = run_cells(cells, jobs=jobs)
@@ -114,18 +109,4 @@ def run_suite(
         weighted[key] = weighted.get(key, 0.0) + weight * value
     for (scheme, preset), value in sorted(weighted.items()):
         metrics[f"scenario/weighted/{scheme}/{preset}"] = round(value, 3)
-
-    if ledger:
-        from repro.obs.ledger import append_record, make_record
-
-        record = make_record(
-            "scenario",
-            timestamp=time.time(),
-            status="pass",
-            metrics={
-                key: {"value": value, "unit": "us", "better": "lower"}
-                for key, value in sorted(metrics.items())
-            },
-        )
-        append_record(record)
     return metrics

@@ -73,12 +73,12 @@ class TestCli:
         """``--cols`` used to be accepted and ignored here (``segment-size
         --cols 8`` printed the 512 KB, cols = 1024 table)."""
         with pytest.raises(SystemExit) as exc:
-            bench_main([target, "--cols", "8", "--no-ledger"])
+            bench_main([target, "--cols", "8"])
         assert exc.value.code == 2
         assert axis in capsys.readouterr().err
 
     def test_cols_restricts_an_ablation_row(self, bench_results_dir, capsys):
-        assert bench_main(["prrs", "--cols", "8", "--no-ledger"]) == 0
+        assert bench_main(["prrs", "--cols", "8"]) == 0
         csv = bench_results_dir / "results" / "ablation_prrs.csv"
         header, *rows = csv.read_text().splitlines()
         assert header == "cols,RWG-UP,P-RRS"
@@ -98,13 +98,13 @@ class TestCli:
         return ran
 
     def test_group_target_restricts_only_its_column_rows(self, ran):
-        assert bench_main(["ablations", "--cols", "8", "--no-ledger"]) == 0
+        assert bench_main(["ablations", "--cols", "8"]) == 0
         assert len(ran) == 9
         assert ran["prrs"] == [8] and ran["eager-threshold"] == [8]
         assert ran["network"] is None and ran["segment-size"] is None
 
     def test_all_includes_skampi(self, ran):
-        assert bench_main(["all", "--no-ledger"]) == 0
+        assert bench_main(["all"]) == 0
         assert len(ran) == 17 and "skampi" in ran and "contig" not in ran
 
     def test_jobs_and_fresh_reach_an_ablation_row(self, tmp_path, monkeypatch,
@@ -121,7 +121,7 @@ class TestCli:
 
         monkeypatch.setattr("repro.bench.sweeps.run_cells", spy)
         try:
-            argv = ["dtcache", "--cols", "8", "--no-ledger"]
+            argv = ["dtcache", "--cols", "8"]
             assert bench_main(argv) == 0
             parallel.STATS.reset()
             assert bench_main(argv + ["-j", "2", "--fresh"]) == 0

@@ -67,19 +67,42 @@ class TestCacheKey:
         }
         assert len(keys) == 6
 
-    def test_known_keys_survive_the_table(self, monkeypatch):
-        """Keys computed before ``Cell.x`` became ``int | str`` and before
-        the sweep table existed: cached figure cells and the gate's cells
-        keep theirs.  (A version bump or a recalibration of the default
-        cost model changes them on purpose — recompute then.)"""
-        monkeypatch.delenv("REPRO_FAULT_PROFILE", raising=False)
-        monkeypatch.delenv("REPRO_FAULT_SEED", raising=False)
-        assert cell_key(Cell("fig08", "bc-spup", 64)) == (
-            "5831161259fc99f3a16985a2bfd6eb69c86a86d1c2e505c1dad52aa41d3a007b"
+    def test_a_changed_source_byte_changes_every_key(self, tmp_path, monkeypatch):
+        """The key covers the code: ``repro.__version__`` never moved, so
+        an edited probe used to be served its pre-edit value from
+        ``.repro-cache/``.  An unchanged tree keeps every key."""
+        import shutil
+
+        cells = [
+            Cell("fig08", "bc-spup", 64),
+            Cell("fig11", "multi-w", 2048, (("nranks", 8),)),
+            Cell("network", "generic", SWEEPS["network"].xs[0]),
+            Cell("workload:halo_exchange_2d", "bc-spup", 0),
+        ]
+        committed = [cell_key(cell) for cell in cells]
+
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            parallel._SOURCES, copy, ignore=shutil.ignore_patterns("__pycache__")
         )
-        assert cell_key(Cell("fig11", "multi-w", 2048, (("nranks", 8),))) == (
-            "6af044a0ac1badbea6d4ddde5f89ccf1e5cdb8e396abfe3c9cbce807ffda46c2"
-        )
+        monkeypatch.setattr(parallel, "_SOURCES", copy)
+        parallel.source_digest.cache_clear()
+        try:
+            assert [cell_key(cell) for cell in cells] == committed
+            # hashed once per process: an edit mid-run is not looked for
+            victim = copy / "ib" / "costmodel.py"
+            victim.write_bytes(victim.read_bytes() + b"#")
+            assert [cell_key(cell) for cell in cells] == committed
+            parallel.source_digest.cache_clear()
+            edited = [cell_key(cell) for cell in cells]
+            assert all(a != b for a, b in zip(edited, committed))
+            # a renamed file is a different tree too
+            victim.write_bytes(victim.read_bytes()[:-1])
+            victim.rename(copy / "ib" / "costmodel2.py")
+            parallel.source_digest.cache_clear()
+            assert cell_key(cells[0]) not in (committed[0], edited[0])
+        finally:
+            parallel.source_digest.cache_clear()
 
     def test_named_axis_points_are_keyed_apart(self):
         keys = {cell_key(Cell("network", "generic", x)) for x in SWEEPS["network"].xs}

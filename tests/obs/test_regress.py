@@ -3,7 +3,7 @@
 Includes the end-to-end acceptance test: an injected cost-model slowdown
 (halving copy bandwidth) makes the bench gate fail AND the explainer
 names ``copy`` as the moved category with a magnitude within 20% of the
-analytically predicted delta — with or without a run ledger.
+analytically predicted delta, with nothing but the baseline file to go on.
 """
 
 import json
@@ -101,10 +101,8 @@ class TestGateAcceptance:
     def gate_env(self, tmp_path, monkeypatch):
         from repro.bench import gate
 
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_GIT_SHA", "c" * 40)
         monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
         # one cell keeps the test fast; the machinery is identical
         monkeypatch.setattr(gate, "SCHEMES", ("bc-spup",))
@@ -114,27 +112,15 @@ class TestGateAcceptance:
     def test_injected_copy_slowdown_is_named_with_magnitude(
         self, gate_env, tmp_path, monkeypatch, capsys
     ):
-        self.inject_and_gate(gate_env, tmp_path, monkeypatch, capsys, [])
-
-    def test_injected_copy_slowdown_is_named_without_a_ledger(
-        self, gate_env, tmp_path, monkeypatch, capsys
-    ):
-        """``--no-ledger`` is a fresh clone: the reference attribution
-        comes from the baseline file, so the explanation is the same."""
-        self.inject_and_gate(
-            gate_env, tmp_path, monkeypatch, capsys, ["--no-ledger"]
-        )
-
-    def inject_and_gate(self, gate, tmp_path, monkeypatch, capsys, ledger_args):
+        """The reference attribution comes from the baseline file alone,
+        as on a fresh clone."""
         from repro.ib.costmodel import CostModel
-        from repro.obs import ledger
 
+        gate = gate_env
         baseline = tmp_path / "baseline.json"
         explain = tmp_path / "explain.md"
 
-        rc = gate.main(
-            ["--write-baseline", "--baseline", str(baseline), *ledger_args]
-        )
+        rc = gate.main(["--write-baseline", "--baseline", str(baseline)])
         assert rc == 0
         capsys.readouterr()
 
@@ -146,11 +132,9 @@ class TestGateAcceptance:
         )
 
         rc = gate.main(
-            ["--baseline", str(baseline), "--explain-out", str(explain),
-             *ledger_args]
+            ["--baseline", str(baseline), "--explain-out", str(explain)]
         )
         assert rc == 1  # the gate fails...
-        assert len(ledger.read_ledger()) == (0 if ledger_args else 2)
         err = capsys.readouterr().err
         assert "benchmark regressions" in err
         assert "moved: copy" in err  # ...and the explainer names copy
@@ -187,30 +171,3 @@ class TestGateAcceptance:
             ["--baseline", str(baseline), "--explain-out", str(explain)]
         ) == 0
         assert "benchmark gate passed" in explain.read_text()
-
-    def test_gate_ledger_trajectory_feeds_trends(
-        self, gate_env, tmp_path, capsys
-    ):
-        from repro.obs import ledger, trends
-
-        gate = gate_env
-        baseline = tmp_path / "baseline.json"
-        assert gate.main(
-            ["--write-baseline", "--baseline", str(baseline)]
-        ) == 0
-        assert gate.main(["--baseline", str(baseline)]) == 0
-
-        records = ledger.read_ledger(kind="gate")
-        assert [r["status"] for r in records] == ["baseline", "pass"]
-        # the ledger holds metric values; the attribution lives in the
-        # baseline file, beside each value
-        key = "fig08/bc-spup/cols=64"
-        for rec in records:
-            assert set(rec["metrics"][key]) == {"value", "unit", "better"}
-        assert "attribution" in json.loads(baseline.read_text())["metrics"][key]
-        # two records are enough for a rendered trajectory
-        out = []
-        assert trends.run_trends(print_fn=out.append) == 0
-        text = "\n".join(out)
-        assert "2 ledger record(s)" in text
-        assert "fig08/bc-spup/cols=64" in text

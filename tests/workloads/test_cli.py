@@ -13,7 +13,6 @@ CORPUS = (
 
 @pytest.fixture(autouse=True)
 def sandbox(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
@@ -65,7 +64,7 @@ def test_run_subset_prints_metrics(capsys):
     code = main([
         "run", "--workloads", "particle_exchange",
         "--schemes", "bc-spup", "--presets", "mellanox_2003",
-        "-j", "1", "--no-ledger",
+        "-j", "1",
     ])
     assert code == 0
     out = capsys.readouterr().out

@@ -1,6 +1,4 @@
-"""Scenario suite: pool-runner dispatch, ledger records, trends."""
-
-import json
+"""Scenario suite: pool-runner dispatch, weighted aggregates, caching."""
 
 import pytest
 
@@ -22,8 +20,7 @@ pytestmark = pytest.mark.faultfree
 
 @pytest.fixture
 def sandbox(monkeypatch, tmp_path):
-    """Redirect ledger/results/cache so suite runs never dirty the tree."""
-    monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
+    """Redirect results/cache so suite runs never dirty the tree."""
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     return tmp_path
@@ -59,7 +56,7 @@ def test_suite_cells_cover_full_grid():
     assert all(c.figure == "workload:halo_exchange_2d" for c in cells)
 
 
-def test_run_suite_appends_scenario_ledger_record(sandbox):
+def test_run_suite_weights_the_aggregate(sandbox):
     metrics = run_suite(
         workloads=["particle_exchange"],
         schemes=["bc-spup", "generic"],
@@ -75,39 +72,15 @@ def test_run_suite_appends_scenario_ledger_record(sandbox):
         SUITE_WEIGHTS["particle_exchange"] * per_cell, 3
     )
 
-    ledger_file = sandbox / "ledger" / "ledger.jsonl"
-    lines = ledger_file.read_text().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["kind"] == "scenario"
-    assert record["status"] == "pass"
-    entry = record["metrics"][
-        "scenario/particle_exchange/generic/mellanox_2003"
-    ]
-    assert entry["unit"] == "us" and entry["better"] == "lower"
-
 
 def test_suite_results_are_cached_across_runs(sandbox):
     kwargs = dict(
         workloads=["matrix_transpose_alltoall"],
         schemes=["bc-spup"], presets=["mellanox_2003"],
-        jobs=1, ledger=False,
+        jobs=1,
     )
     first = run_suite(**kwargs)
     second = run_suite(**kwargs)
     assert first == second
     cached = list((sandbox / "cache").rglob("*.json"))
     assert cached, "suite cells should land in the sweep cache"
-
-
-def test_trends_charts_scenario_metrics(sandbox, capsys):
-    run_suite(
-        workloads=["particle_exchange"], schemes=["bc-spup"],
-        presets=["mellanox_2003"], jobs=1,
-    )
-    from repro.obs.trends import run_trends
-
-    run_trends(patterns=["scenario/*"])
-    out = capsys.readouterr().out
-    assert "scenario/particle_exchange/bc-spup/mellanox_2003" in out
-    assert "scenario/weighted/bc-spup/mellanox_2003" in out
