@@ -6,58 +6,11 @@ path against the polled RDMA ring across message sizes, and checks the
 ring's advantage fades once messages cross into rendezvous.
 """
 
-import functools
-
 import pytest
 
-from repro import Cluster, types
-from repro.bench.report import Series, print_table, write_csv
 
-SIZES = (8, 64, 256, 1024, 4096, 8192, 65536)
-
-
-def _latency(nbytes: int, eager_rdma: bool, iters: int = 4) -> float:
-    dt = types.contiguous(nbytes, types.BYTE)
-
-    def rank0(mpi):
-        buf = mpi.alloc(max(nbytes, 1))
-        t0 = None
-        for i in range(iters):
-            if i == 1:
-                t0 = mpi.now
-            yield from mpi.send(buf, dt, 1, dest=1, tag=0)
-            yield from mpi.recv(buf, dt, 1, source=1, tag=1)
-        return (mpi.now - t0) / (iters - 1) / 2
-
-    def rank1(mpi):
-        buf = mpi.alloc(max(nbytes, 1))
-        for _ in range(iters):
-            yield from mpi.recv(buf, dt, 1, source=0, tag=0)
-            yield from mpi.send(buf, dt, 1, dest=0, tag=1)
-
-    return Cluster(2, eager_rdma=eager_rdma).run([rank0, rank1]).values[0]
-
-
-@functools.lru_cache(maxsize=None)
-def sweep():
-    out = {
-        "channel": Series("send/recv channel"),
-        "ring": Series("RDMA ring"),
-    }
-    for size in SIZES:
-        out["channel"].y.append(_latency(size, False))
-        out["ring"].y.append(_latency(size, True))
-    series = list(out.values())
-    print_table(
-        "Eager path: channel semantics vs polled RDMA ring (one-way latency)",
-        "bytes", list(SIZES), series, unit="us", baseline="send/recv channel",
-    )
-    write_csv("results/eager_rdma.csv", "bytes", list(SIZES), series)
-    return list(SIZES), out
-
-
-def test_eager_rdma_latency(benchmark):
-    sizes, out = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_eager_rdma_latency(run_figure):
+    sizes, out = run_figure("eager-rdma")
     chan = out["channel"].y
     ring = out["ring"].y
     for i, size in enumerate(sizes):

@@ -8,63 +8,9 @@ copy, and its margin narrows as blocks shrink (per-SGE/per-descriptor
 costs grow while the copy cost of packing stays flat).
 """
 
-import functools
 
-import pytest
-
-from repro import types
-from repro.bench.report import Series, print_table, write_csv
-from repro.io import StorageCluster
-
-TOTAL_INTS = 1 << 18  # 1 MB of data
-BLOCK_INTS = (16, 64, 256, 1024, 4096, 16384)
-
-
-def _measure(block_ints: int, strategy: str, op: str) -> float:
-    nblocks = TOTAL_INTS // block_ints
-    dt = types.vector(nblocks, block_ints, 2 * block_ints, types.INT)
-    cluster = StorageCluster(1)
-    client = cluster.clients[0]
-    addr = client.node.memory.alloc(dt.extent + 64)
-
-    def prog(io):
-        fh = yield from io.open("f", dt.size)
-        yield from io.write(fh, 0, addr, dt, strategy=strategy)  # warm
-        t0 = io.sim.now
-        if op == "write":
-            yield from io.write(fh, 0, addr, dt, strategy=strategy)
-        else:
-            yield from io.read(fh, 0, addr, dt, strategy=strategy)
-        return io.sim.now - t0
-
-    return cluster.run(prog)[0]
-
-
-@functools.lru_cache(maxsize=None)
-def sweep():
-    out = {
-        "write-pack": Series("write pack"),
-        "write-rdma": Series("write rdma"),
-        "read-pack": Series("read pack"),
-        "read-rdma": Series("read rdma"),
-    }
-    for block_ints in BLOCK_INTS:
-        out["write-pack"].y.append(_measure(block_ints, "pack", "write"))
-        out["write-rdma"].y.append(_measure(block_ints, "rdma", "write"))
-        out["read-pack"].y.append(_measure(block_ints, "pack", "read"))
-        out["read-rdma"].y.append(_measure(block_ints, "rdma", "read"))
-    xs = [b * 4 for b in BLOCK_INTS]  # block bytes
-    series = list(out.values())
-    print_table(
-        "I/O strategies: 1 MB noncontiguous file access (us)",
-        "block (B)", xs, series, unit="us", baseline="write pack",
-    )
-    write_csv("results/io_strategies.csv", "block_bytes", xs, series)
-    return xs, out
-
-
-def test_io_strategies(benchmark):
-    xs, out = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_io_strategies(run_figure):
+    xs, out = run_figure("io-strategies")
     n = len(xs)
     # RDMA eliminates the client copy: faster at every block size here
     for i in range(n):

@@ -8,83 +8,9 @@ This is the setting the datatype cache was invented in ([14], Section
 5.4.2).
 """
 
-import functools
 
-import pytest
-
-from repro import Cluster, types
-from repro.bench.report import Series, print_table, write_csv
-
-COLS = (64, 256, 1024, 2048)
-
-
-def _put_latency(cols: int, ops_per_fence: int = 8, epochs: int = 3) -> float:
-    import numpy as np
-
-    dt = types.vector(128, cols, 4096, types.INT)
-    span = dt.flatten(1).span + 64
-
-    def origin(mpi):
-        src = mpi.alloc(span)
-        wbase = mpi.alloc(span)
-        win = yield from mpi.win_create(wbase, span)
-        yield from mpi.win_fence(win)
-        t0 = mpi.now
-        for _ in range(epochs):
-            for _ in range(ops_per_fence):
-                yield from mpi.put(win, 1, src, dt)
-            yield from mpi.win_fence(win)
-        return (mpi.now - t0) / (epochs * ops_per_fence)
-
-    def target(mpi):
-        src = mpi.alloc(span)
-        wbase = mpi.alloc(span)
-        win = yield from mpi.win_create(wbase, span)
-        yield from mpi.win_fence(win)
-        for _ in range(epochs):
-            yield from mpi.win_fence(win)
-
-    return Cluster(2).run([origin, target]).values[0]
-
-
-def _send_latency(cols: int, scheme: str = "multi-w", iters: int = 8) -> float:
-    dt = types.vector(128, cols, 4096, types.INT)
-    span = dt.flatten(1).span + 64
-
-    def rank0(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.send(buf, dt, 1, dest=1, tag=0)  # warm
-        t0 = mpi.now
-        for k in range(iters):
-            yield from mpi.send(buf, dt, 1, dest=1, tag=1 + k)
-        return (mpi.now - t0) / iters
-
-    def rank1(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.recv(buf, dt, 1, source=0, tag=0)
-        for k in range(iters):
-            yield from mpi.recv(buf, dt, 1, source=0, tag=1 + k)
-
-    return Cluster(2, scheme=scheme).run([rank0, rank1]).values[0]
-
-
-@functools.lru_cache(maxsize=None)
-def sweep():
-    out = {"put": Series("RMA put"), "send": Series("Multi-W send")}
-    for cols in COLS:
-        out["put"].y.append(_put_latency(cols))
-        out["send"].y.append(_send_latency(cols))
-    series = list(out.values())
-    print_table(
-        "One-sided put vs two-sided Multi-W send, per strided update (us)",
-        "cols", list(COLS), series, unit="us", baseline="Multi-W send",
-    )
-    write_csv("results/rma_vs_send.csv", "cols", list(COLS), series)
-    return list(COLS), out
-
-
-def test_rma_put_vs_send(benchmark):
-    cols, out = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_rma_put_vs_send(run_figure):
+    cols, out = run_figure("rma")
     for i, c in enumerate(cols):
         # amortized over an epoch, put never loses to the best two-sided
         # scheme: same zero-copy data path minus the per-message handshake

@@ -1,4 +1,6 @@
-"""Measurement runners: ping-pong latency, streaming bandwidth, alltoall.
+"""Measurement runners: ping-pong latency, streaming bandwidth, alltoall,
+and the three probes of the extensions (one-sided put, one-way send
+stream, noncontiguous file I/O).
 
 The ``measure_*`` functions build a fresh
 :class:`~repro.mpi.world.Cluster`, run the benchmark's rank programs, and
@@ -29,7 +31,10 @@ __all__ = [
     "manual_leg",
     "measure_alltoall",
     "measure_bandwidth",
+    "measure_io",
     "measure_pingpong",
+    "measure_put",
+    "measure_send_stream",
     "multiple_leg",
     "run_oneway",
 ]
@@ -264,3 +269,93 @@ def measure_alltoall(
 
     cluster = make_cluster(scheme, cluster_kwargs, scheme_options, nranks=nranks)
     return max(cluster.run(program).values)
+
+
+# ----------------------------------------------------------------------
+# one-sided put vs a one-way send stream (the ``rma`` row)
+# ----------------------------------------------------------------------
+
+def measure_put(
+    scheme: str,
+    dt: Datatype,
+    *,
+    ops_per_fence: int = 8,
+    epochs: int = 3,
+    cluster_kwargs: Optional[dict] = None,
+    scheme_options: Optional[dict] = None,
+) -> float:
+    """Simulated us per ``MPI_Put`` of ``dt``, the closing fence
+    amortized over ``ops_per_fence`` puts."""
+    span = _span(dt)
+
+    def program(mpi):
+        src = mpi.alloc(span)
+        win = yield from mpi.win_create(mpi.alloc(span), span)
+        yield from mpi.win_fence(win)
+        t0 = mpi.now
+        for _ in range(epochs):
+            if mpi.rank == 0:
+                for _ in range(ops_per_fence):
+                    yield from mpi.put(win, 1, src, dt)
+            yield from mpi.win_fence(win)
+        return (mpi.now - t0) / (epochs * ops_per_fence)
+
+    cluster = make_cluster(scheme, cluster_kwargs, scheme_options)
+    return cluster.run(program).values[0]
+
+
+def measure_send_stream(
+    scheme: str,
+    dt: Datatype,
+    *,
+    iters: int = 8,
+    cluster_kwargs: Optional[dict] = None,
+    scheme_options: Optional[dict] = None,
+) -> float:
+    """Simulated us per blocking send of ``dt`` in a one-way stream (one
+    warm-up send first): a put's two-sided counterpart."""
+    span = _span(dt)
+
+    def program(mpi):
+        buf = mpi.alloc(span)
+        move = mpi.send if mpi.rank == 0 else mpi.recv
+        yield from move(buf, dt, 1, 1 - mpi.rank, 0)
+        t0 = mpi.now
+        for k in range(iters):
+            yield from move(buf, dt, 1, 1 - mpi.rank, 1 + k)
+        return (mpi.now - t0) / iters
+
+    cluster = make_cluster(scheme, cluster_kwargs, scheme_options)
+    return cluster.run(program).values[0]
+
+
+# ----------------------------------------------------------------------
+# noncontiguous file I/O (the ``io-strategies`` row)
+# ----------------------------------------------------------------------
+
+def measure_io(
+    scheme: None,
+    dt: Datatype,
+    *,
+    strategy: str,
+    op: str,
+    cluster_kwargs: Optional[dict] = None,
+    scheme_options: Optional[dict] = None,
+) -> float:
+    """Simulated us of one ``op`` (``"write"`` / ``"read"``) of client
+    memory laid out as ``dt`` to a one-server file under ``strategy``,
+    after one warm-up write.  No MPI scheme is involved."""
+    from repro.io import StorageCluster
+
+    cluster = StorageCluster(1, **(cluster_kwargs or {}))
+    addr = cluster.clients[0].node.memory.alloc(dt.extent + 64)
+
+    def prog(io):
+        fh = yield from io.open("f", dt.size)
+        yield from io.write(fh, 0, addr, dt, strategy=strategy)
+        t0 = io.sim.now
+        move = io.write if op == "write" else io.read
+        yield from move(fh, 0, addr, dt, strategy=strategy)
+        return io.sim.now - t0
+
+    return cluster.run(prog)[0]

@@ -30,12 +30,15 @@ from repro.bench.runner import (
     manual_leg,
     measure_alltoall,
     measure_bandwidth,
+    measure_io,
     measure_pingpong,
+    measure_put,
+    measure_send_stream,
     multiple_leg,
 )
 from repro.bench.skampi import PATTERNS, make_pattern
 from repro.bench.workloads import Workload, bimodal, column_vector, fig10_struct
-from repro.datatypes import BYTE, contiguous
+from repro.datatypes import BYTE, INT, contiguous, vector
 from repro.ib.costmodel import CostModel, get_preset
 from repro.schemes import PAPER_SCHEMES
 
@@ -105,6 +108,19 @@ _NETWORK = {
     "fast-wire": "fast_network",
     "slow-wire": "slow_network",
 }
+
+
+def _contig(nbytes: int) -> Workload:
+    return Workload.of(f"contig:{nbytes}B", contiguous(nbytes, BYTE))
+
+
+def _io_layout(block_bytes: int, total_ints: int = 1 << 18) -> Workload:
+    """1 MB of client memory in ``block_bytes`` blocks, as many bytes of
+    gap after each."""
+    ints = block_bytes // 4
+    return Workload.of(
+        f"io:{block_bytes}B", vector(total_ints // ints, ints, 2 * ints, INT)
+    )
 
 
 def _skampi_shape(name: str) -> str:
@@ -274,13 +290,52 @@ SWEEPS = {
         series=_names(*PAPER_SCHEMES, "adaptive"), baseline="generic",
         csv="results/skampi.csv", config=_scheme(measure_pingpong, iters=3),
     ),
+    # the companion MVAPICH design (Liu et al. [19]): the polled ring
+    # saves the responder's receive-WQE processing, in the eager regime only
+    "eager-rdma": Sweep(
+        title="Eager path: channel semantics vs polled RDMA ring (one-way "
+        "latency)",
+        xs=(8, 64, 256, 1024, 4096, 8192, 65536), axis="bytes", layout=_contig,
+        series={"channel": "send/recv channel", "ring": "RDMA ring"},
+        baseline="send/recv channel", csv="results/eager_rdma.csv",
+        config=lambda s, x, e: _cfg(
+            measure_pingpong, "bc-spup", None, {"eager_rdma": s == "ring"},
+            iters=3,
+        ),
+    ),
+    # the abstract's "other domains" claim (PVFS, ref [33]): list-I/O
+    # packing vs RDMA write-gather / read-scatter; the series key is
+    # "<op>-<strategy>"
+    "io-strategies": Sweep(
+        title="I/O strategies: 1 MB noncontiguous file access (us)",
+        xs=(64, 256, 1024, 4096, 16384, 65536), axis="block_bytes",
+        x_label="block (B)", layout=_io_layout,
+        series={f"{op}-{st}": f"{op} {st}" for op in ("write", "read")
+                for st in ("pack", "rdma")},
+        baseline="write pack", csv="results/io_strategies.csv",
+        config=lambda s, x, e: _cfg(
+            measure_io, None, op=s.split("-")[0], strategy=s.split("-")[1]
+        ),
+    ),
+    # the setting the datatype cache was invented in ([14], Section
+    # 5.4.2): a put needs no handshake, the fence amortizes over an epoch
+    "rma": Sweep(
+        title="One-sided put vs two-sided Multi-W send, per strided update "
+        "(us)",
+        xs=(64, 256, 1024, 2048),
+        series={"put": "RMA put", "send": "Multi-W send"},
+        baseline="Multi-W send", csv="results/rma_vs_send.csv",
+        config=lambda s, x, e: _cfg(
+            measure_put if s == "put" else measure_send_stream,
+            "bc-spup" if s == "put" else "multi-w",
+        ),
+    ),
     # the guidelines harness's probe of a preset's eager/rendezvous
     # crossover (it picks its own sizes per preset); owns no CSV
     "contig": Sweep(
         title="Contiguous ping-pong latency (us) around the testbed's 8 KB "
         "eager threshold",
-        xs=(4096, 8192, 16384), axis="bytes",
-        layout=lambda x: Workload.of(f"contig:{x}B", contiguous(x, BYTE)),
+        xs=(4096, 8192, 16384), axis="bytes", layout=_contig,
         series=_LABEL, baseline="Generic", config=_scheme(measure_pingpong),
     ),
 }
