@@ -8,6 +8,8 @@ Usage::
     python -m repro.bench ablations skampi     # the rows beyond the paper
     python -m repro.bench fig08 --cols 64 2048 # restricted column sweep
     python -m repro.bench overlap              # Figure-3 overlap analysis
+    python -m repro.bench claims               # verdicts from results/*.csv;
+                                               # rewrites EXPERIMENTS.md's tables
     python -m repro.bench selftest             # cold/warm sweep + cache check
     python -m repro.bench selftest --json report.json
 
@@ -44,6 +46,22 @@ def _run_overlap(cols: int = 1024) -> None:
         print(" ", measure_overlap(scheme, w.datatype).describe())
 
 
+def _run_claims() -> bool:
+    """Print every claim's verdict on the CSVs under ``results/`` and
+    rewrite the claim blocks of ``EXPERIMENTS.md``; False when a verdict
+    is not the expected one."""
+    from pathlib import Path
+
+    from repro.bench import claims
+
+    tables = claims.load(".")
+    outcomes = [(c, claims.evaluate(c, *tables[c.sweep])) for c in claims.CLAIMS]
+    print("\n".join(o.message for _, o in outcomes))
+    doc = Path("EXPERIMENTS.md")
+    doc.write_text(claims.render(doc.read_text(), tables))
+    return all(o.verdict == c.expect for c, o in outcomes)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -53,9 +71,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "targets",
         nargs="+",
-        choices=ROWS + ["all", "ablations", "overlap", "selftest"],
-        help="sweep rows, groups of them, or 'selftest' (cold/warm sweep "
-        "timing)",
+        choices=ROWS + ["all", "ablations", "overlap", "claims", "selftest"],
+        help="sweep rows, groups of them, 'claims' (every row of the claims "
+        "table against results/*.csv) or 'selftest' (cold/warm sweep timing)",
     )
     parser.add_argument(
         "--cols",
@@ -102,6 +120,10 @@ def main(argv=None) -> int:
     for target in targets:
         if target == "overlap":
             _run_overlap()
+            continue
+        if target == "claims":
+            if not _run_claims():
+                return 1
             continue
         if target == "selftest":
             import json

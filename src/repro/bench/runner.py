@@ -1,6 +1,5 @@
 """Measurement runners: ping-pong latency, streaming bandwidth, alltoall,
-and the three probes of the extensions (one-sided put, one-way send
-stream, noncontiguous file I/O).
+and the extensions' probes (one-sided put, send stream, file I/O).
 
 The ``measure_*`` functions build a fresh
 :class:`~repro.mpi.world.Cluster`, run the benchmark's rank programs, and
@@ -272,21 +271,13 @@ def measure_alltoall(
 
 
 # ----------------------------------------------------------------------
-# one-sided put vs a one-way send stream (the ``rma`` row)
+# the extensions' probes: one-sided put, its two-sided counterpart, file I/O
 # ----------------------------------------------------------------------
 
-def measure_put(
-    scheme: str,
-    dt: Datatype,
-    *,
-    ops_per_fence: int = 8,
-    epochs: int = 3,
-    cluster_kwargs: Optional[dict] = None,
-    scheme_options: Optional[dict] = None,
-) -> float:
-    """Simulated us per ``MPI_Put`` of ``dt``, the closing fence
-    amortized over ``ops_per_fence`` puts."""
-    span = _span(dt)
+def measure_put(scheme, dt: Datatype, *, cluster_kwargs=None, scheme_options=None):
+    """Simulated us per ``MPI_Put`` of ``dt``: three epochs of eight puts,
+    the closing fence amortized over its epoch."""
+    span, epochs, ops = _span(dt), 3, 8
 
     def program(mpi):
         src = mpi.alloc(span)
@@ -294,27 +285,21 @@ def measure_put(
         yield from mpi.win_fence(win)
         t0 = mpi.now
         for _ in range(epochs):
-            if mpi.rank == 0:
-                for _ in range(ops_per_fence):
-                    yield from mpi.put(win, 1, src, dt)
+            for _ in range(ops if mpi.rank == 0 else 0):
+                yield from mpi.put(win, 1, src, dt)
             yield from mpi.win_fence(win)
-        return (mpi.now - t0) / (epochs * ops_per_fence)
+        return (mpi.now - t0) / (epochs * ops)
 
     cluster = make_cluster(scheme, cluster_kwargs, scheme_options)
     return cluster.run(program).values[0]
 
 
 def measure_send_stream(
-    scheme: str,
-    dt: Datatype,
-    *,
-    iters: int = 8,
-    cluster_kwargs: Optional[dict] = None,
-    scheme_options: Optional[dict] = None,
-) -> float:
-    """Simulated us per blocking send of ``dt`` in a one-way stream (one
-    warm-up send first): a put's two-sided counterpart."""
-    span = _span(dt)
+    scheme, dt: Datatype, *, cluster_kwargs=None, scheme_options=None
+):
+    """Simulated us per blocking send of ``dt`` in a one-way stream of
+    eight, after one warm-up send: what a put is compared with."""
+    span, iters = _span(dt), 8
 
     def program(mpi):
         buf = mpi.alloc(span)
@@ -329,28 +314,19 @@ def measure_send_stream(
     return cluster.run(program).values[0]
 
 
-# ----------------------------------------------------------------------
-# noncontiguous file I/O (the ``io-strategies`` row)
-# ----------------------------------------------------------------------
-
 def measure_io(
-    scheme: None,
-    dt: Datatype,
-    *,
-    strategy: str,
-    op: str,
-    cluster_kwargs: Optional[dict] = None,
-    scheme_options: Optional[dict] = None,
-) -> float:
+    scheme, dt: Datatype, *, strategy, op, cluster_kwargs=None, scheme_options=None
+):
     """Simulated us of one ``op`` (``"write"`` / ``"read"``) of client
-    memory laid out as ``dt`` to a one-server file under ``strategy``,
-    after one warm-up write.  No MPI scheme is involved."""
+    memory laid out as ``dt`` on a one-server file under ``strategy``,
+    after one warm-up write.  No MPI scheme is involved: ``scheme`` and
+    ``scheme_options`` are only the probe signature's."""
     from repro.io import StorageCluster
 
     cluster = StorageCluster(1, **(cluster_kwargs or {}))
     addr = cluster.clients[0].node.memory.alloc(dt.extent + 64)
 
-    def prog(io):
+    def program(io):
         fh = yield from io.open("f", dt.size)
         yield from io.write(fh, 0, addr, dt, strategy=strategy)
         t0 = io.sim.now
@@ -358,4 +334,4 @@ def measure_io(
         yield from move(fh, 0, addr, dt, strategy=strategy)
         return io.sim.now - t0
 
-    return cluster.run(prog)[0]
+    return cluster.run(program)[0]

@@ -114,13 +114,11 @@ def _contig(nbytes: int) -> Workload:
     return Workload.of(f"contig:{nbytes}B", contiguous(nbytes, BYTE))
 
 
-def _io_layout(block_bytes: int, total_ints: int = 1 << 18) -> Workload:
-    """1 MB of client memory in ``block_bytes`` blocks, as many bytes of
-    gap after each."""
+def _io_layout(block_bytes: int) -> Workload:
+    """1 MB of client memory in blocks with as many bytes of gap after each."""
     ints = block_bytes // 4
-    return Workload.of(
-        f"io:{block_bytes}B", vector(total_ints // ints, ints, 2 * ints, INT)
-    )
+    dt = vector((1 << 18) // ints, ints, 2 * ints, INT)
+    return Workload.of(f"io:{block_bytes}B", dt)
 
 
 def _skampi_shape(name: str) -> str:
@@ -290,22 +288,18 @@ SWEEPS = {
         series=_names(*PAPER_SCHEMES, "adaptive"), baseline="generic",
         csv="results/skampi.csv", config=_scheme(measure_pingpong, iters=3),
     ),
-    # the companion MVAPICH design (Liu et al. [19]): the polled ring
-    # saves the responder's receive-WQE processing, in the eager regime only
+    # the companion MVAPICH design (Liu et al. [19])
     "eager-rdma": Sweep(
-        title="Eager path: channel semantics vs polled RDMA ring (one-way "
-        "latency)",
+        title="Eager path: channel semantics vs polled RDMA ring (one-way latency)",
         xs=(8, 64, 256, 1024, 4096, 8192, 65536), axis="bytes", layout=_contig,
         series={"channel": "send/recv channel", "ring": "RDMA ring"},
         baseline="send/recv channel", csv="results/eager_rdma.csv",
         config=lambda s, x, e: _cfg(
-            measure_pingpong, "bc-spup", None, {"eager_rdma": s == "ring"},
-            iters=3,
+            measure_pingpong, "bc-spup", None, {"eager_rdma": s == "ring"}, iters=3
         ),
     ),
     # the abstract's "other domains" claim (PVFS, ref [33]): list-I/O
-    # packing vs RDMA write-gather / read-scatter; the series key is
-    # "<op>-<strategy>"
+    # packing vs RDMA gather/scatter; the series key is "<op>-<strategy>"
     "io-strategies": Sweep(
         title="I/O strategies: 1 MB noncontiguous file access (us)",
         xs=(64, 256, 1024, 4096, 16384, 65536), axis="block_bytes",
@@ -317,11 +311,9 @@ SWEEPS = {
             measure_io, None, op=s.split("-")[0], strategy=s.split("-")[1]
         ),
     ),
-    # the setting the datatype cache was invented in ([14], Section
-    # 5.4.2): a put needs no handshake, the fence amortizes over an epoch
+    # the setting the datatype cache was invented in ([14], Section 5.4.2)
     "rma": Sweep(
-        title="One-sided put vs two-sided Multi-W send, per strided update "
-        "(us)",
+        title="One-sided put vs two-sided Multi-W send, per strided update (us)",
         xs=(64, 256, 1024, 2048),
         series={"put": "RMA put", "send": "Multi-W send"},
         baseline="Multi-W send", csv="results/rma_vs_send.csv",
