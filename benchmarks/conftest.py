@@ -1,10 +1,8 @@
-"""Shared benchmark configuration.
+"""Shared benchmark configuration: one sweep under pytest-benchmark.
 
-Every benchmark target runs one full figure sweep (simulated time inside,
-wall time measured by pytest-benchmark) and asserts the paper's
-qualitative claims about that figure.  Cells are cached on disk
-(``.repro-cache/``), so asking for the same sweep twice re-reads them,
-prints the table and rewrites the (identical) CSV.
+Cells are cached on disk (``.repro-cache/``), so asking for the same
+sweep twice re-reads them, prints the table and rewrites the (identical)
+CSV.
 """
 
 import pytest
@@ -22,12 +20,8 @@ def _no_fault_injection(monkeypatch):
 
 @pytest.fixture
 def run_figure(benchmark):
-    """Run one row of the sweep table under pytest-benchmark; returns
-    its (x_values, series) result."""
-
-    def runner(name):
-        return benchmark.pedantic(
-            run_sweep, args=(name,), rounds=1, iterations=1
-        )
-
-    return runner
+    """Run one row of the sweep table (simulated time inside, wall time
+    measured by pytest-benchmark); returns its (x_values, series)."""
+    return lambda name: benchmark.pedantic(
+        run_sweep, args=(name,), rounds=1, iterations=1
+    )

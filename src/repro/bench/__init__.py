@@ -3,8 +3,9 @@
 Every data figure of the paper, every ablation and the SKaMPI pattern
 sweep is one row of :data:`repro.bench.sweeps.SWEEPS`, run by
 :func:`~repro.bench.sweeps.run_sweep` over the three probes of
-:mod:`repro.bench.runner`; the ``benchmarks/`` directory wraps the rows
-in pytest-benchmark targets and asserts the reproduced shapes.
+:mod:`repro.bench.runner`; what each must show is a row of
+:data:`repro.bench.claims.CLAIMS`, asserted on ``results/*.csv`` in
+tier-1 and on fresh sweeps by ``benchmarks/``.
 """
 
 from repro.bench.workloads import column_vector, fig10_struct

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from repro.bench import parallel
+from repro.bench import claims, parallel
 from repro.bench.overlap import measure_overlap
 from repro.bench.sweeps import SWEEPS, run_sweep
 from repro.bench.workloads import column_vector
@@ -47,13 +48,8 @@ def _run_overlap(cols: int = 1024) -> None:
 
 
 def _run_claims() -> bool:
-    """Print every claim's verdict on the CSVs under ``results/`` and
-    rewrite the claim blocks of ``EXPERIMENTS.md``; False when a verdict
-    is not the expected one."""
-    from pathlib import Path
-
-    from repro.bench import claims
-
+    """Print every claim's verdict on ``results/*.csv`` and rewrite the claim
+    blocks of ``EXPERIMENTS.md``; False when a verdict is not the expected one."""
     tables = claims.load(".")
     outcomes = [(c, claims.evaluate(c, *tables[c.sweep])) for c in claims.CLAIMS]
     print("\n".join(o.message for _, o in outcomes))
@@ -133,8 +129,6 @@ def main(argv=None) -> int:
             selftest = run_selftest(jobs=args.jobs)
             print(format_selftest(selftest))
             if args.json is not None:
-                from pathlib import Path
-
                 out = Path(args.json)
                 out.parent.mkdir(parents=True, exist_ok=True)
                 out.write_text(

@@ -1,16 +1,16 @@
 """The claims table: every quantitative claim is one row.
 
 What the paper says about a figure ("a factor of 3.4 improvement when
-the number of columns is large"), and what this repository says about an
-ablation or extension, is a :class:`Claim`: the row of
-:data:`~repro.bench.sweeps.SWEEPS` it reads (the prefix of its id), a
-series against a baseline, one of six kinds, the paper's number with its
-quote, the tolerance that separates ✅ from 🟡 and the hard bound outside
-which it is ❌.  :func:`evaluate` turns one sweep result into measured
-text, distance from the paper's number and verdict, for two callers:
-``tests/bench/test_claims.py`` on the checked-in ``results/*.csv``
-(tier-1, no simulation) and ``benchmarks/test_claims.py`` on a fresh
-sweep.  :func:`render` writes the same outcomes into EXPERIMENTS.md.
+the number of columns is large"), and what we say about an ablation or
+extension, is a :class:`Claim`: the :data:`~repro.bench.sweeps.SWEEPS`
+row it reads (the prefix of its id), a series against a baseline, one of
+six kinds, the paper's number with its quote, the tolerance between ✅
+and 🟡 and the hard bound outside which it is ❌.  :func:`evaluate` turns
+one sweep result into measured text, distance from the paper's number
+and verdict, for two callers: ``tests/bench/test_claims.py`` on the
+checked-in ``results/*.csv`` (tier-1, no simulation) and
+``benchmarks/test_claims.py`` on a fresh sweep.  :func:`render` writes
+the same outcomes into EXPERIMENTS.md.
 
 A *factor* is always an improvement: baseline / series for times,
 series / baseline for bandwidths.  A tuple of series means "each of
@@ -28,6 +28,7 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
+from repro.bench.report import improvement
 from repro.bench.sweeps import SWEEPS, Sweep
 from repro.schemes import PAPER_SCHEMES
 
@@ -37,8 +38,6 @@ INF = math.inf
 OK, SHIFTED, MISSED = "✅", "🟡", "❌"
 RATIO, DOMINATES, BAND = "ratio-at-x", "dominates-over-range", "band"
 CROSSOVER, IDENTICAL, HOLDS = "crossover-within", "identical-over-range", "holds"
-#: sweeps rendered in EXPERIMENTS.md's "extensions" block, not "ablations"
-_EXTENSIONS = ("hybrid", "skampi", "eager-rdma", "io-strategies", "rma")
 
 
 class ClaimError(ValueError):
@@ -87,12 +86,6 @@ class Claim:
     def sweep(self) -> str:
         return self.id.split("/")[0]
 
-    @property
-    def block(self) -> str:
-        """The EXPERIMENTS.md block the row is rendered in."""
-        other = "extensions" if self.sweep in _EXTENSIONS else "ablations"
-        return self.sweep if self.sweep.startswith("fig") else other
-
 
 class Outcome(NamedTuple):
     verdict: str
@@ -113,6 +106,11 @@ def _each(keys) -> tuple:
     return (keys,) if isinstance(keys, str) else tuple(keys)
 
 
+def _spread(values) -> float:
+    values = list(values)
+    return max(values) - min(values)
+
+
 def _cell(claim: Claim, cells: dict, series: str, x) -> float:
     try:
         return cells[series][x]
@@ -130,20 +128,19 @@ def _grid(claim: Claim, xs: list) -> list:
             raise ClaimError(
                 f"{claim.id}: x={x!r} is not on the {claim.sweep} grid {xs}"
             )
-    return [x for x in xs if ends[0] <= x <= ends[-1]] if claim.over else ends or xs
+    if claim.at is None and claim.over:
+        return [x for x in xs if ends[0] <= x <= ends[1]]
+    return ends or xs
 
 
 def _factors(claim: Claim, sweep: Sweep, cells: dict, series: str, grid) -> list:
     unit = sweep.unit if isinstance(sweep.unit, str) else sweep.unit[series]
-    higher = unit.startswith("MB")
-    out = []
-    for x in grid:
-        own = _cell(claim, cells, series, x)
-        base = (max if higher else min)(
-            _cell(claim, cells, b, x) for b in _each(claim.baseline)
-        )
-        out.append(own / base if higher else base / own)
-    return out
+    best = max if unit.startswith("MB") else min
+    own = [_cell(claim, cells, series, x) for x in grid]
+    base = [
+        best(_cell(claim, cells, b, x) for b in _each(claim.baseline)) for x in grid
+    ]
+    return improvement(own, base) if best is max else improvement(base, own)
 
 
 def _times(*factors: float) -> str:
@@ -163,17 +160,14 @@ def _where(sweep: Sweep, grid: list) -> str:
 
 
 def _stats(claim, sweep, xs, cells):
-    """``band``; ``dominates-over-range`` and ``ratio-at-x`` are bands
-    whose one bound and paper number are on the minimum."""
+    """``band``, ``dominates-over-range`` and ``ratio-at-x``: a bound or a
+    paper number that names no statistic is on the minimum."""
     grid = _grid(claim, xs)
     per = {s: _factors(claim, sweep, cells, s, grid) for s in _each(claim.series)}
     pooled = [f for fs in per.values() for f in fs]
     stats = {"min": min(pooled), "max": max(pooled), "avg": sum(pooled) / len(pooled)}
-    bound, paper = claim.bound, claim.paper or {}
-    if claim.kind != BAND:
-        bound, paper = {"min": bound}, {"min": claim.paper}
-    elif bound == _ANY:
-        bound = {}
+    bound = claim.bound if isinstance(claim.bound, dict) else {"min": claim.bound}
+    paper = claim.paper if isinstance(claim.paper, dict) else {"min": claim.paper}
     text = ", ".join(
         (f"{sweep.series[s]} " if len(per) > 1 else "")
         + _times(*sorted({min(fs), max(fs)}))
@@ -206,10 +200,8 @@ def _crossover(claim, sweep, xs, cells):
 
 def _identical(claim, sweep, xs, cells):
     grid = _grid(claim, xs)
-    spread = 0.0
-    for x in grid:
-        ys = [_cell(claim, cells, s, x) for s in _each(claim.series)]
-        spread = max(spread, (max(ys) - min(ys)) / min(ys))
+    columns = [[_cell(claim, cells, s, x) for s in _each(claim.series)] for x in grid]
+    spread = max(_spread(ys) / min(ys) for ys in columns)
     text = "identical to the digit" if spread == 0 else f"within {spread:.2%}"
     return f"{text} {_where(sweep, grid)}", [("spread", spread, *claim.bound, None)]
 
@@ -233,9 +225,7 @@ _KINDS = {
 def evaluate(claim: Claim, xs, ys: dict) -> Outcome:
     """Evaluate one row on one sweep result ``(xs, {series key: ys})``."""
     cells = {s: dict(zip(xs, y)) for s, y in ys.items()}
-    measured, readings = _KINDS[claim.kind](
-        claim, SWEEPS[claim.sweep], list(xs), cells
-    )
+    measured, readings = _KINDS[claim.kind](claim, SWEEPS[claim.sweep], xs, cells)
     far, missed, distances = False, "", []
     for name, value, lo, hi, paper in readings:
         if not lo < value < hi:
@@ -262,16 +252,10 @@ def evaluate(claim: Claim, xs, ys: dict) -> Outcome:
 # the table
 # ----------------------------------------------------------------------
 
-def _spread(values) -> float:
-    values = list(values)
-    return max(values) - min(values)
-
-
 def _gain(cells: dict, series: str, baseline: str, x) -> float:
     return cells[baseline][x] / cells[series][x]
 
 
-_NEW = PAPER_SCHEMES[1:]
 _THRESHOLDS = ("2048", "8192", "32768")
 _BAND11 = {"min": (1.05, INF), "max": (0, 2.2), "avg": (1.1, 1.9)}
 
@@ -319,7 +303,7 @@ CLAIMS = (
           over=(32, 2048),
           quote='"When the size of contiguous blocks is small, Multi-W '
           'performance degrades significantly"'),
-    Claim("fig08/eager-identical", IDENTICAL, _NEW, over=(1, 2),
+    Claim("fig08/eager-identical", IDENTICAL, PAPER_SCHEMES[1:], over=(1, 2),
           bound=(-INF, 1e-6),
           quote="1-2 columns: all new schemes identical (same eager path) ..."),
     Claim("fig08/eager-beats-generic", DOMINATES, "bc-spup", "generic",
@@ -348,8 +332,7 @@ CLAIMS = (
           bound=(2.0, INF)),
     Claim("fig09/multi-w-degrades", DOMINATES, "generic", "multi-w",
           over=(32, 64), bound=(1, INF),
-          quote='between 4 and 64 columns "Multi-W performance degrades a lot" '
-          "(Generic over Multi-W; smaller messages are eager here)"),
+          quote='4-64 cols: "Multi-W performance degrades a lot" (Generic over it)'),
     Claim("fig09/below-the-wire", HOLDS, bound=(0, 900),
           value=lambda c: max(max(ys.values()) for ys in c.values()),
           text="peak {v:.0f} MB/s over every scheme and size",
@@ -381,8 +364,7 @@ CLAIMS = (
     # -- Figure 13 -----------------------------------------------------
     Claim("fig13/max", BAND, "list", "single", paper={"max": 2.0},
           bound={"min": (0.97, INF), "max": (1.8 - 0.5, 1.8 + 0.5)},
-          quote='"the list post offers improvement with a maximum factor of '
-          '2.0 ...'),
+          quote='"the list post offers improvement with a maximum factor of 2.0 ...'),
     Claim("fig13/min-avg", BAND, "list", "single", over=(32, 2048),
           paper={"min": 1.2, "avg": 1.6}, expect=SHIFTED,
           quote='... and a minimum factor of 1.2 over the single post.  The '
@@ -414,8 +396,7 @@ CLAIMS = (
           value=lambda c: c["latency"][8192] / c["latency"][131072] - 1,
           text="8 KB segments are {v:.1%} slower than 128 KB",
           quote='BC-SPUP segment size (§7.2: "tuning ... is quite important")'),
-    Claim("segment-size/paper-choice-near-best", HOLDS,
-          bound=(-INF, 1 / 0.9 - 1),
+    Claim("segment-size/paper-choice", HOLDS, bound=(-INF, 1 / 0.9 - 1),
           value=lambda c: c["latency"][131072] / min(c["latency"].values()) - 1,
           text="the paper's 128 KB choice is within {v:.1%} of the sweep's best"),
     Claim("registration/ogr-never-loses", DOMINATES, "ogr", ("per-block", "whole"),
@@ -425,8 +406,7 @@ CLAIMS = (
           bound=(1.3, INF), quote="... and per-block pays a base cost per block"),
     Claim("dtcache/gain", BAND, "cached", "uncached",
           bound={"min": (1 / 1.005, INF), "max": (1.005, INF)},
-          quote="Multi-W datatype cache (§5.4.2): never worse warm, and a "
-          "visible gain from not re-shipping the layout"),
+          quote="Multi-W datatype cache (§5.4.2): never worse warm, visibly better"),
     Claim("adaptive/never-loses-to-generic", DOMINATES, "adaptive", "generic",
           bound=(1 / 1.005, INF),
           quote="Adaptive selector (§6): never loses to Generic ..."),
@@ -434,12 +414,10 @@ CLAIMS = (
           bound=(1 / 1.30, INF), quote="... and tracks the best fixed scheme"),
     Claim("prrs/trails-rwg-up", BAND, "rwg-up", "p-rrs",
           bound={"min": (1, INF), "max": (0, 2.5)},
-          quote="P-RRS (§5.2, argued but never measured) trails RWG-UP at every "
-          "size, not catastrophically: the paper was right not to implement it"),
+          quote="P-RRS (§5.2, argued, never measured) trails RWG-UP, not by much"),
     Claim("network/slow-wire-converges", RATIO, "generic", PAPER_SCHEMES,
           at="slow-wire", bound=(1 / 1.4, INF),
-          quote="Network presets (the §1 premise): on a slow wire copies hide "
-          "behind the wire, Generic is close to the best scheme ..."),
+          quote="Network presets (§1's premise): a slow wire hides the copies ..."),
     Claim("network/fast-wire-widens", HOLDS, bound=(1, INF),
           value=lambda c: _gain(c, "multi-w", "generic", "fast-wire")
           / _gain(c, "multi-w", "generic", "testbed"),
@@ -469,8 +447,7 @@ CLAIMS = (
     # -- extensions ----------------------------------------------------
     Claim("hybrid/beats-every-fixed-scheme", DOMINATES, "hybrid", PAPER_SCHEMES,
           bound=(1, INF),
-          quote='Per-piece hybrid (§10: selection "within different parts of a '
-          'single datatype message") beats every fixed scheme when bimodal ...'),
+          quote="Per-piece hybrid (§10 future work) wins on bimodal datatypes ..."),
     Claim("hybrid/multi-w-drowns", RATIO, "multi-w", "rwg-up", at=2048,
           bound=(0, 1), quote="... while Multi-W drowns in per-block startups"),
     Claim("skampi/every-shape-runs", HOLDS, bound=(0, INF),
@@ -488,8 +465,7 @@ CLAIMS = (
           text="Multi-W takes {v:.0f}× as long on vector-small as on vector-large"),
     Claim("eager-rdma/ring-wins-eager", DOMINATES, "ring", "channel",
           over=(8, 8192), bound=(1, INF),
-          quote="Polled RDMA-eager ring (ref [19]): the responder's receive-WQE "
-          "processing comes off every eager message ..."),
+          quote="Polled RDMA-eager ring (ref [19]) speeds up every eager message ..."),
     Claim("eager-rdma/smallest-message", RATIO, "ring", "channel", at=8,
           bound=(1 / 0.92, INF)),
     Claim("eager-rdma/constant-saving", HOLDS, bound=(-INF, 0.5),
@@ -501,8 +477,7 @@ CLAIMS = (
           quote="... and is not involved above the rendezvous threshold"),
     Claim("io-strategies/write-rdma-wins", DOMINATES, "write-rdma", "write-pack",
           bound=(1, INF),
-          quote="Noncontiguous file I/O (refs [31], [33]): RDMA gather/scatter "
-          "beats list-I/O packing by eliminating the client copy ..."),
+          quote="Noncontiguous file I/O (refs [31], [33]): RDMA beats packing ..."),
     Claim("io-strategies/read-rdma-wins", DOMINATES, "read-rdma", "read-pack",
           bound=(1, INF)),
     Claim("io-strategies/margin-narrows", HOLDS, bound=(1, INF),
@@ -514,8 +489,7 @@ CLAIMS = (
           at=65536, bound=(0, 1),
           quote="... and reads trail writes (RDMA read bandwidth < write)"),
     Claim("rma/put-never-loses", DOMINATES, "put", "send", bound=(1 / 1.05, INF),
-          quote="One-sided RMA ([14]): amortized over an epoch, a strided put "
-          "never loses to Multi-W — the same path minus the handshake ..."),
+          quote="One-sided RMA ([14]): a put never loses to a Multi-W send ..."),
     Claim("rma/handshake-share", HOLDS, bound=(1, INF),
           value=lambda c: _gain(c, "put", "send", 64) / _gain(c, "put", "send", 2048),
           text="put's gain at 64 cols is {v:.2f}× its gain at 2048 cols",
@@ -529,8 +503,7 @@ CLAIMS = (
 
 def read_csv(sweep: str, root) -> tuple:
     """``(xs, {series key: ys})`` of ``sweep``'s CSV under ``root``, its
-    column labels mapped back to series keys (a column the row does not
-    know is a missing series to the claims that read it)."""
+    column labels mapped back to series keys."""
     row = SWEEPS[sweep]
     with open(Path(root) / row.csv, newline="") as fh:
         header, *lines = csv.reader(fh)
@@ -547,17 +520,17 @@ def load(root) -> dict:
     return {s: read_csv(s, root) for s in dict.fromkeys(c.sweep for c in CLAIMS)}
 
 
-_BLOCK = re.compile(r"(<!-- claims:([\w-]+) -->\n).*?(<!-- /claims -->)", re.S)
+_BLOCK = re.compile(r"(<!-- claims:([\w -]+) -->\n).*?(<!-- /claims -->)", re.S)
 
 
 def render(text: str, tables: dict) -> str:
-    """``text`` (EXPERIMENTS.md) with every ``<!-- claims:<block> -->``
-    ... ``<!-- /claims -->`` block regenerated from the table."""
+    """``text`` (EXPERIMENTS.md) with every ``<!-- claims:<sweeps> -->``
+    ... ``<!-- /claims -->`` block regenerated from those sweeps' rows."""
 
     def block(match) -> str:
-        rows = [c for c in CLAIMS if c.block == match[2]]
+        rows = [c for c in CLAIMS if c.sweep in match[2].split()]
         if not rows:
-            raise ClaimError(f"no claim is rendered in block {match[2]!r}")
+            raise ClaimError(f"no claim reads any sweep of block {match[2]!r}")
         lines = ["| Row | Claim | Measured | Verdict |", "|---|---|---|---|"]
         for claim in rows:
             o = evaluate(claim, *tables[claim.sweep])

@@ -271,10 +271,10 @@ def measure_alltoall(
 
 
 # ----------------------------------------------------------------------
-# the extensions' probes: one-sided put, its two-sided counterpart, file I/O
+# the extensions: one-sided put, its two-sided counterpart, file I/O
 # ----------------------------------------------------------------------
 
-def measure_put(scheme, dt: Datatype, *, cluster_kwargs=None, scheme_options=None):
+def measure_put(scheme, dt, *, cluster_kwargs=None, scheme_options=None):
     """Simulated us per ``MPI_Put`` of ``dt``: three epochs of eight puts,
     the closing fence amortized over its epoch."""
     span, epochs, ops = _span(dt), 3, 8
@@ -294,11 +294,9 @@ def measure_put(scheme, dt: Datatype, *, cluster_kwargs=None, scheme_options=Non
     return cluster.run(program).values[0]
 
 
-def measure_send_stream(
-    scheme, dt: Datatype, *, cluster_kwargs=None, scheme_options=None
-):
-    """Simulated us per blocking send of ``dt`` in a one-way stream of
-    eight, after one warm-up send: what a put is compared with."""
+def measure_send_stream(scheme, dt, *, cluster_kwargs=None, scheme_options=None):
+    """Simulated us per blocking send of ``dt`` in a one-way stream of eight,
+    after one warm-up send: what a put is compared with."""
     span, iters = _span(dt), 8
 
     def program(mpi):
@@ -314,13 +312,10 @@ def measure_send_stream(
     return cluster.run(program).values[0]
 
 
-def measure_io(
-    scheme, dt: Datatype, *, strategy, op, cluster_kwargs=None, scheme_options=None
-):
-    """Simulated us of one ``op`` (``"write"`` / ``"read"``) of client
-    memory laid out as ``dt`` on a one-server file under ``strategy``,
-    after one warm-up write.  No MPI scheme is involved: ``scheme`` and
-    ``scheme_options`` are only the probe signature's."""
+def measure_io(scheme, dt, *, strategy, op, cluster_kwargs=None, scheme_options=None):
+    """Simulated us of one ``op`` (``"write"`` / ``"read"``) of client memory
+    laid out as ``dt`` on a one-server file, after one warm-up write.  No MPI
+    scheme is involved: ``scheme`` / ``scheme_options`` are the signature's."""
     from repro.io import StorageCluster
 
     cluster = StorageCluster(1, **(cluster_kwargs or {}))

@@ -314,8 +314,7 @@ SWEEPS = {
     # the setting the datatype cache was invented in ([14], Section 5.4.2)
     "rma": Sweep(
         title="One-sided put vs two-sided Multi-W send, per strided update (us)",
-        xs=(64, 256, 1024, 2048),
-        series={"put": "RMA put", "send": "Multi-W send"},
+        xs=(64, 256, 1024, 2048), series={"put": "RMA put", "send": "Multi-W send"},
         baseline="Multi-W send", csv="results/rma_vs_send.csv",
         config=lambda s, x, e: _cfg(
             measure_put if s == "put" else measure_send_stream,

@@ -75,7 +75,9 @@ GUIDELINES: dict[str, Guideline] = {
                 "At bandwidth-dominated sizes, every specialized scheme "
                 "(BC-SPUP, RWG-UP, P-RRS, Multi-W, hybrid, adaptive) "
                 "should reach at least the Generic baseline's streaming "
-                "bandwidth — the paper's headline result on its testbed. "
+                "bandwidth — the paper's headline result on its testbed "
+                "(rows fig09/bc-spup-rwg-up-band and "
+                "fig09/multi-w-beyond-crossover of repro.bench.claims). "
                 "On other substrates a miss is a crossover-shift, not a "
                 "violation."
             ),

@@ -298,11 +298,9 @@ class QueuePair:
     consumed in FIFO order by inbound SEND / RDMA_WRITE_IMM traffic.
     """
 
-    _qp_seq = 0
-
     def __init__(self, hca: "HCA", send_cq: CompletionQueue, recv_cq: CompletionQueue):
-        QueuePair._qp_seq += 1
-        self.qp_num = QueuePair._qp_seq
+        hca.sim.qp_serial += 1
+        self.qp_num = hca.sim.qp_serial
         self.hca = hca
         self.send_cq = send_cq
         self.recv_cq = recv_cq

@@ -398,6 +398,10 @@ class Simulator:
         #: total events dispatched by :meth:`step` (cancelled heap entries
         #: excluded) — hostbench's ``events_per_msg`` and ns/event read it
         self.events_processed: int = 0
+        #: how many queue pairs this world has numbered (``qp_num`` is a
+        #: per-world serial, so a label never depends on what else the
+        #: process simulated before)
+        self.qp_serial: int = 0
 
     # -- factory helpers --------------------------------------------------
 

@@ -55,12 +55,12 @@ class TestTable:
             if c.expect == SHIFTED:
                 assert c.note and evaluate(c, *TABLES[c.sweep]).distance, c.id
 
-    def test_a_block_opens_with_a_quote(self):
+    def test_a_sweep_opens_with_a_quote(self):
         """〃 always has a row above it to point at."""
         seen = set()
         for c in CLAIMS:
-            assert c.quote or c.block in seen, c.id
-            seen.add(c.block)
+            assert c.quote or c.sweep in seen, c.id
+            seen.add(c.sweep)
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +326,7 @@ class TestExperimentsMd:
 
     def test_every_row_is_rendered(self):
         for c in CLAIMS:
-            assert f"<!-- claims:{c.block} -->" in self.TEXT, c.id
-            assert f"| `{c.id}` |" in self.TEXT, c.id
+            assert self.TEXT.count(f"| `{c.id}` |") == 1, c.id
 
     def test_measured_numbers_come_from_the_csv(self, tmp_path):
         """Perturbing a cell changes the block that reads it and nothing
@@ -339,8 +338,26 @@ class TestExperimentsMd:
         assert len(before) == len(after) and moved
         assert all(line.startswith("| `fig12/") for line in moved)
 
+    def test_cli_prints_the_verdicts_and_rewrites_the_blocks(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.bench.__main__ import main as bench_main
+
+        shutil.copytree(REPO / "results", tmp_path / "results")
+        doc = tmp_path / "EXPERIMENTS.md"
+        doc.write_text("kept\n<!-- claims:fig12 -->\nstale 9.99×\n<!-- /claims -->\n")
+        monkeypatch.chdir(tmp_path)
+        assert bench_main(["claims"]) == 0
+        assert "🟡 fig08/multi-w-large: 2.86× at 2048 cols" in capsys.readouterr().out
+        text = doc.read_text()
+        assert text.startswith("kept\n") and "stale" not in text
+        assert "| `fig12/segment-unpack` |" in text
+        # a verdict that is not the expected one is a failing exit status
+        scaled_copy(tmp_path, "fig08", "Multi-W", 2048, 1.5)
+        assert bench_main(["claims"]) == 1
+
     def test_a_marker_without_rows_is_an_error(self):
-        with pytest.raises(ClaimError, match="no claim is rendered in block 'fig03'"):
+        with pytest.raises(ClaimError, match="no claim reads any sweep of block 'fig03'"):
             claims.render("<!-- claims:fig03 -->\n<!-- /claims -->", TABLES)
 
     def test_rows_render_verdict_distance_and_note(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.skampi import PATTERNS, make_pattern
 from repro.bench.workloads import column_vector, fig10_struct
 
 
@@ -60,3 +61,11 @@ class TestFig10Struct:
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
             fig10_struct(100)
+
+
+def test_skampi_patterns_carry_equal_payload():
+    """The pattern sweep compares shapes, so every shape moves the same
+    number of bytes (to 5 %)."""
+    sizes = {name: make_pattern(name).size for name in PATTERNS}
+    for name, size in sizes.items():
+        assert size == pytest.approx(sizes["contig"], rel=0.05), (name, size)

@@ -7,6 +7,7 @@
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -57,6 +58,19 @@ class TestSameSeed:
         t2 = [(i.start, i.end, i.node, i.category, i.detail)
               for i in c2.tracer.records]
         assert t1 == t2
+
+    def test_qp_labels_do_not_depend_on_what_the_process_built_before(self):
+        """Queue pairs are numbered per simulated world, so two faulted
+        clusters built back to back name the same QPs: equal schedules
+        and equal whole trace records (``meta`` carries the label)."""
+        plan = FaultPlan.from_profile("flaky-hca", seed=5)
+        c1, _ = run_once(plan, trace=True)
+        c2, _ = run_once(plan, trace=True)
+        schedule = c1.fault_injector.schedule()
+        assert any(ev.detail.startswith("qp") for ev in schedule)
+        assert schedule == c2.fault_injector.schedule()
+        assert [asdict(r) for r in c1.tracer.records] == \
+            [asdict(r) for r in c2.tracer.records]
 
     def test_identical_metrics(self):
         plan = FaultPlan.from_profile("lossy", seed=23)

@@ -7,7 +7,6 @@ run must produce byte-identical simulated results, metrics, and traces
 to an unprofiled one.
 """
 
-import re
 from dataclasses import asdict
 
 from repro.ib.costmodel import MB
@@ -45,25 +44,7 @@ def transfer(host_profile, trace=False):
 
 
 def trace_records(cluster):
-    """The trace as dicts, with fault records' QP labels cluster-relative.
-
-    ``qp_num`` is a process-wide serial (``QueuePair._qp_seq``) and a
-    fault record names the QP it hit, so the same faulted run reads
-    ``qp30`` in the cluster built second where the first read ``qp26`` —
-    whatever host profiling does.  Fault-free traces carry no QP label.
-    """
-    first = cluster.contexts[0].ctrl_qps[1].qp_num
-    return [
-        dict(
-            asdict(r),
-            meta=re.sub(
-                r"^qp(\d+)$", lambda m: f"qp+{int(m.group(1)) - first}", r.meta
-            ),
-        )
-        if r.category == "fault"
-        else asdict(r)
-        for r in cluster.tracer.records
-    ]
+    return [asdict(r) for r in cluster.tracer.records]
 
 
 class TestOffMeansOff:
