@@ -65,14 +65,45 @@ class Node:
         self.metrics = metrics or MetricsRegistry()
         self.memory = NodeMemory(node_id, memory_capacity, cm.page_size)
         self.cpu = Resource(sim, capacity=1, name=f"cpu{node_id}", node=node_id)
-        #: number of HCA DMA streams currently reading/writing this node's
-        #: memory; CPU copies slow down while it is non-zero (memory-bus
-        #: contention, see CostModel.membus_contention)
-        self.dma_active = 0
+        #: half-open ``[start, end)`` spans during which one HCA DMA stream
+        #: reads/writes this node's memory (see :meth:`dma_window`)
+        self._dma_windows: list[tuple[float, float]] = []
         #: fault-injection hook (repro.faults); None or a disabled injector
         #: leaves every path byte-identical to the fault-free build
         self.fault_injector = None
         self.hca = HCA(self)
+
+    # -- memory-bus contention -----------------------------------------
+
+    def dma_window(self, start_delay: float, duration: float) -> None:
+        """One more DMA stream on this node's memory during
+        [now+start_delay, now+start_delay+duration).
+
+        A window is arithmetic, not a pair of counter events: nothing but
+        :attr:`dma_active` can observe it.  With ``start_delay`` zero it
+        opens at ``now``, so a CPU copy granted at the same timestamp
+        observes the contention.  Expired windows are pruned here as well
+        as on read, so a node that never copies holds only the streams in
+        flight.
+        """
+        if duration <= 0:
+            return
+        now = self.sim.now
+        live = [w for w in self._dma_windows if w[1] > now]
+        live.append(
+            (now if start_delay <= 0 else now + start_delay,
+             now + (start_delay + duration))
+        )
+        self._dma_windows = live
+
+    @property
+    def dma_active(self) -> int:
+        """HCA DMA streams reading/writing this node's memory right now;
+        CPU copies slow down while it is non-zero (memory-bus contention,
+        see CostModel.membus_contention)."""
+        now = self.sim.now
+        self._dma_windows = live = [w for w in self._dma_windows if w[1] > now]
+        return sum(start <= now for start, _end in live)
 
     # -- CPU accounting ------------------------------------------------
 
@@ -256,30 +287,6 @@ class HCA:
                 yield from self._inject(qp, wr)
             self._sq_depth.dec()
 
-    def _dma_bracket(self, node: Node, start_delay: float, duration: float) -> None:
-        """Mark ``node``'s memory as having one more DMA stream during
-        [now+start_delay, now+start_delay+duration).
-
-        The increment is synchronous when ``start_delay`` is zero so that
-        CPU copies granted at the same timestamp observe the contention —
-        otherwise event ordering would let a pack sample a stale count.
-        """
-        if duration <= 0:
-            return
-        if start_delay <= 0:
-            node.dma_active += 1
-        else:
-            up = self.sim.event()
-            up.callbacks.append(
-                lambda _e: setattr(node, "dma_active", node.dma_active + 1)
-            )
-            up.succeed(delay=start_delay)
-        down = self.sim.event()
-        down.callbacks.append(
-            lambda _e: setattr(node, "dma_active", node.dma_active - 1)
-        )
-        down.succeed(delay=start_delay + duration)
-
     # -- fault injection / recovery ---------------------------------------
 
     def _recover_qp(self, qp: QueuePair, recoveries: int):
@@ -368,8 +375,8 @@ class HCA:
         if wr.sges:
             # the HCA's gather DMA reads local memory during injection, and
             # the remote HCA's DMA writes remote memory one latency later
-            self._dma_bracket(self.node, 0.0, occupancy)
-            self._dma_bracket(qp.peer.hca.node, self.cm.wire_latency, occupancy)
+            self.node.dma_window(0.0, occupancy)
+            qp.peer.hca.node.dma_window(self.cm.wire_latency, occupancy)
         # one timeout (splitting would perturb event ordering); the leading
         # WQE-processing portion attributes as descriptor, the rest as wire
         desc_us = occupancy - self.cm.wire_time(nbytes) * link
@@ -438,8 +445,8 @@ class HCA:
         start = self.sim.now
         # read responses stream at the (lower) RDMA read bandwidth
         occupancy = self.cm.hca_startup + nbytes * link / self.cm.rdma_read_bandwidth
-        self._dma_bracket(self.node, 0.0, occupancy)
-        self._dma_bracket(resp.req_qp.hca.node, self.cm.wire_latency, occupancy)
+        self.node.dma_window(0.0, occupancy)
+        resp.req_qp.hca.node.dma_window(self.cm.wire_latency, occupancy)
         yield self.sim.timeout(
             occupancy,
             tag=("split", (("descriptor", self.cm.hca_startup), ("wire", None))),

@@ -73,7 +73,7 @@ class TestCopyContention:
         cm = n0.cm
 
         def prog():
-            n0.dma_active = 1  # pretend a DMA stream is running
+            n0.dma_window(0.0, 1e9)  # a DMA stream runs throughout
             t0 = sim.now
             yield from n0.copy_work(1 << 20, 0)
             return sim.now - t0
