@@ -274,9 +274,16 @@ class HCA:
         self._sq_depth.inc()
 
     def _send_engine(self):
-        """Drain posted descriptors in FIFO order, one at a time."""
+        """Drain posted descriptors in FIFO order, one at a time.
+
+        A backlog is taken in the same dispatch that finished the previous
+        descriptor; the engine waits on an event only when idle.
+        """
+        queue = self._send_queue
         while True:
-            item = yield self._send_queue.get()
+            item = queue.try_get()
+            if item is None:
+                item = yield queue.get()
             if isinstance(item, _ReadResponse):
                 yield from self._stream_read_response(item)
                 continue

@@ -168,10 +168,7 @@ class Store:
     def get(self) -> Event:
         ev = Event(self.sim)
         if self._items:
-            ev.succeed(self._items.popleft())
-            prof = self.sim.profiler
-            if prof is not None and self.name:
-                prof.sample_store(self)
+            ev.succeed(self._pop())
         else:
             if self.sim.profiler is not None:
                 # a marker, not an attribution override: the walker keeps
@@ -182,9 +179,14 @@ class Store:
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking pop; returns None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
+        return self._pop() if self._items else None
+
+    def _pop(self) -> Any:
+        item = self._items.popleft()
+        prof = self.sim.profiler
+        if prof is not None and self.name:
+            prof.sample_store(self)
+        return item
 
     def cancel_get(self, ev: Event) -> bool:
         """Withdraw a pending :meth:`get` event (e.g. after a timeout won
