@@ -240,12 +240,21 @@ class HCA:
         #: stats — read back as ``bytes_injected`` / ``descriptors_processed``
         self._bytes_injected = self.metrics.counter("ib.bytes_injected", self.node_id)
         self._descriptors = self.metrics.counter("ib.descriptors", self.node_id)
+        #: wire bytes that arrived here; at quiescence Σ injected =
+        #: Σ delivered + Σ ``ib.bytes_dropped`` over the fabric
+        self._bytes_delivered = self.metrics.counter(
+            "ib.bytes_delivered", self.node_id
+        )
         #: WQE backlog in the send engine (posted but not yet drained)
         self._sq_depth = self.metrics.gauge("ib.sq_depth", self.node_id)
 
     @property
     def bytes_injected(self) -> int:
         return int(self._bytes_injected.value)
+
+    @property
+    def bytes_delivered(self) -> int:
+        return int(self._bytes_delivered.value)
 
     @property
     def descriptors_processed(self) -> int:
@@ -367,9 +376,10 @@ class HCA:
         """Process a SEND / RDMA_WRITE(_IMM) descriptor."""
         nbytes = wr.byte_len
         inj = self.node.fault_injector
+        faulty = inj is not None and inj.enabled
         dropped = False
         link = 1.0
-        if inj is not None and inj.enabled:
+        if faulty:
             yield from self._transport_faults(qp, wr)
             inj.maybe_degrade(self.node_id)
             link = inj.link_factor(self.node_id)
@@ -405,6 +415,23 @@ class HCA:
         # locally, but nothing arrives at the responder.  Only messages
         # with an end-to-end retransmission path are ever dropped.
         if dropped:
+            self.metrics.counter("ib.bytes_dropped", self.node_id).inc(nbytes)
+            return
+        # A silent write lands with its successor: unsignaled, no immediate,
+        # no poll flag, no fault plan, and the next descriptor this engine
+        # will inject goes to the same QP and is not a read.  Nobody can
+        # learn of these bytes before that successor arrives, and it lands
+        # them first.
+        nxt = self._send_queue.peek()
+        if (
+            wr.opcode is Opcode.RDMA_WRITE
+            and not wr.signaled
+            and not faulty
+            and type(nxt) is tuple
+            and nxt[0] is qp
+            and nxt[1].opcode is not Opcode.RDMA_READ
+        ):
+            peer.pending_landings.append((wr, data))
             return
         # Remote delivery after the wire latency; channel semantics pay
         # the responder's receive-WQE fetch on top (one-sided RDMA does
@@ -465,6 +492,7 @@ class HCA:
         def land(_e):
             req_hca = req_qp.hca
             req_hca._scatter(resp.wr.sges, resp.data)
+            req_hca._bytes_delivered.inc(nbytes)
             req_qp.send_cq.push(
                 Completion(
                     wr_id=resp.wr.wr_id,
@@ -521,6 +549,10 @@ class HCA:
         self, qp: QueuePair, src_qp: QueuePair, wr: SendWR, data: np.ndarray
     ) -> None:
         """Handle inbound traffic on the receiving HCA (no CPU cost)."""
+        if qp.pending_landings:  # silent writes injected before this one
+            for landing in qp.pending_landings:
+                self._land(*landing)
+            qp.pending_landings.clear()
         if wr.opcode is Opcode.SEND:
             recv_wr = qp._consume_recv()
             if len(data) > recv_wr.byte_len:
@@ -529,14 +561,12 @@ class HCA:
                     f"{recv_wr.byte_len}-byte receive descriptor"
                 )
             self._scatter(recv_wr.sges, data)
+            self._bytes_delivered.inc(len(data) + wr.extra_bytes)
             self._complete_recv(qp, recv_wr.wr_id, wr, len(data))
         elif wr.opcode in (
             Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM, Opcode.RDMA_WRITE_POLLED
         ):
-            nbytes = len(data)
-            if nbytes:
-                self.memory.check_remote(wr.remote_addr, nbytes, wr.rkey)
-                self.memory.view(wr.remote_addr, nbytes)[:] = data
+            nbytes = self._land(wr, data)
             if wr.opcode is Opcode.RDMA_WRITE_IMM:
                 recv_wr = qp._consume_recv()
                 self._complete_recv(qp, recv_wr.wr_id, wr, nbytes)
@@ -556,6 +586,16 @@ class HCA:
                 ev.succeed(delay=self.cm.eager_rdma_poll, tag="poll-detect")
         else:  # pragma: no cover - reads handled separately
             raise SimulationError(f"unexpected inbound opcode {wr.opcode}")
+
+    def _land(self, wr: SendWR, data: np.ndarray) -> int:
+        """The DMA write of one inbound RDMA write, at its own landing
+        event or at its successor's; returns the bytes written."""
+        nbytes = len(data)
+        if nbytes:
+            self.memory.check_remote(wr.remote_addr, nbytes, wr.rkey)
+            self.memory.view(wr.remote_addr, nbytes)[:] = data
+        self._bytes_delivered.inc(nbytes + wr.extra_bytes)
+        return nbytes
 
     def _complete_recv(
         self, qp: QueuePair, recv_wr_id: int, wr: SendWR, nbytes: int

@@ -308,6 +308,10 @@ class QueuePair:
         self._recv_queue = _RecvQueue(
             hca.sim, name=f"qp{self.qp_num}.rq", node=hca.node_id
         )
+        #: inbound ``(wr, data)`` of silent RDMA writes the peer's HCA has
+        #: injected but not landed: they land, in order, with the next
+        #: arrival on this QP (see ``HCA._inject``)
+        self.pending_landings: list = []
         #: state machine (RESET until Fabric.connect promotes to RTS)
         self.state = QPState.RESET
         #: transport retries performed for this QP's descriptors

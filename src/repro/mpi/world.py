@@ -245,6 +245,7 @@ class Cluster:
         return {
             "time_us": self.sim.now,
             "bytes_injected": [c.node.hca.bytes_injected for c in self.contexts],
+            "bytes_delivered": [c.node.hca.bytes_delivered for c in self.contexts],
             "descriptors": [c.node.hca.descriptors_processed for c in self.contexts],
             "reg_cache_hits": [c.reg_cache.hits for c in self.contexts],
             "reg_cache_misses": [c.reg_cache.misses for c in self.contexts],

@@ -181,6 +181,11 @@ class Store:
         """Non-blocking pop; returns None when empty."""
         return self._pop() if self._items else None
 
+    def peek(self) -> Optional[Any]:
+        """The item the next :meth:`get` would deliver, left queued; None
+        when empty."""
+        return self._items[0] if self._items else None
+
     def _pop(self) -> Any:
         item = self._items.popleft()
         prof = self.sim.profiler
