@@ -9,6 +9,8 @@ to an unprofiled one.
 
 from dataclasses import asdict
 
+import pytest
+
 from repro.ib.costmodel import MB
 from repro.mpi.world import Cluster
 
@@ -135,3 +137,78 @@ class TestByteIdentity:
         # same program shape as transfer(): 3 sends of the same datatype
         assert cluster.sim.now == r_off.time_us
         assert hp.total_events == cluster.sim.events_processed
+
+
+class TestObserversCountNoEvents:
+    """Since PR 22 the HCA decides, per descriptor, whether an event is
+    scheduled at all (the send engine's backlog, a folded RDMA write) —
+    a decision no observer may take part in.  A Multi-W list-post cell and
+    the ``one_sided_halo`` RMA puts dispatch the same events, record the
+    same trace and show the same send-queue depth whatever else watches.
+    """
+
+    OBSERVERS = ("trace", "profile", "host_profile")
+
+    @staticmethod
+    def multi_w(**observers):
+        dt = column_dt()
+        cluster = Cluster(
+            2, scheme="multi-w", memory_per_rank=512 * MB, **observers
+        )
+        span = dt.flatten(1).span + abs(dt.lb) + 64
+
+        def rank0(mpi):
+            buf = mpi.alloc(span)
+            for i in range(2):
+                yield from mpi.send(buf, dt, 1, dest=1, tag=i)
+
+        def rank1(mpi):
+            buf = mpi.alloc(span)
+            for i in range(2):
+                yield from mpi.recv(buf, dt, 1, source=0, tag=i)
+
+        cluster.run([rank0, rank1])
+        return cluster
+
+    @staticmethod
+    def halo_puts(**observers):
+        from repro.workloads import patterns
+
+        cluster = Cluster(
+            patterns.OS_PX * patterns.OS_PY, scheme="multi-w",
+            memory_per_rank=64 * MB, **observers,
+        )
+        cluster.run(patterns.one_sided_halo)
+        return cluster
+
+    @pytest.fixture(params=["multi_w", "halo_puts"])
+    def cell(self, request, monkeypatch):
+        from repro.workloads import patterns
+
+        # the pattern at a 48 x 48 tile: same puts, fences and target
+        # datatypes, a twentieth of the descriptors
+        monkeypatch.setattr(patterns, "OS_LOCAL", 48)
+        return getattr(self, request.param)
+
+    def test_events_processed(self, cell):
+        plain = cell().sim.events_processed
+        for name in self.OBSERVERS:
+            assert cell(**{name: True}).sim.events_processed == plain, name
+        everything = dict.fromkeys(self.OBSERVERS, True)
+        assert cell(**everything).sim.events_processed == plain
+
+    def test_trace_records(self, cell):
+        alone = trace_records(cell(trace=True))
+        assert alone
+        for name in ("profile", "host_profile"):
+            assert trace_records(cell(trace=True, **{name: True})) == alone, name
+
+    def test_send_queue_depth_series(self, cell):
+        def depth(**observers):
+            series = cell(profile=True, **observers).profiler.series
+            return series[("hca0.sq.depth", 0)]
+
+        alone = depth()
+        assert len(alone) > 2 and max(v for _t, v in alone) > 1
+        for name in ("trace", "host_profile"):
+            assert depth(**{name: True}) == alone, name

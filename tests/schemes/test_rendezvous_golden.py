@@ -25,6 +25,7 @@ from repro import Cluster, types
 from repro.bench.workloads import fig10_struct
 from repro.faults import FaultPlan
 from repro.ib.costmodel import MB
+from tests.conservation import assert_conserved
 
 GOLDEN = Path(__file__).parent / "golden" / "rendezvous.json"
 
@@ -151,6 +152,7 @@ def run_cell(send, recv, scheme, kwargs, iters=2):
 
     cluster = _cluster(scheme, kwargs)
     res = cluster.run([rank0, rank1])
+    assert_conserved(cluster)
     return [repr(res.time_us), cluster.sim.events_processed, digest.hexdigest()]
 
 
@@ -176,6 +178,7 @@ def run_put_fence():
 
     cluster = _cluster("multi-w", {})
     res = cluster.run(program)
+    assert_conserved(cluster)
     return [repr(res.time_us), cluster.sim.events_processed, digest.hexdigest()]
 
 

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.conservation import assert_conserved
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "hostbench_exact.json"
 
@@ -60,6 +62,7 @@ def compute(workloads=WORKLOADS) -> dict:
         for cell in cells.build(workload, seed=1, quick=quick):
             outcome = cell.execute(_NoSpans())
             assert outcome.failed == 0, f"{workload}/{cell.name}: payload differs"
+            assert_conserved(outcome.cluster)
             out[f"{workload}/{cell.name}"] = [outcome.events, repr(outcome.sim_us)]
     return out
 

@@ -139,3 +139,24 @@ def test_fuzz_time_boxed_is_deterministic_per_seed():
     # same seed explores the same chunks; only the count of chunks that
     # fit the box may differ
     assert a.failure == b.failure
+
+
+def test_fuzz_box_conserves_bytes(monkeypatch):
+    """Every cluster the fuzz box runs ends with Σ injected = Σ delivered
+    (+ dropped), no write waiting to land and no DMA window open; a
+    violation surfaces as the box's counterexample."""
+    from repro.mpi.world import Cluster
+    from tests.conservation import assert_conserved
+
+    run, checked = Cluster.run, []
+
+    def run_then_check(self, *args, **kwargs):
+        result = run(self, *args, **kwargs)
+        assert_conserved(self)
+        checked.append(self)
+        return result
+
+    monkeypatch.setattr(Cluster, "run", run_then_check)
+    report = fuzz_time_boxed(3, seed=4)
+    assert report.ok, report.failure
+    assert len(checked) >= report.examples > 0
