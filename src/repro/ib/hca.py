@@ -14,9 +14,24 @@ mirrors the real platform:
   descriptors underutilize the wire (the Multi-W failure mode for small
   blocks), while one gather descriptor amortizes the startup (the RWG-UP
   win).
-* Inbound data lands ``wire_latency`` after injection completes.  Target
-  memory writes are performed by the remote HCA's DMA engine and cost no
-  remote CPU — the essence of RDMA.
+* Inbound data lands no later than the first arrival that could reveal
+  it — ``wire_latency`` after injection completes, unless it is a silent
+  write that folds (below).  Target memory writes are performed by the
+  remote HCA's DMA engine and cost no remote CPU — the essence of RDMA.
+
+One rule keeps the host from paying per block what the HCA does per list:
+**an event whose callback resumes no process and schedules nothing is a
+side effect with a deadline, not an event — it may ride on the next thing
+that could observe it.**  DMA-stream windows are arithmetic read by
+``Node.dma_active``; the send engine takes a queued descriptor in the
+dispatch that finished the last one; and an RDMA write folds into its
+successor's landing when it is (1) a plain ``RDMA_WRITE``, (2) unsignaled,
+(3) on a node with no enabled fault plan, and its successor, (4) already
+queued on the *same QP*, is (5) itself an RDMA write of any flavour — by
+RC ordering neither side can learn of those bytes before that successor
+arrives, one wire latency after its injection and so ahead of anything
+this HCA injects later on any QP (a SEND would arrive
+``channel_recv_overhead`` later still, a READ is served elsewhere).
 
 Data is snapshotted at injection time, moved for real between numpy
 address spaces, and validated against the registration tables, so every
@@ -44,6 +59,8 @@ from repro.simulator import Resource, SimulationError, Simulator, Store, Tracer
 from repro.simulator.metrics import MetricsRegistry
 
 __all__ = ["HCA", "Node"]
+
+_RDMA_WRITES = (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM, Opcode.RDMA_WRITE_POLLED)
 
 
 class Node:
@@ -417,11 +434,9 @@ class HCA:
         if dropped:
             self.metrics.counter("ib.bytes_dropped", self.node_id).inc(nbytes)
             return
-        # A silent write lands with its successor: unsignaled, no immediate,
-        # no poll flag, no fault plan, and the next descriptor this engine
-        # will inject goes to the same QP and is not a read.  Nobody can
-        # learn of these bytes before that successor arrives, and it lands
-        # them first.
+        # A silent write lands with its successor (module docstring): the
+        # next descriptor this engine injects arrives on the same QP no
+        # earlier, and lands these bytes first.
         nxt = self._send_queue.peek()
         if (
             wr.opcode is Opcode.RDMA_WRITE
@@ -429,7 +444,7 @@ class HCA:
             and not faulty
             and type(nxt) is tuple
             and nxt[0] is qp
-            and nxt[1].opcode is not Opcode.RDMA_READ
+            and nxt[1].opcode in _RDMA_WRITES
         ):
             peer.pending_landings.append((wr, data))
             return
@@ -563,9 +578,7 @@ class HCA:
             self._scatter(recv_wr.sges, data)
             self._bytes_delivered.inc(len(data) + wr.extra_bytes)
             self._complete_recv(qp, recv_wr.wr_id, wr, len(data))
-        elif wr.opcode in (
-            Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM, Opcode.RDMA_WRITE_POLLED
-        ):
+        elif wr.opcode in _RDMA_WRITES:
             nbytes = self._land(wr, data)
             if wr.opcode is Opcode.RDMA_WRITE_IMM:
                 recv_wr = qp._consume_recv()

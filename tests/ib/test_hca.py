@@ -366,7 +366,7 @@ class TestSilentWritesFold:
         # every one of the 32 silent writes keeps its own landing event
         assert faulty.events_processed == plain.events_processed + 32
 
-    def _first_of_two(self, first_kw, second):
+    def _first_of_two(self, first_kw, second, post_recv=False):
         """Node 0 posts one 64 KB write to node 1, then ``second(...)``
         while the engine is still injecting the first.  Returns whether the
         first write's bytes are in node 1's memory just before, and at,
@@ -381,6 +381,10 @@ class TestSilentWritesFold:
         nxt = second(n0, (src, smr), (dst1, dmr1), (dst2, dmr2))
         t_land = (cm.post_time(1) + cm.descriptor_time(size, 1)) + cm.wire_latency
         seen = []
+        if post_recv:
+            from repro.ib.verbs import RecvWR
+
+            n1.hca.qps[0].post_recv_nocost(RecvWR())
 
         def landed():
             return bool(
@@ -420,6 +424,17 @@ class TestSilentWritesFold:
             lambda n0, s, d1, d2: (
                 n0.hca.qps[1], write(*s, *d1, 16, opcode=Opcode.RDMA_READ)
             ),
+        )
+        assert seen == [False, True]
+
+    def test_send_successor_does_not_carry_it(self):
+        # a SEND arrives channel_recv_overhead later than a write would
+        seen = self._first_of_two(
+            {},
+            lambda n0, s, d1, d2: (
+                n0.hca.qps[1], SendWR(Opcode.SEND, payload="fin", signaled=False)
+            ),
+            post_recv=True,
         )
         assert seen == [False, True]
 
