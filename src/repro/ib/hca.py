@@ -106,12 +106,15 @@ class Node:
         if duration <= 0:
             return
         now = self.sim.now
-        live = [w for w in self._dma_windows if w[1] > now]
-        live.append(
+        self._live_windows().append(
             (now if start_delay <= 0 else now + start_delay,
              now + (start_delay + duration))
         )
-        self._dma_windows = live
+
+    def _live_windows(self) -> list:
+        now = self.sim.now
+        self._dma_windows = live = [w for w in self._dma_windows if w[1] > now]
+        return live
 
     @property
     def dma_active(self) -> int:
@@ -119,8 +122,7 @@ class Node:
         CPU copies slow down while it is non-zero (memory-bus contention,
         see CostModel.membus_contention)."""
         now = self.sim.now
-        self._dma_windows = live = [w for w in self._dma_windows if w[1] > now]
-        return sum(start <= now for start, _end in live)
+        return sum(start <= now for start, _end in self._live_windows())
 
     # -- CPU accounting ------------------------------------------------
 
@@ -300,11 +302,9 @@ class HCA:
         self._sq_depth.inc()
 
     def _send_engine(self):
-        """Drain posted descriptors in FIFO order, one at a time.
-
-        A backlog is taken in the same dispatch that finished the previous
-        descriptor; the engine waits on an event only when idle.
-        """
+        """Drain posted descriptors in FIFO order, one at a time: a backlog
+        in the dispatch that finished the previous descriptor, an event
+        wait only when idle."""
         queue = self._send_queue
         while True:
             item = queue.try_get()

@@ -294,11 +294,6 @@ def blocks_landed(n_src, src, n_dst, dst, nblocks):
     return [bool((w == g).all()) for w, g in zip(want, got)]
 
 
-def after_this_timestamp(sim):
-    """A zero-delay event: resumes after everything already due now."""
-    return sim.timeout(0.0)
-
-
 class TestSilentWritesFold:
     """An unsignaled plain RDMA write whose successor on the same QP is
     already queued schedules no landing event: it lands with the
@@ -341,8 +336,10 @@ class TestSilentWritesFold:
             assert cqe.imm == 99
             seen["at_recv_cqe"] = blocks_landed(n0, src, n1, dst, 33)
 
-        sim.process(sender() if last.get("signaled") else receiver())
-        if not last.get("signaled"):
+        if last.get("signaled"):
+            sim.process(sender())
+        else:
+            sim.process(receiver())
             sim.process(qp0.post_send_list(wrs))
         sim.run()
         assert not qp1.pending_landings
@@ -403,7 +400,7 @@ class TestSilentWritesFold:
             seen.append(landed())
             yield sim.timeout(t_land - sim.now)
             assert sim.now == t_land
-            yield after_this_timestamp(sim)
+            yield sim.timeout(0.0)  # after everything already due now
             seen.append(landed())
 
         sim.process(sender())
