@@ -33,6 +33,21 @@ arrives, one wire latency after its injection and so ahead of anything
 this HCA injects later on any QP (a SEND would arrive
 ``channel_recv_overhead`` later still, a READ is served elsewhere).
 
+A **run** is the rule once more: the descriptor the engine dequeues and
+the prefix of the queue in which each descriptor folds into the next.  Its
+injection ends ``t_i = t_{i-1} + occupancy_i`` are added left to right, as
+a chain of timeouts would add them, its DMA windows are one batch, and the
+engine waits for one event, at ``t_m``.  What the other dispatches did —
+wire record, counters, the gather snapshot (legal at any instant while the
+HCA owns the buffer: a member is unsignaled, so no completion covers it
+before ``t_m + cqe_delay``), ``pending_landings``, the ``ib.sq_depth``
+decrement and the next pop with its ``sq.depth`` sample — is settled in
+order, each with its own ``t_i``, by the next observer: the run's event, a
+put on this send queue, a reader of ``bytes_injected`` or
+``descriptors_processed``.  A member with ``t_i <= now`` has retired
+(half-open, like the windows).  A lone descriptor is a run of one, and a
+faulted node plans nothing else.
+
 Data is snapshotted at injection time, moved for real between numpy
 address spaces, and validated against the registration tables, so every
 scheme's output is byte-checkable.
@@ -40,6 +55,8 @@ scheme's output is byte-checkable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -82,9 +99,10 @@ class Node:
         self.metrics = metrics or MetricsRegistry()
         self.memory = NodeMemory(node_id, memory_capacity, cm.page_size)
         self.cpu = Resource(sim, capacity=1, name=f"cpu{node_id}", node=node_id)
-        #: half-open ``[start, end)`` spans during which one HCA DMA stream
-        #: reads/writes this node's memory (see :meth:`dma_window`)
-        self._dma_windows: list[tuple[float, float]] = []
+        #: batches ``(sorted starts, sorted ends)`` of the half-open spans
+        #: during which one HCA DMA stream reads/writes this node's memory
+        #: (see :meth:`dma_windows`)
+        self._dma_windows: list[tuple[list, list]] = []
         #: fault-injection hook (repro.faults); None or a disabled injector
         #: leaves every path byte-identical to the fault-free build
         self.fault_injector = None
@@ -92,28 +110,26 @@ class Node:
 
     # -- memory-bus contention -----------------------------------------
 
-    def dma_window(self, start_delay: float, duration: float) -> None:
-        """One more DMA stream on this node's memory during
-        [now+start_delay, now+start_delay+duration).
+    def dma_windows(self, spans) -> None:
+        """One more DMA stream on this node's memory during each absolute
+        ``[start, end)`` of ``spans`` — one batch, e.g. a run's descriptors.
 
         A window is arithmetic, not a pair of counter events: nothing but
-        :attr:`dma_active` can observe it.  With ``start_delay`` zero it
-        opens at ``now``, so a CPU copy granted at the same timestamp
-        observes the contention.  Expired windows are pruned here as well
-        as on read, so a node that never copies holds only the streams in
-        flight.
+        :attr:`dma_active` can observe it.  One opening at ``now`` is seen
+        by a CPU copy granted at the same timestamp.  A batch keeps its
+        starts and ends sorted, so a read is two bisections however long
+        the run; expired batches are pruned here as well as on read, so a
+        node that never copies holds only the streams in flight.
         """
-        if duration <= 0:
-            return
-        now = self.sim.now
-        self._live_windows().append(
-            (now if start_delay <= 0 else now + start_delay,
-             now + (start_delay + duration))
-        )
+        spans = [span for span in spans if span[1] > span[0]]
+        live = self._live_windows()
+        if spans:
+            starts, ends = zip(*spans)
+            live.append((sorted(starts), sorted(ends)))
 
     def _live_windows(self) -> list:
         now = self.sim.now
-        self._dma_windows = live = [w for w in self._dma_windows if w[1] > now]
+        self._dma_windows = live = [b for b in self._dma_windows if b[1][-1] > now]
         return live
 
     @property
@@ -122,7 +138,10 @@ class Node:
         CPU copies slow down while it is non-zero (memory-bus contention,
         see CostModel.membus_contention)."""
         now = self.sim.now
-        return sum(start <= now for start, _end in self._live_windows())
+        return sum(
+            bisect_right(starts, now) - bisect_right(ends, now)
+            for starts, ends in self._live_windows()
+        )
 
     # -- CPU accounting ------------------------------------------------
 
@@ -266,9 +285,13 @@ class HCA:
         )
         #: WQE backlog in the send engine (posted but not yet drained)
         self._sq_depth = self.metrics.gauge("ib.sq_depth", self.node_id)
+        #: members of the run in flight that have not retired yet, in
+        #: injection order: ``(start, end, qp, wr, nbytes)`` (:meth:`_inject`)
+        self._run: deque = deque()
 
     @property
     def bytes_injected(self) -> int:
+        self._settle()
         return int(self._bytes_injected.value)
 
     @property
@@ -277,6 +300,7 @@ class HCA:
 
     @property
     def descriptors_processed(self) -> int:
+        self._settle()
         return int(self._descriptors.value)
 
     def create_qp(
@@ -297,9 +321,46 @@ class HCA:
     # -- send engine -------------------------------------------------------
 
     def enqueue_send(self, qp: QueuePair, wr: SendWR) -> None:
-        self._send_queue.put((qp, wr))
+        self._put((qp, wr))
         # outstanding = queued + the one the engine is processing
         self._sq_depth.inc()
+
+    def _put(self, item) -> None:
+        self._settle()  # a member whose injection has ended retires first
+        self._send_queue.put(item)
+
+    def _settle(self) -> None:
+        """Retire, in order and with their own timestamps, the members of
+        the run in flight whose injection has ended (``end <= now``)."""
+        run = self._run
+        now = self.sim.now
+        while run and run[0][1] <= now:
+            start, end, qp, wr, nbytes = run.popleft()
+            data = self._injected(start, end, wr, nbytes)
+            qp.peer.pending_landings.append((wr, data))
+            self._sq_depth.dec()
+            self._send_queue.try_get(at=end)  # the engine takes the next member
+
+    def _injected(self, start, end, wr: SendWR, nbytes: int) -> np.ndarray:
+        """What one descriptor's injection leaves behind: the wire record,
+        the counters and the DMA snapshot of its gather list."""
+        self.node.tracer.record(start, end, self.node_id, "wire", wr.opcode.value)
+        self._bytes_injected.inc(nbytes)
+        self._descriptors.inc()
+        return self._gather(wr)
+
+    def _folds(self, qp: QueuePair, wr: SendWR, nxt) -> bool:
+        """Whether ``wr`` on ``qp`` lands with ``nxt``, the item queued
+        behind it: the five conditions of the module docstring."""
+        inj = self.node.fault_injector
+        return (
+            wr.opcode is Opcode.RDMA_WRITE
+            and not wr.signaled
+            and not (inj is not None and inj.enabled)
+            and type(nxt) is tuple
+            and nxt[0] is qp
+            and nxt[1].opcode in _RDMA_WRITES
+        )
 
     def _send_engine(self):
         """Drain posted descriptors in FIFO order, one at a time: a backlog
@@ -390,44 +451,59 @@ class HCA:
             return
 
     def _inject(self, qp: QueuePair, wr: SendWR):
-        """Process a SEND / RDMA_WRITE(_IMM) descriptor."""
-        nbytes = wr.byte_len
+        """Process a SEND / RDMA_WRITE(_IMM) descriptor and the run it
+        heads (module docstring): one event at the last injection end; the
+        members before the last retire in :meth:`_settle`."""
+        cm = self.cm
         inj = self.node.fault_injector
-        faulty = inj is not None and inj.enabled
         dropped = False
         link = 1.0
-        if faulty:
+        if inj is not None and inj.enabled:
             yield from self._transport_faults(qp, wr)
             inj.maybe_degrade(self.node_id)
             link = inj.link_factor(self.node_id)
             dropped = inj.drop_ctrl(self.node_id, wr.payload)
-        start = self.sim.now
-        nsge = max(1, len(wr.sges))
-        occupancy = self.cm.descriptor_time(nbytes, nsge)
-        if link > 1.0:
-            occupancy += (link - 1.0) * self.cm.wire_time(nbytes)
-        if wr.sges:
-            # the HCA's gather DMA reads local memory during injection, and
-            # the remote HCA's DMA writes remote memory one latency later
-            self.node.dma_window(0.0, occupancy)
-            qp.peer.hca.node.dma_window(self.cm.wire_latency, occupancy)
-        # one timeout (splitting would perturb event ordering); the leading
-        # WQE-processing portion attributes as descriptor, the rest as wire
-        desc_us = occupancy - self.cm.wire_time(nbytes) * link
-        yield self.sim.timeout(
-            occupancy, tag=("split", (("descriptor", desc_us), ("wire", None)))
-        )
-        self.node.tracer.record(
-            start, self.sim.now, self.node_id, "wire", wr.opcode.value
-        )
-        self._bytes_injected.inc(nbytes)
-        self._descriptors.inc()
+        wrs = [wr]
+        for nxt in self._send_queue:
+            if not self._folds(qp, wrs[-1], nxt):
+                break
+            wrs.append(nxt[1])
+        # injection ends, left to right as a chain of timeouts would add
+        # them; the HCA's gather DMA reads local memory during each, and
+        # the remote HCA's DMA writes remote memory one latency later
+        profiled = self.sim.profiler is not None
+        latency = cm.wire_latency
+        t = self.sim.now
+        run, local, remote, bounds = [], [], [], []
+        for wr in wrs:
+            nbytes = wr.byte_len
+            occupancy = cm.descriptor_time(nbytes, max(1, len(wr.sges)))
+            if link > 1.0:
+                occupancy += (link - 1.0) * cm.wire_time(nbytes)
+            end = t + occupancy
+            if wr.sges:
+                local.append((t, end))
+                remote.append((t + latency, t + (latency + occupancy)))
+            if profiled:
+                # the leading WQE-processing portion attributes as
+                # descriptor, the rest as wire
+                desc_us = occupancy - cm.wire_time(nbytes) * link
+                split = ("split", (("descriptor", desc_us), ("wire", None)))
+                bounds.append((t, end, split))
+            run.append((t, end, qp, wr, nbytes))
+            t = end
+        self.node.dma_windows(local)
+        qp.peer.hca.node.dma_windows(remote)
+        start, end, _qp, wr, nbytes = run.pop()  # the terminator: handled here
+        self._run.extend(run)
+        yield self.sim.timeout_at(end, tag=("run", tuple(bounds)))
+        self._settle()
         # DMA snapshot of the gather list at injection time.
-        data = self._gather(wr)
+        data = self._injected(start, end, wr, nbytes)
         peer = qp.peer
         # Local completion: the descriptor has left the send queue.
         if wr.signaled:
-            self._complete_local(qp, wr, nbytes, delay=self.cm.cqe_delay)
+            self._complete_local(qp, wr, nbytes, delay=cm.cqe_delay)
         # An injected control-message loss: the descriptor completed
         # locally, but nothing arrives at the responder.  Only messages
         # with an end-to-end retransmission path are ever dropped.
@@ -437,15 +513,7 @@ class HCA:
         # A silent write lands with its successor (module docstring): the
         # next descriptor this engine injects arrives on the same QP no
         # earlier, and lands these bytes first.
-        nxt = self._send_queue.peek()
-        if (
-            wr.opcode is Opcode.RDMA_WRITE
-            and not wr.signaled
-            and not faulty
-            and type(nxt) is tuple
-            and nxt[0] is qp
-            and nxt[1].opcode in _RDMA_WRITES
-        ):
+        if self._folds(qp, wr, self._send_queue.peek()):
             peer.pending_landings.append((wr, data))
             return
         # Remote delivery after the wire latency; channel semantics pay
@@ -477,7 +545,7 @@ class HCA:
         def handle_request(_e, peer=peer, qp=qp, wr=wr, length=length):
             peer.hca.memory.check_remote(wr.remote_addr, length, wr.rkey)
             data = peer.hca.memory.view(wr.remote_addr, length).copy()
-            peer.hca._send_queue.put(_ReadResponse(qp, wr, data))
+            peer.hca._put(_ReadResponse(qp, wr, data))
 
         ev = self.sim.event()
         ev.callbacks.append(handle_request)
@@ -494,8 +562,11 @@ class HCA:
         start = self.sim.now
         # read responses stream at the (lower) RDMA read bandwidth
         occupancy = self.cm.hca_startup + nbytes * link / self.cm.rdma_read_bandwidth
-        self.node.dma_window(0.0, occupancy)
-        resp.req_qp.hca.node.dma_window(self.cm.wire_latency, occupancy)
+        latency = self.cm.wire_latency
+        self.node.dma_windows([(start, start + occupancy)])
+        resp.req_qp.hca.node.dma_windows(
+            [(start + latency, start + (latency + occupancy))]
+        )
         yield self.sim.timeout(
             occupancy,
             tag=("split", (("descriptor", self.cm.hca_startup), ("wire", None))),

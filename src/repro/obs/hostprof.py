@@ -121,6 +121,8 @@ def host_category(tag: Any) -> str:
             return "resource-wait"
         if kind in ("store-wait", "signal-wait"):
             return "protocol-wait"
+        if kind == "run":  # a run of descriptors' injection ends
+            return "wire"
         if kind == "split":
             # one timeout covering several simulated phases: host-wise
             # the callback is one body; bill it to the absorbing part

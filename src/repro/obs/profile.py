@@ -157,9 +157,10 @@ class Profiler:
             float(res.queue_length)
         )
 
-    def sample_store(self, store) -> None:
-        """Snapshot a named Store's depth (called on every put/get)."""
-        t = store.sim.now
+    def sample_store(self, store, at: Optional[float] = None) -> None:
+        """Snapshot a named Store's depth (called on every put/get; ``at``
+        is the time of a pop that is settled later than it happened)."""
+        t = store.sim.now if at is None else at
         depth = float(len(store))
         self.sample(f"{store.name}.depth", store.node, t, depth)
         self.metrics.gauge(f"profile.depth.{store.name}", store.node).set(depth)
@@ -248,26 +249,30 @@ def critical_path(done, t0: float = 0.0) -> "Attribution":
     cursor = end
     ev = done
     while ev is not None and cursor > t0:
-        s = ev._sched_at
-        if s < 0:  # scheduled before profiling started (or a root)
+        if ev._sched_at < 0:  # scheduled before profiling started (or a root)
             break
-        e = ev._fire_at
-        tag = ev._ptag
-        lo = max(s, t0)
-        hi = min(e, cursor)
-        if isinstance(tag, tuple):
-            kind = tag[0]
-            if kind == "resource-wait":
+        spans = ((ev._sched_at, ev._fire_at, ev._ptag),)
+        if isinstance(ev._ptag, tuple) and ev._ptag[0] == "run":
+            # one event for a run of descriptors: walked as the timeouts
+            # it replaces, newest first, each with its own bounds and tag
+            spans = reversed(ev._ptag[1])
+        for s, e, tag in spans:
+            if cursor <= t0:
+                break
+            lo = max(s, t0)
+            hi = min(e, cursor)
+            if not isinstance(tag, tuple):
+                attribute(lo, hi, categorize(tag), tag)
+            elif tag[0] == "resource-wait":
                 # the grant fired at ``e``; the wait started at the
                 # recorded request time — the whole span is contention
                 lo = max(tag[1], t0)
                 attribute(lo, hi, "resource-wait", tag[2])
-                cursor = min(cursor, lo)
-            elif kind in ("store-wait", "signal-wait"):
+            elif tag[0] in ("store-wait", "signal-wait"):
                 # communication dependency: zero-width here, the time
                 # belongs to whatever produced the item (the cause chain)
-                cursor = min(cursor, lo)
-            elif kind == "split":
+                pass
+            elif tag[0] == "split":
                 # one timeout covering several phases: leading parts have
                 # fixed durations, the one None part absorbs the rest
                 parts = tag[1]
@@ -283,12 +288,8 @@ def critical_path(done, t0: float = 0.0) -> "Attribution":
                 # reversal restores forward order within the event too
                 for blo, bhi, cat in reversed(bounds):
                     attribute(blo, bhi, cat, tag)
-                cursor = min(cursor, lo)
             else:  # unknown tuple tag: treat as unlabeled
                 attribute(lo, hi, "protocol-wait", tag)
-                cursor = min(cursor, lo)
-        else:
-            attribute(lo, hi, categorize(tag), tag)
             cursor = min(cursor, lo)
         ev = ev._cause
 

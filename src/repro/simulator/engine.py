@@ -192,8 +192,6 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self.triggered = True
@@ -418,6 +416,19 @@ class Simulator:
             t._ptag = tag
         return t
 
+    def timeout_at(self, when: float, value: Any = None, tag: Any = None) -> Event:
+        """Create an event that triggers at the absolute time ``when``.
+
+        For a due time that is itself a sum (a run of descriptors):
+        ``now + d1`` then ``+ d2`` rounds differently from ``now + (d1 + d2)``,
+        and the caller has already done the former."""
+        ev = Event(self)
+        ev.triggered = True
+        ev._value = value
+        ev._ptag = tag
+        self._schedule(ev, at=when)
+        return ev
+
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator."""
         return Process(self, gen, name=name)
@@ -430,10 +441,14 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(
+        self, event: Event, delay: float = 0.0, at: Optional[float] = None
+    ) -> None:
         seq = self._seq + 1
         self._seq = seq
-        due = self.now + delay
+        due = self.now + delay if at is None else at
+        if due < self.now:
+            raise ValueError(f"{event!r} due at {due!r}, before now={self.now!r}")
         heappush(self._heap, (due, seq, event))
         if self.profiler is not None:
             event._cause = self._current_event
@@ -450,8 +465,6 @@ class Simulator:
         time, _seq, event = heappop(self._heap)
         if event.cancelled:
             return
-        if time < self.now:
-            raise SimulationError("time went backwards")  # pragma: no cover
         self.now = time
         self.events_processed += 1
         self._current_event = event

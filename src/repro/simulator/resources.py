@@ -177,20 +177,25 @@ class Store:
             self._getters.append(ev)
         return ev
 
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking pop; returns None when empty."""
-        return self._pop() if self._items else None
+    def try_get(self, at: Optional[float] = None) -> Optional[Any]:
+        """Non-blocking pop; returns None when empty.  ``at`` backdates the
+        pop for the profiler's depth series (a settled run member)."""
+        return self._pop(at) if self._items else None
+
+    def __iter__(self):
+        """Queued items in delivery order, left queued."""
+        return iter(self._items)
 
     def peek(self) -> Optional[Any]:
         """The item the next :meth:`get` would deliver, left queued; None
         when empty."""
         return self._items[0] if self._items else None
 
-    def _pop(self) -> Any:
+    def _pop(self, at: Optional[float] = None) -> Any:
         item = self._items.popleft()
         prof = self.sim.profiler
         if prof is not None and self.name:
-            prof.sample_store(self)
+            prof.sample_store(self, at)
         return item
 
     def cancel_get(self, ev: Event) -> bool:

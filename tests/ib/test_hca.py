@@ -74,7 +74,7 @@ class TestCopyContention:
         cm = n0.cm
 
         def prog():
-            n0.dma_window(0.0, 1e9)  # a DMA stream runs throughout
+            n0.dma_windows([(0.0, 1e9)])  # a DMA stream runs throughout
             t0 = sim.now
             yield from n0.copy_work(1 << 20, 0)
             return sim.now - t0
@@ -300,7 +300,8 @@ class TestSilentWritesFold:
     successor.  Each test reads target memory at a time."""
 
     #: ``events_processed`` of the two list-post scenarios at the parent
-    #: commit (a860f56), 33 descriptors at 6.3 events apiece; 44 and 45 now
+    #: commit (a860f56), 33 descriptors at 6.3 events apiece; 44 and 45
+    #: after PR 22, 12 and 13 since the 33 injection ends are one event
     PARENT_EVENTS = {"signaled": 207, "imm": 208}
 
     def _list_post(self, last, enabled_plan=False):
@@ -360,8 +361,9 @@ class TestSilentWritesFold:
         plain, _ = self._list_post({"signaled": True})
         faulty, seen = self._list_post({"signaled": True}, enabled_plan=True)
         assert seen["after_send_cqe"] == [True] * 33
-        # every one of the 32 silent writes keeps its own landing event
-        assert faulty.events_processed == plain.events_processed + 32
+        # every one of the 32 silent writes keeps its own landing event,
+        # and its own injection-end event: a faulted node plans runs of one
+        assert faulty.events_processed == plain.events_processed + 32 + 32
 
     def _first_of_two(self, first_kw, second, post_recv=False):
         """Node 0 posts one 64 KB write to node 1, then ``second(...)``

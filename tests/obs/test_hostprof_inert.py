@@ -145,15 +145,19 @@ class TestObserversCountNoEvents:
     a decision no observer may take part in.  A Multi-W list-post cell and
     the ``one_sided_halo`` RMA puts dispatch the same events, record the
     same trace and show the same send-queue depth whatever else watches.
+    Since PR 23 a run of descriptors is one event whose members retire
+    when somebody looks — the ``single_post`` cell posts one descriptor at
+    a time behind a busy engine, so enqueues land in the middle of runs.
     """
 
     OBSERVERS = ("trace", "profile", "host_profile")
 
     @staticmethod
-    def multi_w(**observers):
-        dt = column_dt()
+    def multi_w(cols=64, scheme_options=None, **observers):
+        dt = column_dt(cols)
         cluster = Cluster(
-            2, scheme="multi-w", memory_per_rank=512 * MB, **observers
+            2, scheme="multi-w", scheme_options=scheme_options,
+            memory_per_rank=512 * MB, **observers,
         )
         span = dt.flatten(1).span + abs(dt.lb) + 64
 
@@ -170,6 +174,11 @@ class TestObserversCountNoEvents:
         cluster.run([rank0, rank1])
         return cluster
 
+    @classmethod
+    def single_post(cls, **observers):
+        # hostbench's ``multi-w+single_post/cols512`` shape
+        return cls.multi_w(512, {"list_post": False}, **observers)
+
     @staticmethod
     def halo_puts(**observers):
         from repro.workloads import patterns
@@ -181,7 +190,7 @@ class TestObserversCountNoEvents:
         cluster.run(patterns.one_sided_halo)
         return cluster
 
-    @pytest.fixture(params=["multi_w", "halo_puts"])
+    @pytest.fixture(params=["multi_w", "single_post", "halo_puts"])
     def cell(self, request, monkeypatch):
         from repro.workloads import patterns
 
@@ -202,6 +211,21 @@ class TestObserversCountNoEvents:
         assert alone
         for name in ("profile", "host_profile"):
             assert trace_records(cell(trace=True, **{name: True})) == alone, name
+
+    def test_single_posts_arrive_while_runs_are_in_flight(self, monkeypatch):
+        # the cell is what it is here for: enqueues find unretired members
+        from repro.ib.hca import HCA
+
+        unretired = []
+        enqueue = HCA.enqueue_send
+
+        def spy(hca, qp, wr):
+            unretired.append(len(hca._run))
+            enqueue(hca, qp, wr)
+
+        monkeypatch.setattr(HCA, "enqueue_send", spy)
+        self.single_post()
+        assert max(unretired) > 1
 
     def test_send_queue_depth_series(self, cell):
         def depth(**observers):

@@ -185,3 +185,28 @@ def test_the_committed_history_reads_end_to_end():
     assert [n for n, _metrics in points][:2] == [11, 12]
     for n, metrics in points:
         assert wanted <= set(metrics), (n, sorted(wanted - set(metrics)))
+
+
+def test_the_newest_report_agrees_with_the_exact_golden():
+    """The event-count pins and the committed report are regenerated by
+    different commands; a PR that moves one must move the other.  Every
+    cell of ``tests/golden/hostbench_exact.json`` (all of ``stream_copy``,
+    the ``--quick`` cells of the rest) is in the full report, with the
+    same ``events`` and ``repr(sim_us)``.  No simulation."""
+    import re
+
+    root = Path(__file__).resolve().parents[2]
+    reports = {
+        int(m.group(1)): path
+        for path in (root / trends.HISTORY).glob("BENCH_*.json")
+        if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))
+    }
+    newest = reports[max(reports)]
+    report = json.loads(newest.read_text())["workloads"]
+    golden = json.loads(
+        (root / "tests" / "golden" / "hostbench_exact.json").read_text()
+    )
+    for key, pinned in golden.items():
+        workload, cell = key.split("/", 1)
+        got = report[workload]["cells"][cell]
+        assert [got["events"], repr(got["sim_us"])] == pinned, (newest.name, key)

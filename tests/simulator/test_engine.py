@@ -448,3 +448,86 @@ class TestStepHygiene:
         sim.timeout(5.0).cancel()
         sim.run()
         assert sim.events_processed == before_events
+
+
+class TestTimeoutAt:
+    #: added left to right these reach 3.801; right to left, 3.8009999999999997
+    DELAYS = (0.1, 0.2, 0.3, 0.7, 1e-3, 2.5)
+
+    def test_fires_exactly_where_a_chain_of_timeouts_arrives(self, sim):
+        def chain(sim):
+            for d in self.DELAYS:
+                yield sim.timeout(d)
+            return sim.now
+
+        arrived = sim.process(chain(sim))
+        sim.run()
+        when = 0.0
+        for d in self.DELAYS:
+            when = when + d
+        assert arrived.value == when  # ==, not approx
+
+        other = Simulator()
+        fired = []
+        ev = other.timeout_at(when, value="v", tag="wire")
+        ev.callbacks.append(lambda e: fired.append((other.now, e.value)))
+        other.run()
+        assert fired == [(when, "v")] and ev._ptag == "wire"
+        # one timeout of the summed delays need not land there
+        back = 0.0
+        for d in reversed(self.DELAYS):
+            back = d + back
+        assert 0.0 + back != when
+
+    def test_same_time_events_keep_scheduling_order(self, sim):
+        order = []
+        for name, make in (
+            ("a", lambda: sim.timeout(3.0)),
+            ("b", lambda: sim.timeout_at(3.0)),
+            ("c", lambda: sim.event().succeed(delay=3.0)),
+            ("d", lambda: sim.timeout_at(3.0)),
+        ):
+            make().callbacks.append(lambda _e, name=name: order.append(name))
+        sim.run()
+        assert order == ["a", "b", "c", "d"] and sim.now == 3.0
+
+    def test_cancel_and_run_until_behave_as_for_timeout(self, sim):
+        sim.timeout_at(5.0).cancel()
+        assert sim.peek() == float("inf")
+        sim.run()
+        assert sim.now == 0.0 and sim.events_processed == 0
+        fired = []
+        sim.timeout_at(7.0).callbacks.append(lambda _e: fired.append(sim.now))
+        assert sim.run(until=6.0) == 6.0 and not fired
+        assert sim.run() == 7.0 and fired == [7.0]
+
+    def test_at_now_is_legal_and_the_past_raises_at_the_call(self, sim):
+        sim.timeout(2.0)
+        sim.run()
+        sim.timeout_at(2.0)  # due now: a zero-delay event
+        with pytest.raises(ValueError, match=r"Event.*1\.5.*now=2\.0"):
+            sim.timeout_at(1.5)
+        assert len(sim._heap) == 1
+
+    def test_records_provenance_like_any_scheduled_event(self, sim):
+        sim.profiler = object()
+        ev = sim.timeout_at(4.0, tag=("run", ()))
+        assert (ev._sched_at, ev._fire_at, ev._cause) == (0.0, 4.0, None)
+
+
+class TestPastDueRejectedWhereScheduled:
+    """A negative delay used to reach the heap and surface, at some later
+    ``step()``, as a "time went backwards" that named nobody."""
+
+    def test_succeed_with_negative_delay(self, sim):
+        ev = sim.event()
+        with pytest.raises(ValueError, match="before now=0.0"):
+            ev.succeed(delay=-1.0)
+        assert not sim._heap
+
+    def test_fail_with_negative_delay(self, sim):
+        sim.timeout(3.0)
+        sim.run()
+        with pytest.raises(ValueError, match=r"due at 2\.0, before now=3\.0"):
+            sim.event().fail(RuntimeError("x"), delay=-1.0)
+        assert not sim._heap
