@@ -336,12 +336,12 @@ class HCA:
         now = self.sim.now
         while run and run[0][1] <= now:
             start, end, qp, wr, nbytes = run.popleft()
-            data = self._injected(start, end, wr, nbytes)
+            data = self._snapshot(start, end, wr, nbytes)
             qp.peer.pending_landings.append((wr, data))
             self._sq_depth.dec()
             self._send_queue.try_get(at=end)  # the engine takes the next member
 
-    def _injected(self, start, end, wr: SendWR, nbytes: int) -> np.ndarray:
+    def _snapshot(self, start, end, wr: SendWR, nbytes: int) -> np.ndarray:
         """What one descriptor's injection leaves behind: the wire record,
         the counters and the DMA snapshot of its gather list."""
         self.node.tracer.record(start, end, self.node_id, "wire", wr.opcode.value)
@@ -499,7 +499,7 @@ class HCA:
         yield self.sim.timeout_at(end, tag=("run", tuple(bounds)))
         self._settle()
         # DMA snapshot of the gather list at injection time.
-        data = self._injected(start, end, wr, nbytes)
+        data = self._snapshot(start, end, wr, nbytes)
         peer = qp.peer
         # Local completion: the descriptor has left the send queue.
         if wr.signaled:
