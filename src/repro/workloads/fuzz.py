@@ -324,7 +324,7 @@ def expected_payloads(workload: Workload) -> dict:
                     fill_pattern(op.nbytes, op.a, op.b, op.mod)
                 )
             elif isinstance(op, ir.Data):
-                raw = ir.decode_data(op.zlib64)
+                raw = op.decoded()
                 memory[op.buf][op.offset: op.offset + len(raw)] = (
                     np.frombuffer(raw, dtype=np.uint8)
                 )

@@ -320,6 +320,15 @@ class Data(Op):
     offset: int
     zlib64: str
 
+    def decoded(self, where: str = "data") -> bytes:
+        """The payload bytes, inflated once per parsed op: memoised beside
+        the dataclass fields, so ``to_dict``, ``==`` and ``hash`` never see
+        them, and ``validate``, ``replay`` and the fuzz oracle share them."""
+        raw = self.__dict__.get("_raw")
+        if raw is None:
+            raw = self.__dict__["_raw"] = decode_data(self.zlib64, where)
+        return raw
+
 
 @dataclass(frozen=True)
 class Isend(Op):

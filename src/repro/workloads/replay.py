@@ -41,12 +41,14 @@ def fill_pattern(nbytes: int, a: int, b: int, mod: int) -> np.ndarray:
 def digest_buffers(views) -> str:
     """SHA-256 over named buffers: ``[(name, uint8-array), ...]`` in
     allocation order.  Shared by the interpreter and the recorder so
-    their timelines are comparable byte-for-byte."""
+    their timelines are comparable byte-for-byte.  The hash reads each
+    view in place: ``memory.view`` slices are C-contiguous, and the buffer
+    protocol raises ``ValueError`` for one that is not rather than copy."""
     h = hashlib.sha256()
     for name, view in views:
         h.update(name.encode())
         h.update(b"\x00")
-        h.update(view.tobytes())
+        h.update(view)
     return h.hexdigest()
 
 
@@ -118,7 +120,7 @@ def _make_program(
                     op.nbytes, op.a, op.b, op.mod
                 )
             elif isinstance(op, ir.Data):
-                raw = ir.decode_data(op.zlib64)
+                raw = op.decoded()
                 addr = buffers[op.buf][0] + op.offset
                 memory.view(addr, len(raw))[:] = np.frombuffer(
                     raw, dtype=np.uint8

@@ -123,7 +123,7 @@ def validate(workload: Workload) -> None:
                         f"{where}: fill mod {op.mod} outside [1, 256]"
                     )
             elif isinstance(op, ir.Data):
-                raw = ir.decode_data(op.zlib64, where)
+                raw = op.decoded(where)
                 _check_region(buffers, op.buf, op.offset, len(raw), where)
             elif isinstance(op, (ir.Isend, ir.Send)):
                 dt = _resolve_type(types, op.type, where)
