@@ -48,6 +48,14 @@ put on this send queue, a reader of ``bytes_injected`` or
 (half-open, like the windows).  A lone descriptor is a run of one, and a
 faulted node plans nothing else.
 
+A **write list** (:class:`~repro.ib.verbs.WriteList`) is a run given as
+arrays: its members before the last are one queue item, their ends one
+``cumsum`` (the same sum, in the same order), and a settled stretch ``[lo,
+hi)`` of them one gather, one ``pending_landings`` entry and one scatter.
+Only :meth:`HCA._land` may iterate it: when two targets of a stretch
+overlap, or one strays from its region, list order decides which bytes win
+and which member is named, so the stretch lands member by member.
+
 Data is snapshotted at injection time, moved for real between numpy
 address spaces, and validated against the registration tables, so every
 scheme's output is byte-checkable.
@@ -64,6 +72,7 @@ import numpy as np
 from repro.ib.costmodel import CostModel
 from repro.ib.memory import MemoryRegion, NodeMemory
 from repro.ib.verbs import (
+    RDMA_WRITES,
     Completion,
     CompletionQueue,
     Opcode,
@@ -71,13 +80,12 @@ from repro.ib.verbs import (
     QueuePair,
     SGEList,
     SendWR,
+    WriteList,
 )
 from repro.simulator import Resource, SimulationError, Simulator, Store, Tracer
 from repro.simulator.metrics import MetricsRegistry
 
 __all__ = ["HCA", "Node"]
-
-_RDMA_WRITES = (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM, Opcode.RDMA_WRITE_POLLED)
 
 
 class Node:
@@ -122,10 +130,14 @@ class Node:
         node that never copies holds only the streams in flight.
         """
         spans = [span for span in spans if span[1] > span[0]]
-        live = self._live_windows()
         if spans:
             starts, ends = zip(*spans)
-            live.append((sorted(starts), sorted(ends)))
+            self._live_windows().append((sorted(starts), sorted(ends)))
+
+    def dma_batch(self, starts, ends) -> None:
+        """:meth:`dma_windows` of ``[starts[i], ends[i])``, both sorted and
+        no window negative — as a write list's plan has them."""
+        self._live_windows().append((starts, ends))
 
     def _live_windows(self) -> list:
         now = self.sim.now
@@ -260,6 +272,16 @@ class _ReadResponse:
         self.data = data
 
 
+class _SendQueue(Store):
+    """The send queue, its depth in descriptors: ``unpopped`` members of
+    write lists wait beside the one item each queued list is."""
+
+    unpopped = 0
+
+    def __len__(self) -> int:
+        return len(self._items) + self.unpopped
+
+
 class HCA:
     """The host channel adapter of one node."""
 
@@ -269,7 +291,7 @@ class HCA:
         self.cm = node.cm
         self.memory = node.memory
         self.node_id = node.node_id
-        self._send_queue: Store = Store(
+        self._send_queue = _SendQueue(
             self.sim, name=f"hca{self.node_id}.sq", node=self.node_id
         )
         self.sim.process(self._send_engine(), name=f"hca{self.node_id}")
@@ -286,7 +308,9 @@ class HCA:
         #: WQE backlog in the send engine (posted but not yet drained)
         self._sq_depth = self.metrics.gauge("ib.sq_depth", self.node_id)
         #: members of the run in flight that have not retired yet, in
-        #: injection order: ``(start, end, qp, wr, nbytes)`` (:meth:`_inject`)
+        #: injection order: ``(start, end, qp, wr, nbytes)``, or ``[times,
+        #: retired, qp, wrs]``, member ``i`` of the write list injected over
+        #: ``[times[i], times[i + 1])`` (:meth:`_inject`)
         self._run: deque = deque()
 
     @property
@@ -325,6 +349,17 @@ class HCA:
         # outstanding = queued + the one the engine is processing
         self._sq_depth.inc()
 
+    def enqueue_list(self, qp: QueuePair, wrs: WriteList) -> None:
+        """A validated write list: its silent members as one item, then
+        its last descriptor as the ``SendWR`` it is."""
+        silent = len(wrs) - 1
+        if silent:
+            self._settle()
+            self._send_queue.unpopped += silent - 1
+            self._send_queue.put((qp, wrs))
+            self._sq_depth.inc(silent)
+        self.enqueue_send(qp, wrs.last)
+
     def _put(self, item) -> None:
         self._settle()  # a member whose injection has ended retires first
         self._send_queue.put(item)
@@ -334,12 +369,52 @@ class HCA:
         the run in flight whose injection has ended (``end <= now``)."""
         run = self._run
         now = self.sim.now
-        while run and run[0][1] <= now:
-            start, end, qp, wr, nbytes = run.popleft()
-            data = self._snapshot(start, end, wr, nbytes)
-            qp.peer.pending_landings.append((wr, data))
-            self._sq_depth.dec()
-            self._send_queue.try_get(at=end)  # the engine takes the next member
+        while run:
+            head = run[0]
+            if type(head) is list:  # a write list: the prefix one bisect finds
+                times, lo, qp, wrs = head
+                head[1] = hi = bisect_right(times, now, lo + 1) - 1
+                if hi > lo:
+                    self._retire(qp, wrs, times, lo, hi)
+                if hi < len(wrs) - 1:
+                    break
+            elif head[1] <= now:
+                start, end, qp, wr, nbytes = head
+                data = self._snapshot(start, end, wr, nbytes)
+                qp.peer.pending_landings.append((wr, data))
+                self._sq_depth.dec()
+                self._send_queue.try_get(at=end)  # the engine takes the next member
+            else:
+                break
+            run.popleft()
+
+    def _retire(self, qp: QueuePair, wrs: WriteList, times: list, lo: int, hi: int):
+        """:meth:`_settle` for members ``[lo, hi)`` of a write list: one
+        gather, counters by sums, one landing entry; an observer that is on
+        sees every member."""
+        tracer = self.node.tracer
+        if tracer.enabled:
+            for start, end in zip(times[lo:hi], times[lo + 1 :]):
+                tracer.record(start, end, self.node_id, "wire", wrs.opcode.value)
+        lengths = wrs.lengths[lo:hi]
+        data = np.empty(int(lengths.sum()), dtype=np.uint8)
+        self.memory.copy_blocks(wrs.src[lo:hi], lengths, data, gather=True)
+        self._bytes_injected.inc(len(data))
+        self._descriptors.inc(hi - lo)
+        qp.peer.pending_landings.append((wrs, data, lo, hi))
+        self._sq_depth.dec(hi - lo)
+        # at each end the engine took the next member: the list's own, or,
+        # after its last silent one, the next item of the queue
+        queue, prof = self._send_queue, self.sim.profiler
+        own = min(hi, len(wrs) - 2) - lo
+        if prof is None:
+            queue.unpopped -= own
+        else:
+            for end in times[lo + 1 : lo + 1 + own]:
+                queue.unpopped -= 1
+                prof.sample_store(queue, end)
+        if hi == len(wrs) - 1:
+            queue.try_get(at=times[hi])
 
     def _snapshot(self, start, end, wr: SendWR, nbytes: int) -> np.ndarray:
         """What one descriptor's injection leaves behind: the wire record,
@@ -359,7 +434,7 @@ class HCA:
             and not (inj is not None and inj.enabled)
             and type(nxt) is tuple
             and nxt[0] is qp
-            and nxt[1].opcode in _RDMA_WRITES
+            and nxt[1].opcode in RDMA_WRITES
         )
 
     def _send_engine(self):
@@ -476,6 +551,9 @@ class HCA:
         t = self.sim.now
         run, local, remote, bounds = [], [], [], []
         for wr in wrs:
+            if type(wr) is WriteList:
+                t = self._plan_list(qp, wr, t, run, bounds)
+                continue
             nbytes = wr.byte_len
             occupancy = cm.descriptor_time(nbytes, max(1, len(wr.sges)))
             if link > 1.0:
@@ -532,6 +610,26 @@ class HCA:
             delay=delay,
             tag=("split", (("wire", self.cm.wire_latency), ("protocol-wait", None))),
         )
+
+    def _plan_list(self, qp: QueuePair, wrs: WriteList, t: float, run, bounds) -> float:
+        """:meth:`_inject`'s loop body for the silent members of a write
+        list, as array expressions; returns the last injection end."""
+        cm = self.cm
+        lengths = wrs.lengths[:-1]
+        occupancy = cm.descriptor_time(lengths, 1)
+        ends = np.cumsum(np.concatenate(([t], occupancy)))
+        times = ends.tolist()
+        self.node.dma_batch(times[:-1], times[1:])
+        starts, latency = ends[:-1], cm.wire_latency
+        qp.peer.hca.node.dma_batch(
+            (starts + latency).tolist(), (starts + (latency + occupancy)).tolist()
+        )
+        if self.sim.profiler is not None:
+            for i, desc_us in enumerate((occupancy - cm.wire_time(lengths)).tolist()):
+                split = ("split", (("descriptor", desc_us), ("wire", None)))
+                bounds.append((times[i], times[i + 1], split))
+        run.append([times, 0, qp, wrs])
+        return times[-1]
 
     def _issue_read_request(self, qp: QueuePair, wr: SendWR):
         """RDMA read: ship the request to the responder's HCA."""
@@ -649,7 +747,7 @@ class HCA:
             self._scatter(recv_wr.sges, data)
             self._bytes_delivered.inc(len(data) + wr.extra_bytes)
             self._complete_recv(qp, recv_wr.wr_id, wr, len(data))
-        elif wr.opcode in _RDMA_WRITES:
+        elif wr.opcode in RDMA_WRITES:
             nbytes = self._land(wr, data)
             if wr.opcode is Opcode.RDMA_WRITE_IMM:
                 recv_wr = qp._consume_recv()
@@ -671,10 +769,27 @@ class HCA:
         else:  # pragma: no cover - reads handled separately
             raise SimulationError(f"unexpected inbound opcode {wr.opcode}")
 
-    def _land(self, wr: SendWR, data: np.ndarray) -> int:
-        """The DMA write of one inbound RDMA write, at its own landing
-        event or at its successor's; returns the bytes written."""
+    def _land(
+        self, wr: "SendWR | WriteList", data: np.ndarray, lo: int = 0, hi: int = 0
+    ) -> int:
+        """The DMA write of one inbound RDMA write, or of members ``[lo,
+        hi)`` of a write list, at its own landing event or at its
+        successor's; returns the bytes written."""
         nbytes = len(data)
+        if type(wr) is WriteList:
+            live = wr.lengths[lo:hi] > 0  # an empty write touches nothing
+            dst, lengths, rkeys = (a[lo:hi][live] for a in (wr.dst, wr.lengths, wr.rkeys))
+            order = np.argsort(dst, kind="stable")
+            if (dst[order][1:] >= (dst + lengths)[order][:-1]).all() and SGEList(
+                dst, lengths, rkeys
+            ).inside(self.memory.check_remote):
+                self.memory.copy_blocks(dst, lengths, data, gather=False)
+                self._bytes_delivered.inc(nbytes)
+            else:  # list order decides (module docstring)
+                pos = 0
+                for member in wr.members(lo, hi):
+                    pos += self._land(member, data[pos : pos + member.byte_len])
+            return nbytes
         if nbytes:
             self.memory.check_remote(wr.remote_addr, nbytes, wr.rkey)
             self.memory.view(wr.remote_addr, nbytes)[:] = data

@@ -16,7 +16,9 @@ Section 2:
   and 7.3.
 * **List descriptor post** — ``post_send_list`` models the Mellanox
   extended interface (Section 7.4) that posts a chain of descriptors in
-  one call; the CPU cost difference is what Figure 13 measures.
+  one call; the CPU cost difference is what Figure 13 measures.  A
+  :class:`WriteList`, the array form of such a chain, is validated and
+  enqueued in one pass; any other sequence one descriptor at a time.
 
 Posting functions are generators: they charge the CPU cost of the post on
 the owning node's CPU resource, then hand the descriptor(s) to the HCA send
@@ -28,11 +30,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.ib.memory import block_arrays
+from repro.ib.memory import ProtectionError, block_arrays
 from repro.simulator import Event, SimulationError, Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,10 +47,12 @@ __all__ = [
     "Opcode",
     "QPState",
     "QueuePair",
+    "RDMA_WRITES",
     "RecvWR",
     "SGE",
     "SGEList",
     "SendWR",
+    "WriteList",
 ]
 
 #: Mellanox SDK scatter/gather limit the paper cites in Section 5.1.
@@ -85,6 +89,10 @@ class Opcode(enum.Enum):
     RDMA_READ = "rdma_read"
 
 
+#: the opcodes that write remote memory (and so can land a silent write)
+RDMA_WRITES = (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM, Opcode.RDMA_WRITE_POLLED)
+
+
 class SGE(NamedTuple):
     """A scatter/gather entry: one contiguous local range."""
 
@@ -114,10 +122,21 @@ class SGEList:
         """``(addr, length, lkey)`` spanning the entries under each lkey:
         the list lies inside its regions exactly if these ranges do."""
         ends = self.addrs + self.lengths
-        for lkey in set(self.lkeys.tolist()):
-            mine = self.lkeys == lkey
+        first = self.lkeys[:1]
+        one = (self.lkeys == first).all()  # the usual case: one region
+        for lkey in first.tolist() if one else set(self.lkeys.tolist()):
+            mine = ... if one else self.lkeys == lkey
             lo = int(self.addrs[mine].min())
             yield lo, int(ends[mine].max()) - lo, lkey
+
+    def inside(self, check) -> bool:
+        """Whether ``check_local`` / ``check_remote`` accepts every hull."""
+        try:
+            for hull in self.hulls():
+                check(*hull)
+        except ProtectionError:
+            return False
+        return True
 
     def __len__(self) -> int:
         return len(self.addrs)
@@ -172,6 +191,57 @@ class SendWR:
             raise SimulationError("RDMA_WRITE_IMM requires immediate data")
         if self.opcode is Opcode.SEND and (self.remote_addr or self.rkey):
             raise SimulationError("SEND does not take a remote address")
+
+
+class WriteList:
+    """A list of single-SGE RDMA writes as parallel int64 arrays, as
+    :class:`SGEList` is the array form of a gather list: member ``i`` reads
+    ``[src[i], +lengths[i])`` under ``lkeys[i]``, writes it at ``dst[i]``
+    under ``rkeys[i]`` and has ``wr_id`` ``(owner, first + i)``.
+
+    All but the last are plain unsignaled ``RDMA_WRITE``s and stay arrays
+    from the post to the landing; :attr:`last` is a real :class:`SendWR`
+    the caller may upgrade (immediate, completion) before posting, as long
+    as it stays an RDMA write.  Iterating yields exactly the descriptors
+    the list stands for — what a one-by-one post, a node with an enabled
+    fault plan and the tests' oracle consume.
+    """
+
+    __slots__ = ("src", "dst", "lengths", "lkeys", "rkeys", "wr_id", "last")
+
+    #: what every member before the last is (read by ``HCA._folds``)
+    opcode = Opcode.RDMA_WRITE
+    signaled = False
+
+    def __init__(
+        self, pieces: tuple[np.ndarray, np.ndarray, np.ndarray],
+        lkeys: np.ndarray, rkeys: np.ndarray, wr_id: tuple[int, int],
+    ):
+        self.src, self.dst, self.lengths = pieces
+        self.lkeys, self.rkeys, self.wr_id = lkeys, rkeys, wr_id
+        self.last = self._write(len(self) - 1, *(a.item(-1) for a in self._columns()))
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.src, self.lengths, self.lkeys, self.dst, self.rkeys
+
+    def _write(self, i: int, src: int, length: int, lkey: int, dst: int, rkey: int):
+        owner, first = self.wr_id
+        return SendWR(
+            Opcode.RDMA_WRITE, sges=[SGE(src, length, lkey)], remote_addr=dst,
+            rkey=rkey, wr_id=(owner, first + i), signaled=False,
+        )
+
+    def members(self, lo: int, hi: int) -> Iterator[SendWR]:
+        """Members ``[lo, hi)`` as fresh plain-write descriptors."""
+        rows = zip(*(a[lo:hi].tolist() for a in self._columns()))
+        return (self._write(i, *row) for i, row in enumerate(rows, lo))
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __iter__(self) -> Iterator[SendWR]:
+        yield from self.members(0, len(self) - 1)
+        yield self.last
 
 
 @dataclass(frozen=True)
@@ -387,19 +457,36 @@ class QueuePair:
         """Post a chain of descriptors in one call (extended interface).
 
         Charges the amortized list-post CPU cost; descriptors enter the
-        send queue in order.
+        send queue in order.  A :class:`WriteList` whose sources lie in
+        their regions, on a node with no enabled fault plan, stays arrays;
+        otherwise it is the descriptors it iterates to, and the first
+        offender in list order raises.
         """
-        wrs = list(wrs)
-        for wr in wrs:
+        hca = self.hca
+        inj = hca.node.fault_injector
+        arrays = (
+            type(wrs) is WriteList
+            and not (inj is not None and inj.enabled)
+            and wrs.last.opcode in RDMA_WRITES
+            and (len(wrs) == 1 or SGEList(wrs.src, wrs.lengths, wrs.lkeys).inside(
+                hca.memory.check_local
+            ))  # a list of one is its last descriptor, validated below
+        )
+        if not arrays:
+            wrs = list(wrs)
+        for wr in (wrs.last,) if arrays else wrs:
             self._validate_send(wr)
-        yield from self.hca.node.cpu_work(
-            self.hca.cm.post_time(len(wrs), list_post=True), "post_send_list"
+        yield from hca.node.cpu_work(
+            hca.cm.post_time(len(wrs), list_post=True), "post_send_list"
         )
         self._list_posts_metric.inc()
-        for wr in wrs:
-            self.hca.enqueue_send(self, wr)
-            self.posted_sends += 1
-            self._sends_metric.inc()
+        if arrays:
+            hca.enqueue_list(self, wrs)
+        else:
+            for wr in wrs:
+                hca.enqueue_send(self, wr)
+        self.posted_sends += len(wrs)
+        self._sends_metric.inc(len(wrs))
 
     def _validate_send(self, wr: SendWR) -> None:
         wr.validate()

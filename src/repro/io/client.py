@@ -316,9 +316,9 @@ class IOClient:
 
     def _issue_view_ops(self, fh, pieces, opcode, addr, reg, bounce):
         """Issue one RDMA op per refined piece, split at stripe borders."""
-        yield from charge_dtproc(self, len(pieces))
+        yield from charge_dtproc(self, len(pieces[0]))
         completions = []
-        for mem_off, file_off, ln in pieces:
+        for mem_off, file_off, ln in zip(*(a.tolist() for a in pieces)):
             pos = 0
             while pos < ln:
                 goff = file_off + pos

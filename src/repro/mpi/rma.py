@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from repro.datatypes import Datatype, SegmentCursor
 from repro.ib.verbs import Opcode, SGE, SendWR
 from repro.schemes.base import RegisteredUserBuffer, charge_dtproc, piece_writes
@@ -70,8 +72,6 @@ def win_create(ctx, base: int, size: int):
     mr = yield from ctx.node.register(base, max(size, 1))
     win = Window(ctx=ctx, win_id=win_id, base=base, size=size, mr=mr)
     # allgather the advertisements through 16-byte eager messages
-    import numpy as np
-
     from repro.datatypes import contiguous, LONG
 
     n = ctx.nranks
@@ -120,18 +120,19 @@ def put(
     if target_rank == ctx.rank:
         # local put: a straight refinement copy, charged at copy rate
         pieces = refine(origin_flat, origin_addr, target_flat, tbase)
-        for src, dst, ln in pieces:
+        for src, dst, ln in zip(*(a.tolist() for a in pieces)):
             ctx.node.memory.view(dst, ln)[:] = ctx.node.memory.view(src, ln)
-        yield from ctx.node.copy_work(origin_flat.size, len(pieces), "rma-local")
+        yield from ctx.node.copy_work(origin_flat.size, len(pieces[0]), "rma-local")
         return
     reg = yield from RegisteredUserBuffer.acquire(ctx, origin_addr, origin_flat)
     pieces = refine(origin_flat, origin_addr, target_flat, tbase)
-    yield from charge_dtproc(ctx, len(pieces))
+    npieces = len(pieces[0])
+    yield from charge_dtproc(ctx, npieces)
     # the Multi-W write list; the whole window is one region, and the
     # last write's completion stands for the put at the next fence
-    wrs = piece_writes(ctx, pieces, reg, lambda _addr, _length: trkey)
-    wrs[-1].signaled = True
-    done = ctx.send_completion(wrs[-1].wr_id)
+    wrs = piece_writes(ctx, pieces, reg, np.full(npieces, trkey, dtype=np.int64))
+    wrs.last.signaled = True
+    done = ctx.send_completion(wrs.last.wr_id)
     yield from ctx.ctrl_qps[target_rank].post_send_list(wrs)
     win._pending.append((done, reg))
 
@@ -155,16 +156,16 @@ def get(
     tbase, trkey = _check_target(win, target_rank, target_flat, target_disp)
     if target_rank == ctx.rank:
         pieces = refine(target_flat, tbase, origin_flat, origin_addr)
-        for src, dst, ln in pieces:
+        for src, dst, ln in zip(*(a.tolist() for a in pieces)):
             ctx.node.memory.view(dst, ln)[:] = ctx.node.memory.view(src, ln)
-        yield from ctx.node.copy_work(origin_flat.size, len(pieces), "rma-local")
+        yield from ctx.node.copy_work(origin_flat.size, len(pieces[0]), "rma-local")
         return
     reg = yield from RegisteredUserBuffer.acquire(ctx, origin_addr, origin_flat)
     # pieces: (target_src, origin_dst, len); one read per piece
     pieces = refine(target_flat, tbase, origin_flat, origin_addr)
-    yield from charge_dtproc(ctx, len(pieces))
+    yield from charge_dtproc(ctx, len(pieces[0]))
     events = []
-    for src, dst, ln in pieces:
+    for src, dst, ln in zip(*(a.tolist() for a in pieces)):
         wr_id = ctx.new_wr_id()
         events.append(ctx.send_completion(wr_id))
         yield from ctx.ctrl_qps[target_rank].post_send(

@@ -17,7 +17,7 @@ files (and ``mpi.rma.put``) contain the *order* in which they are called:
 * the handshake: :func:`send_rndv_start`, :func:`advertise_layout`;
 * user-buffer registration through the OGR planner + pin-down cache
   (:class:`RegisteredUserBuffer`) and the lookup of a peer's advertised
-  regions (:func:`rkey_for`);
+  regions (:func:`keys_for`);
 * one write per refined piece: :func:`piece_writes`, :func:`post_writes`
   (the caller bills the list with :func:`charge_dtproc`);
 * gather / scatter lists of at most ``MAX_SGE`` entries, billed the same
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.datatypes.pack import unpack_bytes
-from repro.ib.verbs import MAX_SGE, Opcode, SGE, SGEList, SendWR
+from repro.ib.verbs import MAX_SGE, Opcode, SGE, SGEList, SendWR, WriteList
 from repro.mpi.messages import CTRL_HEADER_BYTES, RndvReply, RndvStart, SegArrival
 from repro.registration.ogr import plan_regions
 
@@ -49,13 +49,13 @@ __all__ = [
     "RegisteredUserBuffer",
     "advertise_layout",
     "charge_dtproc",
+    "keys_for",
     "piece_writes",
     "plan_segments",
     "post_writes",
     "predicted_handshake",
     "predicted_pipeline",
     "recycle_pack_buffer",
-    "rkey_for",
     "segment_shape",
     "send_rndv_start",
     "sge_chunks",
@@ -145,13 +145,25 @@ def advertise_layout(ctx: "RankContext", peer: int, req: "Request"):
     return layout, flat.wire_bytes if layout[0] == "full" else 0
 
 
-def rkey_for(regions, addr: int, length: int) -> int:
-    """The rkey of the advertised ``(addr, length, rkey)`` region that
-    covers ``[addr, addr + length)`` at the peer."""
-    for raddr, rlen, rkey in regions:
-        if raddr <= addr and addr + length <= raddr + rlen:
-            return rkey
-    raise KeyError(f"no receiver region covers [{addr:#x}, +{length})")
+def keys_for(regions, addrs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """For every block ``[addrs[i], +lengths[i])``, the key of the first of
+    the ``(addr, length, key)`` ``regions`` — a peer's advertisement, or
+    one's own registrations — that covers it: one binary search by region
+    start; a block the region found there does not cover is looked up alone.
+    With one region there is nothing to look up, and whether it covers a
+    block is for ``check_local`` / ``check_remote`` to say."""
+    if len(regions) == 1:
+        return np.full(len(addrs), regions[0][2], dtype=np.int64)
+    by_start = sorted(regions, key=lambda region: region[0])
+    starts, sizes, keys = np.array(by_start, dtype=np.int64).reshape(-1, 3).T
+    found = np.searchsorted(starts, addrs, side="right") - 1
+    out, ends = keys[found], addrs + lengths
+    for i in np.flatnonzero((found < 0) | (ends > (starts + sizes)[found])).tolist():
+        covering = [k for a, n, k in regions if a <= addrs[i] and ends[i] <= a + n]
+        if not covering:
+            raise KeyError(f"no region covers [{addrs[i]:#x}, +{lengths[i]})")
+        out[i] = covering[0]
+    return out
 
 
 def charge_dtproc(ctx: "RankContext", nblocks: int):
@@ -162,22 +174,17 @@ def charge_dtproc(ctx: "RankContext", nblocks: int):
     )
 
 
-def piece_writes(ctx: "RankContext", pieces, reg, rkey_of) -> list[SendWR]:
-    """One unsignaled RDMA write per refined ``(src, dst, len)`` piece,
-    from registered user memory (``reg``) straight into the peer's
-    (``rkey_of(dst, len)``).  Callers that need a completion or an
-    arrival notification upgrade the last descriptor."""
-    return [
-        SendWR(
-            Opcode.RDMA_WRITE,
-            sges=[SGE(src, length, reg.lkey_for(src, length))],
-            remote_addr=dst,
-            rkey=rkey_of(dst, length),
-            wr_id=ctx.new_wr_id(),
-            signaled=False,
-        )
-        for src, dst, length in pieces
-    ]
+def piece_writes(ctx: "RankContext", pieces, reg, rkeys) -> WriteList:
+    """One unsignaled RDMA write per refined piece — ``pieces`` is
+    :func:`~repro.schemes.multiw.refine`'s ``(src, dst, length)`` arrays —
+    from registered user memory (``reg``) straight into the peer's, under
+    ``rkeys[i]``; one ``wr_id`` each, reserved in a block.  Callers that
+    need a completion or an arrival notification upgrade the ``last``
+    descriptor of the list."""
+    src, _dst, lengths = pieces
+    first = ctx.new_wr_id()
+    ctx._wr_seq += len(src) - 1
+    return WriteList(pieces, reg.lkeys_for(src, lengths), rkeys, first)
 
 
 def post_writes(qp, wrs, list_post: bool):
@@ -302,15 +309,9 @@ class RegisteredUserBuffer:
         raise KeyError(f"no registered region covers [{addr:#x}, +{length})")
 
     def lkeys_for(self, addrs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """:meth:`lkey_for` of every block: one binary search by region start;
-        a block the region found there does not cover is looked up alone."""
-        mrs = sorted(self._mrs, key=lambda mr: mr.addr)
-        found = np.searchsorted([mr.addr for mr in mrs], addrs, side="right") - 1
-        lkeys = np.array([mr.lkey for mr in mrs], dtype=np.int64)[found]
-        ends = np.array([mr.end for mr in mrs], dtype=np.int64)[found]
-        for i in np.flatnonzero((found < 0) | (addrs + lengths > ends)).tolist():
-            lkeys[i] = self.lkey_for(int(addrs[i]), int(lengths[i]))
-        return lkeys
+        """:meth:`lkey_for` of every block (:func:`keys_for`)."""
+        regions = [(mr.addr, mr.length, mr.lkey) for mr in self._mrs]
+        return keys_for(regions, addrs, lengths)
 
     def regions(self) -> list[tuple[int, int, int]]:
         """(addr, length, rkey) advertisement for the remote side."""

@@ -31,7 +31,7 @@ for every block; the hybrid takes each piece's best path.
 
 from __future__ import annotations
 
-from functools import partial
+import numpy as np
 
 from repro.datatypes.flatten import Flattened
 from repro.datatypes.pack import pack_bytes
@@ -49,7 +49,7 @@ from repro.schemes.base import (
     predicted_handshake,
     predicted_pipeline,
     recycle_pack_buffer,
-    rkey_for,
+    keys_for,
     segment_shape,
     send_rndv_start,
     unpack_segment,
@@ -61,14 +61,14 @@ __all__ = ["HybridScheme", "split_pieces"]
 
 
 def split_pieces(pieces, threshold: int):
-    """Partition refined (src, dst, len) pieces into (direct, packed).
+    """Partition refined ``(src, dst, len)`` piece arrays into (direct,
+    packed), each three arrays again.
 
     Order within each partition is stream order, so both sides derive the
     same packed-byte layout deterministically.
     """
-    direct = [p for p in pieces if p[2] >= threshold]
-    packed = [p for p in pieces if p[2] < threshold]
-    return direct, packed
+    big = pieces[2] >= threshold
+    return tuple(a[big] for a in pieces), tuple(a[~big] for a in pieces)
 
 
 class HybridScheme(DatatypeScheme):
@@ -129,23 +129,23 @@ class HybridScheme(DatatypeScheme):
         dst_flat = ctx.dt_cache.resolve(req.peer, reply.layout)
         pieces = refine(cur.flat, req.addr, dst_flat, reply.meta["base"])
         direct, packed = split_pieces(pieces, self.split_threshold)
-        yield from charge_dtproc(ctx, len(pieces))
+        yield from charge_dtproc(ctx, len(pieces[0]))
         qp = ctx.ctrl_qps[req.peer]
         # 1. the Multi-W treatment for the big pieces: direct zero-copy
         # writes, registering only what they read from user memory
         reg = None
-        if direct:
+        src, dst, lengths = direct
+        if len(src):
             direct_blocks = Flattened.from_blocks(
-                sorted((src - req.addr, ln) for src, _dst, ln in direct)
+                np.column_stack((src - req.addr, lengths))
             )
             reg = yield from RegisteredUserBuffer.acquire(ctx, req.addr, direct_blocks)
-            wrs = piece_writes(
-                ctx, direct, reg, partial(rkey_for, reply.meta["regions"])
-            )
+            rkeys = keys_for(reply.meta["regions"], dst, lengths)
+            wrs = piece_writes(ctx, direct, reg, rkeys)
             yield from post_writes(qp, wrs, self.list_post)
         # 2. the BC-SPUP treatment for the small pieces: packed, in stream
         # order, through pool segments (a cursor over absolute addresses)
-        small = SegmentCursor.over_blocks([(src, ln) for src, _dst, ln in packed])
+        small = SegmentCursor.over_blocks(np.column_stack(packed[::2]))
         if small.total:
             segsize = ctx.cm.segment_size_for(small.total)
             for i, (lo, hi) in enumerate(plan_segments(small.total, segsize)):
@@ -179,7 +179,7 @@ class HybridScheme(DatatypeScheme):
         src_flat = ctx.dt_cache.resolve(start.src, start.meta["layout"])
         pieces = refine(src_flat, 0, cur.flat, rreq.addr)
         _direct, packed = split_pieces(pieces, start.meta["threshold"])
-        small = SegmentCursor.over_blocks([(dst, ln) for _src, dst, ln in packed])
+        small = SegmentCursor.over_blocks(np.column_stack(packed[1:]))
         # register the whole receive layout: direct pieces land in it, and
         # the registration must cover them (OGR groups as usual)
         reg = yield from RegisteredUserBuffer.acquire(ctx, rreq.addr, cur.flat)

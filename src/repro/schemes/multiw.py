@@ -22,8 +22,6 @@ message is complete (writes are ordered on an RC queue pair).
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.datatypes.flatten import Flattened
@@ -37,7 +35,7 @@ from repro.schemes.base import (
     piece_writes,
     post_writes,
     predicted_handshake,
-    rkey_for,
+    keys_for,
     send_rndv_start,
 )
 
@@ -46,11 +44,11 @@ __all__ = ["MultiWScheme", "refine"]
 
 def refine(
     src_flat: Flattened, src_base: int, dst_flat: Flattened, dst_base: int
-) -> list[tuple[int, int, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Common refinement of two equal-size block lists.
 
-    Returns (src_addr, dst_addr, length) pieces in stream order; each
-    piece is contiguous on both sides.
+    Returns the pieces in stream order as three int64 arrays ``(src_addr,
+    dst_addr, length)``; each piece is contiguous on both sides.
     """
     if src_flat.size != dst_flat.size:
         raise ValueError(
@@ -60,8 +58,7 @@ def refine(
     lengths = src_flat.lengths
     if len(lengths) == dst_flat.nblocks and (lengths == dst_flat.lengths).all():
         # the same type on both sides, the usual case: block for block
-        src, dst = src_base + src_flat.offsets, dst_base + dst_flat.offsets
-        return list(zip(src.tolist(), dst.tolist(), lengths.tolist()))
+        return src_base + src_flat.offsets, dst_base + dst_flat.offsets, lengths
     # piece boundaries on the packed-byte axis: every block end of either side
     src_ends, dst_ends = np.cumsum(src_flat.lengths), np.cumsum(dst_flat.lengths)
     stops = np.union1d(src_ends, dst_ends)
@@ -71,7 +68,7 @@ def refine(
     # address of a piece = its block's address + its distance from the block start
     src = src_base + src_flat.offsets[si] + starts - (src_ends - src_flat.lengths)[si]
     dst = dst_base + dst_flat.offsets[di] + starts - (dst_ends - dst_flat.lengths)[di]
-    return list(zip(src.tolist(), dst.tolist(), (stops - starts).tolist()))
+    return src, dst, stops - starts
 
 
 class MultiWScheme(DatatypeScheme):
@@ -116,14 +113,16 @@ class MultiWScheme(DatatypeScheme):
         assert isinstance(reply, RndvReply)
         dst_flat = ctx.dt_cache.resolve(req.peer, reply.layout)
         pieces = refine(cur.flat, req.addr, dst_flat, reply.meta["base"])
-        ctx.metrics.counter("scheme.rdma_pieces", ctx.rank).inc(len(pieces))
+        _src, dst, lengths = pieces
+        ctx.metrics.counter("scheme.rdma_pieces", ctx.rank).inc(len(dst))
         # datatype processing to build the descriptor list
-        yield from charge_dtproc(ctx, len(pieces))
+        yield from charge_dtproc(ctx, len(dst))
         # regions: [(addr, len, rkey)] of the receiver's registered buffer
-        wrs = piece_writes(ctx, pieces, reg, partial(rkey_for, reply.meta["regions"]))
+        rkeys = keys_for(reply.meta["regions"], dst, lengths)
+        wrs = piece_writes(ctx, pieces, reg, rkeys)
         # the last descriptor carries the immediate that tells the receiver
         # the message is complete, and the send completion
-        fin = wrs[-1]
+        fin = wrs.last
         fin.opcode = Opcode.RDMA_WRITE_IMM
         fin.imm = len(wrs) - 1
         fin.signaled = True

@@ -86,7 +86,6 @@ __all__ = [
     "Workload",
     "WorkloadError",
     "build_type",
-    "decode_data",
     "encode_data",
     "encode_type",
     "parse",
@@ -263,13 +262,6 @@ def encode_data(raw: bytes) -> str:
     return base64.b64encode(zlib.compress(raw, 6)).decode("ascii")
 
 
-def decode_data(text: str, where: str = "data") -> bytes:
-    try:
-        return zlib.decompress(base64.b64decode(text.encode("ascii")))
-    except Exception as exc:
-        raise WorkloadError(f"{where}: undecodable data payload: {exc}") from exc
-
-
 # ----------------------------------------------------------------------
 # ops
 # ----------------------------------------------------------------------
@@ -322,12 +314,16 @@ class Data(Op):
 
     def decoded(self, where: str = "data") -> bytes:
         """The payload bytes, inflated once per parsed op: memoised beside
-        the dataclass fields, so ``to_dict``, ``==`` and ``hash`` never see
-        them, and ``validate``, ``replay`` and the fuzz oracle share them."""
-        raw = self.__dict__.get("_raw")
-        if raw is None:
-            raw = self.__dict__["_raw"] = decode_data(self.zlib64, where)
-        return raw
+        the dataclass fields (``to_dict``, ``==`` and ``hash`` never see
+        them) for ``validate``, ``replay`` and the fuzz oracle to share."""
+        if "_raw" not in self.__dict__:
+            try:
+                raw = zlib.decompress(base64.b64decode(self.zlib64.encode("ascii")))
+            except Exception as exc:
+                message = f"{where}: undecodable data payload: {exc}"
+                raise WorkloadError(message) from exc
+            self.__dict__["_raw"] = raw
+        return self.__dict__["_raw"]
 
 
 @dataclass(frozen=True)

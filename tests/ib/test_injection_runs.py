@@ -18,6 +18,20 @@ that could observe it.  Three twins run every schedule:
 
 Everything an observer can read is equal across the three; the event
 counts differ by exactly what was removed.
+
+Since PR 24 a write list stays arrays from the post to the landing; the
+``SendWR`` objects it iterates to — the run path above, unchanged — are
+its oracle.  Every schedule of the second half runs in three more twins:
+
+``lists``
+    every list is posted (or enqueued) as the :class:`WriteList` it is;
+``descriptors``
+    as ``list(write_list)``: PR 23's runs, event for event;
+``list-faulted``
+    the ``WriteList`` posted on a node with the all-zero-rate plan, which
+    iterates it inside ``post_send_list``.
+
+The first two are equal in everything, ``events_processed`` included.
 """
 
 import numpy as np
@@ -27,12 +41,15 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.ib import SGE, CostModel, Fabric, Opcode, ProtectionError, RecvWR, SendWR
+from repro.ib.verbs import WriteList
 from repro.obs.profile import Profiler, critical_path
 from repro.simulator import MetricsRegistry, Simulator, Store, Tracer
 
 BLOCK = 64
 NBLK = 1024
+PARTS = 8  # each buffer is also registered as eight regions of its own
 TWINS = ("runs", "per-descriptor", "faulted")
+LIST_TWINS = ("lists", "descriptors", "list-faulted")
 
 #: what a descriptor is, by name; all but "write" and "zero" end a run
 _WRITES = {
@@ -62,16 +79,17 @@ class World:
         self.cm = cm = CostModel.mellanox_2003()
         fabric = Fabric(sim, cm, self.tracer, self.metrics)
         self.nodes = fabric.connect_all(memory_capacity=1 << 18, n=nodes)
-        if kind == "faulted":
+        if kind.endswith("faulted"):
             inj = FaultInjector(sim, FaultPlan(), self.metrics)
             inj.enabled = True  # enabled, and nothing can ever fire
             for node in self.nodes:
                 node.fault_injector = inj
         elif kind == "per-descriptor":
             for node in self.nodes:
-                node.hca._send_queue.__class__ = _NoLookahead
+                queue = node.hca._send_queue
+                queue.__class__ = type("Blind", (_NoLookahead, type(queue)), {})
         rng = np.random.default_rng(7)
-        self.src, self.dst = [], []
+        self.src, self.dst, self.src_parts, self.dst_parts = [], [], [], []
         for node in self.nodes:
             src = node.memory.alloc(NBLK * BLOCK)
             node.memory.view(src, NBLK * BLOCK)[:] = rng.integers(
@@ -80,6 +98,11 @@ class World:
             dst = node.memory.alloc(NBLK * BLOCK)
             self.src.append((src, node.memory.register(src, NBLK * BLOCK)))
             self.dst.append((dst, node.memory.register(dst, NBLK * BLOCK)))
+            part = NBLK * BLOCK // PARTS
+            for base, parts in ((src, self.src_parts), (dst, self.dst_parts)):
+                parts.append([
+                    node.memory.register(base + k * part, part) for k in range(PARTS)
+                ])
         self.serial = self.reads = 0
         #: per (origin, peer), the (serial, size) of every write, in order
         self.writes = {}
@@ -152,6 +175,56 @@ class World:
         qp = self.nodes[origin].hca.qps[peer]
         qp.hca.enqueue_send(qp, wr)
         qp.posted_sends += 1
+
+    # -- write lists -----------------------------------------------------
+
+    def write_list(self, peer, n, last="write", size=BLOCK, origin=0, parts=False):
+        """``n`` writes of ``size`` bytes as a :class:`WriteList`, its last
+        descriptor upgraded to ``last``; with ``parts`` every member names
+        the one-eighth region its block lies in, not the whole buffer."""
+        s0 = self.serial
+        self.serial += n
+        assert self.serial <= NBLK
+        (src, smr), (dst, dmr) = self.src[origin], self.dst[peer]
+        at = np.arange(s0, s0 + n, dtype=np.int64) * BLOCK
+        lkeys = np.full(n, smr.lkey, dtype=np.int64)
+        rkeys = np.full(n, dmr.rkey, dtype=np.int64)
+        if parts:
+            which = (at // (NBLK * BLOCK // PARTS)).tolist()
+            lkeys[:] = [self.src_parts[origin][k].lkey for k in which]
+            rkeys[:] = [self.dst_parts[peer][k].rkey for k in which]
+        wrs = WriteList(
+            (src + at, dst + at, np.full(n, size, dtype=np.int64)),
+            lkeys, rkeys, (origin, s0),
+        )
+        self.writes.setdefault((origin, peer), []).extend(
+            (s, size) for s in range(s0, s0 + n)
+        )
+        fin = wrs.last
+        fin.wr_id = s = s0 + n - 1  # what the CQ watchers read
+        fin.opcode, kw = _WRITES[last]
+        fin.signaled = kw.get("signaled", False)
+        if fin.opcode is Opcode.RDMA_WRITE_IMM:
+            fin.imm = s
+        if fin.opcode is Opcode.RDMA_WRITE_POLLED:
+            self.poll_serial[fin.remote_addr] = s
+        return wrs
+
+    def as_posted(self, wrs):
+        """What this twin hands the verbs for the write list ``wrs``."""
+        return list(wrs) if self.kind == "descriptors" else wrs
+
+    def enqueue_list(self, peer, wrs, origin=0):
+        """:meth:`enqueue` for a write list; only the ``lists`` twin keeps
+        the arrays (a faulted node never sees them: ``post_send_list``
+        would have iterated)."""
+        if self.kind == "lists":
+            qp = self.nodes[origin].hca.qps[peer]
+            qp.hca.enqueue_list(qp, wrs)
+            qp.posted_sends += len(wrs)
+        else:
+            for wr in wrs:
+                self.enqueue(peer, wr, origin)
 
     # -- observers --------------------------------------------------------
 
@@ -474,3 +547,231 @@ def test_counters_read_mid_run_settle_first():
     assert [(r.start, r.end) for r in w.tracer.iter_category("wire", 0)] == list(
         zip([t0, *ends[:-1]], ends)
     )
+
+
+# -- a write list is the descriptors it iterates to ---------------------------
+
+
+def run_list_twins(program, nodes=3):
+    """Run ``program(world)`` in the three list twins: ``lists`` and
+    ``descriptors`` are equal in everything an observer can read *and* in
+    the events dispatched; the faulted one in everything but those."""
+    worlds = {}
+    for kind in LIST_TWINS:
+        w = worlds[kind] = World(kind, nodes)
+        w.sim.process(program(w))
+        w.sim.run()
+        for node in w.nodes:
+            assert not node.hca._run and len(node.hca._send_queue) == 0
+            for qp in node.hca.qps.values():
+                assert not qp.pending_landings
+            assert w.metrics.gauge("ib.sq_depth", node.node_id).value == 0
+        posted = sum(qp.posted_sends for n in w.nodes for qp in n.hca.qps.values())
+        assert posted == sum(n.hca.descriptors_processed for n in w.nodes) == w.serial
+        for origin, peer in w.writes:
+            assert all(w.landed(origin, peer))
+    lists, descriptors, faulted = (worlds[k] for k in LIST_TWINS)
+    want = descriptors.observed()
+    for other in (lists, faulted):
+        got = other.observed()
+        for key in want:
+            assert got[key] == want[key], (other.kind, key)
+    assert lists.sim.events_processed == descriptors.sim.events_processed
+    assert lists.run_lengths == descriptors.run_lengths
+    assert lists.delivers == descriptors.delivers
+    assert set(faulted.run_lengths) <= {1}
+    return worlds
+
+
+_last = st.sampled_from(["write", "write", "signaled", "imm", "polled"])
+_wlist = st.tuples(
+    st.just("list"), _gap, _peer, st.integers(1, 200), _last, _size, st.booleans()
+)
+_wburst = st.tuples(  # cost-free: several lists and lone descriptors, one instant
+    st.just("burst"), _gap,
+    st.lists(
+        st.one_of(
+            st.tuples(_peer, _kind),
+            st.tuples(_peer, st.integers(1, 60), _last, _size, st.booleans()),
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+_wops = st.lists(st.one_of(_wlist, _wlist, _single, _wburst), min_size=1, max_size=7)
+_wback = st.lists(st.tuples(_gap, st.integers(1, 80), _last), max_size=2)
+
+
+def _spent(op):
+    if op[0] == "list":
+        return op[3]
+    return 1 if op[0] == "single" else sum(
+        item[1] if len(item) > 2 else 1 for item in op[2]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wops, _wback, st.sampled_from([2, 3]))
+def test_write_lists_are_the_descriptors_they_iterate_to(ops, back, nodes):
+    while sum(map(_spent, ops)) + sum(n for _g, n, _l in back) > NBLK:
+        ops = ops[:-1]
+
+    def program(w):
+        sim = w.sim
+        back_lists = [
+            (gap, w.write_list(0, n, last, origin=1)) for gap, n, last in back
+        ]
+
+        def node1():
+            for gap, wrs in back_lists:
+                yield sim.timeout(gap)
+                yield from w.nodes[1].hca.qps[0].post_send_list(w.as_posted(wrs))
+
+        sim.process(node1())
+        for op, gap, *rest in ops:
+            if gap > 0:  # often while a run is in flight: a partial settle
+                yield sim.timeout(gap)
+            if op == "list":
+                peer, n, last, size, parts = rest
+                peer = min(peer, nodes - 1)
+                wrs = w.write_list(peer, n, last, size, parts=parts)
+                yield from w.nodes[0].hca.qps[peer].post_send_list(w.as_posted(wrs))
+            elif op == "single":
+                peer, kind = rest
+                peer = min(peer, nodes - 1)
+                yield from w.nodes[0].hca.qps[peer].post_send(w.wr(peer, kind))
+            else:  # one run of several lists and lone descriptors, or two QPs'
+                for peer, *what in rest[0]:
+                    peer = min(peer, nodes - 1)
+                    if len(what) == 1:
+                        w.enqueue(peer, w.wr(peer, *what))
+                    else:
+                        n, last, size, parts = what
+                        w.enqueue_list(peer, w.write_list(peer, n, last, size, parts=parts))
+
+    run_list_twins(program, nodes)
+
+
+def test_one_run_of_several_lists_and_lone_descriptors():
+    def program(w):
+        yield w.sim.timeout(1.0)
+        w.enqueue_list(1, w.write_list(1, 40, parts=True))
+        w.enqueue(1, w.wr(1, "write"))
+        w.enqueue_list(1, w.write_list(1, 1))  # a list of one
+        w.enqueue_list(1, w.write_list(1, 2, size=8))
+        w.enqueue(1, w.wr(1, "zero"))
+        w.enqueue_list(1, w.write_list(1, 300, "imm", parts=True))
+        # mid-run, on this QP and on another: the prefix that has ended retires
+        yield w.sim.timeout(40.0)
+        w.enqueue(2, w.wr(2, "signaled"))
+        yield w.sim.timeout(13.0)
+        yield from w.nodes[0].hca.qps[1].post_send_list(
+            w.as_posted(w.write_list(1, 25, "signaled"))
+        )
+
+    worlds = run_list_twins(program)
+    assert worlds["lists"].run_lengths == [345, 1, 25]
+
+
+@pytest.mark.parametrize("kind", LIST_TWINS)
+@pytest.mark.parametrize("side", ["local", "remote"])
+def test_a_stray_member_of_a_list_names_the_first_offender(kind, side):
+    """Two members leave their region; whoever iterates, or nobody, the
+    first in list order is the one the error names."""
+    texts = {}
+    for twin in ("descriptors", kind):
+        w = World(twin, nodes=2)
+        wrs = w.write_list(1, 51, "signaled", parts=True)
+        addrs = wrs.src if side == "local" else wrs.dst
+        part = NBLK * BLOCK // PARTS
+        first = int(addrs[20]) + part  # the right key, the next region's bytes
+        addrs[20], addrs[35] = first, addrs[35] - BLOCK // 2 - part
+        w.sim.process(w.nodes[0].hca.qps[1].post_send_list(w.as_posted(wrs)))
+        with pytest.raises(ProtectionError) as err:
+            w.sim.run()
+        texts[twin] = str(err.value)
+        assert f"[{first:#x}, {first + BLOCK:#x})" in texts[twin]
+        assert ("lkey" if side == "local" else "rkey") in texts[twin]
+    assert texts[kind] == texts["descriptors"]
+
+
+def _overlapping(w, n=12):
+    """A list whose members 0, 3 and 7 all write member 5's target (the
+    first block of a stretch is copied last, so a landing that ignored the
+    overlap would let member 0 win), whose member 9 is empty and lies
+    inside member 8's target, and whose member 1 is empty."""
+    wrs = w.write_list(1, n, "signaled")
+    untouched = [int(wrs.dst[i]) for i in (0, 1, 3, 5)]  # retargeted, or empty
+    wrs.dst[0] = wrs.dst[3] = wrs.dst[5] = wrs.dst[7]
+    wrs.lengths[1] = wrs.lengths[9] = 0
+    wrs.dst[9] = wrs.dst[8] + 8
+    w.writes.clear()  # the harness's one-target-each check does not apply
+    return wrs, untouched
+
+
+@pytest.mark.parametrize("post", ["list", "single", "list-faulted"])
+def test_overlapping_targets_land_in_list_order(post):
+    w = World("list-faulted" if post == "list-faulted" else "lists", nodes=2)
+    wrs, untouched = _overlapping(w)
+    qp = w.nodes[0].hca.qps[1]
+
+    def program():
+        if post == "single":
+            for wr in wrs:
+                yield from qp.post_send(wr)
+        else:
+            yield from qp.post_send_list(wrs)
+
+    w.sim.process(program())
+    w.sim.run()
+    origin, target = w.nodes[0].memory, w.nodes[1].memory
+    winners = {}  # target -> source of the last non-empty member writing there
+    for src, dst, length in zip(*(a.tolist() for a in (wrs.src, wrs.dst, wrs.lengths))):
+        if length:
+            winners[dst] = src
+    assert len(winners) == 7 and winners[int(wrs.dst[0])] == int(wrs.src[7])
+    for dst, src in winners.items():
+        assert bytes(target.view(dst, BLOCK)) == bytes(origin.view(src, BLOCK))
+    for dst in untouched:
+        assert not target.view(dst, BLOCK).any()
+    assert w.nodes[0].hca.bytes_injected == w.nodes[1].hca.bytes_delivered == 10 * BLOCK
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 60), _size,
+    st.lists(st.tuples(st.integers(0, 59), _peer, _kind), min_size=1, max_size=4),
+)
+def test_posts_due_exactly_at_a_list_members_injection_end(n, size, ties):
+    """The tie convention, for a stretch found by bisection: a member whose
+    injection ends exactly now has retired."""
+    ties = sorted({at % n: (at % n, peer, kind) for at, peer, kind in ties}.values())
+
+    def program(w):
+        sim = w.sim
+        t = _member_ends(w, n, size)
+        wrs = w.write_list(1, n, "signaled", size)
+        tie_wrs = [(t[at + 1], t[at], peer, w.wr(peer, kind))
+                   for at, peer, kind in ties]
+
+        def poster():
+            for when, before, peer, wr in tie_wrs:
+                yield sim.timeout_at((before + when) / 2)
+                yield sim.timeout_at(when)
+                assert sim.now == when
+                w.enqueue(peer, wr)
+
+        sim.process(poster())
+        yield from w.nodes[0].hca.qps[1].post_send_list(w.as_posted(wrs))
+
+    run_list_twins(program)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_shortest_lists(n):
+    def program(w):
+        yield from w.nodes[0].hca.qps[1].post_send_list(
+            w.as_posted(w.write_list(1, n, "imm", size=8))
+        )
+
+    worlds = run_list_twins(program, nodes=2)
+    assert worlds["lists"].run_lengths == [n]

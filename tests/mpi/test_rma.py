@@ -168,6 +168,92 @@ class TestFence:
         assert all(res.values)
 
 
+def zero_rate_faults(cluster):
+    """An enabled fault plan under which nothing can ever fire: every node
+    takes the per-descriptor path (a write list is iterated, no fold)."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    injector = FaultInjector(cluster.sim, FaultPlan(), cluster.metrics)
+    injector.enabled = True
+    for ctx in cluster.contexts:
+        ctx.node.fault_injector = injector
+    return cluster
+
+
+class TestLandingOrder:
+    """Two puts of one epoch may target the same window bytes: one run of
+    the origin's HCA carries both lists, and the later put is what the
+    fence shows — RC ordering, whatever the HCA batches."""
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "zero-rate"])
+    @pytest.mark.parametrize("blocks", [1, 2, 300])
+    def test_the_later_put_wins(self, faulted, blocks):
+        # 8-byte blocks at stride 16: `blocks` pieces per put (one piece is
+        # a list of one); the second put covers the first's blocks and more
+        first_dt = types.vector(blocks, 2, 4, types.INT)
+        second_dt = types.vector(blocks + 3, 2, 4, types.INT)
+
+        def body(mpi, win, arr):
+            a = mpi.alloc_array((4 * blocks,), np.int32)
+            b = mpi.alloc_array((4 * (blocks + 3),), np.int32)
+            a.array[:] = 111
+            b.array[:] = np.arange(4 * (blocks + 3)) + 1000
+            if mpi.rank == 0:
+                yield from mpi.put(win, 1, a.addr, first_dt, target_disp=32)
+                yield from mpi.put(win, 1, b.addr, second_dt)
+                # and an earlier, larger put partly overwritten by a later one
+                yield from mpi.put(win, 1, b.addr, second_dt, target_disp=8192)
+                yield from mpi.put(win, 1, a.addr, first_dt, target_disp=8192 + 32)
+            yield from mpi.win_fence(win)
+            return arr.array.copy()
+
+        cluster = Cluster(2)
+        if faulted:
+            zero_rate_faults(cluster)
+        res = cluster.run(make_window_program(body, win_ints=4096))
+        want = np.full(4096, 1, dtype=np.int32)
+        first = np.zeros(4 * blocks, dtype=bool)
+        first[np.arange(4 * blocks) % 4 < 2] = True
+        second = np.arange(4 * (blocks + 3)) % 4 < 2
+        values = np.arange(4 * (blocks + 3)) + 1000
+        want[8 : 8 + 4 * blocks][first] = 111
+        want[: 4 * (blocks + 3)][second] = values[second]
+        want[2048 : 2048 + 4 * (blocks + 3)][second] = values[second]
+        want[2048 + 8 : 2048 + 8 + 4 * blocks][first] = 111
+        assert (res.values[1] == want).all()
+        assert (res.values[0] == 0).all()
+
+    def test_list_and_single_posts_agree(self):
+        """Multi-W posts the same refinement as one list or one by one."""
+        n = 4 * 4000  # 32 KB of 8-byte blocks: a rendezvous message
+        dt = types.vector(n // 4, 2, 4, types.INT)
+
+        def run(list_post):
+            def rank0(mpi):
+                buf = mpi.alloc_array((n,), np.int32)
+                buf.array[:] = np.arange(n)
+                yield from mpi.send(buf.addr, dt, 1, dest=1, tag=0)
+                buf.array[:] = -np.arange(n)  # same target bytes, new data
+                yield from mpi.send(buf.addr, dt, 1, dest=1, tag=1)
+
+            def rank1(mpi):
+                buf = mpi.alloc_array((n,), np.int32)
+                for tag in (0, 1):
+                    yield from mpi.recv(buf.addr, dt, 1, source=0, tag=tag)
+                return buf.array.copy()
+
+            cluster = Cluster(
+                2, scheme="multi-w", scheme_options={"list_post": list_post}
+            )
+            result = cluster.run([rank0, rank1])
+            assert cluster.metrics.value("scheme.rdma_pieces") == 2 * n // 4
+            return result.values[1]
+
+        listed, single = run(True), run(False)
+        assert (listed == single).all()
+        assert listed[0] == 0 and listed[5] == -5 and listed[2] == 0
+
+
 class TestLocks:
     def test_exclusive_lock_serializes_epochs(self):
         """Two origins increment the same counter under a lock; both

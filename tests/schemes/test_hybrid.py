@@ -7,7 +7,7 @@ import pytest
 
 from repro import Cluster, types
 from repro.datatypes.flatten import Flattened
-from repro.schemes.hybrid import split_pieces
+from repro.schemes import hybrid
 from tests.mpi.helpers import check_blocks, fill_blocks
 
 
@@ -47,6 +47,15 @@ def transfer(scheme, dt, iters=1, scheme_options=None):
     res = cluster.run([rank0, rank1])
     assert res.values[1] is True
     return res.values[0]
+
+
+def split_pieces(pieces, threshold):
+    """``hybrid.split_pieces`` on piece tuples: arrays in, tuples out."""
+    arrays = tuple(np.array(col, dtype=np.int64) for col in zip(*pieces))
+    return tuple(
+        list(zip(*(a.tolist() for a in part)))
+        for part in hybrid.split_pieces(arrays, threshold)
+    )
 
 
 class TestSplitPieces:

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datatypes.flatten import Flattened
-from repro.schemes.multiw import refine
+from repro.schemes import multiw
+
+
+def refine(*args):
+    """``multiw.refine``'s three int64 arrays, as the piece tuples they
+    stand for."""
+    arrays = multiw.refine(*args)
+    assert all(a.dtype == np.int64 for a in arrays)
+    return list(zip(*(a.tolist() for a in arrays)))
 
 
 def flat(*blocks):
