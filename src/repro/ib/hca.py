@@ -388,7 +388,9 @@ class HCA:
                 break
             run.popleft()
 
-    def _retire(self, qp: QueuePair, wrs: WriteList, times: list, lo: int, hi: int):
+    def _retire(
+        self, qp: QueuePair, wrs: WriteList, times: list, lo: int, hi: int
+    ) -> None:
         """:meth:`_settle` for members ``[lo, hi)`` of a write list: one
         gather, counters by sums, one landing entry; an observer that is on
         sees every member."""
@@ -778,11 +780,12 @@ class HCA:
         nbytes = len(data)
         if type(wr) is WriteList:
             live = wr.lengths[lo:hi] > 0  # an empty write touches nothing
-            dst, lengths, rkeys = (a[lo:hi][live] for a in (wr.dst, wr.lengths, wr.rkeys))
+            columns = (wr.dst, wr.lengths, wr.rkeys)
+            dst, lengths, rkeys = (a[lo:hi][live] for a in columns)
             order = np.argsort(dst, kind="stable")
-            if (dst[order][1:] >= (dst + lengths)[order][:-1]).all() and SGEList(
-                dst, lengths, rkeys
-            ).inside(self.memory.check_remote):
+            disjoint = (dst[order][1:] >= (dst + lengths)[order][:-1]).all()
+            targets = SGEList(dst, lengths, rkeys)
+            if disjoint and targets.inside(self.memory.check_remote):
                 self.memory.copy_blocks(dst, lengths, data, gather=False)
                 self._bytes_delivered.inc(nbytes)
             else:  # list order decides (module docstring)

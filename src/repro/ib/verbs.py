@@ -125,7 +125,7 @@ class SGEList:
         first = self.lkeys[:1]
         one = (self.lkeys == first).all()  # the usual case: one region
         for lkey in first.tolist() if one else set(self.lkeys.tolist()):
-            mine = ... if one else self.lkeys == lkey
+            mine = slice(None) if one else self.lkeys == lkey
             lo = int(self.addrs[mine].min())
             yield lo, int(ends[mine].max()) - lo, lkey
 
@@ -468,10 +468,10 @@ class QueuePair:
             type(wrs) is WriteList
             and not (inj is not None and inj.enabled)
             and wrs.last.opcode in RDMA_WRITES
-            and (len(wrs) == 1 or SGEList(wrs.src, wrs.lengths, wrs.lkeys).inside(
-                hca.memory.check_local
-            ))  # a list of one is its last descriptor, validated below
         )
+        if arrays and len(wrs) > 1:  # (a list of one is its last descriptor)
+            sources = SGEList(wrs.src, wrs.lengths, wrs.lkeys)
+            arrays = sources.inside(hca.memory.check_local)
         if not arrays:
             wrs = list(wrs)
         for wr in (wrs.last,) if arrays else wrs:

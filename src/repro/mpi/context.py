@@ -606,9 +606,11 @@ class RankContext:
     # rendezvous plumbing used by the schemes
     # ------------------------------------------------------------------
 
-    def new_wr_id(self) -> tuple:
-        self._wr_seq += 1
-        return (self.rank, self._wr_seq)
+    def new_wr_id(self, count: int = 1) -> tuple:
+        """The first of ``count`` consecutive work-request ids."""
+        first = self._wr_seq + 1
+        self._wr_seq += count
+        return (self.rank, first)
 
     def send_completion(self, wr_id) -> Event:
         """Event that fires when the send WR with ``wr_id`` completes."""

@@ -182,9 +182,8 @@ def piece_writes(ctx: "RankContext", pieces, reg, rkeys) -> WriteList:
     need a completion or an arrival notification upgrade the ``last``
     descriptor of the list."""
     src, _dst, lengths = pieces
-    first = ctx.new_wr_id()
-    ctx._wr_seq += len(src) - 1
-    return WriteList(pieces, reg.lkeys_for(src, lengths), rkeys, first)
+    lkeys = reg.lkeys_for(src, lengths)
+    return WriteList(pieces, lkeys, rkeys, ctx.new_wr_id(len(src)))
 
 
 def post_writes(qp, wrs, list_post: bool):
