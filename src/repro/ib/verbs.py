@@ -240,8 +240,8 @@ class WriteList:
         return len(self.src)
 
     def __iter__(self) -> Iterator[SendWR]:
-        yield from self.members(0, len(self) - 1)
-        yield self.last
+        # built at once: a descriptor made between two events is made cold
+        return iter([*self.members(0, len(self) - 1), self.last])
 
 
 @dataclass(frozen=True)
