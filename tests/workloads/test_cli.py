@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from repro.workloads.__main__ import main
+from repro.workloads.library import library_dir
+from repro.workloads.patterns import pattern_names
 
 CORPUS = (
     Path(__file__).resolve().parent / "corpus" / "eager_rndv_overtake.json"
@@ -41,18 +43,12 @@ def test_replay_reports_simulated_time(capsys):
     assert "us" in out
 
 
-def test_record_writes_trace(tmp_path, capsys):
+@pytest.mark.parametrize("name", pattern_names())
+def test_record_writes_trace(name, tmp_path, capsys):
+    """A fresh recording is the checked-in library file, byte for byte."""
     out_path = tmp_path / "t.json"
-    code = main([
-        "record", "matrix_transpose_alltoall", "-o", str(out_path)
-    ])
-    assert code == 0
-    from repro.workloads import parse
-    from repro.workloads.library import load_workload
-
-    assert parse(out_path.read_text()) == load_workload(
-        "matrix_transpose_alltoall"
-    )
+    assert main(["record", name, "-o", str(out_path)]) == 0
+    assert out_path.read_text() == (library_dir() / f"{name}.json").read_text()
 
 
 def test_record_rejects_unknown_pattern(capsys):
