@@ -8,6 +8,14 @@ to the live context *and* appends the equivalent IR op, so the finished
 run yields a :class:`~repro.workloads.ir.Workload` that replays to the
 same simulated schedule.
 
+Every recorded call takes one path (:meth:`RecordingContext._record`):
+sync the application's writes, locate the typed operands in recorded
+buffers, name their datatypes, append the op, forward the call through
+the op's own lowering (the one ``replay`` runs), absorb and grab the
+landing zones the op declares, observe.  A proxy method only translates
+live arguments into op fields; ``put`` also masks its target's landing
+blocks, and ``win_create`` remembers the live window.
+
 Application writes (NumPy stores between MPI calls) are captured by
 shadow-memory diffing: before every recorded op, each buffer is diffed
 against its shadow copy and changed spans become ``data`` ops.  Bytes
@@ -28,8 +36,16 @@ import numpy as np
 from repro.datatypes.base import Datatype
 from repro.mpi.world import Cluster
 from repro.workloads import ir
-from repro.workloads.ir import Workload, WorkloadError, encode_data, encode_type
-from repro.workloads.replay import digest_buffers, pack_typed
+from repro.workloads.ir import (
+    Landings,
+    Workload,
+    WorkloadError,
+    Zone,
+    encode_data,
+    encode_type,
+    span,
+)
+from repro.workloads.replay import RankEnv, digest_buffers, landed_bytes
 
 __all__ = ["RecordedRun", "Recorder", "RecordingContext", "UnsupportedOp",
            "record"]
@@ -54,37 +70,48 @@ class RecordedRun:
     values: list
 
 
-class _RankState:
-    """Per-rank recorder bookkeeping."""
+def _spans(offset: int, dt: Optional[Datatype], count: int) -> list:
+    """``[start, end)`` byte spans of a zone: its datatype's blocks, or
+    ``count`` raw bytes."""
+    if dt is None:
+        return [(offset, offset + count)]
+    return [
+        (offset + int(off), offset + int(off) + int(length))
+        for off, length in dt.flatten(count).blocks()
+    ]
 
-    def __init__(self, rank: int, memory):
+
+class _RankState(RankEnv):
+    """Per-rank recorder bookkeeping: the live names the ops' lowerings
+    resolve (each type name maps to the datatype its latest call passed),
+    the shadow memory, and the names given to live requests and windows."""
+
+    def __init__(self, rank: int, nranks: int, memory):
+        super().__init__(memory, {})
         self.rank = rank
-        self.memory = memory
         self.ops: list[ir.Op] = []
-        #: (base_addr, size, name) in allocation order
-        self.bufs: list[tuple[int, int, str]] = []
         self.shadow: dict[str, np.ndarray] = {}
         self.excl: dict[str, np.ndarray] = {}
+        #: live request / window id -> its name
         self.req_names: dict[int, str] = {}
-        #: recv request name -> (buf name, buf offset, datatype, count, addr)
-        self.recv_info: dict[str, tuple] = {}
-        #: live window id -> {"name", "ordinal", "buf", "offset", "size"}
-        self.windows: dict[int, dict] = {}
-        self.win_by_ordinal: list[dict] = []
+        self.win_names: dict[int, str] = {}
+        self.book = Landings(nranks)
         self.nreq = 0
 
     # -- buffer resolution -------------------------------------------------
 
     def new_buffer(self, base: int, size: int) -> str:
-        name = f"b{len(self.bufs)}"
-        self.bufs.append((base, size, name))
-        self.shadow[name] = self.memory.view(base, size).copy()
+        name = f"b{len(self.views)}"
+        self.bases[name] = base
+        self.views[name] = self.memory.view(base, size)
+        self.shadow[name] = self.views[name].copy()
         self.excl[name] = np.zeros(size, dtype=bool)
         return name
 
     def locate(self, addr: int, lo: int, hi: int, what: str) -> tuple[str, int]:
         """(buffer name, offset) of the access spanning [addr+lo, addr+hi)."""
-        for base, size, name in self.bufs:
+        for name, view in self.views.items():
+            base, size = self.bases[name], len(view)
             if base <= addr < base + size:
                 if addr + lo < base or addr + hi > base + size:
                     raise UnsupportedOp(
@@ -108,8 +135,7 @@ class _RankState:
         bytes are application-deterministic, so re-writing them in the
         replay is a no-op.
         """
-        for base, size, name in self.bufs:
-            live = self.memory.view(base, size)
+        for name, live in self.views.items():
             shadow = self.shadow[name]
             excl = self.excl[name]
             changed = live != shadow
@@ -132,39 +158,23 @@ class _RankState:
                 )
                 shadow[s:e] = live[s:e]
 
-    def mask_blocks(
-        self, name: str, offset: int, dt: Datatype, count: int
+    def mask(
+        self, name: str, offset: int, dt: Optional[Datatype], count: int
     ) -> None:
+        """Hand a zone to the network: the diff skips it until resync."""
         excl = self.excl[name]
-        for off, length in dt.flatten(count).blocks():
-            excl[offset + int(off): offset + int(off) + int(length)] = True
+        for s, e in _spans(offset, dt, count):
+            excl[s:e] = True
 
-    def resync_blocks(
-        self, name: str, offset: int, dt: Datatype, count: int
-    ) -> None:
+    def resync(self, zone: Zone) -> None:
         """Absorb network-delivered bytes into the shadow and unmask."""
-        base = next(b for b, _s, n in self.bufs if n == name)
-        live = self.memory.view(base, self.shadow[name].shape[0])
-        shadow = self.shadow[name]
-        excl = self.excl[name]
-        for off, length in dt.flatten(count).blocks():
-            s = offset + int(off)
-            e = s + int(length)
+        dt = None if zone.type is None else self.types[zone.type]
+        live = self.views[zone.buf]
+        shadow = self.shadow[zone.buf]
+        excl = self.excl[zone.buf]
+        for s, e in _spans(zone.offset, dt, zone.count):
             shadow[s:e] = live[s:e]
             excl[s:e] = False
-
-    def resync_region(self, name: str, offset: int, nbytes: int) -> None:
-        base = next(b for b, _s, n in self.bufs if n == name)
-        live = self.memory.view(base, self.shadow[name].shape[0])
-        self.shadow[name][offset: offset + nbytes] = live[offset: offset + nbytes]
-        self.excl[name][offset: offset + nbytes] = False
-
-    def digest(self) -> str:
-        views = [
-            (name, self.memory.view(base, size))
-            for base, size, name in self.bufs
-        ]
-        return digest_buffers(views)
 
 
 class Recorder:
@@ -181,7 +191,7 @@ class Recorder:
     def state_for(self, ctx) -> _RankState:
         state = self.states.get(ctx.rank)
         if state is None:
-            state = _RankState(ctx.rank, ctx.node.memory)
+            state = _RankState(ctx.rank, ctx.nranks, ctx.node.memory)
             self.states[ctx.rank] = state
             self.digests[ctx.rank] = []
             self.payloads[ctx.rank] = {}
@@ -246,29 +256,72 @@ class RecordingContext:
             "into the workload IR"
         )
 
-    # -- helpers -----------------------------------------------------------
+    # -- the common path ---------------------------------------------------
 
-    def _observe(self, op_index: int) -> None:
-        self._rec.digests[self._ctx.rank].append(
-            (op_index, self._state.digest())
-        )
-
-    def _grab(self, key: str, addr: int, dt: Datatype, count: int) -> None:
-        if self._rec.collect_payloads:
-            self._rec.payloads[self._ctx.rank][key] = pack_typed(
-                self._ctx.node.memory, addr, dt, count
+    def _record(self, cls: type[ir.Op], **fields):
+        """Record one ``cls`` op, then run it on the live context through
+        its own lowering.  ``fields`` are the op's fields as the live call
+        has them: each typed access's ``buf`` an address (its ``offset`` is
+        filled in here) and each datatype a live :class:`Datatype`; a
+        request the op binds is named here."""
+        state, rec = self._state, self._rec
+        state.sync()
+        if cls.REQUEST:
+            fields[cls.REQUEST] = f"r{state.nreq}"
+            state.nreq += 1
+        for access in cls.ACCESSES:
+            count = fields[access.count]
+            if access.per_rank:
+                count *= self._ctx.nranks
+            lo, hi = span(fields[access.type], count)
+            fields[access.buf], fields[access.offset] = state.locate(
+                fields[access.buf], lo, hi, f"{cls.OP} {access.buf}"
             )
+        for key, value in fields.items():
+            if isinstance(value, Datatype):
+                fields[key] = rec.type_name(value)
+                state.types[fields[key]] = value
+        op = cls(**fields)
+        index = len(state.ops)
+        state.ops.append(op)
+        result = yield from op.lower(self._ctx, state)
+        if op.REQUEST:
+            state.req_names[id(result)] = getattr(op, op.REQUEST)
+        for key, zone in op.landings(index, state.book):
+            state.resync(zone)
+            if rec.collect_payloads:
+                rec.payloads[self._ctx.rank][key] = landed_bytes(
+                    state.memory, state.bases[zone.buf], zone, state.types
+                )
+        if op.REQUEST and op.LANDS:
+            # a posted receive's bytes belong to the network until its wait
+            zone = state.book.posted[op.landing_key(index)]
+            state.mask(
+                zone.buf, zone.offset, state.types[zone.type], zone.count
+            )
+        if op.OBSERVES:
+            rec.digests[self._ctx.rank].append(
+                (index, digest_buffers(state.views.items()))
+            )
+        return result
 
-    def _typed_access(
-        self, addr: int, dt: Datatype, count: int, what: str
-    ) -> tuple[str, int]:
-        flat = dt.flatten(count)
-        if flat.nblocks:
-            lo = int(flat.offsets[0])
-            hi = int(flat.offsets[-1] + flat.lengths[-1])
-        else:
-            lo = hi = 0
-        return self._state.locate(addr, lo, hi, what)
+    def _req_name(self, req, what: str) -> str:
+        name = self._state.req_names.get(id(req))
+        if name is None:
+            raise UnsupportedOp(
+                f"rank {self._ctx.rank}: {what} on a request the recorder "
+                "did not issue"
+            )
+        return name
+
+    def _win_name(self, win, what: str) -> str:
+        name = self._state.win_names.get(id(win))
+        if name is None:
+            raise UnsupportedOp(
+                f"rank {self._ctx.rank}: {what} on a window the recorder "
+                "did not create"
+            )
+        return name
 
     # -- memory ------------------------------------------------------------
 
@@ -293,282 +346,99 @@ class RecordingContext:
     # -- point-to-point ----------------------------------------------------
 
     def isend(self, addr, datatype, count, dest, tag):
-        self._state.sync()
-        buf, offset = self._typed_access(addr, datatype, count, "isend")
-        req_name = f"r{self._state.nreq}"
-        self._state.nreq += 1
-        self._state.ops.append(
-            ir.Isend(
-                req=req_name, buf=buf, offset=offset,
-                type=self._rec.type_name(datatype), count=count,
-                dest=dest, tag=tag,
-            )
+        return self._record(
+            ir.Isend, buf=addr, type=datatype, count=count, dest=dest, tag=tag
         )
-        req = yield from self._ctx.isend(addr, datatype, count, dest, tag)
-        self._state.req_names[id(req)] = req_name
-        return req
 
     def irecv(self, addr, datatype, count, source, tag):
-        self._state.sync()
-        buf, offset = self._typed_access(addr, datatype, count, "irecv")
-        req_name = f"r{self._state.nreq}"
-        self._state.nreq += 1
-        self._state.ops.append(
-            ir.Irecv(
-                req=req_name, buf=buf, offset=offset,
-                type=self._rec.type_name(datatype), count=count,
-                source=source, tag=tag,
-            )
+        return self._record(
+            ir.Irecv, buf=addr, type=datatype, count=count, source=source,
+            tag=tag,
         )
-        # delivered bytes belong to the network, not the application
-        self._state.mask_blocks(buf, offset, datatype, count)
-        self._state.recv_info[req_name] = (buf, offset, datatype, count, addr)
-        req = yield from self._ctx.irecv(addr, datatype, count, source, tag)
-        self._state.req_names[id(req)] = req_name
-        return req
 
     def send(self, addr, datatype, count, dest, tag):
-        self._state.sync()
-        buf, offset = self._typed_access(addr, datatype, count, "send")
-        self._state.ops.append(
-            ir.Send(
-                buf=buf, offset=offset,
-                type=self._rec.type_name(datatype), count=count,
-                dest=dest, tag=tag,
-            )
+        return self._record(
+            ir.Send, buf=addr, type=datatype, count=count, dest=dest, tag=tag
         )
-        yield from self._ctx.send(addr, datatype, count, dest, tag)
-        self._observe(len(self._state.ops) - 1)
 
     def recv(self, addr, datatype, count, source, tag):
-        self._state.sync()
-        buf, offset = self._typed_access(addr, datatype, count, "recv")
-        index = len(self._state.ops)
-        self._state.ops.append(
-            ir.Recv(
-                buf=buf, offset=offset,
-                type=self._rec.type_name(datatype), count=count,
-                source=source, tag=tag,
-            )
+        return self._record(
+            ir.Recv, buf=addr, type=datatype, count=count, source=source,
+            tag=tag,
         )
-        req = yield from self._ctx.recv(addr, datatype, count, source, tag)
-        self._state.resync_blocks(buf, offset, datatype, count)
-        self._grab(f"op{index}", addr, datatype, count)
-        self._observe(index)
-        return req
-
-    def _complete(self, req) -> None:
-        req_name = self._state.req_names.get(id(req))
-        if req_name is None:
-            raise UnsupportedOp(
-                f"rank {self._ctx.rank}: wait on a request the recorder "
-                "did not issue"
-            )
-        info = self._state.recv_info.pop(req_name, None)
-        if info is not None:
-            buf, offset, datatype, count, addr = info
-            self._state.resync_blocks(buf, offset, datatype, count)
-            self._grab(req_name, addr, datatype, count)
 
     def wait(self, req):
-        self._state.sync()
-        req_name = self._state.req_names.get(id(req))
-        if req_name is None:
-            raise UnsupportedOp(
-                f"rank {self._ctx.rank}: wait on a request the recorder "
-                "did not issue"
-            )
-        index = len(self._state.ops)
-        self._state.ops.append(ir.Wait(req=req_name))
-        yield from self._ctx.wait(req)
-        self._complete(req)
-        self._observe(index)
+        return self._record(ir.Wait, req=self._req_name(req, "wait"))
 
     def waitall(self, reqs):
-        self._state.sync()
-        names = []
-        for req in reqs:
-            req_name = self._state.req_names.get(id(req))
-            if req_name is None:
-                raise UnsupportedOp(
-                    f"rank {self._ctx.rank}: waitall on a request the "
-                    "recorder did not issue"
-                )
-            names.append(req_name)
-        index = len(self._state.ops)
-        self._state.ops.append(ir.Waitall(reqs=tuple(names)))
-        yield from self._ctx.waitall(reqs)
-        for req in reqs:
-            self._complete(req)
-        self._observe(index)
+        names = tuple(self._req_name(req, "waitall") for req in reqs)
+        return self._record(ir.Waitall, reqs=names)
 
     # -- collectives -------------------------------------------------------
 
     def barrier(self):
-        self._state.sync()
-        index = len(self._state.ops)
-        self._state.ops.append(ir.Barrier())
-        yield from self._ctx.barrier()
-        self._observe(index)
+        return self._record(ir.Barrier)
 
     def alltoall(self, sendaddr, sendtype, sendcount,
                  recvaddr, recvtype, recvcount):
-        self._state.sync()
-        n = self._ctx.nranks
-        sbuf, soff = self._typed_access(
-            sendaddr, sendtype, sendcount * n, "alltoall send"
+        return self._record(
+            ir.Alltoall,
+            sendbuf=sendaddr, sendtype=sendtype, sendcount=sendcount,
+            recvbuf=recvaddr, recvtype=recvtype, recvcount=recvcount,
         )
-        rbuf, roff = self._typed_access(
-            recvaddr, recvtype, recvcount * n, "alltoall recv"
-        )
-        index = len(self._state.ops)
-        self._state.ops.append(
-            ir.Alltoall(
-                sendbuf=sbuf, sendoffset=soff,
-                sendtype=self._rec.type_name(sendtype), sendcount=sendcount,
-                recvbuf=rbuf, recvoffset=roff,
-                recvtype=self._rec.type_name(recvtype), recvcount=recvcount,
-            )
-        )
-        yield from self._ctx.alltoall(
-            sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount
-        )
-        self._state.resync_blocks(rbuf, roff, recvtype, recvcount * n)
-        self._grab(f"op{index}", recvaddr, recvtype, recvcount * n)
-        self._observe(index)
 
     def bcast(self, addr, datatype, count, root):
-        self._state.sync()
-        buf, offset = self._typed_access(addr, datatype, count, "bcast")
-        index = len(self._state.ops)
-        self._state.ops.append(
-            ir.Bcast(
-                buf=buf, offset=offset,
-                type=self._rec.type_name(datatype), count=count, root=root,
-            )
+        return self._record(
+            ir.Bcast, buf=addr, type=datatype, count=count, root=root
         )
-        yield from self._ctx.bcast(addr, datatype, count, root)
-        self._state.resync_blocks(buf, offset, datatype, count)
-        self._grab(f"op{index}", addr, datatype, count)
-        self._observe(index)
 
     def allgather(self, sendaddr, sendtype, sendcount,
                   recvaddr, recvtype, recvcount):
-        self._state.sync()
-        n = self._ctx.nranks
-        sbuf, soff = self._typed_access(
-            sendaddr, sendtype, sendcount, "allgather send"
+        return self._record(
+            ir.Allgather,
+            sendbuf=sendaddr, sendtype=sendtype, sendcount=sendcount,
+            recvbuf=recvaddr, recvtype=recvtype, recvcount=recvcount,
         )
-        rbuf, roff = self._typed_access(
-            recvaddr, recvtype, recvcount * n, "allgather recv"
-        )
-        index = len(self._state.ops)
-        self._state.ops.append(
-            ir.Allgather(
-                sendbuf=sbuf, sendoffset=soff,
-                sendtype=self._rec.type_name(sendtype), sendcount=sendcount,
-                recvbuf=rbuf, recvoffset=roff,
-                recvtype=self._rec.type_name(recvtype), recvcount=recvcount,
-            )
-        )
-        yield from self._ctx.allgather(
-            sendaddr, sendtype, sendcount, recvaddr, recvtype, recvcount
-        )
-        self._state.resync_blocks(rbuf, roff, recvtype, recvcount * n)
-        self._grab(f"op{index}", recvaddr, recvtype, recvcount * n)
-        self._observe(index)
 
     # -- one-sided ---------------------------------------------------------
 
     def win_create(self, base, size):
-        self._state.sync()
         buf, offset = self._state.locate(base, 0, size, "win_create")
-        name = f"w{len(self._state.win_by_ordinal)}"
-        self._state.ops.append(
-            ir.WinCreate(win=name, buf=buf, offset=offset, size=size)
+        name = f"w{len(self._state.book.windows)}"
+        win = yield from self._record(
+            ir.WinCreate, win=name, buf=buf, offset=offset, size=size
         )
-        win = yield from self._ctx.win_create(base, size)
-        entry = {
-            "name": name,
-            "ordinal": len(self._state.win_by_ordinal),
-            "buf": buf,
-            "offset": offset,
-            "size": size,
-        }
-        self._state.windows[id(win)] = entry
-        self._state.win_by_ordinal.append(entry)
+        self._state.win_names[id(win)] = name
         return win
 
     def put(self, win, target_rank, origin_addr, origin_dt, origin_count=1,
             target_disp=0, target_dt=None, target_count=None):
-        self._state.sync()
-        entry = self._state.windows.get(id(win))
-        if entry is None:
-            raise UnsupportedOp(
-                f"rank {self._ctx.rank}: put on a window the recorder "
-                "did not create"
-            )
-        buf, offset = self._typed_access(
-            origin_addr, origin_dt, origin_count, "put origin"
-        )
-        tdt = target_dt if target_dt is not None else origin_dt
-        tcount = target_count if target_count is not None else origin_count
-        self._state.ops.append(
-            ir.Put(
-                win=entry["name"], target=target_rank, buf=buf,
-                offset=offset, type=self._rec.type_name(origin_dt),
-                count=origin_count, target_disp=target_disp,
-                target_type=(
-                    self._rec.type_name(target_dt)
-                    if target_dt is not None else None
-                ),
-                target_count=target_count,
-            )
-        )
+        name = self._win_name(win, "put")
         # the target's landing blocks belong to the network until its
-        # next fence — mask them on the *target* rank's shadow
+        # next fence — mask them on the *target* rank's shadow, before
+        # the put can write them
         target_state = self._rec.states.get(target_rank)
         if target_state is not None:
-            tentry = (
-                target_state.win_by_ordinal[entry["ordinal"]]
-                if entry["ordinal"] < len(target_state.win_by_ordinal)
-                else None
-            )
-            if tentry is None:
+            ordinal = list(self._state.book.windows).index(name)
+            if ordinal >= len(target_state.book.windows):
                 raise UnsupportedOp(
                     f"rank {self._ctx.rank}: put targets window "
-                    f"#{entry['ordinal']} missing on rank {target_rank}"
+                    f"#{ordinal} missing on rank {target_rank}"
                 )
-            target_state.mask_blocks(
-                tentry["buf"], tentry["offset"] + target_disp, tdt, tcount
+            twin = list(target_state.book.windows.values())[ordinal]
+            target_state.mask(
+                twin.buf, twin.offset + target_disp,
+                target_dt if target_dt is not None else origin_dt,
+                target_count if target_count is not None else origin_count,
             )
-        yield from self._ctx.put(
-            win, target_rank, origin_addr, origin_dt, origin_count,
-            target_disp, target_dt, target_count,
+        return self._record(
+            ir.Put, win=name, target=target_rank, buf=origin_addr,
+            type=origin_dt, count=origin_count, target_disp=target_disp,
+            target_type=target_dt, target_count=target_count,
         )
 
     def win_fence(self, win):
-        self._state.sync()
-        entry = self._state.windows.get(id(win))
-        if entry is None:
-            raise UnsupportedOp(
-                f"rank {self._ctx.rank}: fence on a window the recorder "
-                "did not create"
-            )
-        index = len(self._state.ops)
-        self._state.ops.append(ir.Fence(win=entry["name"]))
-        yield from self._ctx.win_fence(win)
-        self._state.resync_region(entry["buf"], entry["offset"], entry["size"])
-        if self._rec.collect_payloads:
-            base = next(
-                b for b, _s, n in self._state.bufs if n == entry["buf"]
-            )
-            self._rec.payloads[self._ctx.rank][f"op{index}"] = (
-                self._ctx.node.memory.view(
-                    base + entry["offset"], entry["size"]
-                ).tobytes()
-            )
-        self._observe(index)
+        return self._record(ir.Fence, win=self._win_name(win, "fence"))
 
 
 def record(

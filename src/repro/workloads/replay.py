@@ -9,6 +9,12 @@ behaviourally identical iff their digest timelines and ``time_us``
 match, which is exactly what the differential tests assert between a
 recorded trace and the live program it was recorded from.
 
+A rank program is one loop over its ops: ``yield from op.lower(ctx,
+env)`` runs the op on the live ``RankContext`` (each op declares its own
+lowering in :mod:`repro.workloads.ir`), then one generic step packs the
+bytes of every landing zone the op completed and, for an observation
+op, appends the digest.
+
 Scheme, eager-RDMA flag, and cost model can be overridden per replay so
 one checked-in workload file sweeps all seven schemes and every
 cost-model preset.
@@ -23,19 +29,18 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.mpi.world import Cluster
-from repro.workloads import ir
-from repro.workloads.ir import Workload, WorkloadError
+from repro.workloads.ir import (
+    Access,
+    Landings,
+    Op,
+    Workload,
+    Zone,
+    fill_pattern,
+)
 from repro.workloads.validate import validate
 
-__all__ = ["ReplayResult", "digest_buffers", "fill_pattern", "pack_typed",
-           "replay"]
-
-
-def fill_pattern(nbytes: int, a: int, b: int, mod: int) -> np.ndarray:
-    """The ``fill`` op's byte pattern: byte ``j`` is ``(a + b*j) % mod``."""
-    return (
-        (a + b * np.arange(nbytes, dtype=np.int64)) % mod
-    ).astype(np.uint8)
+__all__ = ["ReplayResult", "RankEnv", "digest_buffers", "fill_pattern",
+           "landed_bytes", "replay"]
 
 
 def digest_buffers(views) -> str:
@@ -68,12 +73,45 @@ class ReplayResult:
     values: list = field(default_factory=list)
 
 
-def pack_typed(memory, addr: int, dt, count: int) -> bytes:
-    """The packed wire bytes of ``(datatype, count)`` at ``addr``."""
-    flat = dt.flatten(count)
+def landed_bytes(memory, base: int, zone: Zone, types: dict) -> bytes:
+    """The bytes of a landing zone whose buffer starts at ``base``: the
+    packed wire bytes through its datatype, or raw for a window."""
+    if zone.type is None:
+        return memory.view(base + zone.offset, zone.count).tobytes()
+    flat = types[zone.type].flatten(zone.count)
     out = np.empty(flat.size, dtype=np.uint8)
-    memory.copy_blocks(addr + flat.offsets, flat.lengths, out, gather=True)
+    memory.copy_blocks(
+        base + zone.offset + flat.offsets, flat.lengths, out, gather=True
+    )
     return out.tobytes()
+
+
+class RankEnv:
+    """One rank's live names during a replay, for the ops' lowerings:
+    buffer bases and views (allocation order), datatypes, requests and
+    windows."""
+
+    def __init__(self, memory, types: dict):
+        self.memory = memory
+        self.types = types
+        self.bases: dict[str, int] = {}
+        self.views: dict[str, np.ndarray] = {}
+        self.requests: dict[str, Any] = {}
+        self.windows: dict[str, Any] = {}
+
+    def alloc(self, buf: str, addr: int, nbytes: int) -> None:
+        self.bases[buf] = addr
+        self.views[buf] = self.memory.view(addr, nbytes)
+        self.views[buf][:] = 0
+
+    def addr(self, buf: str, offset: int) -> int:
+        return self.bases[buf] + offset
+
+    def live(self, op: Op, access: Access) -> tuple:
+        """A typed access as ``RankContext`` takes it: (address, datatype,
+        count)."""
+        buf, offset, name, count = access.of(op, 1)
+        return self.addr(buf, offset), self.types[name], count
 
 
 def _make_program(
@@ -89,134 +127,17 @@ def _make_program(
     my_payloads: dict = payloads[rank]
 
     def program(ctx):
-        memory = ctx.node.memory
-        buffers: dict[str, tuple[int, int]] = {}
-        order: list[str] = []
-        requests: dict[str, Any] = {}
-        recv_regions: dict[str, tuple[int, Any, int]] = {}
-        windows: dict[str, Any] = {}
-        win_regions: dict[str, tuple[int, int]] = {}
-
-        def observe(i: int) -> None:
-            views = [
-                (name, memory.view(buffers[name][0], buffers[name][1]))
-                for name in order
-            ]
-            my_digests.append((i, digest_buffers(views)))
-
-        def grab(key: str, addr: int, dt, count: int) -> None:
-            if collect_payloads:
-                my_payloads[key] = pack_typed(memory, addr, dt, count)
-
+        env = RankEnv(ctx.node.memory, types)
+        book = Landings(workload.nranks)
         for i, op in enumerate(ops):
-            if isinstance(op, ir.Alloc):
-                addr = ctx.alloc(op.nbytes, op.align)
-                buffers[op.buf] = (addr, op.nbytes)
-                order.append(op.buf)
-                memory.view(addr, op.nbytes)[:] = 0
-            elif isinstance(op, ir.Fill):
-                addr = buffers[op.buf][0] + op.offset
-                memory.view(addr, op.nbytes)[:] = fill_pattern(
-                    op.nbytes, op.a, op.b, op.mod
-                )
-            elif isinstance(op, ir.Data):
-                raw = op.decoded()
-                addr = buffers[op.buf][0] + op.offset
-                memory.view(addr, len(raw))[:] = np.frombuffer(
-                    raw, dtype=np.uint8
-                )
-            elif isinstance(op, ir.Isend):
-                addr = buffers[op.buf][0] + op.offset
-                req = yield from ctx.isend(
-                    addr, types[op.type], op.count, op.dest, op.tag
-                )
-                requests[op.req] = req
-            elif isinstance(op, ir.Irecv):
-                addr = buffers[op.buf][0] + op.offset
-                dt = types[op.type]
-                req = yield from ctx.irecv(
-                    addr, dt, op.count, op.source, op.tag
-                )
-                requests[op.req] = req
-                recv_regions[op.req] = (addr, dt, op.count)
-            elif isinstance(op, ir.Send):
-                addr = buffers[op.buf][0] + op.offset
-                yield from ctx.send(
-                    addr, types[op.type], op.count, op.dest, op.tag
-                )
-                observe(i)
-            elif isinstance(op, ir.Recv):
-                addr = buffers[op.buf][0] + op.offset
-                dt = types[op.type]
-                yield from ctx.recv(addr, dt, op.count, op.source, op.tag)
-                grab(f"op{i}", addr, dt, op.count)
-                observe(i)
-            elif isinstance(op, ir.Wait):
-                yield from ctx.wait(requests[op.req])
-                if op.req in recv_regions:
-                    grab(op.req, *recv_regions[op.req])
-                observe(i)
-            elif isinstance(op, ir.Waitall):
-                yield from ctx.waitall([requests[r] for r in op.reqs])
-                for r in op.reqs:
-                    if r in recv_regions:
-                        grab(r, *recv_regions[r])
-                observe(i)
-            elif isinstance(op, ir.Barrier):
-                yield from ctx.barrier()
-                observe(i)
-            elif isinstance(op, ir.Alltoall):
-                saddr = buffers[op.sendbuf][0] + op.sendoffset
-                raddr = buffers[op.recvbuf][0] + op.recvoffset
-                rdt = types[op.recvtype]
-                yield from ctx.alltoall(
-                    saddr, types[op.sendtype], op.sendcount,
-                    raddr, rdt, op.recvcount,
-                )
-                grab(f"op{i}", raddr, rdt, op.recvcount * workload.nranks)
-                observe(i)
-            elif isinstance(op, ir.Bcast):
-                addr = buffers[op.buf][0] + op.offset
-                dt = types[op.type]
-                yield from ctx.bcast(addr, dt, op.count, op.root)
-                grab(f"op{i}", addr, dt, op.count)
-                observe(i)
-            elif isinstance(op, ir.Allgather):
-                saddr = buffers[op.sendbuf][0] + op.sendoffset
-                raddr = buffers[op.recvbuf][0] + op.recvoffset
-                rdt = types[op.recvtype]
-                yield from ctx.allgather(
-                    saddr, types[op.sendtype], op.sendcount,
-                    raddr, rdt, op.recvcount,
-                )
-                grab(f"op{i}", raddr, rdt, op.recvcount * workload.nranks)
-                observe(i)
-            elif isinstance(op, ir.WinCreate):
-                addr = buffers[op.buf][0] + op.offset
-                win = yield from ctx.win_create(addr, op.size)
-                windows[op.win] = win
-                win_regions[op.win] = (addr, op.size)
-            elif isinstance(op, ir.Put):
-                addr = buffers[op.buf][0] + op.offset
-                tdt = (
-                    types[op.target_type]
-                    if op.target_type is not None
-                    else None
-                )
-                yield from ctx.put(
-                    windows[op.win], op.target, addr, types[op.type],
-                    op.count, op.target_disp, tdt, op.target_count,
-                )
-            elif isinstance(op, ir.Fence):
-                yield from ctx.win_fence(windows[op.win])
-                waddr, wsize = win_regions[op.win]
+            yield from op.lower(ctx, env)
+            for key, zone in op.landings(i, book):
                 if collect_payloads:
-                    my_payloads[f"op{i}"] = memory.view(
-                        waddr, wsize
-                    ).tobytes()
-                observe(i)
-            else:  # pragma: no cover - validate() rejects unknown ops
-                raise WorkloadError(f"rank {rank} op {i}: unsupported op")
+                    my_payloads[key] = landed_bytes(
+                        env.memory, env.bases[zone.buf], zone, types
+                    )
+            if op.OBSERVES:
+                my_digests.append((i, digest_buffers(env.views.items())))
         return len(ops)
 
     return program
