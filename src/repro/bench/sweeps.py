@@ -40,7 +40,7 @@ from repro.bench.skampi import PATTERNS, make_pattern
 from repro.bench.workloads import Workload, bimodal, column_vector, fig10_struct
 from repro.datatypes import BYTE, INT, contiguous, vector
 from repro.ib.costmodel import CostModel, get_preset
-from repro.schemes import PAPER_SCHEMES
+from repro.schemes import PAPER_SCHEMES, SCHEME_NAMES
 
 __all__ = ["SWEEPS", "Sweep", "run_sweep"]
 
@@ -108,6 +108,30 @@ _NETWORK = {
     "fast-wire": "fast_network",
     "slow-wire": "slow_network",
 }
+
+
+#: the cost-model presets of the ``presets`` and ``contig`` rows, one a
+#: hardware era (docs/COSTMODEL.md); the first is the paper's testbed
+ERAS = (
+    "mellanox_2003", "hdr_ib_2020", "ndr_ib_2023", "shared_memory_node",
+    "gpu_kernel_pack",
+)
+
+#: the ``presets`` row's series: ``<preset>:Manual`` (Figure 2's
+#: pack-then-send), ``<preset>:<scheme>`` (Figure 8's ping-pong) and
+#: ``<preset>:<scheme>:bw`` (Figure 9's stream)
+_ERA_SERIES = [
+    f"{p}:{s}" for p in ERAS
+    for s in ("Manual", *SCHEME_NAMES, *(f"{s}:bw" for s in SCHEME_NAMES))
+]
+
+
+def _on_preset(series: str, x, extra):
+    preset, scheme, *bw = series.split(":")
+    cluster = {"cost_model": get_preset(preset)}
+    if scheme == "Manual":
+        return _cfg(measure_pingpong, "generic", None, cluster, **_FIG02["Manual"])
+    return _cfg(measure_bandwidth if bw else measure_pingpong, scheme, None, cluster)
 
 
 def _contig(nbytes: int) -> Workload:
@@ -321,13 +345,23 @@ SWEEPS = {
             "bc-spup" if s == "put" else "multi-w",
         ),
     ),
-    # the guidelines harness's probe of a preset's eager/rendezvous
-    # crossover (it picks its own sizes per preset); owns no CSV
+    # does a claim survive other hardware?  Figures 2, 8 and 9 at three
+    # column counts on every era
+    "presets": Sweep(
+        title="Figures 2, 8 and 9 on every cost-model preset",
+        xs=(8, 64, 512), series=_names(*_ERA_SERIES),
+        unit={s: "MB/s" if s.endswith(":bw") else "us" for s in _ERA_SERIES},
+        csv="results/presets.csv", config=_on_preset,
+    ),
+    # each preset's eager/rendezvous switch: its threshold, half and twice it
     "contig": Sweep(
-        title="Contiguous ping-pong latency (us) around the testbed's 8 KB "
+        title="Contiguous BC-SPUP ping-pong latency (us) around each preset's "
         "eager threshold",
-        xs=(4096, 8192, 16384), axis="bytes", layout=_contig,
-        series=_LABEL, baseline="Generic", config=_scheme(measure_pingpong),
+        xs=(2048, 4096, 8192, 16384, 32768), axis="bytes", layout=_contig,
+        series=_names(*ERAS), csv="results/contig.csv",
+        config=lambda s, x, e: _cfg(
+            measure_pingpong, "bc-spup", None, {"cost_model": get_preset(s)}
+        ),
     ),
 }
 

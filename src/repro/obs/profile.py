@@ -340,8 +340,8 @@ def profile_transfer(
     Returns ``(attribution, cluster)``.  The attribution walks the
     receiver's completion — end-to-end operation latency as MPI sees it.
     ``cost_model`` selects the simulated platform (default: the paper's
-    testbed) — the guidelines checker profiles violations under the
-    preset that produced them.
+    testbed) — profile a cell of a failing ``presets`` claim under the
+    preset that produced it.
     """
     from repro.bench.runner import make_cluster, run_oneway
 

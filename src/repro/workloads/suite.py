@@ -49,8 +49,7 @@ def evaluate_workload_cell(figure: str, series: str, extra: dict) -> float:
 
     ``figure`` is ``workload:<library name>``, ``series`` is the scheme
     (a workload is a single point, so there is no x axis), and ``extra``
-    may carry a cost-model ``preset`` name, resolved here exactly like
-    the figure cells do.
+    may carry a cost-model ``preset`` name, resolved here.
     """
     name = figure.split(":", 1)[1]
     workload = load_workload(name)

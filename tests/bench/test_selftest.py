@@ -17,7 +17,7 @@ def test_grids_cover_every_csv_row_at_its_smallest_point():
     from repro.bench.sweeps import SWEEPS
 
     grids = selftest.SELFTEST_GRIDS
-    assert len(grids) == 20 and "contig" not in grids
+    assert len(grids) == 22 and {"presets", "contig"} <= set(grids)
     assert all(grid == (SWEEPS[name].xs[0],) for name, grid in grids.items())
 
 

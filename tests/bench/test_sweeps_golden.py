@@ -9,7 +9,9 @@ the hand-written ``figNN`` / ablation / ``skampi_sweep`` functions the
 table replaced and committed before the table existed, so equality here
 proves no row was mis-transcribed.  The three rows that arrived later
 (``eager-rdma``, ``io-strategies``, ``rma``) were private sweep drivers
-under ``benchmarks/``; their pin is the CSV those drivers wrote.
+under ``benchmarks/``; their pin is the CSV those drivers wrote.  So is
+the pin of the two preset rows (``presets``, ``contig``), which carry
+the cells the guidelines harness measured.
 Regenerate only for an intended cost-model or protocol change::
 
     PYTHONPATH=src python -m tests.bench.test_sweeps_golden \\
@@ -45,7 +47,9 @@ _POINTS = {
 
 #: rows pinned by one line of their checked-in CSV instead of
 #: ``golden/sweeps.json``, and that line's x (io: the cheap end of the grid)
-_CSV_PINNED = {"eager-rdma": 8, "io-strategies": 65536, "rma": 64}
+_CSV_PINNED = {
+    "eager-rdma": 8, "io-strategies": 65536, "rma": 64, "presets": 8, "contig": 2048,
+}
 
 
 def golden_cells():
@@ -91,7 +95,7 @@ class TestTableSelfCheck:
 
     def test_csv_paths_unique(self):
         paths = [row.csv for row in SWEEPS.values() if row.csv]
-        assert len(paths) == len(set(paths)) == 20
+        assert len(paths) == len(set(paths)) == 22
 
     def test_every_series_key_resolves(self):
         probes = (

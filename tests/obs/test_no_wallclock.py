@@ -49,7 +49,7 @@ def test_engine_layers_have_no_wallclock_calls(package):
     assert not found, f"wall-clock use in repro.{package}:\n" + "\n".join(found)
 
 
-#: the only ``repro.obs`` imports below bench/guidelines: both inside
+#: the only ``repro.obs`` imports below bench: both inside
 #: ``Cluster.__init__`` (file: stripped line), taken only when a profiler
 #: was asked for
 ALLOWED_OBS_IMPORTS = {
