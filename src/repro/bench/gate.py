@@ -181,9 +181,9 @@ def write_profile_artifacts(outdir: Path) -> Path:
     """Run the representative critical-path profile; write CI artifacts.
 
     Profiles :data:`PROFILE_WORKLOAD` under every scheme, writing the
-    ranked bottleneck tables + cost-model explanations to
-    ``<outdir>/bottlenecks.txt`` and one annotated Chrome trace (spans +
-    resource counter tracks) per scheme to ``<outdir>/trace.<scheme>.<size>.json``.
+    ranked bottleneck tables to ``<outdir>/bottlenecks.txt`` and one
+    annotated Chrome trace (spans + resource counter tracks) per scheme to
+    ``<outdir>/trace.<scheme>.<size>.json``.
     Returns the report path.
     """
     from repro.obs.profile import run_profile

@@ -12,8 +12,7 @@ docs/OBSERVABILITY.md):
   plain-text/CSV metric snapshots, driven from the ``python -m repro.obs``
   CLI (:mod:`repro.obs.report`);
 * **critical-path profiler** — causal bottleneck attribution over the
-  engine's provenance records (:mod:`repro.obs.profile`) and the
-  predicted-vs-simulated cost explainer (:mod:`repro.obs.explain`); see
+  engine's provenance records (:mod:`repro.obs.profile`); see
   docs/PROFILING.md.
 * **perf observatory** — trajectory tables over the hostbench reports
   committed under ``benchmarks/history/`` (:mod:`repro.obs.trends`) and
@@ -33,7 +32,6 @@ from repro.obs.chrome import (
     counter_track_events,
     export_chrome_trace,
 )
-from repro.obs.explain import CategoryDelta, explain, format_explanation
 from repro.obs.profile import (
     CATEGORIES,
     Attribution,
@@ -62,7 +60,6 @@ from repro.simulator.metrics import (
 __all__ = [
     "Attribution",
     "CATEGORIES",
-    "CategoryDelta",
     "CategoryMove",
     "Counter",
     "DEFAULT_BYTE_BUCKETS",
@@ -77,11 +74,9 @@ __all__ = [
     "chrome_trace_events",
     "counter_track_events",
     "critical_path",
-    "explain",
     "explain_regressions",
     "export_chrome_trace",
     "format_bottlenecks",
-    "format_explanation",
     "format_regressions",
     "format_trends",
     "run_trends",

@@ -3,9 +3,8 @@
 ``report`` prints the per-scheme time breakdown table (``--format json``
 for the machine-readable document) and optionally exports Chrome trace
 JSON and a metrics CSV snapshot.  ``profile`` runs the critical-path
-profiler: a ranked bottleneck table per scheme, the cost-model
-explanation (predicted vs simulated per category), and an annotated
-Chrome trace with resource counter tracks.  ``hostprof`` runs the
+profiler: a ranked bottleneck table per scheme and an annotated Chrome
+trace with resource counter tracks.  ``hostprof`` runs the
 host-time profiler: ranked ns/event hotspot tables per scheme,
 collapsed stacks for flamegraphs, host-time counter tracks in the
 Chrome trace, and an optional cProfile deep mode.  ``trends`` renders
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "profile",
         parents=[probe],
-        help="critical-path bottleneck attribution + cost-model explanation",
+        help="critical-path bottleneck attribution per scheme",
     )
     host = sub.add_parser(
         "hostprof",

@@ -361,24 +361,20 @@ def run_profile(
     chrome_out: Optional[str] = None,
     print_fn=print,
 ) -> dict:
-    """CLI driver: profile every scheme, print ranked bottleneck tables
-    plus the cost-model explanation, optionally write annotated traces.
+    """CLI driver: profile every scheme, print ranked bottleneck tables,
+    optionally write annotated traces.
 
-    Returns ``{scheme: (attribution, deltas)}``.
+    Returns ``{scheme: attribution}``.
     """
     from repro.bench.workloads import workload_for
     from repro.obs.chrome import export_scheme_trace
-    from repro.obs.explain import explain, format_explanation
     from repro.obs.report import DEFAULT_SCHEMES
 
     wl = workload_for(workload, nbytes)
     results: dict = {}
     for scheme in schemes or DEFAULT_SCHEMES:
         attr, cluster = profile_transfer(scheme, wl.datatype)
-        deltas = explain(
-            scheme, cluster.cm, wl.datatype.flatten(1), wl.datatype.size, attr
-        )
-        results[scheme] = (attr, deltas)
+        results[scheme] = attr
         print_fn(
             format_bottlenecks(
                 attr,
@@ -388,8 +384,6 @@ def run_profile(
                 ),
             )
         )
-        print_fn("")
-        print_fn(format_explanation(deltas))
         print_fn("")
         if chrome_out:
             export_scheme_trace(

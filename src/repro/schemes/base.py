@@ -53,64 +53,13 @@ __all__ = [
     "piece_writes",
     "plan_segments",
     "post_writes",
-    "predicted_handshake",
-    "predicted_pipeline",
     "recycle_pack_buffer",
-    "segment_shape",
     "send_rndv_start",
     "sge_chunks",
     "staged_receiver",
     "unpack_segment",
     "write_segment",
 ]
-
-
-def predicted_handshake(cm) -> dict:
-    """Closed-form estimate of the rendezvous handshake's critical-path
-    contribution, shared by every scheme's :meth:`predict_profile`.
-
-    Two control messages (start + reply), each paying CPU control
-    processing, a descriptor post, link latency and receive-side
-    detection, plus the final completion delivery.  Keys match
-    ``repro.obs.profile.CATEGORIES``.
-    """
-    return {
-        "copy": 0.0,
-        "wire": 2 * cm.wire_latency,
-        "descriptor": 2 * (cm.post_descriptor + cm.hca_startup),
-        "registration": 0.0,
-        "resource-wait": 0.0,
-        "protocol-wait": (
-            2 * (cm.control_overhead + cm.channel_recv_overhead + cm.poll_cq)
-            + cm.cqe_delay
-        ),
-    }
-
-
-def predicted_pipeline(profile: dict, nseg: int, stage_times: dict) -> None:
-    """Add the steady-state term of an ``nseg``-deep segment pipeline.
-
-    Once a pipeline fills, each further segment costs one period of the
-    slowest stage on the critical path; the first/last traversal of the
-    other stages is charged separately by the caller.  ``stage_times``
-    maps attribution category -> per-segment stage time.
-    """
-    if nseg <= 1 or not stage_times:
-        return
-    category, per_seg = max(stage_times.items(), key=lambda kv: kv[1])
-    profile[category] += (nseg - 1) * per_seg
-
-
-def segment_shape(cm, nblocks: int, nbytes: int) -> tuple[int, int, int]:
-    """``(nseg, seg, bseg)`` — segment count, bytes per segment and blocks
-    per segment — of an ``nbytes`` message of ``nblocks`` blocks under the
-    static segment-size rule (Section 7.2); the preamble of every
-    segmenting scheme's :meth:`~DatatypeScheme.predict_profile`."""
-    segsize = cm.segment_size_for(nbytes)
-    nseg = max(1, math.ceil(nbytes / segsize))
-    seg = min(segsize, max(nbytes, 1))
-    bseg = max(1, math.ceil(max(1, nblocks) / nseg))
-    return nseg, seg, bseg
 
 
 def send_rndv_start(
@@ -341,19 +290,6 @@ class DatatypeScheme:
 
     def receiver(self, ctx, rreq, start):  # pragma: no cover
         raise NotImplementedError
-
-    @classmethod
-    def predict_profile(cls, cm, flat, nbytes: int) -> dict:
-        """Closed-form prediction of this scheme's critical-path split.
-
-        Returns predicted microseconds per attribution category (see
-        ``repro.obs.profile.CATEGORIES``) for one rendezvous transfer of
-        ``nbytes`` laid out as ``flat``, derived purely from
-        :class:`~repro.ib.costmodel.CostModel` terms.  The cost-model
-        explainer (``repro.obs.explain``) compares this against the
-        measured critical path and flags divergence.
-        """
-        raise NotImplementedError  # pragma: no cover
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} rank={self.ctx.rank}>"

@@ -22,10 +22,7 @@ from repro.mpi.messages import RndvReply
 from repro.schemes.base import (
     DatatypeScheme,
     plan_segments,
-    predicted_handshake,
-    predicted_pipeline,
     recycle_pack_buffer,
-    segment_shape,
     send_rndv_start,
     staged_receiver,
     write_segment,
@@ -45,21 +42,6 @@ class BCSPUPScheme(DatatypeScheme):
         segment-size ablation benchmark sweeps this."""
         super().__init__(ctx)
         self.segment_size = segment_size
-
-    @classmethod
-    def predict_profile(cls, cm, flat, nbytes):
-        """Segmented pack/wire/unpack pipeline: the slowest stage repeats
-        per segment; one traversal of each other stage frames it."""
-        p = predicted_handshake(cm)
-        nseg, seg, bseg = segment_shape(cm, flat.nblocks, nbytes)
-        pack = cm.pack_time(seg, bseg)
-        p["copy"] += 2 * pack  # first pack + last unpack
-        p["wire"] += cm.wire_time(seg) + cm.wire_latency
-        p["descriptor"] += nseg * cm.post_descriptor + cm.hca_startup
-        predicted_pipeline(
-            p, nseg, {"copy": pack, "wire": cm.descriptor_time(seg)}
-        )
-        return p
 
     def sender(self, ctx, req):
         node = ctx.node

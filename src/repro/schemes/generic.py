@@ -29,12 +29,7 @@ from __future__ import annotations
 
 from repro.datatypes.pack import pack_bytes, unpack_bytes
 from repro.mpi.messages import RndvReply, SegArrival
-from repro.schemes.base import (
-    DatatypeScheme,
-    predicted_handshake,
-    send_rndv_start,
-    write_segment,
-)
+from repro.schemes.base import DatatypeScheme, send_rndv_start, write_segment
 
 __all__ = ["GenericScheme"]
 
@@ -91,18 +86,6 @@ class GenericScheme(DatatypeScheme):
         self.fresh_buffers = fresh_buffers
         self._pack_stage = _StagePool()
         self._unpack_stage = _StagePool()
-
-    @classmethod
-    def predict_profile(cls, cm, flat, nbytes):
-        """Fully serialized: whole-message pack, one write, whole unpack
-        (warm staging buffers — the Figure 2 "Datatype" case)."""
-        p = predicted_handshake(cm)
-        b = max(1, flat.nblocks)
-        p["copy"] += 2 * cm.pack_time(nbytes, b)  # pack + unpack, no overlap
-        p["wire"] += cm.wire_time(nbytes) + cm.wire_latency
-        p["descriptor"] += cm.post_descriptor + cm.hca_startup
-        p["registration"] += 2 * cm.malloc_base  # warm stage acquire per side
-        return p
 
     # -- sender -----------------------------------------------------------
 

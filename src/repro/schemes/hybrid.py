@@ -46,11 +46,8 @@ from repro.schemes.base import (
     piece_writes,
     plan_segments,
     post_writes,
-    predicted_handshake,
-    predicted_pipeline,
     recycle_pack_buffer,
     keys_for,
-    segment_shape,
     send_rndv_start,
     unpack_segment,
     write_segment,
@@ -79,39 +76,6 @@ class HybridScheme(DatatypeScheme):
         super().__init__(ctx)
         self.split_threshold = split_threshold
         self.list_post = list_post
-
-    @classmethod
-    def predict_profile(cls, cm, flat, nbytes):
-        """Per-piece best path: big pieces take the Multi-W zero-copy
-        treatment, small ones the BC-SPUP packed-segment treatment."""
-        p = predicted_handshake(cm)
-        threshold = 4096  # default split_threshold
-        direct = [ln for _off, ln in flat.blocks() if ln >= threshold]
-        packed = [ln for _off, ln in flat.blocks() if ln < threshold]
-        direct_bytes = sum(direct)
-        p["descriptor"] += cm.dt_startup + flat.nblocks * cm.dt_per_block
-        if direct:
-            p["descriptor"] += cm.post_time(len(direct), list_post=True) + len(
-                direct
-            ) * cm.hca_startup
-            p["wire"] += cm.wire_time(direct_bytes)
-        if packed:
-            nseg, seg, bseg = segment_shape(cm, len(packed), sum(packed))
-            pack = cm.pack_time(seg, bseg)
-            p["copy"] += 2 * pack
-            p["wire"] += cm.wire_time(seg)
-            p["descriptor"] += nseg * cm.post_descriptor + cm.hca_startup
-            predicted_pipeline(
-                p, nseg, {"copy": pack, "wire": cm.descriptor_time(seg)}
-            )
-        # fin marker closes the message; both sides register user buffers
-        # (sender only the direct blocks, receiver the whole layout)
-        p["descriptor"] += cm.post_descriptor + cm.hca_startup
-        p["wire"] += cm.wire_latency
-        p["registration"] += cm.reg_time(flat.span) + (
-            cm.reg_time(direct_bytes) if direct else 0.0
-        )
-        return p
 
     # -- sender -----------------------------------------------------------
 

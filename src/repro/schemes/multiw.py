@@ -34,7 +34,6 @@ from repro.schemes.base import (
     charge_dtproc,
     piece_writes,
     post_writes,
-    predicted_handshake,
     keys_for,
     send_rndv_start,
 )
@@ -83,22 +82,6 @@ class MultiWScheme(DatatypeScheme):
         #: when False, the receiver resends the full flattened layout on
         #: every operation — the ablation for the Section 5.4.2 cache
         self.use_dtype_cache = use_dtype_cache
-
-    @classmethod
-    def predict_profile(cls, cm, flat, nbytes):
-        """Zero copy: one descriptor per refined piece; descriptor startup
-        and both-side registration buy the absence of any memcpy."""
-        p = predicted_handshake(cm)
-        npieces = max(1, flat.nblocks)  # same layout both sides -> no refinement
-        p["descriptor"] += (
-            cm.dt_startup
-            + npieces * cm.dt_per_block
-            + cm.post_time(npieces, list_post=True)
-            + npieces * cm.hca_startup
-        )
-        p["wire"] += cm.wire_time(nbytes) + cm.wire_latency
-        p["registration"] += 2 * cm.reg_time(flat.span)  # both user buffers
-        return p
 
     # -- sender -----------------------------------------------------------
 

@@ -17,17 +17,12 @@ where only the receiver side is noncontiguous.
 from __future__ import annotations
 
 from repro.datatypes.pack import pack_bytes
-import math
-
-from repro.ib.verbs import MAX_SGE, Opcode, SendWR
+from repro.ib.verbs import Opcode, SendWR
 from repro.mpi.messages import RndvReply, SegAck, SegReady
 from repro.schemes.base import (
     DatatypeScheme,
     RegisteredUserBuffer,
     plan_segments,
-    predicted_handshake,
-    predicted_pipeline,
-    segment_shape,
     send_rndv_start,
     sge_chunks,
 )
@@ -38,30 +33,6 @@ __all__ = ["PRRSScheme"]
 class PRRSScheme(DatatypeScheme):
     name = "p-rrs"
     OPTIONS = ()
-
-    @classmethod
-    def predict_profile(cls, cm, flat, nbytes):
-        """Sender packs segments; receiver RDMA-read-scatters each one
-        straight into user memory (no unpack copy), paying the slower
-        read path and a control message per segment."""
-        p = predicted_handshake(cm)
-        nseg, seg, bseg = segment_shape(cm, flat.nblocks, nbytes)
-        nchunks = max(1, math.ceil(bseg / MAX_SGE))
-        pack = cm.pack_time(seg, bseg)
-        read = seg / cm.rdma_read_bandwidth + cm.rdma_read_extra
-        p["copy"] += pack
-        p["wire"] += read + cm.wire_latency
-        p["descriptor"] += (
-            cm.dt_startup
-            + bseg * cm.dt_per_block
-            + cm.post_time(nchunks)
-            + nchunks * cm.hca_startup
-        )
-        p["registration"] += cm.reg_time(flat.span)  # receiver user buffer
-        # the per-segment SegReady control round trip is protocol machinery
-        p["protocol-wait"] += nseg * (cm.control_overhead + cm.poll_cq)
-        predicted_pipeline(p, nseg, {"copy": pack, "wire": read})
-        return p
 
     def sender(self, ctx, req):
         node = ctx.node

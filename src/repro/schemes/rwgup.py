@@ -14,17 +14,12 @@ waits for the whole message before unpacking.
 
 from __future__ import annotations
 
-import math
-
-from repro.ib.verbs import MAX_SGE, Opcode, SendWR
+from repro.ib.verbs import Opcode, SendWR
 from repro.mpi.messages import RndvReply, SegArrival
 from repro.schemes.base import (
     DatatypeScheme,
     RegisteredUserBuffer,
     plan_segments,
-    predicted_handshake,
-    predicted_pipeline,
-    segment_shape,
     send_rndv_start,
     sge_chunks,
     staged_receiver,
@@ -42,31 +37,6 @@ class RWGUPScheme(DatatypeScheme):
         super().__init__(ctx)
         self.segment_unpack = segment_unpack
         self.registration_mode = registration_mode
-
-    @classmethod
-    def predict_profile(cls, cm, flat, nbytes):
-        """No sender copy: per segment, datatype processing + gather posts
-        feed the HCA; the receiver unpacks each segment on arrival."""
-        p = predicted_handshake(cm)
-        nseg, seg, bseg = segment_shape(cm, flat.nblocks, nbytes)
-        nchunks = max(1, math.ceil(bseg / MAX_SGE))
-        # sender CPU per segment: build the gather list, post the chain
-        desc_cpu = cm.dt_startup + bseg * cm.dt_per_block + cm.post_time(nchunks)
-        # HCA per segment: per-descriptor startup, per-SGE gather, payload
-        hca = (
-            nchunks * cm.hca_startup
-            + max(0, bseg - nchunks) * cm.hca_per_sge
-            + cm.wire_time(seg)
-        )
-        unpack = cm.pack_time(seg, bseg)
-        p["descriptor"] += desc_cpu
-        p["copy"] += unpack  # last segment's unpack closes the operation
-        p["wire"] += cm.wire_time(seg) + cm.wire_latency
-        p["registration"] += cm.reg_time(flat.span)  # OGR over the user buffer
-        predicted_pipeline(
-            p, nseg, {"descriptor": desc_cpu, "wire": hca, "copy": unpack}
-        )
-        return p
 
     def sender(self, ctx, req):
         cur = req.cursor

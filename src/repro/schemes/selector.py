@@ -71,41 +71,6 @@ class AdaptiveScheme(DatatypeScheme):
         #: selection log for tests/reporting: msg_id -> chosen scheme name
         self.choices: dict[int, str] = {}
 
-    @classmethod
-    def predict_profile(cls, cm, flat, nbytes):
-        """Predict for the scheme the default decision procedure would
-        pick for this layout (hints and fault state are per-run inputs
-        the closed form cannot see)."""
-        from repro.schemes import _FACTORIES
-
-        return _FACTORIES[cls.decide_static(flat)].predict_profile(cm, flat, nbytes)
-
-    @staticmethod
-    def decide_static(
-        flat,
-        multiw_block_threshold: int = 4096,
-        rwgup_block_threshold: int = 256,
-        enable_hybrid: bool = True,
-    ) -> str:
-        """The layout-only core of :meth:`_decide`, with the defaults and
-        registration assumed amortizable — usable without a context."""
-        if flat.is_contiguous:
-            return "multi-w"
-        if (
-            enable_hybrid
-            and flat.max_block >= multiw_block_threshold
-            and flat.median_block < rwgup_block_threshold
-        ):
-            return "hybrid"
-        if (
-            flat.mean_block >= multiw_block_threshold
-            and flat.median_block >= multiw_block_threshold
-        ):
-            return "multi-w"
-        if flat.mean_block >= rwgup_block_threshold:
-            return "rwg-up"
-        return "bc-spup"
-
     def pick(self, ctx, req) -> DatatypeScheme:
         """Choose the concrete scheme for one message (sender side)."""
         name = self._decide(ctx, req)
@@ -121,12 +86,20 @@ class AdaptiveScheme(DatatypeScheme):
         registration_amortizable = buffer_reuse and ctx.cluster.reg_cache_bytes > 0
         if not registration_amortizable:
             return "bc-spup"
-        return self.decide_static(
-            flat,
-            self.multiw_block_threshold,
-            self.rwgup_block_threshold,
-            self.enable_hybrid,
-        )
+        if (
+            self.enable_hybrid
+            and flat.max_block >= self.multiw_block_threshold
+            and flat.median_block < self.rwgup_block_threshold
+        ):
+            return "hybrid"
+        if (
+            flat.mean_block >= self.multiw_block_threshold
+            and flat.median_block >= self.multiw_block_threshold
+        ):
+            return "multi-w"
+        if flat.mean_block >= self.rwgup_block_threshold:
+            return "rwg-up"
+        return "bc-spup"
 
     # the adaptive scheme never runs a protocol itself; both sides always
     # execute the concrete scheme named in the RndvStart

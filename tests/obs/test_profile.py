@@ -1,5 +1,5 @@
 """Critical-path profiler: walker mechanics, attribution ground truth,
-inertness, and the cost-model explainer.
+inertness, the bottleneck table and the ``obs profile`` CLI.
 
 The attribution ground-truth tests pin the paper's qualitative claims:
 BC-SPUP's critical path is copy-dominated (its defining trade-off —
@@ -11,9 +11,7 @@ construction; the tolerance absorbs float rounding only).
 
 import pytest
 
-from repro.obs.explain import explain, predict
 from repro.obs.profile import (
-    CATEGORIES,
     Profiler,
     categorize,
     critical_path,
@@ -298,58 +296,6 @@ class TestInertProfile:
         assert profiled
 
 
-class TestExplainer:
-    def test_deltas_cover_all_categories(self):
-        wl = column_workload(128)
-        attr, cluster = profile_transfer("bc-spup", wl.datatype)
-        deltas = explain(
-            "bc-spup", cluster.cm, wl.datatype.flatten(1), wl.datatype.size, attr
-        )
-        assert [d.category for d in deltas] == list(CATEGORIES)
-        for d in deltas:
-            assert d.predicted_us >= 0.0
-            assert d.simulated_us >= 0.0
-            assert d.divergence >= 0.0
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_every_scheme_predicts(self, scheme):
-        from repro.ib.costmodel import CostModel
-
-        wl = column_workload(128)
-        pred = predict(scheme, CostModel.mellanox_2003(), wl.datatype.flatten(1),
-                       wl.datatype.size)
-        assert set(pred) == set(CATEGORIES)
-        assert sum(pred.values()) > 0.0
-
-    def test_wire_prediction_accurate_for_bcspup(self):
-        # wire time is the closed form the simulation implements directly;
-        # the explainer should agree to within the 10% flag threshold
-        wl = column_workload(128)
-        attr, cluster = profile_transfer("bc-spup", wl.datatype)
-        deltas = explain(
-            "bc-spup", cluster.cm, wl.datatype.flatten(1), wl.datatype.size, attr
-        )
-        by_cat = {d.category: d for d in deltas}
-        assert not by_cat["wire"].flagged
-        assert not by_cat["descriptor"].flagged
-
-    def test_format_explanation_flags_divergence(self):
-        from repro.obs.explain import CategoryDelta, format_explanation
-
-        rows = [
-            CategoryDelta("copy", predicted_us=10.0, simulated_us=100.0,
-                          divergence=0.9),
-            CategoryDelta("wire", predicted_us=1.0, simulated_us=1.0,
-                          divergence=0.0),
-        ]
-        text = format_explanation(rows)
-        lines = text.splitlines()
-        copy_line = next(ln for ln in lines if ln.startswith("copy"))
-        wire_line = next(ln for ln in lines if ln.startswith("wire"))
-        assert copy_line.endswith("!")
-        assert not wire_line.endswith("!")
-
-
 class TestBottleneckTable:
     def test_ranked_and_totalled(self):
         attr, _ = profile_transfer("bc-spup", column_workload(64).datatype)
@@ -373,7 +319,6 @@ class TestProfileCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "critical path: bc-spup" in out
-        assert "cost-model explanation" in out
         trace_file = tmp_path / "trace.bc-spup.16384.json"
         assert trace_file.exists()
         import json
