@@ -6,13 +6,18 @@ Mirrors the MPI-1/MPI-2 constructor set: ``contiguous``, ``vector``,
 multiples of the base type's *extent* (MPI semantics); the ``h`` variants
 measure in bytes.
 
-All constructors are plain functions returning :class:`Derived` instances;
-composition nests arbitrarily (a struct of vectors of indexed of ...).
+Every constructor lowers to one normal form, :class:`Derived`: arrays of
+displacements and blocklengths per base, built with ``np.arange`` or taken
+as given, never block by block in Python.  Composition nests arbitrarily.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+import operator
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from repro.datatypes.base import Datatype
 from repro.datatypes.flatten import Flattened
@@ -29,48 +34,100 @@ __all__ = [
     "vector",
 ]
 
+#: integers as a sequence or an array
+Ints = Union[Sequence[int], np.ndarray]
+
 
 class Derived(Datatype):
-    """A derived datatype built from (byte displacement, base, blocklength)
-    triples — the normal form every constructor lowers to."""
+    """A derived datatype in normal form: ``runs`` of ``(base,
+    displacements, blocklengths)``, two read-only ``int64`` arrays per run;
+    part ``i`` is ``blocklengths[i]`` consecutive copies of ``base`` from
+    byte ``displacements[i]``.  Adjacent parts over equal bases share one
+    run and empty runs are dropped, so the form (and :meth:`signature`)
+    depends on structure only, never on which base objects are shared."""
 
-    def __init__(
-        self,
-        kind: str,
-        parts: Iterable[tuple[int, Datatype, int]],
-        lb: int | None = None,
-        ub: int | None = None,
-    ):
-        """``parts`` is a list of (byte_displacement, base_type, count):
-        ``count`` consecutive copies of ``base_type`` starting at
-        ``byte_displacement``."""
-        super().__init__()
-        self.kind = kind
-        self.parts, self.size = [], 0
-        lows, highs, seen = [], [], None
+    runs: list[tuple[Datatype, np.ndarray, np.ndarray]]
+
+    def __init__(self, kind: str, parts: Iterable[tuple[int, Datatype, int]],
+                 lb: int | None = None, ub: int | None = None):
+        """The generic door (``struct``, the IR's ``derived`` node):
+        ``parts`` lists (byte_displacement, base_type, count)."""
+        runs: list = []
         for disp, base, count in parts:
-            disp, count = int(disp), int(count)
-            if count < 0:
+            if runs and (base is runs[-1][0] or base == runs[-1][0]):
+                runs[-1][1].append(disp)
+                runs[-1][2].append(count)
+            else:
+                runs.append((base, [disp], [count]))
+        self._set(kind, runs, lb, ub)
+
+    @classmethod
+    def of(cls, kind: str, base: Datatype, displacements: Ints, blocklengths: Ints,
+           lb: int | None = None, ub: int | None = None) -> "Derived":
+        """The array door: one run of parts over ``base``."""
+        self = cls.__new__(cls)
+        self._set(kind, [(base, displacements, blocklengths)], lb, ub)
+        return self
+
+    def _set(self, kind: str, runs: list, lb: int | None, ub: int | None) -> None:
+        super().__init__()
+        self.kind, self.runs, self.size = kind, [], 0
+        lows, highs = [], []
+        for base, disps, counts in runs:
+            disps = np.array(disps, dtype=np.int64)  # a private, frozen copy
+            counts = np.array(counts, dtype=np.int64)
+            if disps.ndim != 1 or counts.ndim != 1:
+                raise TypeError("displacements and blocklengths must be flat")
+            if (counts < 0).any():
                 raise ValueError("blocklength must be non-negative")
-            if base is not seen:  # checked and read once per run of parts
-                if not isinstance(base, Datatype):
-                    raise TypeError(f"base must be a Datatype, got {type(base)!r}")
-                seen, base_lb, extent = base, base.lb, base.extent
-            self.parts.append((disp, base, count))
-            if count:
-                self.size += base.size * count
-                lows.append(disp + base_lb)
-                highs.append(disp + base_lb + count * extent)
+            if not len(counts):
+                continue
+            if not isinstance(base, Datatype):
+                raise TypeError(f"base must be a Datatype, got {type(base)!r}")
+            disps.setflags(write=False)
+            counts.setflags(write=False)
+            self.runs.append((base, disps, counts))
+            self.size += base.size * int(counts.sum())
+            live = counts > 0
+            if live.any():
+                low = disps[live] + base.lb
+                lows.append(int(low.min()))
+                highs.append(int((low + counts[live] * base.extent).max()))
         self.lb = min(lows, default=0) if lb is None else int(lb)
         self.ub = max(highs, default=0) if ub is None else int(ub)
+        self._signature = (kind, tuple(
+            (b.signature(), d.tobytes(), c.tobytes()) for b, d, c in self.runs
+        ), self.lb, self.ub)
+
+    @property
+    def parts(self) -> list[tuple[int, Datatype, int]]:
+        """(byte displacement, base, count) of every part, in order; built
+        on demand (the IR encoder and the typemap read it)."""
+        return [
+            (disp, base, count)
+            for base, disps, counts in self.runs
+            for disp, count in zip(disps.tolist(), counts.tolist())
+        ]
 
     def _flatten_one(self) -> Flattened:
-        blocks: list[tuple[int, int]] = []
-        for disp, base, count in self.parts:
-            flat = base.flatten(count)
-            for off, length in flat.blocks():
-                blocks.append((disp + off, length))
-        return Flattened.from_blocks(blocks)
+        """Per run: over a dense base (one block filling its extent) a part
+        is one block; otherwise ``base.flatten(c)`` for each distinct
+        blocklength ``c`` is broadcast over the displacements that have
+        it.  One merge at the end."""
+        offsets, lengths = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for base, disps, counts in self.runs:
+            if base.is_contiguous:
+                offsets.append(disps + base.true_lb)
+                lengths.append(counts * base.size)
+                continue
+            for count in np.unique(counts).tolist():
+                flat = base.flatten(count)
+                at = disps[counts == count, None] + flat.offsets
+                offsets.append(at.ravel())
+                lengths.append(np.broadcast_to(flat.lengths, at.shape).ravel())
+        return Flattened.from_blocks(
+            np.stack((np.concatenate(offsets), np.concatenate(lengths)), axis=-1)
+        )
 
     def _typemap_one(self):
         for disp, base, count in self.parts:
@@ -80,12 +137,8 @@ class Derived(Datatype):
                     yield (name, shift + off)
 
     def signature(self) -> tuple:
-        return (
-            self.kind,
-            tuple((d, t.signature(), c) for d, t, c in self.parts),
-            self.lb,
-            self.ub,
-        )
+        """Computed once, at construction, from the runs' array bytes."""
+        return self._signature
 
     def __repr__(self) -> str:
         return f"<{self.kind} size={self.size} extent={self.extent}>"
@@ -95,7 +148,7 @@ def contiguous(count: int, base: Datatype) -> Derived:
     """``count`` consecutive elements of ``base`` (MPI_Type_contiguous)."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    return Derived("contiguous", [(0, base, count)])
+    return Derived.of("contiguous", base, [0], [count])
 
 
 def vector(count: int, blocklength: int, stride: int, base: Datatype) -> Derived:
@@ -108,60 +161,44 @@ def hvector(count: int, blocklength: int, stride_bytes: int, base: Datatype) -> 
     """MPI_Type_hvector: like vector with the stride in bytes."""
     if count < 0 or blocklength < 0:
         raise ValueError("count and blocklength must be non-negative")
-    parts = ((i * stride_bytes, base, blocklength) for i in range(count))
-    return Derived("hvector", parts)
-
-
-def indexed(
-    blocklengths: Sequence[int], displacements: Sequence[int], base: Datatype
-) -> Derived:
-    """MPI_Type_indexed: displacements in multiples of the base extent."""
-    return hindexed(
-        blocklengths, [d * base.extent for d in displacements], base
+    displacements = np.arange(operator.index(count), dtype=np.int64) * stride_bytes
+    return Derived.of(
+        "hvector", base, displacements, np.full(count, blocklength, dtype=np.int64)
     )
 
 
-def hindexed(
-    blocklengths: Sequence[int], displacements_bytes: Sequence[int], base: Datatype
-) -> Derived:
+def indexed(blocklengths: Ints, displacements: Ints, base: Datatype) -> Derived:
+    """MPI_Type_indexed: displacements in multiples of the base extent."""
+    return hindexed(blocklengths, np.asarray(displacements) * base.extent, base)
+
+
+def hindexed(blocklengths: Ints, displacements_bytes: Ints, base: Datatype) -> Derived:
     """MPI_Type_hindexed: displacements in bytes."""
     if len(blocklengths) != len(displacements_bytes):
         raise ValueError("blocklengths and displacements length mismatch")
-    parts = ((d, base, b) for d, b in zip(displacements_bytes, blocklengths))
-    return Derived("hindexed", parts)
+    return Derived.of("hindexed", base, displacements_bytes, blocklengths)
 
 
-def indexed_block(
-    blocklength: int, displacements: Sequence[int], base: Datatype
-) -> Derived:
+def indexed_block(blocklength: int, displacements: Ints, base: Datatype) -> Derived:
     """MPI_Type_create_indexed_block: equal-size blocks."""
-    return indexed([blocklength] * len(displacements), displacements, base)
+    return indexed(np.full(len(displacements), blocklength), displacements, base)
 
 
-def struct(
-    blocklengths: Sequence[int],
-    displacements_bytes: Sequence[int],
-    types: Sequence[Datatype],
-) -> Derived:
+def struct(blocklengths: Ints, displacements_bytes: Ints,
+           types: Sequence[Datatype]) -> Derived:
     """MPI_Type_struct: heterogeneous blocks at byte displacements."""
     if not (len(blocklengths) == len(displacements_bytes) == len(types)):
         raise ValueError("struct argument length mismatch")
-    parts = list(zip(displacements_bytes, types, blocklengths))
-    return Derived("struct", parts)
+    return Derived("struct", zip(displacements_bytes, types, blocklengths))
 
 
 def resized(base: Datatype, lb: int, extent: int) -> Derived:
     """MPI_Type_create_resized: override lb and extent."""
-    return Derived("resized", [(0, base, 1)], lb=lb, ub=lb + extent)
+    return Derived.of("resized", base, [0], [1], lb=lb, ub=lb + extent)
 
 
-def subarray(
-    sizes: Sequence[int],
-    subsizes: Sequence[int],
-    starts: Sequence[int],
-    base: Datatype,
-    order: str = "C",
-) -> Derived:
+def subarray(sizes: Sequence[int], subsizes: Sequence[int], starts: Sequence[int],
+             base: Datatype, order: str = "C") -> Derived:
     """MPI_Type_create_subarray: an n-dimensional slab of an n-dimensional
     array, C or Fortran order.
 
@@ -178,27 +215,14 @@ def subarray(
             raise ValueError(f"subarray slab exceeds array bounds in dim {d}")
     if order not in ("C", "F"):
         raise ValueError("order must be 'C' or 'F'")
-    dims = list(range(ndims))
     if order == "F":
-        dims.reverse()
-        sizes = list(reversed(sizes))
-        subsizes = list(reversed(subsizes))
-        starts = list(reversed(starts))
-    # Build innermost-out: a row of subsizes[-1] elements, then hvectors.
-    elem = base.extent
-    inner: Datatype = contiguous(subsizes[-1], base)
-    row_bytes = elem
-    for d in range(ndims - 1, 0, -1):
-        row_bytes *= sizes[d]
-        inner = hvector(subsizes[d - 1], 1, row_bytes, inner)
-    # offset of the slab origin
-    offset = 0
-    scale = elem
-    for d in range(ndims - 1, -1, -1):
-        offset += starts[d] * scale
-        scale *= sizes[d]
-    total_extent = elem
-    for s in sizes:
-        total_extent *= s
-    slab = Derived("subarray", [(offset, inner, 1)], lb=0, ub=total_extent)
-    return slab
+        sizes, subsizes, starts = sizes[::-1], subsizes[::-1], starts[::-1]
+    # byte stride of each dimension, the last one contiguous
+    strides = [base.extent * math.prod(sizes[d + 1:]) for d in range(ndims)]
+    inner: Datatype = contiguous(subsizes[-1], base)  # built innermost-out
+    for d in range(ndims - 2, -1, -1):
+        inner = hvector(subsizes[d], 1, strides[d], inner)
+    offset = sum(map(operator.mul, starts, strides))
+    return Derived.of(
+        "subarray", inner, [offset], [1], lb=0, ub=strides[0] * sizes[0]
+    )
