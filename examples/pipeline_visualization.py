@@ -12,10 +12,9 @@ Run:  python examples/pipeline_visualization.py
 """
 
 from repro import types
-from repro.bench.overlap import measure_overlap
+from repro.bench.overlap import overlap_report
+from repro.bench.runner import traced_oneway
 from repro.bench.workloads import column_vector
-from repro.ib.costmodel import MB
-from repro.mpi.world import Cluster
 
 COLS = 1024
 WIDTH = 88  # characters across the time axis
@@ -41,35 +40,16 @@ def gantt(cluster, total_us):
     return "\n".join(lines)
 
 
-def run_one(scheme):
-    dt = column_vector(COLS).datatype
-    cluster = Cluster(2, scheme=scheme, trace=True, memory_per_rank=512 * MB)
-    span = dt.flatten(1).span + 64
-
-    def rank0(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.send(buf, dt, 1, dest=1, tag=0)
-        return mpi.now
-
-    def rank1(mpi):
-        buf = mpi.alloc(span)
-        yield from mpi.recv(buf, dt, 1, source=0, tag=0)
-        return mpi.now
-
-    result = cluster.run([rank0, rank1])
-    return cluster, result.time_us
-
-
 def main():
     w = column_vector(COLS)
     print(f"One {w.nbytes >> 10} KB vector message "
           f"({w.nblocks} blocks of {int(w.block_bytes)} B); "
           f"time axis spans each scheme's own transfer\n")
     for scheme in ("generic", "bc-spup", "rwg-up", "multi-w"):
-        cluster, total = run_one(scheme)
-        print(f"{scheme}  ({total:.0f} us total)")
-        print(gantt(cluster, total))
-        rep = measure_overlap(scheme, w.datatype)
+        result = traced_oneway(scheme, w.datatype)
+        print(f"{scheme}  ({result.time_us:.0f} us total)")
+        print(gantt(result.cluster, result.time_us))
+        rep = overlap_report(result)
         print(f"  overlap: pack {rep.pack_hidden_fraction:.0%} hidden, "
               f"unpack {rep.unpack_hidden_fraction:.0%} hidden\n")
     print("'#' = CPU copying (pack/unpack), '=' = HCA injecting on the wire.")

@@ -27,7 +27,8 @@ import sys
 from pathlib import Path
 
 from repro.bench import claims, parallel
-from repro.bench.overlap import measure_overlap
+from repro.bench.overlap import overlap_report
+from repro.bench.runner import traced_oneway
 from repro.bench.sweeps import SWEEPS, run_sweep
 from repro.bench.workloads import column_vector
 from repro.schemes import PAPER_SCHEMES
@@ -44,7 +45,7 @@ def _run_overlap(cols: int = 1024) -> None:
         f"message, {cols} columns:"
     )
     for scheme in PAPER_SCHEMES:
-        print(" ", measure_overlap(scheme, w.datatype).describe())
+        print(" ", overlap_report(traced_oneway(scheme, w.datatype)).describe())
 
 
 def _run_claims() -> bool:

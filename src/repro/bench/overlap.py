@@ -1,21 +1,20 @@
 """Overlap analysis: quantify how much copy time a scheme hides.
 
 Figure 3 of the paper argues BC-SPUP's win comes from overlapping
-packing, network communication and unpacking.  This module runs a single
-transfer with interval tracing enabled and reports, per side, how much of
-the pack/unpack CPU time coincided with wire activity — turning the
-figure's qualitative picture into a measured number.
+packing, network communication and unpacking.  :func:`overlap_report`
+reads a traced transfer (:func:`repro.bench.runner.traced_oneway`) and
+reports, per side, how much of the pack/unpack CPU time coincided with
+wire activity — turning the figure's qualitative picture into a measured
+number.  ``obs report`` reads its copy / wire / overlap columns here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.bench.runner import make_cluster, run_oneway
-from repro.datatypes import Datatype
+from repro.mpi.world import RunResult
 
-__all__ = ["OverlapReport", "measure_overlap"]
+__all__ = ["OverlapReport", "overlap_report"]
 
 
 @dataclass(frozen=True)
@@ -49,22 +48,14 @@ class OverlapReport:
         )
 
 
-def measure_overlap(
-    scheme: str,
-    dt: Datatype,
-    *,
-    count: int = 1,
-    scheme_options: Optional[dict] = None,
-) -> OverlapReport:
-    """Run one send/recv of (dt, count) with tracing and analyse overlap."""
-    cluster = make_cluster(scheme, {"trace": True}, scheme_options)
-    result = run_oneway(cluster, dt, count=count)
-    tracer = cluster.tracer
+def overlap_report(result: RunResult) -> OverlapReport:
+    """Overlap statistics of one traced one-way transfer."""
+    tracer = result.cluster.tracer
     # wire intervals are recorded on the sender (node 0); the receiver's
     # inbound DMA mirrors them one switch latency later, which is
     # negligible at the granularity of this analysis
     return OverlapReport(
-        scheme=scheme,
+        scheme=result.cluster.scheme_name,
         total_us=result.time_us,
         pack_us=tracer.total_time("pack", node=0)
         + tracer.total_time("user-pack", node=0),

@@ -12,7 +12,8 @@ This module is also where every world outside ``repro.mpi`` and
 ``repro.workloads`` comes from: :func:`make_cluster` is the bench-sized
 factory, and :func:`run_oneway` the single one-way transfer that the
 observability probes (``obs report`` / ``profile`` / ``hostprof``,
-``bench overlap``) run before reading the instruments it leaves behind.
+``bench overlap``) run before reading the instruments it leaves behind —
+traced, that is :func:`traced_oneway`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "measure_send_stream",
     "multiple_leg",
     "run_oneway",
+    "traced_oneway",
 ]
 
 _BENCH_MEMORY = 512 * MB
@@ -65,10 +67,11 @@ def run_oneway(
 ) -> RunResult:
     """``iters`` transfers of ``(dt, count)`` from rank 0 to rank 1 of a
     2-rank ``cluster`` built with whatever instruments the caller wants
-    to read afterwards (``trace=``, ``profile=``, ``host_profile=``).
+    to read afterwards (``trace=``, ``host_profile=``).
 
     Rank 1's value in the result is its last receive request, whose
-    ``done`` event is where a critical-path walk starts.
+    ``done`` event is where a critical-path walk starts (on a traced
+    cluster, which records the provenance the walk follows).
     """
     span = _span(dt, count)
 
@@ -85,6 +88,16 @@ def run_oneway(
         return req
 
     return cluster.run([rank0, rank1])
+
+
+def traced_oneway(
+    scheme: str, dt: Datatype, *, iters: int = 1, cost_model=None
+) -> RunResult:
+    """:func:`run_oneway` on a fresh traced bench cluster (``cost_model``
+    default: the paper's testbed) — the one transfer ``obs report`` /
+    ``profile``, ``bench overlap`` and every probe's Chrome trace read."""
+    cluster = make_cluster(scheme, {"cost_model": cost_model, "trace": True})
+    return run_oneway(cluster, dt, iters=iters)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simulator import MetricsRegistry, Simulator, Tracer
+    from repro.simulator import MetricsRegistry, Simulator
 
 __all__ = ["FaultEvent", "FaultInjector"]
 
@@ -56,12 +56,10 @@ class FaultInjector:
         sim: "Simulator",
         plan: FaultPlan,
         metrics: "MetricsRegistry",
-        tracer: Optional["Tracer"] = None,
     ):
         self.sim = sim
         self.plan = plan
         self.metrics = metrics
-        self.tracer = tracer
         #: False for an inert plan: every hook is a cheap early return
         self.enabled = plan.active
         self._rng = random.Random(plan.seed)
@@ -77,8 +75,9 @@ class FaultInjector:
         self.events.append(FaultEvent(now, kind, node, detail))
         self.metrics.counter("faults.injected", node).inc()
         self.metrics.counter(f"faults.{kind}", node).inc()
-        if self.tracer is not None:
-            self.tracer.record(now, now, node, "fault", kind, meta=detail)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(now, now, node, "fault", kind, meta=detail)
 
     def schedule(self) -> tuple[FaultEvent, ...]:
         """The injection schedule so far (for determinism tests)."""

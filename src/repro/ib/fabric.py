@@ -16,7 +16,7 @@ from typing import Optional
 from repro.ib.costmodel import CostModel
 from repro.ib.hca import Node
 from repro.ib.verbs import QPState, QueuePair
-from repro.simulator import MetricsRegistry, SimulationError, Simulator, Tracer
+from repro.simulator import MetricsRegistry, SimulationError, Simulator
 
 __all__ = ["Fabric"]
 
@@ -28,12 +28,10 @@ class Fabric:
         self,
         sim: Simulator,
         cm: CostModel,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.cm = cm
-        self.tracer = tracer or Tracer()
         self.metrics = metrics or MetricsRegistry()
         self.nodes: list[Node] = []
 
@@ -44,7 +42,6 @@ class Fabric:
             node_id=len(self.nodes),
             cm=self.cm,
             memory_capacity=memory_capacity,
-            tracer=self.tracer,
             metrics=self.metrics,
         )
         self.nodes.append(node)

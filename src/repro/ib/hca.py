@@ -82,7 +82,7 @@ from repro.ib.verbs import (
     SendWR,
     WriteList,
 )
-from repro.simulator import Resource, SimulationError, Simulator, Store, Tracer
+from repro.simulator import Resource, SimulationError, Simulator, Store
 from repro.simulator.metrics import MetricsRegistry
 
 __all__ = ["HCA", "Node"]
@@ -97,13 +97,11 @@ class Node:
         node_id: int,
         cm: CostModel,
         memory_capacity: int,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.node_id = node_id
         self.cm = cm
-        self.tracer = tracer or Tracer()
         self.metrics = metrics or MetricsRegistry()
         self.memory = NodeMemory(node_id, memory_capacity, cm.page_size)
         self.cpu = Resource(sim, capacity=1, name=f"cpu{node_id}", node=node_id)
@@ -167,7 +165,9 @@ class Node:
             yield self.sim.timeout(cost, tag=tag)
         finally:
             self.cpu.release(grant)
-        self.tracer.record(start, self.sim.now, self.node_id, "cpu", tag)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(start, self.sim.now, self.node_id, "cpu", tag)
 
     def copy_work(
         self, nbytes: int, nblocks: int = 0, tag: str = "copy",
@@ -197,7 +197,9 @@ class Node:
             yield self.sim.timeout(cost, tag=tag)
         finally:
             self.cpu.release(grant)
-        self.tracer.record(start, self.sim.now, self.node_id, "cpu", tag)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(start, self.sim.now, self.node_id, "cpu", tag)
 
     # -- timed memory management ----------------------------------------
 
@@ -244,7 +246,9 @@ class Node:
         if charge:
             start = self.sim.now
             yield from self.cpu_work(self.cm.reg_time(length, addr), "register")
-            self.tracer.record(start, self.sim.now, self.node_id, "reg", "reg")
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.record(start, self.sim.now, self.node_id, "reg", "reg")
         self.metrics.counter("reg.registrations", self.node_id).inc()
         self.metrics.counter("reg.registered_bytes", self.node_id).inc(length)
         return self.memory.register(addr, length)
@@ -258,7 +262,9 @@ class Node:
             yield from self.cpu_work(
                 self.cm.dereg_time(mr.length, mr.addr), "deregister"
             )
-            self.tracer.record(start, self.sim.now, self.node_id, "reg", "dereg")
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.record(start, self.sim.now, self.node_id, "reg", "dereg")
 
 
 class _ReadResponse:
@@ -394,8 +400,8 @@ class HCA:
         """:meth:`_settle` for members ``[lo, hi)`` of a write list: one
         gather, counters by sums, one landing entry; an observer that is on
         sees every member."""
-        tracer = self.node.tracer
-        if tracer.enabled:
+        tracer = self.sim.tracer
+        if tracer is not None:
             for start, end in zip(times[lo:hi], times[lo + 1 :]):
                 tracer.record(start, end, self.node_id, "wire", wrs.opcode.value)
         lengths = wrs.lengths[lo:hi]
@@ -407,21 +413,23 @@ class HCA:
         self._sq_depth.dec(hi - lo)
         # at each end the engine took the next member: the list's own, or,
         # after its last silent one, the next item of the queue
-        queue, prof = self._send_queue, self.sim.profiler
+        queue = self._send_queue
         own = min(hi, len(wrs) - 2) - lo
-        if prof is None:
+        if tracer is None:
             queue.unpopped -= own
         else:
             for end in times[lo + 1 : lo + 1 + own]:
                 queue.unpopped -= 1
-                prof.sample_store(queue, end)
+                tracer.sample_store(queue, end)
         if hi == len(wrs) - 1:
             queue.try_get(at=times[hi])
 
     def _snapshot(self, start, end, wr: SendWR, nbytes: int) -> np.ndarray:
         """What one descriptor's injection leaves behind: the wire record,
         the counters and the DMA snapshot of its gather list."""
-        self.node.tracer.record(start, end, self.node_id, "wire", wr.opcode.value)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(start, end, self.node_id, "wire", wr.opcode.value)
         self._bytes_injected.inc(nbytes)
         self._descriptors.inc()
         return self._gather(wr)
@@ -471,9 +479,9 @@ class HCA:
         self.metrics.counter("qp.recoveries", self.node_id).inc()
         yield self.sim.timeout(self.cm.qp_recovery_us, tag="qp_recovery")
         qp.state = QPState.RTS
-        self.node.tracer.record(
-            start, self.sim.now, self.node_id, "fault", "qp_recovery"
-        )
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(start, self.sim.now, self.node_id, "fault", "qp_recovery")
 
     def _transport_faults(self, qp: QueuePair, wr: SendWR):
         """Model the reliable transport's error behavior for one
@@ -548,7 +556,7 @@ class HCA:
         # injection ends, left to right as a chain of timeouts would add
         # them; the HCA's gather DMA reads local memory during each, and
         # the remote HCA's DMA writes remote memory one latency later
-        profiled = self.sim.profiler is not None
+        traced = self.sim.tracer is not None
         latency = cm.wire_latency
         t = self.sim.now
         run, local, remote, bounds = [], [], [], []
@@ -564,7 +572,7 @@ class HCA:
             if wr.sges:
                 local.append((t, end))
                 remote.append((t + latency, t + (latency + occupancy)))
-            if profiled:
+            if traced:
                 # the leading WQE-processing portion attributes as
                 # descriptor, the rest as wire
                 desc_us = occupancy - cm.wire_time(nbytes) * link
@@ -626,7 +634,7 @@ class HCA:
         qp.peer.hca.node.dma_batch(
             (starts + latency).tolist(), (starts + (latency + occupancy)).tolist()
         )
-        if self.sim.profiler is not None:
+        if self.sim.tracer is not None:
             for i, desc_us in enumerate((occupancy - cm.wire_time(lengths)).tolist()):
                 split = ("split", (("descriptor", desc_us), ("wire", None)))
                 bounds.append((times[i], times[i + 1], split))
@@ -637,7 +645,9 @@ class HCA:
         """RDMA read: ship the request to the responder's HCA."""
         start = self.sim.now
         yield self.sim.timeout(self.cm.hca_startup, tag="descriptor")
-        self.node.tracer.record(start, self.sim.now, self.node_id, "wire", "read_req")
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(start, self.sim.now, self.node_id, "wire", "read_req")
         self._descriptors.inc()
         peer = qp.peer
         length = wr.byte_len
@@ -671,7 +681,9 @@ class HCA:
             occupancy,
             tag=("split", (("descriptor", self.cm.hca_startup), ("wire", None))),
         )
-        self.node.tracer.record(start, self.sim.now, self.node_id, "wire", "read_resp")
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(start, self.sim.now, self.node_id, "wire", "read_resp")
         self._bytes_injected.inc(nbytes)
         req_qp = resp.req_qp
 

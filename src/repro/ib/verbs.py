@@ -323,7 +323,7 @@ class _RecvQueue:
     descriptor object again extends the tail run, so a pool of ``depth``
     identical descriptors — and its steady-state consume/repost cycle —
     is one entry, not ``depth`` objects.  Quacks like a named
-    :class:`~repro.simulator.Store` for ``Profiler.sample_store``.
+    :class:`~repro.simulator.Store` for ``Tracer.sample_store``.
     """
 
     def __init__(self, sim, name: str, node: int):
@@ -343,9 +343,9 @@ class _RecvQueue:
         else:
             runs.append([wr, count])
         self._depth += count
-        prof = self.sim.profiler
-        if prof is not None:
-            prof.sample_store(self)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.sample_store(self)
 
     def try_get(self) -> Optional[RecvWR]:
         """Pop the oldest descriptor; None when empty."""

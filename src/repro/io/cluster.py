@@ -45,17 +45,16 @@ class StorageCluster:
             raise ValueError("need at least one server")
         self.cm = cost_model or CostModel.mellanox_2003()
         self.sim = Simulator()
-        self.tracer = Tracer(enabled=trace)
-        self.fabric = Fabric(self.sim, self.cm, tracer=self.tracer)
+        self.fabric = Fabric(self.sim, self.cm)
+        if trace:
+            self.sim.tracer = Tracer(metrics=self.fabric.metrics)
         self.servers: list[FileServer] = []
         for _ in range(nservers):
             server_node = self.fabric.add_node(store_capacity + 64 * MB)
-            server_node.tracer = self.tracer
             self.servers.append(FileServer(server_node, store_capacity))
         self.clients: list[IOClient] = []
         for cid in range(1, nclients + 1):
             node = self.fabric.add_node(memory_per_client)
-            node.tracer = self.tracer
             client = IOClient(node, cid, reg_cache_bytes, stripe_size=stripe_size)
             for sid, server in enumerate(self.servers):
                 qp_c = node.hca.create_qp()
@@ -66,6 +65,11 @@ class StorageCluster:
             self.clients.append(client)
 
         self.stripe_size = stripe_size
+
+    @property
+    def tracer(self) -> Optional[Tracer]:
+        """The simulator's tracer; None unless built with ``trace=True``."""
+        return self.sim.tracer
 
     @property
     def server(self) -> FileServer:

@@ -706,7 +706,9 @@ class RankContext:
         memory-bus contention (generator)."""
         start = self.sim.now
         yield from self.node.copy_work(nbytes, max(nblocks, 1), tag, penalty)
-        self.node.tracer.record(start, self.sim.now, self.rank, tag)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.record(start, self.sim.now, self.rank, tag)
         self.metrics.counter("scheme.copy_bytes", self.rank).inc(nbytes)
         self.metrics.counter("scheme.copy_blocks", self.rank).inc(max(nblocks, 1))
 
@@ -903,14 +905,16 @@ class RankContext:
     # ------------------------------------------------------------------
 
     def _run_sender(self, scheme, req: Request):
-        span = self.node.tracer.begin(
+        tracer = self.sim.tracer
+        span = None if tracer is None else tracer.begin(
             self.sim.now, self.rank, f"scheme:{scheme.name}", "send",
             meta=req.msg_id,
         )
         try:
             yield from scheme.sender(self, req)
         finally:
-            span.finish(self.sim.now)
+            if span is not None:
+                span.finish(self.sim.now)
         self.close_inbox(req.msg_id)
         self._complete(req)
 
@@ -919,7 +923,8 @@ class RankContext:
         # a rendezvous slot or acquires / advertises any buffer
         self._check_fits(rreq, start.nbytes, start.tag)
         grant = yield self._rndv_recv_slots.acquire()
-        span = self.node.tracer.begin(
+        tracer = self.sim.tracer
+        span = None if tracer is None else tracer.begin(
             self.sim.now, self.rank, f"scheme:{start.scheme}", "recv",
             meta=start.msg_id,
         )
@@ -927,7 +932,8 @@ class RankContext:
             scheme = self.get_scheme(start.scheme)
             yield from scheme.receiver(self, rreq, start)
         finally:
-            span.finish(self.sim.now)
+            if span is not None:
+                span.finish(self.sim.now)
             self._rndv_recv_slots.release(grant)
         self.close_inbox(start.msg_id)
         self._rndv_replies.pop(start.msg_id, None)

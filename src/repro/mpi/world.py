@@ -64,14 +64,13 @@ class Cluster:
     memory_per_rank:
         simulated address-space bytes per node.
     trace:
-        enable interval tracing (CPU/wire/registration) for overlap
-        analysis.
-    profile:
-        attach a :class:`repro.obs.profile.Profiler` to the simulator,
-        enabling causal provenance on every event plus resource wait /
-        queue-depth sampling — the input of the critical-path profiler.
-        Off by default; a profiled run's simulated timings are identical
-        to an unprofiled one (provenance is recording, not behaviour).
+        hang a :class:`~repro.simulator.trace.Tracer` on the simulator,
+        the one simulated-time recorder: interval records (CPU / wire /
+        registration spans, for overlap analysis), causal provenance on
+        every event and resource / queue-depth samples — the input of
+        the critical-path profiler.  Off by default; a traced run's
+        simulated timings are identical to an untraced one (recording,
+        not behaviour).
     host_profile:
         attach a :class:`repro.obs.hostprof.HostProfiler` to the
         simulator, attributing *wall-clock* nanoseconds per dispatched
@@ -106,7 +105,6 @@ class Cluster:
         trace: bool = False,
         eager_rdma: bool = False,
         fault_plan: Optional[Any] = None,
-        profile: bool = False,
         host_profile: bool = False,
     ):
         if nranks < 1:
@@ -121,11 +119,11 @@ class Cluster:
         self.scheme_options = dict(scheme_options or {})
         self.reg_cache_bytes = reg_cache_bytes
         self.staging_pools = staging_pools
-        self.trace = trace
         self.eager_rdma = eager_rdma
         self.sim = Simulator()
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(enabled=trace)
+        if trace:
+            self.sim.tracer = Tracer(metrics=self.metrics)
         #: None unless host profiling was requested — with it off the
         #: simulator's dispatch hook, the tracer, the metrics registry
         #: and the pack/unpack probe slot are all untouched
@@ -136,18 +134,8 @@ class Cluster:
             # the ns clock is injected here: repro.obs, the simulator
             # and the datatype engine never read the host clock
             self.host_profiler = HostProfiler(clock=perf_counter_ns)
-            self.host_profiler.attach(self.sim, self.tracer, self.metrics)
-        #: None unless profiling was requested — leaving the simulator's
-        #: profiler unset keeps unprofiled runs free of provenance work
-        self.profiler = None
-        if profile:
-            from repro.obs.profile import Profiler
-
-            self.profiler = Profiler(self.metrics)
-            self.sim.profiler = self.profiler
-        self.fabric = Fabric(
-            self.sim, self.cm, tracer=self.tracer, metrics=self.metrics
-        )
+            self.host_profiler.attach(self.sim, self.metrics)
+        self.fabric = Fabric(self.sim, self.cm, metrics=self.metrics)
         from repro.faults import FaultInjector, FaultPlan
 
         self.fault_plan = (
@@ -156,14 +144,13 @@ class Cluster:
         #: None unless the plan is active — an inert plan installs nothing,
         #: keeping fault-free runs byte-identical to builds without faults
         self.fault_injector = (
-            FaultInjector(self.sim, self.fault_plan, self.metrics, tracer=self.tracer)
+            FaultInjector(self.sim, self.fault_plan, self.metrics)
             if self.fault_plan.active
             else None
         )
         self.contexts: list[RankContext] = []
         for r in range(nranks):
             node = self.fabric.add_node(memory_per_rank)
-            node.tracer = self.tracer
             node.fault_injector = self.fault_injector
             self.contexts.append(RankContext(self, r, node))
         for ctx in self.contexts:
@@ -176,6 +163,11 @@ class Cluster:
         if eager_rdma:
             for ctx in self.contexts:
                 ctx._exchange_rings(self.contexts)
+
+    @property
+    def tracer(self) -> Optional[Tracer]:
+        """The simulator's tracer; None unless built with ``trace=True``."""
+        return self.sim.tracer
 
     # -- scheme selection --------------------------------------------------
 

@@ -1,11 +1,12 @@
 """Observability: readers and exporters of the stack's instruments.
 
 The instruments themselves — the :class:`~repro.simulator.trace.Tracer`
-(hierarchical spans plus the interval queries over them) and the
+(the one simulated-time recorder: hierarchical spans and the interval
+queries over them, event provenance, counter samples) and the
 :class:`~repro.simulator.metrics.MetricsRegistry` of counters / gauges /
 histograms — live in :mod:`repro.simulator`, because the core writes to
-them; nothing below ``repro.mpi.world``'s two lazy profiler attach
-points imports this package.  What is here only *reads* them (see
+them; nothing below ``repro.mpi.world``'s one lazy host-profiler attach
+point imports this package.  What is here only *reads* them (see
 docs/OBSERVABILITY.md):
 
 * **exporters** — Chrome trace-event JSON (:mod:`repro.obs.chrome`) and
@@ -21,10 +22,10 @@ docs/OBSERVABILITY.md):
   ``benchmarks/baseline.json``.
 
 Nothing in this package builds a world: the probes that need a transfer
-(:func:`~repro.obs.report.measure_breakdown`,
-:func:`~repro.obs.profile.profile_transfer`,
-:func:`~repro.obs.hostprof.hostprof_transfer`) borrow it, lazily, from
-:func:`repro.bench.runner.run_oneway`.
+(:func:`~repro.obs.report.probe_cells`, the one loop of ``report``,
+``profile`` and ``hostprof``) borrow it, lazily, from
+:func:`repro.bench.runner.traced_oneway` and
+:func:`~repro.obs.hostprof.hostprof_transfer`.
 """
 
 from repro.obs.chrome import (
@@ -36,7 +37,6 @@ from repro.obs.profile import (
     CATEGORIES,
     Attribution,
     PathStep,
-    Profiler,
     categorize,
     critical_path,
     format_bottlenecks,
@@ -68,7 +68,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PathStep",
-    "Profiler",
     "RegressionExplanation",
     "categorize",
     "chrome_trace_events",

@@ -37,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write one Chrome trace JSON per scheme to "
-            "PREFIX.<scheme>.<size>.json (profile adds resource counter "
-            "tracks, hostprof host-time counter tracks)"
+            "PREFIX.<scheme>.<size>.json with resource counter tracks "
+            "(hostprof adds host-time ones)"
         ),
     )
     probe = argparse.ArgumentParser(add_help=False, parents=[traced])

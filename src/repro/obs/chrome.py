@@ -6,9 +6,9 @@ a transfer reads directly as the paper's Figure 3 Gantt chart.  Timestamps
 are simulated microseconds, which is exactly the unit the trace-event
 format expects.
 
-Profiled runs additionally carry *counter* tracks (``"ph": "C"``):
+Traced runs additionally carry *counter* tracks (``"ph": "C"``):
 resource occupancy and queue-depth time series sampled by the
-:class:`~repro.obs.profile.Profiler` render as per-node area charts under
+:class:`~repro.simulator.trace.Tracer` render as per-node area charts under
 the span lanes, so a send-queue backlog lines up visually with the wire
 spans it delays.
 """
@@ -28,10 +28,10 @@ __all__ = [
 
 
 def counter_track_events(series: dict) -> list[dict]:
-    """Convert profiler time series to Chrome counter events.
+    """Convert sampled time series to Chrome counter events.
 
     ``series`` maps ``(name, node)`` to a list of ``(t_us, value)``
-    samples (see :attr:`repro.obs.profile.Profiler.series`).  Counters on
+    samples (see :attr:`repro.simulator.trace.Tracer.series`).  Counters on
     ``node=None`` render under a synthetic cluster-wide pid.
     """
     events: list[dict] = []

@@ -203,16 +203,16 @@ class HostProfiler:
 
     # -- the seam: run bracket, dispatch hook, nested probes -------------
 
-    def attach(self, sim, tracer=None, metrics=None) -> None:
+    def attach(self, sim, metrics=None) -> None:
         """Start observing ``sim``: bracket its ``run()`` (the closure
         denominator) so that every dispatch inside it goes through the
-        hook, and wrap the tracer / metrics-registry entry points so
-        their host cost is billed to ``observability``.
+        hook, and wrap the entry points of the simulator's tracer (when
+        traced) and of ``metrics`` so their host cost is billed to
+        ``observability``.
 
         The hook is installed only for the duration of a ``run()`` —
         a bare ``sim.step()`` from driver code is outside the measured
-        wall time and stays unobserved.  A disabled tracer is a boolean
-        check, not worth timing, and is left alone.
+        wall time and stays unobserved.
         """
         self._sim = sim
         inner_run = sim.run
@@ -234,8 +234,8 @@ class HostProfiler:
                 self.sample(sim.now)
 
         sim.run = run
-        if tracer is not None and tracer.enabled:
-            self._observe(tracer, "begin", "_finish_span", "record")
+        if sim.tracer is not None:
+            self._observe(sim.tracer, "begin", "_finish_span", "record")
         if metrics is not None:
             self._observe(metrics, "counter", "gauge", "histogram")
 
@@ -531,13 +531,14 @@ def hostprof_transfer(
     count: int = 1,
     iters: int = 4,
     scheme_options: Optional[dict] = None,
-    trace: bool = False,
     duty: Optional[tuple] = None,
 ):
-    """Run ``iters`` host-profiled 2-rank transfers of ``(dt, count)``
-    under ``scheme``; returns ``(host_profiler, cluster)``.
+    """Run ``iters`` host-profiled, untraced 2-rank transfers of
+    ``(dt, count)`` under ``scheme``; returns the
+    :class:`~repro.mpi.world.RunResult` (``result.cluster.host_profiler``
+    holds the attribution).
 
-    Mirrors :func:`repro.obs.profile.profile_transfer` but measures host
+    Mirrors :func:`repro.bench.runner.traced_oneway` but measures host
     nanoseconds instead of simulated microseconds; several iterations
     amortize the first transfer's cold caches (layout memoization,
     registration) into a representative ns/event figure.  ``duty``
@@ -546,14 +547,11 @@ def hostprof_transfer(
     """
     from repro.bench.runner import make_cluster, run_oneway
 
-    cluster = make_cluster(
-        scheme, {"trace": trace, "host_profile": True}, scheme_options
-    )
+    cluster = make_cluster(scheme, {"host_profile": True}, scheme_options)
     if duty is not None:
         cluster.host_profiler.duty_on = max(1, int(duty[0]))
         cluster.host_profiler.duty_off = max(0, int(duty[1]))
-    run_oneway(cluster, dt, count=count, iters=iters)
-    return cluster.host_profiler, cluster
+    return run_oneway(cluster, dt, count=count, iters=iters)
 
 
 def _deep_profile(scheme: str, dt, *, iters: int) -> str:
@@ -596,20 +594,20 @@ def run_hostprof(
 
     Prints a ranked ns/event hotspot table per scheme; optionally writes
     collapsed stacks (``<prefix>.<scheme>.collapsed``), Chrome traces
-    with host-time counter tracks (``<prefix>.<scheme>.<size>.json``), the
-    full JSON document, a markdown top-3 summary, and a cProfile
-    deep-mode listing.  Returns ``{scheme: snapshot}``.
+    with host-time counter tracks (``<prefix>.<scheme>.<size>.json``, from
+    a second, traced run: the profiled one stays untraced), the full JSON
+    document, a markdown top-3 summary, and a cProfile deep-mode listing.
+    Returns ``{scheme: snapshot}``.
     """
-    from repro.bench.workloads import workload_for
-    from repro.obs.chrome import export_scheme_trace
+    from repro.obs.report import probe_cells
     from repro.schemes import SCHEME_NAMES
 
-    wl = workload_for(workload, nbytes)
     results: dict = {}
-    for scheme in schemes or SCHEME_NAMES:
-        hp, cluster = hostprof_transfer(
-            scheme, wl.datatype, iters=iters, trace=bool(chrome_out)
-        )
+    for wl, scheme, result, trace_path in probe_cells(
+        workload, [nbytes], schemes or SCHEME_NAMES, chrome_out,
+        iters=iters, host_profile=True,
+    ):
+        hp = result.cluster.host_profiler
         snap = hp.snapshot()
         results[scheme] = snap
         print_fn(
@@ -626,11 +624,8 @@ def run_hostprof(
             path = f"{collapsed_out}.{scheme}.collapsed"
             _write_text(path, hp.collapsed())
             print_fn(f"wrote collapsed stacks {path}")
-        if chrome_out:
-            path = export_scheme_trace(
-                cluster.tracer, chrome_out, scheme, nbytes, hp.series
-            )
-            print_fn(f"wrote annotated trace {path}")
+        if trace_path:
+            print_fn(f"wrote annotated trace {trace_path}")
         if deep:
             print_fn(
                 _deep_profile(scheme, wl.datatype, iters=iters).rstrip()

@@ -1,6 +1,6 @@
 """Critical-path profiler: causal bottleneck attribution.
 
-When a :class:`~repro.mpi.world.Cluster` is built with ``profile=True``,
+When a :class:`~repro.mpi.world.Cluster` is built with ``trace=True``,
 the simulator records, for every scheduled event, the event that caused it
 (``_cause``), its scheduling and fire times, and an attribution tag
 (``_ptag``).  Because every trigger happens while some event is being
@@ -29,16 +29,10 @@ monotonically decreasing cursor and clips every interval against it, so
 the per-category times tile ``[t0, end]`` and sum to the measured
 operation latency (tests assert to within 0.1%).
 
-The :class:`Profiler` object additionally samples resource utilization
-and queue depths into time series (exported as Chrome/Perfetto *counter*
-tracks) and wait-time histograms in the metrics registry.  Every
-instrument it creates is prefixed ``profile.`` so unprofiled runs are
-trivially shown to carry none of them.
-
 This module imports nothing from the simulator/MPI stack at module level;
-:func:`profile_transfer` borrows the transfer itself from
-:func:`repro.bench.runner.run_oneway` (lazily) and only walks what it
-recorded.
+:func:`transfer_path` walks a :func:`repro.bench.runner.traced_oneway`
+transfer from its receive, and :func:`run_profile` borrows the transfers
+from :func:`repro.obs.report.probe_cells`.
 """
 
 from __future__ import annotations
@@ -50,12 +44,11 @@ __all__ = [
     "Attribution",
     "CATEGORIES",
     "PathStep",
-    "Profiler",
     "categorize",
     "critical_path",
     "format_bottlenecks",
-    "profile_transfer",
     "run_profile",
+    "transfer_path",
 ]
 
 #: the attribution categories, in report order
@@ -120,58 +113,6 @@ def categorize(tag: Any) -> str:
     return "protocol-wait"
 
 
-class Profiler:
-    """Recording sink for causal provenance and utilization sampling.
-
-    Attach by constructing the cluster with ``profile=True`` (which sets
-    ``sim.profiler``).  The engine and the synchronization primitives call
-    back into this object; everything recorded lands either in
-    :attr:`series` (utilization time series for counter tracks) or in the
-    shared metrics registry under a ``profile.`` prefix.
-    """
-
-    def __init__(self, metrics):
-        self.metrics = metrics
-        #: (series name, node) -> [(t_us, value)] — queue depths and
-        #: resource occupancy over simulated time, for counter tracks
-        self.series: dict[tuple, list] = {}
-
-    # -- time-series sampling -------------------------------------------
-
-    def sample(self, name: str, node: Optional[int], t: float, value: float) -> None:
-        """Append one (t, value) point, collapsing same-time updates."""
-        pts = self.series.setdefault((name, node), [])
-        if pts and pts[-1][0] == t:
-            pts[-1] = (t, value)
-        else:
-            pts.append((t, value))
-
-    def sample_resource(self, res) -> None:
-        """Snapshot a Resource's occupancy and queue length (called on
-        every acquire/release)."""
-        name = res.name or "resource"
-        t = res.sim.now
-        self.sample(f"{name}.in_use", res.node, t, float(res.in_use))
-        self.sample(f"{name}.queue", res.node, t, float(res.queue_length))
-        self.metrics.gauge(f"profile.queue.{name}", res.node).set(
-            float(res.queue_length)
-        )
-
-    def sample_store(self, store, at: Optional[float] = None) -> None:
-        """Snapshot a named Store's depth (called on every put/get; ``at``
-        is the time of a pop that is settled later than it happened)."""
-        t = store.sim.now if at is None else at
-        depth = float(len(store))
-        self.sample(f"{store.name}.depth", store.node, t, depth)
-        self.metrics.gauge(f"profile.depth.{store.name}", store.node).set(depth)
-
-    # -- wait-time histograms -------------------------------------------
-
-    def observe_wait(self, name: str, node: Optional[int], wait_us: float) -> None:
-        """Record one completed wait (resource grant, store get, signal)."""
-        self.metrics.histogram(f"profile.{name}", node).observe(wait_us)
-
-
 # -- critical-path extraction ------------------------------------------
 
 
@@ -228,7 +169,7 @@ class Attribution:
 def critical_path(done, t0: float = 0.0) -> "Attribution":
     """Walk the causal chain backward from a completion event.
 
-    ``done`` is any processed event recorded under an active profiler
+    ``done`` is any processed event recorded on a traced simulator
     (e.g. ``request.done``); ``t0`` is the operation's start time.
     Returns an :class:`Attribution` whose category times sum to
     ``done`` fire time minus ``t0``.
@@ -236,7 +177,7 @@ def critical_path(done, t0: float = 0.0) -> "Attribution":
     end = done._fire_at
     if end < 0:
         raise ValueError(
-            "event carries no provenance — run the cluster with profile=True"
+            "event carries no provenance — run the cluster with trace=True"
         )
     cats = {c: 0.0 for c in CATEGORIES}
     steps: list[PathStep] = []
@@ -327,31 +268,11 @@ def format_bottlenecks(attr: Attribution, title: str = "") -> str:
 # -- profiled transfers ----------------------------------------------------
 
 
-def profile_transfer(
-    scheme: str,
-    dt,
-    *,
-    count: int = 1,
-    scheme_options: Optional[dict] = None,
-    cost_model=None,
-):
-    """Run one profiled 2-rank transfer of ``(dt, count)`` under ``scheme``.
-
-    Returns ``(attribution, cluster)``.  The attribution walks the
-    receiver's completion — end-to-end operation latency as MPI sees it.
-    ``cost_model`` selects the simulated platform (default: the paper's
-    testbed) — profile a cell of a failing ``presets`` claim under the
-    preset that produced it.
-    """
-    from repro.bench.runner import make_cluster, run_oneway
-
-    cluster = make_cluster(
-        scheme,
-        {"cost_model": cost_model, "trace": True, "profile": True},
-        scheme_options,
-    )
-    recv_req = run_oneway(cluster, dt, count=count).values[1]
-    return critical_path(recv_req.done), cluster
+def transfer_path(result) -> Attribution:
+    """The critical path of a traced one-way transfer (a
+    :class:`~repro.mpi.world.RunResult` of ``traced_oneway``): the walk
+    from the receiver's completion — end-to-end latency as MPI sees it."""
+    return critical_path(result.values[1].done)
 
 
 def run_profile(
@@ -366,15 +287,13 @@ def run_profile(
 
     Returns ``{scheme: attribution}``.
     """
-    from repro.bench.workloads import workload_for
-    from repro.obs.chrome import export_scheme_trace
-    from repro.obs.report import DEFAULT_SCHEMES
+    from repro.obs.report import DEFAULT_SCHEMES, probe_cells
 
-    wl = workload_for(workload, nbytes)
     results: dict = {}
-    for scheme in schemes or DEFAULT_SCHEMES:
-        attr, cluster = profile_transfer(scheme, wl.datatype)
-        results[scheme] = attr
+    for wl, scheme, result, _path in probe_cells(
+        workload, [nbytes], schemes or DEFAULT_SCHEMES, chrome_out
+    ):
+        attr = results[scheme] = transfer_path(result)
         print_fn(
             format_bottlenecks(
                 attr,
@@ -385,8 +304,4 @@ def run_profile(
             )
         )
         print_fn("")
-        if chrome_out:
-            export_scheme_trace(
-                cluster.tracer, chrome_out, scheme, nbytes, cluster.profiler.series
-            )
     return results

@@ -3,7 +3,7 @@
 When the bench gate (:mod:`repro.bench.gate`) finds a metric worse than
 baseline, detection alone says nothing actionable.  This module re-runs
 the critical-path profiler (:func:`repro.obs.profile.critical_path`, via
-:func:`~repro.obs.profile.profile_transfer`) on each regressed cell and
+:func:`~repro.obs.profile.transfer_path`) on each regressed cell and
 diffs the per-category attribution — copy / wire / descriptor /
 registration / resource-wait / protocol-wait — against the attribution
 ``--write-baseline`` stored beside the cell's value in
@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.obs.profile import CATEGORIES
+from repro.obs.profile import CATEGORIES, transfer_path
 
 __all__ = [
     "CategoryMove",
@@ -62,10 +62,11 @@ def cell_attribution(figure: str, scheme: str, cols: int) -> dict:
     deltas* between two attributions of the same cell isolate what a
     cost-model or protocol change moved.
     """
+    from repro.bench.runner import traced_oneway
     from repro.bench.workloads import figure_workload
-    from repro.obs.profile import profile_transfer
 
-    attr, _cluster = profile_transfer(scheme, figure_workload(figure, cols).datatype)
+    dt = figure_workload(figure, cols).datatype
+    attr = transfer_path(traced_oneway(scheme, dt))
     out = {"total_us": attr.total_us}
     for cat in CATEGORIES:
         out[cat] = attr.categories.get(cat, 0.0)

@@ -11,10 +11,12 @@ into the quantities the paper's Figures 2/3 discuss qualitatively:
 * **descr** — descriptors processed by both HCAs.
 
 Driven by the ``python -m repro.obs report`` CLI; also usable as a
-library (:func:`measure_breakdown`, :func:`run_report`).  The transfer
-itself is :func:`repro.bench.runner.run_oneway` (imported lazily, like
+library (:func:`breakdown`, :func:`run_report`).  The transfer itself is
+:func:`repro.bench.runner.traced_oneway` (imported lazily, like
 everything from the driving layers); this module only reads the tracer
-and the metrics registry it leaves behind.
+and the metrics registry it leaves behind.  :func:`probe_cells` is the
+per-(size, scheme) loop of all three probe commands — ``report``,
+``profile`` and ``hostprof`` — and writes their Chrome traces.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from repro.schemes import PAPER_SCHEMES
 
 __all__ = [
     "SchemeBreakdown",
+    "breakdown",
     "format_health",
     "health_counters",
-    "measure_breakdown",
+    "probe_cells",
     "report_json",
     "run_report",
 ]
@@ -57,44 +60,63 @@ class SchemeBreakdown:
         return 100.0 * self.overlap_us / self.copy_us if self.copy_us else 0.0
 
 
-def measure_breakdown(
-    scheme: str,
-    dt,
+def breakdown(result) -> SchemeBreakdown:
+    """The report row of one traced 2-rank transfer (a
+    :class:`~repro.mpi.world.RunResult` of ``traced_oneway``)."""
+    from repro.bench.overlap import overlap_report
+
+    ov = overlap_report(result)
+    return SchemeBreakdown(
+        scheme=ov.scheme,
+        nbytes=result.values[1].nbytes,
+        total_us=ov.total_us,
+        copy_us=ov.pack_us + ov.unpack_us,
+        wire_us=ov.wire_us,
+        overlap_us=ov.pack_overlapped_us + ov.unpack_overlapped_us,
+        reg_us=result.cluster.tracer.total_time("reg"),
+        descriptors=int(result.cluster.metrics.value("ib.descriptors")),
+    )
+
+
+def probe_cells(
+    workload: str,
+    sizes: Sequence[int],
+    schemes: Sequence[str],
+    chrome_out: Optional[str] = None,
     *,
-    count: int = 1,
-    scheme_options: Optional[dict] = None,
-) -> tuple[SchemeBreakdown, object]:
-    """Run one traced 2-rank transfer of (dt, count) under ``scheme``.
+    iters: int = 1,
+    host_profile: bool = False,
+):
+    """The one per-(size, scheme) loop of ``report``, ``profile`` and
+    ``hostprof``: yields ``(wl, scheme, result, trace_path)`` per cell.
 
-    Returns ``(breakdown, cluster)`` — the cluster gives callers access to
-    the tracer and metrics registry for export.
+    A cell is ``iters`` traced one-way transfers — host-profiled and
+    untraced with ``host_profile``, so no tracer bills its host time.
+    ``chrome_out`` writes each cell's ``<chrome_out>.<scheme>.<size>.json``
+    (``trace_path``) with the tracer's counter tracks, from a second,
+    traced run for a host-profiled cell, whose host-time tracks it adds.
     """
-    from repro.bench.runner import make_cluster, run_oneway
+    from repro.bench.runner import traced_oneway
+    from repro.bench.workloads import workload_for
+    from repro.obs.chrome import export_scheme_trace
+    from repro.obs.hostprof import hostprof_transfer
 
-    cluster = make_cluster(scheme, {"trace": True}, scheme_options)
-    result = run_oneway(cluster, dt, count=count)
-    tracer = cluster.tracer
-    copy_us = (
-        tracer.total_time("pack", node=0)
-        + tracer.total_time("user-pack", node=0)
-        + tracer.total_time("unpack", node=1)
-    )
-    # wire intervals are recorded on the sender; the receiver's inbound
-    # DMA mirrors them one switch latency later
-    hidden = tracer.overlap_time(("pack", 0), ("wire", 0)) + tracer.overlap_time(
-        ("unpack", 1), ("wire", 0)
-    )
-    breakdown = SchemeBreakdown(
-        scheme=scheme,
-        nbytes=dt.size * count,
-        total_us=result.time_us,
-        copy_us=copy_us,
-        wire_us=tracer.total_time("wire", node=0),
-        overlap_us=hidden,
-        reg_us=tracer.total_time("reg"),
-        descriptors=int(cluster.metrics.value("ib.descriptors")),
-    )
-    return breakdown, cluster
+    transfer = hostprof_transfer if host_profile else traced_oneway
+    for nbytes in sizes:
+        wl = workload_for(workload, nbytes)
+        for scheme in schemes:
+            dt = wl.datatype
+            result = transfer(scheme, dt, iters=iters)
+            path = None
+            if chrome_out:
+                tracer, series = result.cluster.tracer, {}
+                if host_profile:
+                    tracer = traced_oneway(scheme, dt, iters=iters).cluster.tracer
+                    series = result.cluster.host_profiler.series
+                path = export_scheme_trace(
+                    tracer, chrome_out, scheme, nbytes, {**tracer.series, **series}
+                )
+            yield wl, scheme, result, path
 
 
 #: counters surfaced in the report's health section (fault injection,
@@ -186,32 +208,24 @@ def run_report(
     run's metric snapshot as CSV.  ``fmt="json"`` prints one JSON
     document (:func:`report_json`) instead of the text tables.
     """
-    from repro.bench.workloads import workload_for
-    from repro.obs.chrome import export_scheme_trace
-
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown report format {fmt!r}; use text or json")
     rows: list[SchemeBreakdown] = []
     last_cluster = None
     health: dict = {}
-    for nbytes in sizes:
-        wl = workload_for(workload, nbytes)
-        size_rows = []
-        for scheme in schemes:
-            breakdown, cluster = measure_breakdown(scheme, wl.datatype)
-            size_rows.append(breakdown)
-            last_cluster = cluster
-            for name, value in health_counters(cluster.metrics).items():
-                health[name] = health.get(name, 0.0) + value
-            if chrome_out:
-                export_scheme_trace(cluster.tracer, chrome_out, scheme, nbytes)
-        if fmt == "text":
+    for i, (wl, _scheme, result, _path) in enumerate(
+        probe_cells(workload, sizes, schemes, chrome_out)
+    ):
+        rows.append(breakdown(result))
+        last_cluster = result.cluster
+        for name, value in health_counters(last_cluster.metrics).items():
+            health[name] = health.get(name, 0.0) + value
+        if fmt == "text" and (i + 1) % len(schemes) == 0:  # a size's last
             print_fn(
                 f"workload {workload}: {wl.name} ({wl.nbytes} bytes/element)"
             )
-            print_fn(format_table(size_rows))
+            print_fn(format_table(rows[-len(schemes):]))
             print_fn("")
-        rows.extend(size_rows)
     if fmt == "json":
         print_fn(json.dumps(
             report_json(workload, sizes, rows, health),

@@ -18,15 +18,15 @@ were scheduled.  Nothing in the engine consults wall-clock time or a global
 RNG.
 
 Causal provenance (the critical-path profiler, ``repro.obs.profile``):
-when :attr:`Simulator.profiler` is set, every scheduled event records the
+when :attr:`Simulator.tracer` is set, every scheduled event records the
 event being processed at scheduling time (``_cause``), its scheduling time
 (``_sched_at``), its due time (``_fire_at``), and an optional attribution
 tag (``_ptag``).  Because every trigger happens while some event is being
 processed, ``_sched_at`` of an event equals the fire time of its cause, so
 the backward ``_cause`` chain from any completion partitions the run into
 time-contiguous intervals — the invariant the profiler's attribution sum
-rests on.  With ``profiler`` left ``None`` (the default) nothing is
-recorded and scheduling order is untouched, keeping unprofiled runs
+rests on.  With ``tracer`` left ``None`` (the default) nothing is
+recorded and scheduling order is untouched, keeping untraced runs
 byte-identical.
 
 Dispatch seam: :meth:`Simulator.run` is the only loop and
@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
+
+from repro.simulator.trace import Tracer
 
 __all__ = [
     "AllOf",
@@ -102,7 +104,7 @@ class Event:
         self.triggered = False
         self.processed = False
         self.cancelled = False
-        #: provenance (populated only while ``sim.profiler`` is set):
+        #: provenance (populated only while ``sim.tracer`` is set):
         #: the event being processed when this one was scheduled, the
         #: scheduling/fire times, and an attribution tag for the
         #: critical-path profiler (see repro.obs.profile)
@@ -119,7 +121,7 @@ class Event:
         """Trigger the event successfully with ``value`` after ``delay``.
 
         ``tag`` labels the delay for critical-path attribution (ignored —
-        but harmless — when no profiler is attached)."""
+        but harmless — when the simulator is untraced)."""
         if self.triggered:
             raise SimulationError(f"{self!r} already triggered")
         self.triggered = True
@@ -377,10 +379,11 @@ class Simulator:
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._failures: list[tuple[Process, BaseException]] = []
-        #: a :class:`repro.obs.profile.Profiler` (or None).  While set,
-        #: scheduled events record causal provenance; the default None
-        #: keeps the hot path free of any recording.
-        self.profiler: Optional[Any] = None
+        #: the :class:`~repro.simulator.trace.Tracer` (or None), the one
+        #: simulated-time recorder: while set, scheduled events record
+        #: causal provenance and every recording site in the stack writes
+        #: to it; the default None keeps the hot path free of recording.
+        self.tracer: Optional[Tracer] = None
         #: the event currently being processed by :meth:`step` — the
         #: cause of anything scheduled during its callbacks.  Cleared as
         #: soon as the dispatch returns: events scheduled from *driver*
@@ -450,7 +453,7 @@ class Simulator:
         if due < self.now:
             raise ValueError(f"{event!r} due at {due!r}, before now={self.now!r}")
         heappush(self._heap, (due, seq, event))
-        if self.profiler is not None:
+        if self.tracer is not None:
             event._cause = self._current_event
             event._sched_at = self.now
             event._fire_at = due

@@ -216,25 +216,6 @@ class MetricsRegistry:
             )
         return rows
 
-    def render_text(self) -> str:
-        """Plain-text snapshot, one instrument per line."""
-        lines = []
-        for row in self.snapshot():
-            where = "cluster" if row["node"] is None else f"node{row['node']}"
-            if row["type"] == "counter":
-                lines.append(f"{row['name']}{{{where}}} {row['value']:g}")
-            elif row["type"] == "gauge":
-                lines.append(
-                    f"{row['name']}{{{where}}} {row['value']:g} (max {row['max']:g})"
-                )
-            else:
-                lines.append(
-                    f"{row['name']}{{{where}}} count={row['count']} "
-                    f"sum={row['value']:g} mean={row['mean']:g} "
-                    f"p50={row['p50']:g} p95={row['p95']:g} p99={row['p99']:g}"
-                )
-        return "\n".join(lines)
-
     def to_csv(self, path: str) -> None:
         """Write the snapshot as CSV: type,name,node,value,extra."""
         import csv

@@ -10,13 +10,13 @@
   :meth:`Signal.set` fires, after which waits complete immediately until
   :meth:`Signal.clear`.
 
-When the owning simulator carries a profiler (``sim.profiler``), all
+When the owning simulator is traced (``sim.tracer``), all
 three primitives record grant/put provenance for the critical-path
 walker — a queued :class:`Resource` grant is tagged with its request
 time so the wait re-labels as ``resource-wait``; :class:`Store` and
 :class:`Signal` waits keep their upstream cause (they are communication
 dependencies, not contention) — plus wait-time histograms and
-queue-depth samples.  Without a profiler nothing is recorded.
+queue-depth samples.  Untraced, nothing is recorded.
 """
 
 from __future__ import annotations
@@ -76,18 +76,18 @@ class Resource:
         """Request a slot; the returned event's value is an opaque grant
         token to pass back to :meth:`release`."""
         ev = Event(self.sim)
+        tracer = self.sim.tracer
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed(self._new_grant())
         else:
-            if self.sim.profiler is not None:
+            if tracer is not None:
                 # re-labels the wait as resource contention on the
                 # critical path (see repro.obs.profile)
                 ev._ptag = ("resource-wait", self.sim.now, self.name)
             self._waiters.append(ev)
-        prof = self.sim.profiler
-        if prof is not None:
-            prof.sample_resource(self)
+        if tracer is not None:
+            tracer.sample_resource(self)
         return ev
 
     def release(self, grant: int) -> None:
@@ -97,18 +97,18 @@ class Resource:
         if start is None:
             raise SimulationError(f"release of unknown grant {grant!r} on {self.name}")
         self.busy_time += self.sim.now - start
-        prof = self.sim.profiler
+        tracer = self.sim.tracer
         if self._waiters:
             waiter = self._waiters.popleft()
-            if prof is not None and waiter._ptag is not None:
-                prof.observe_wait(
+            if tracer is not None and waiter._ptag is not None:
+                tracer.observe_wait(
                     "resource.wait_us", self.node, self.sim.now - waiter._ptag[1]
                 )
             waiter.succeed(self._new_grant())
         else:
             self._in_use -= 1
-        if prof is not None:
-            prof.sample_resource(self)
+        if tracer is not None:
+            tracer.sample_resource(self)
 
     def _new_grant(self) -> int:
         self._grant_seq += 1
@@ -153,24 +153,24 @@ class Store:
         self.total_put += 1
         if self._getters:
             getter = self._getters.popleft()
-            prof = self.sim.profiler
-            if prof is not None and getter._ptag is not None:
-                prof.observe_wait(
+            tracer = self.sim.tracer
+            if tracer is not None and getter._ptag is not None:
+                tracer.observe_wait(
                     "store.wait_us", self.node, self.sim.now - getter._ptag[1]
                 )
             getter.succeed(item)
         else:
             self._items.append(item)
-            prof = self.sim.profiler
-            if prof is not None and self.name:
-                prof.sample_store(self)
+            tracer = self.sim.tracer
+            if tracer is not None and self.name:
+                tracer.sample_store(self)
 
     def get(self) -> Event:
         ev = Event(self.sim)
         if self._items:
             ev.succeed(self._pop())
         else:
-            if self.sim.profiler is not None:
+            if self.sim.tracer is not None:
                 # a marker, not an attribution override: the walker keeps
                 # following the putter's cause chain through store waits
                 ev._ptag = ("store-wait", self.sim.now, self.name)
@@ -179,7 +179,7 @@ class Store:
 
     def try_get(self, at: Optional[float] = None) -> Optional[Any]:
         """Non-blocking pop; returns None when empty.  ``at`` backdates the
-        pop for the profiler's depth series (a settled run member)."""
+        pop for the tracer's depth series (a settled run member)."""
         return self._pop(at) if self._items else None
 
     def __iter__(self):
@@ -193,9 +193,9 @@ class Store:
 
     def _pop(self, at: Optional[float] = None) -> Any:
         item = self._items.popleft()
-        prof = self.sim.profiler
-        if prof is not None and self.name:
-            prof.sample_store(self, at)
+        tracer = self.sim.tracer
+        if tracer is not None and self.name:
+            tracer.sample_store(self, at)
         return item
 
     def cancel_get(self, ev: Event) -> bool:
@@ -240,10 +240,10 @@ class Signal:
         self._set = True
         self._value = value
         waiters, self._waiters = self._waiters, []
-        prof = self.sim.profiler
+        tracer = self.sim.tracer
         for ev in waiters:
-            if prof is not None and ev._ptag is not None:
-                prof.observe_wait(
+            if tracer is not None and ev._ptag is not None:
+                tracer.observe_wait(
                     "signal.wait_us", self.node, self.sim.now - ev._ptag[1]
                 )
             ev.succeed(value)
@@ -257,7 +257,7 @@ class Signal:
         if self._set:
             ev.succeed(self._value)
         else:
-            if self.sim.profiler is not None:
+            if self.sim.tracer is not None:
                 ev._ptag = ("signal-wait", self.sim.now, self.name)
             self._waiters.append(ev)
         return ev

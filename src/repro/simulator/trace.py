@@ -1,4 +1,4 @@
-"""Structured tracing of simulation activity.
+"""The simulated-time recorder.
 
 A :class:`Tracer` collects timestamped :class:`TraceRecord` entries tagged
 with a category (``"cpu"``, ``"wire"``, ``"reg"``, ...) and a node id.  The
@@ -14,13 +14,19 @@ a span is open is parented to it.  Flat callers that only ever use
 :meth:`Tracer.record` keep working unchanged — their records become root
 spans (``parent_id == 0``).
 
-Tracing is off by default and adds no overhead beyond a boolean check.
+While a tracer hangs on ``Simulator.tracer`` the engine also records
+causal provenance (the critical path's input, ``repro.obs.profile``) and
+the synchronization primitives sample occupancy and queue depths into
+:attr:`Tracer.series` and wait times into ``profile.*`` histograms.  Off
+(the default) the attribute is ``None``: each site is one ``is not None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence, Tuple
+
+from repro.simulator.metrics import MetricsRegistry
 
 __all__ = ["Span", "TraceRecord", "Tracer", "merge_intervals"]
 
@@ -66,8 +72,7 @@ class Span:
 
     Returned by :meth:`Tracer.begin`.  While open, every record emitted on
     the same node (via :meth:`Tracer.record` or nested :meth:`Tracer.begin`)
-    is parented to it.  A disabled tracer hands out inert spans with
-    ``span_id == 0``.
+    is parented to it.
     """
 
     __slots__ = ("tracer", "span_id", "parent_id", "start", "node",
@@ -87,8 +92,6 @@ class Span:
 
     def finish(self, end: float) -> Optional[TraceRecord]:
         """Close the span at simulated time ``end`` and emit its record."""
-        if self.span_id == 0:  # disabled tracer
-            return None
         if self.closed:
             raise ValueError(f"span {self.span_id} already finished")
         self.closed = True
@@ -97,10 +100,14 @@ class Span:
 
 @dataclass
 class Tracer:
-    """Collects trace records; cheap no-op when disabled."""
+    """Collects trace records, counter samples and wait histograms."""
 
-    enabled: bool = False
     records: list[TraceRecord] = field(default_factory=list)
+    #: where the ``profile.*`` gauges and wait histograms land
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry, repr=False)
+    #: (series name, node) -> [(t_us, value)] — queue depths and resource
+    #: occupancy over simulated time, for counter tracks
+    series: dict = field(default_factory=dict, repr=False)
     #: per-node stack of open span ids (innermost last)
     _open: dict = field(default_factory=dict, repr=False)
     _next_id: int = field(default=0, repr=False)
@@ -126,8 +133,6 @@ class Tracer:
     ) -> Span:
         """Open a hierarchical span; records on ``node`` nest under it
         until :meth:`Span.finish` is called."""
-        if not self.enabled:
-            return Span(self, 0, 0, start, node, category, detail, meta)
         span = Span(
             self, self._new_id(), self.current_span(node), start, node,
             category, detail, meta,
@@ -155,17 +160,49 @@ class Tracer:
         detail: str = "",
         meta: Any = None,
     ) -> None:
-        if self.enabled:
-            self.records.append(
-                TraceRecord(
-                    start, end, node, category, detail, meta,
-                    self._new_id(), self.current_span(node),
-                )
+        self.records.append(
+            TraceRecord(
+                start, end, node, category, detail, meta,
+                self._new_id(), self.current_span(node),
             )
+        )
 
     def clear(self) -> None:
         self.records.clear()
         self._open.clear()
+
+    # -- counter samples and wait histograms ---------------------------------
+
+    def sample(self, name: str, node: Optional[int], t: float, value: float) -> None:
+        """Append one (t, value) point, collapsing same-time updates."""
+        pts = self.series.setdefault((name, node), [])
+        if pts and pts[-1][0] == t:
+            pts[-1] = (t, value)
+        else:
+            pts.append((t, value))
+
+    def sample_resource(self, res) -> None:
+        """Snapshot a Resource's occupancy and queue length (called on
+        every acquire/release)."""
+        name = res.name or "resource"
+        t = res.sim.now
+        self.sample(f"{name}.in_use", res.node, t, float(res.in_use))
+        self.sample(f"{name}.queue", res.node, t, float(res.queue_length))
+        self.metrics.gauge(f"profile.queue.{name}", res.node).set(
+            float(res.queue_length)
+        )
+
+    def sample_store(self, store, at: Optional[float] = None) -> None:
+        """Snapshot a named Store's depth (called on every put/get; ``at``
+        is the time of a pop that is settled later than it happened)."""
+        t = store.sim.now if at is None else at
+        depth = float(len(store))
+        self.sample(f"{store.name}.depth", store.node, t, depth)
+        self.metrics.gauge(f"profile.depth.{store.name}", store.node).set(depth)
+
+    def observe_wait(self, name: str, node: Optional[int], wait_us: float) -> None:
+        """Record one completed wait (resource grant, store get, signal)."""
+        self.metrics.histogram(f"profile.{name}", node).observe(wait_us)
 
     # -- analysis helpers ---------------------------------------------------
 
@@ -223,41 +260,3 @@ class Tracer:
             else:
                 j += 1
         return total
-
-    def summary(self, node: Optional[int] = None) -> dict:
-        """Per-category totals: {category: {"total": .., "busy": ..,
-        "count": ..}} for one node (or all)."""
-        cats = sorted(
-            {r.category for r in self.records if node is None or r.node == node}
-        )
-        return {
-            cat: {
-                "total": self.total_time(cat, node),
-                "busy": self.busy_time(cat, node),
-                "count": sum(1 for _ in self.iter_category(cat, node)),
-            }
-            for cat in cats
-        }
-
-    def to_csv(self, path: str) -> None:
-        """Dump all records to a CSV file for external analysis.
-
-        The header lists every :class:`TraceRecord` field in declaration
-        order; ``meta`` is included (``""`` when None).
-        """
-        import csv
-        import os
-
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        header = [f.name for f in fields(TraceRecord)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for r in self.records:
-                writer.writerow(
-                    [
-                        r.start, r.end, r.node, r.category, r.detail,
-                        "" if r.meta is None else r.meta,
-                        r.span_id, r.parent_id,
-                    ]
-                )

@@ -5,7 +5,7 @@ These use reduced iteration counts; the full sweeps live in benchmarks/.
 
 import pytest
 
-from repro.bench.overlap import measure_overlap
+from repro.bench.overlap import overlap_report
 from repro.bench.runner import (
     contig_leg,
     manual_leg,
@@ -13,6 +13,7 @@ from repro.bench.runner import (
     measure_bandwidth,
     measure_pingpong,
     multiple_leg,
+    traced_oneway,
 )
 from repro.bench.workloads import column_vector, fig10_struct
 from repro.datatypes import BYTE, contiguous
@@ -95,28 +96,28 @@ class TestAlltoall:
 class TestOverlap:
     def test_generic_hides_nothing(self):
         w = column_vector(1024)
-        rep = measure_overlap("generic", w.datatype)
+        rep = overlap_report(traced_oneway("generic", w.datatype))
         assert rep.pack_hidden_fraction == pytest.approx(0.0, abs=0.02)
         assert rep.unpack_hidden_fraction == pytest.approx(0.0, abs=0.02)
 
     def test_bcspup_hides_pack(self):
         w = column_vector(1024)
-        rep = measure_overlap("bc-spup", w.datatype)
+        rep = overlap_report(traced_oneway("bc-spup", w.datatype))
         assert rep.pack_hidden_fraction > 0.2
 
     def test_rwgup_hides_unpack(self):
         w = column_vector(1024)
-        rep = measure_overlap("rwg-up", w.datatype)
+        rep = overlap_report(traced_oneway("rwg-up", w.datatype))
         assert rep.pack_us == 0.0  # no sender-side copy at all
         assert rep.unpack_hidden_fraction > 0.2
 
     def test_multiw_copies_nothing(self):
         w = column_vector(1024)
-        rep = measure_overlap("multi-w", w.datatype)
+        rep = overlap_report(traced_oneway("multi-w", w.datatype))
         assert rep.pack_us == 0.0
         assert rep.unpack_us == 0.0
 
     def test_describe_readable(self):
         w = column_vector(256)
-        text = measure_overlap("bc-spup", w.datatype).describe()
+        text = overlap_report(traced_oneway("bc-spup", w.datatype)).describe()
         assert "bc-spup" in text and "hidden" in text

@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, FaultPlan
 from repro.ib import SGE, CostModel, Fabric, Opcode, ProtectionError, RecvWR, SendWR
 from repro.ib.verbs import WriteList
-from repro.obs.profile import Profiler, critical_path
+from repro.obs.profile import critical_path
 from repro.simulator import MetricsRegistry, Simulator, Store, Tracer
 
 BLOCK = 64
@@ -74,10 +74,9 @@ class World:
         self.kind = kind
         self.sim = sim = Simulator()
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(enabled=True)
-        sim.profiler = self.profiler = Profiler(self.metrics)
+        sim.tracer = self.tracer = Tracer(metrics=self.metrics)
         self.cm = cm = CostModel.mellanox_2003()
-        fabric = Fabric(sim, cm, self.tracer, self.metrics)
+        fabric = Fabric(sim, cm, self.metrics)
         self.nodes = fabric.connect_all(memory_capacity=1 << 18, n=nodes)
         if kind.endswith("faulted"):
             inj = FaultInjector(sim, FaultPlan(), self.metrics)
@@ -302,7 +301,7 @@ class World:
             "emission": by_track,
             "sq_depth": [(g.value, g.max_value) for g in gauges],
             "series": {
-                k: v for k, v in self.profiler.series.items() if "sq.depth" in k[0]
+                k: v for k, v in self.tracer.series.items() if "sq.depth" in k[0]
             },
             "metrics": [
                 row for row in self.metrics.snapshot()
@@ -494,7 +493,7 @@ def test_a_member_whose_injection_has_ended_has_retired():
     # members 0, 1 and 2 (ends[2] <= now) retired before the post counted
     assert seen == {"unsettled": n - 1 - 3, "depth": n - 3 + 1}
     assert w.metrics.gauge("ib.sq_depth", 0).max_value == n  # never n + 1
-    series = w.profiler.series[("hca0.sq.depth", 0)]
+    series = w.tracer.series[("hca0.sq.depth", 0)]
     assert (ends[2], float(n - 4 + 1)) in series  # the pop at t_2, then the put
     assert w.run_lengths == [n, 1]
     assert [c[0] for c in w.completions if c[1] == 0][-1] == repr(

@@ -70,11 +70,11 @@ def test_ctrl_pool_exhausts_at_its_depth_and_replenishes_in_place():
 
 
 def test_profiled_build_samples_the_final_depth_once():
-    cluster = Cluster(2, profile=True)
+    cluster = Cluster(2, trace=True)
     for ctx in cluster.contexts:
         for qp in ctx.ctrl_qps.values():
             name = f"qp{qp.qp_num}.rq"
-            assert cluster.profiler.series[(f"{name}.depth", ctx.rank)] == [
+            assert cluster.tracer.series[(f"{name}.depth", ctx.rank)] == [
                 (0.0, 4096.0)
             ]
             gauge = cluster.metrics.gauge(f"profile.depth.{name}", ctx.rank)

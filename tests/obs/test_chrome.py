@@ -7,7 +7,7 @@ from repro.simulator import Tracer
 
 
 def make_tracer():
-    tr = Tracer(enabled=True)
+    tr = Tracer()
     tr.record(0.0, 5.0, 0, "pack")
     tr.record(2.0, 9.0, 0, "wire")
     tr.record(6.0, 8.0, 1, "unpack", "seg0", meta={"seg": 0})
@@ -63,7 +63,7 @@ class TestChromeExport:
         assert json.loads(open(path).read()) == json.loads(text)
 
     def test_empty_tracer(self):
-        doc = json.loads(export_chrome_trace(Tracer(enabled=True)))
+        doc = json.loads(export_chrome_trace(Tracer()))
         assert doc["traceEvents"] == []
 
 

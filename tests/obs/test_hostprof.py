@@ -34,6 +34,12 @@ def column_dt(cols=64):
     return column_vector(cols).datatype
 
 
+def profiled(*args, **kwargs):
+    """:func:`hostprof_transfer`'s host profiler and cluster."""
+    cluster = hostprof_transfer(*args, **kwargs).cluster
+    return cluster.host_profiler, cluster
+
+
 class TestHostCategory:
     def test_string_tags_reuse_simulated_categories(self):
         assert host_category("pack") == "copy"
@@ -151,7 +157,7 @@ class TestProfilerAccounting:
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_closure_at_least_95_percent_every_scheme(scheme):
-    hp, _cluster = hostprof_transfer(scheme, column_dt(), iters=2)
+    hp, _cluster = profiled(scheme, column_dt(), iters=2)
     assert hp.total_events > 0
     assert hp.closure() >= 0.95, (
         f"{scheme}: closure {hp.closure():.3f} — "
@@ -161,14 +167,14 @@ def test_closure_at_least_95_percent_every_scheme(scheme):
 
 class TestDutyCycle:
     def test_default_duty_leaves_unsampled_pool(self):
-        hp, _ = hostprof_transfer("bc-spup", column_dt(), iters=2)
+        hp, _ = profiled("bc-spup", column_dt(), iters=2)
         assert (hp.duty_on, hp.duty_off) == DEFAULT_DUTY
         assert hp.unsampled_events > 0
         assert hp.unsampled_ns > 0
         assert hp.events + hp.unsampled_events == hp.total_events
 
     def test_exact_mode_instruments_every_dispatch(self):
-        hp, _ = hostprof_transfer("bc-spup", column_dt(), iters=2,
+        hp, _ = profiled("bc-spup", column_dt(), iters=2,
                                   duty=(1, 0))
         assert hp.unsampled_events == 0
         assert hp.unsampled_ns == 0
@@ -178,7 +184,7 @@ class TestDutyCycle:
         assert hp.totals()["pack-unpack"] > 0
 
     def test_event_counts_match_simulator(self):
-        hp, cluster = hostprof_transfer("bc-spup", column_dt(), iters=2)
+        hp, cluster = profiled("bc-spup", column_dt(), iters=2)
         assert hp.total_events == cluster.sim.events_processed
 
     def test_profiled_run_goes_through_step(self, monkeypatch):
@@ -195,7 +201,7 @@ class TestDutyCycle:
             calls.append(sim.events_processed - before)
 
         monkeypatch.setattr(Simulator, "step", counting_step)
-        hp, cluster = hostprof_transfer("bc-spup", column_dt(), iters=2)
+        hp, cluster = profiled("bc-spup", column_dt(), iters=2)
         assert sum(calls) == cluster.sim.events_processed == hp.total_events
         # one step() per popped heap entry: dispatches, plus cancelled
         # entries (which step() skips without dispatching)
@@ -217,7 +223,7 @@ class TestDutyCycle:
             ("bc-spup", column_dt()),
             ("hybrid", workload_for("fig11", 262144).datatype),
         ):
-            hp, _ = hostprof_transfer(scheme, dt, iters=4)
+            hp, _ = profiled(scheme, dt, iters=4)
             assert hp.totals()["pack-unpack"] > 0, scheme
 
 
@@ -253,7 +259,7 @@ class TestCountedOverhead:
 
     def clock_reads(self, clock, **kw):
         before = clock.reads
-        hostprof_transfer("bc-spup", column_dt(), iters=4, **kw)
+        profiled("bc-spup", column_dt(), iters=4, **kw)
         return clock.reads - before
 
     def test_duty_cycle_bounds_clock_reads_per_event(self, clock):
@@ -274,7 +280,7 @@ class TestCountedOverhead:
         from repro.ib.memory import NodeMemory
 
         def profile():
-            hp, _ = hostprof_transfer(
+            hp, _ = profiled(
                 "bc-spup", column_dt(), iters=3, duty=(1, 0)
             )
             return hp.ns_per_event()
@@ -295,7 +301,7 @@ class TestCountedOverhead:
 
 class TestExports:
     def test_collapsed_stack_format(self):
-        hp, _ = hostprof_transfer("bc-spup", column_dt(), iters=2)
+        hp, _ = profiled("bc-spup", column_dt(), iters=2)
         text = hp.collapsed()
         lines = [ln for ln in text.splitlines() if ln]
         assert lines
@@ -309,7 +315,7 @@ class TestExports:
     def test_counter_series_feed_chrome_tracks(self):
         from repro.obs.chrome import counter_track_events
 
-        hp, _ = hostprof_transfer("bc-spup", column_dt(), iters=2)
+        hp, _ = profiled("bc-spup", column_dt(), iters=2)
         events = counter_track_events(hp.series)
         names = {e["name"] for e in events}
         assert any(name.startswith("host.") for name in names)
@@ -324,7 +330,7 @@ class TestExports:
             assert vals == sorted(vals), name
 
     def test_hotspot_table_and_top_categories(self):
-        hp, _ = hostprof_transfer("bc-spup", column_dt(), iters=2)
+        hp, _ = profiled("bc-spup", column_dt(), iters=2)
         snap = hp.snapshot()
         text = format_hotspots(snap, title="t")
         assert "host category" in text
@@ -338,7 +344,7 @@ class TestExports:
         assert [totals[cat] for cat, _ in tops] == ranked[:3]
 
     def test_markdown_summary_has_all_schemes(self):
-        hp, _ = hostprof_transfer("bc-spup", column_dt(), iters=1)
+        hp, _ = profiled("bc-spup", column_dt(), iters=1)
         results = {"bc-spup": hp.snapshot()}
         md = hostprof_markdown(results, "fig09", 4096)
         assert "| bc-spup |" in md
@@ -378,3 +384,32 @@ class TestCliAndArtifacts:
         assert (outdir / "trace.bc-spup.8192.json").exists()
         doc = json.loads((outdir / "hostprof.json").read_text())
         assert doc["bc-spup"]["closure"] >= 0.95
+
+    def test_chrome_trace_leaves_the_profiled_run_untraced(
+        self, tmp_path, monkeypatch
+    ):
+        """The published host numbers never bill a tracer: with a Chrome
+        trace asked for, every host-profiled cluster is built untraced and
+        the trace comes from a second, traced run of the same transfer."""
+        from repro.mpi.world import Cluster
+
+        built = []
+        init = Cluster.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(
+                (kwargs.get("host_profile", False), kwargs.get("trace", False))
+            )
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cluster, "__init__", spy)
+        run_hostprof(
+            workload="fig09", nbytes=8192, schemes=["bc-spup"], iters=1,
+            chrome_out=str(tmp_path / "trace"), print_fn=lambda *p: None,
+        )
+        assert (True, False) in built
+        assert [traced for host, traced in built if host] == [False]
+        doc = json.loads((tmp_path / "trace.bc-spup.8192.json").read_text())
+        events = doc["traceEvents"]
+        assert any(e["ph"] == "X" for e in events)
+        assert any(e["ph"] == "C" and e["name"].startswith("host.") for e in events)

@@ -59,6 +59,17 @@ class TestOffMeansOff:
         assert not {"counter", "gauge", "histogram"} & set(vars(cluster.metrics))
         assert not {"begin", "_finish_span", "record"} & set(vars(cluster.tracer))
 
+    def test_untraced_cluster_holds_no_instrument(self):
+        # off is the absence of a tracer, not a disabled one: the
+        # simulator holds None and nothing below it holds a tracer at all
+        cluster = Cluster(2, memory_per_rank=64 * MB)
+        assert cluster.sim.tracer is None and cluster.tracer is None
+        holders = [cluster.fabric]
+        for ctx in cluster.contexts:
+            holders += [ctx, ctx.node, ctx.node.hca]
+        for holder in holders:
+            assert not hasattr(holder, "tracer"), type(holder).__name__
+
     def test_active_global_cleared_after_run(self):
         # the process-wide pieces of the seam — the pack probe slot and
         # the simulator's dispatch hook — are live only inside run()
@@ -133,7 +144,8 @@ class TestByteIdentity:
         dt = column_dt()
         from repro.obs.hostprof import hostprof_transfer
 
-        hp, cluster = hostprof_transfer("bc-spup", dt, iters=3, duty=(1, 0))
+        cluster = hostprof_transfer("bc-spup", dt, iters=3, duty=(1, 0)).cluster
+        hp = cluster.host_profiler
         # same program shape as transfer(): 3 sends of the same datatype
         assert cluster.sim.now == r_off.time_us
         assert hp.total_events == cluster.sim.events_processed
@@ -150,7 +162,7 @@ class TestObserversCountNoEvents:
     a time behind a busy engine, so enqueues land in the middle of runs.
     """
 
-    OBSERVERS = ("trace", "profile", "host_profile")
+    OBSERVERS = ("trace", "host_profile")
 
     @staticmethod
     def multi_w(cols=64, scheme_options=None, **observers):
@@ -209,8 +221,7 @@ class TestObserversCountNoEvents:
     def test_trace_records(self, cell):
         alone = trace_records(cell(trace=True))
         assert alone
-        for name in ("profile", "host_profile"):
-            assert trace_records(cell(trace=True, **{name: True})) == alone, name
+        assert trace_records(cell(trace=True, host_profile=True)) == alone
 
     def test_single_posts_arrive_while_runs_are_in_flight(self, monkeypatch):
         # the cell is what it is here for: enqueues find unretired members
@@ -229,10 +240,9 @@ class TestObserversCountNoEvents:
 
     def test_send_queue_depth_series(self, cell):
         def depth(**observers):
-            series = cell(profile=True, **observers).profiler.series
+            series = cell(trace=True, **observers).tracer.series
             return series[("hca0.sq.depth", 0)]
 
         alone = depth()
         assert len(alone) > 2 and max(v for _t, v in alone) > 1
-        for name in ("trace", "host_profile"):
-            assert depth(**{name: True}) == alone, name
+        assert depth(host_profile=True) == alone

@@ -11,9 +11,9 @@ reaches them only through generic seams (``Simulator.dispatch_hook``,
 
 The same file-scanning style pins the layering (docs/ARCHITECTURE.md
 "who may import whom"): the core never imports ``repro.obs`` — its two
-instruments live in ``repro.simulator`` — except for the two lazy
-profiler attach points in ``repro.mpi.world``; and ``repro.obs`` never
-builds a world of its own.
+instruments live in ``repro.simulator`` — except for the one lazy
+host-profiler attach point in ``repro.mpi.world``; and ``repro.obs``
+never builds a world of its own.
 """
 
 import pathlib
@@ -49,14 +49,10 @@ def test_engine_layers_have_no_wallclock_calls(package):
     assert not found, f"wall-clock use in repro.{package}:\n" + "\n".join(found)
 
 
-#: the only ``repro.obs`` imports below bench: both inside
-#: ``Cluster.__init__`` (file: stripped line), taken only when a profiler
-#: was asked for
+#: the only ``repro.obs`` import below bench: inside ``Cluster.__init__``
+#: (file: stripped line), taken only when a host profiler was asked for
 ALLOWED_OBS_IMPORTS = {
-    "mpi": [
-        "mpi/world.py: from repro.obs.hostprof import HostProfiler",
-        "mpi/world.py: from repro.obs.profile import Profiler",
-    ],
+    "mpi": ["mpi/world.py: from repro.obs.hostprof import HostProfiler"],
 }
 MODULE_LEVEL_OBS_IMPORT = re.compile(OBS_IMPORT.pattern.replace(r"^\s*", "^"))
 

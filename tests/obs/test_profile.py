@@ -11,15 +11,15 @@ construction; the tolerance absorbs float rounding only).
 
 import pytest
 
+from repro.bench.runner import traced_oneway
 from repro.obs.profile import (
-    Profiler,
     categorize,
     critical_path,
     format_bottlenecks,
-    profile_transfer,
+    transfer_path,
 )
 from repro.simulator.metrics import MetricsRegistry
-from repro.simulator import Resource, Simulator, Store
+from repro.simulator import Resource, Simulator, Store, Tracer
 
 ALL_SCHEMES = ("generic", "bc-spup", "rwg-up", "p-rrs", "multi-w", "hybrid",
                "adaptive")
@@ -58,7 +58,7 @@ class TestWalker:
 
     def _sim(self):
         sim = Simulator()
-        sim.profiler = Profiler(MetricsRegistry())
+        sim.tracer = Tracer()
         return sim
 
     def test_simple_chain_tiles_interval(self):
@@ -140,14 +140,14 @@ class TestWalker:
         assert attr.categories["wire"] == pytest.approx(8.5)
 
     def test_requires_provenance(self):
-        sim = Simulator()  # no profiler attached
+        sim = Simulator()  # untraced
 
         def prog(sim):
             yield sim.timeout(1.0)
 
         proc = sim.process(prog(sim))
         sim.run()
-        with pytest.raises(ValueError, match="profile=True"):
+        with pytest.raises(ValueError, match="trace=True"):
             critical_path(proc)
 
 
@@ -155,7 +155,7 @@ class TestProfilerSampling:
     def test_resource_samples_and_wait_histogram(self):
         metrics = MetricsRegistry()
         sim = Simulator()
-        sim.profiler = prof = Profiler(metrics)
+        sim.tracer = prof = Tracer(metrics=metrics)
         res = Resource(sim, capacity=1, name="cpu0", node=0)
 
         def holder(sim, res):
@@ -180,7 +180,7 @@ class TestProfilerSampling:
     def test_store_depth_series(self):
         metrics = MetricsRegistry()
         sim = Simulator()
-        sim.profiler = prof = Profiler(metrics)
+        sim.tracer = prof = Tracer(metrics=metrics)
         store = Store(sim, name="sq", node=1)
         store.put("a")
         store.put("b")
@@ -188,7 +188,7 @@ class TestProfilerSampling:
         assert metrics.gauge("profile.depth.sq", 1).max_value == 2.0
 
     def test_same_time_samples_collapse(self):
-        prof = Profiler(MetricsRegistry())
+        prof = Tracer()
         prof.sample("x", 0, 1.0, 1.0)
         prof.sample("x", 0, 1.0, 3.0)
         prof.sample("x", 0, 2.0, 2.0)
@@ -202,7 +202,8 @@ class TestAttributionGroundTruth:
     @pytest.mark.parametrize("cols", [32, 128])
     def test_attribution_sums_to_latency(self, scheme, cols):
         wl = column_workload(cols)
-        attr, cluster = profile_transfer(scheme, wl.datatype)
+        result = traced_oneway(scheme, wl.datatype)
+        attr, cluster = transfer_path(result), result.cluster
         assert attr.unattributed_us <= 1e-6
         total = attr.attributed_us + attr.unattributed_us
         assert total == pytest.approx(attr.total_us, rel=1e-3)
@@ -211,25 +212,25 @@ class TestAttributionGroundTruth:
 
     def test_bcspup_copy_dominated(self):
         # fig08-style workload: BC-SPUP pays pack+unpack on every byte
-        attr, _ = profile_transfer("bc-spup", column_workload(128).datatype)
+        attr = transfer_path(traced_oneway("bc-spup", column_workload(128).datatype))
         assert attr.dominant() == "copy"
         assert attr.share("copy") > 0.5
 
     def test_multiw_wire_dominated_at_large_sizes(self):
         # at 1 MB the zero-copy scheme's critical path is the wire itself
-        attr, _ = profile_transfer("multi-w", column_workload(2048).datatype)
+        attr = transfer_path(traced_oneway("multi-w", column_workload(2048).datatype))
         assert attr.dominant() == "wire"
         assert attr.categories["copy"] == 0.0
 
     def test_generic_pays_copies_and_serialization(self):
-        attr, _ = profile_transfer("generic", column_workload(128).datatype)
-        bc, _ = profile_transfer("bc-spup", column_workload(128).datatype)
+        attr = transfer_path(traced_oneway("generic", column_workload(128).datatype))
+        bc = transfer_path(traced_oneway("bc-spup", column_workload(128).datatype))
         # same bytes, but generic cannot hide its copies behind the wire
         assert attr.categories["copy"] >= bc.categories["copy"]
         assert attr.total_us > bc.total_us
 
     def test_steps_are_contiguous_and_ordered(self):
-        attr, _ = profile_transfer("bc-spup", column_workload(64).datatype)
+        attr = transfer_path(traced_oneway("bc-spup", column_workload(64).datatype))
         assert attr.steps, "critical path cannot be empty"
         for a, b in zip(attr.steps, attr.steps[1:]):
             assert a.end <= b.start + 1e-9
@@ -237,18 +238,17 @@ class TestAttributionGroundTruth:
 
 
 class TestInertProfile:
-    """profile=False must be byte-identical to a build without profiling
-    (the repro.faults inertness pattern)."""
+    """trace=False must be byte-identical to a traced build in everything
+    but the recording (the repro.faults inertness pattern)."""
 
-    def _run(self, profile):
+    def _run(self, trace):
         from repro.ib.costmodel import MB
         from repro.mpi.world import Cluster
 
         wl = column_workload(64)
         dt = wl.datatype
         cluster = Cluster(
-            2, scheme="bc-spup", memory_per_rank=512 * MB, trace=True,
-            profile=profile,
+            2, scheme="bc-spup", memory_per_rank=512 * MB, trace=trace,
         )
         span = dt.flatten(1).span + abs(dt.lb) + 64
 
@@ -263,42 +263,51 @@ class TestInertProfile:
             return mpi.now
 
         result = cluster.run([rank0, rank1])
-        trace = tuple(
-            (r.start, r.end, r.node, r.category, r.detail)
-            for r in cluster.tracer.records
-        )
-        return result, trace, cluster
+        return result, cluster
+
+    @staticmethod
+    def _unprofiled_metrics(cluster):
+        return [
+            row for row in cluster.metrics.snapshot()
+            if not row["name"].startswith("profile.")
+        ]
 
     def test_profiled_run_identical_to_unprofiled(self):
-        off, trace_off, cluster_off = self._run(False)
-        on, trace_on, cluster_on = self._run(True)
-        assert off.time_us == on.time_us
+        off, cluster_off = self._run(False)
+        on, cluster_on = self._run(True)
+        assert off.time_us == on.time_us == cluster_on.sim.now
         assert off.values == on.values
-        assert trace_off == trace_on
+        sim_off, sim_on = cluster_off.sim, cluster_on.sim
+        assert sim_off.events_processed == sim_on.events_processed
+        assert sim_off.now == sim_on.now
+        assert cluster_off.stats() == cluster_on.stats()
+        assert self._unprofiled_metrics(cluster_off) == self._unprofiled_metrics(
+            cluster_on
+        )
 
     def test_no_profile_instruments_when_off(self):
-        _res, _trace, cluster = self._run(False)
-        assert cluster.profiler is None
-        assert cluster.sim.profiler is None
+        _res, cluster = self._run(False)
+        assert cluster.tracer is None
+        assert cluster.sim.tracer is None
         profiled = [n for n in cluster.metrics.names() if n.startswith("profile.")]
         assert profiled == []
 
     def test_no_provenance_recorded_when_off(self):
-        res, _trace, cluster = self._run(False)
+        res, cluster = self._run(False)
         # spot-check: no event in a fresh sim records provenance
         ev = cluster.sim.event()
         ev.succeed(delay=1.0, tag="pack")
         assert ev._cause is None and ev._sched_at == -1.0
 
     def test_profile_instruments_exist_when_on(self):
-        _res, _trace, cluster = self._run(True)
+        _res, cluster = self._run(True)
         profiled = [n for n in cluster.metrics.names() if n.startswith("profile.")]
         assert profiled
 
 
 class TestBottleneckTable:
     def test_ranked_and_totalled(self):
-        attr, _ = profile_transfer("bc-spup", column_workload(64).datatype)
+        attr = transfer_path(traced_oneway("bc-spup", column_workload(64).datatype))
         text = format_bottlenecks(attr, title="t")
         lines = text.splitlines()
         assert lines[0] == "t"
@@ -361,7 +370,7 @@ class TestBackToBackTransfers:
 
         dt = column_vector(64).datatype
         cluster = Cluster(2, scheme="bc-spup", memory_per_rank=512 * MB,
-                          profile=True)
+                          trace=True)
         self._run_transfer(cluster, dt)
         t_mid = cluster.sim.now
         req2 = self._run_transfer(cluster, dt)
@@ -381,7 +390,7 @@ class TestBackToBackTransfers:
 
         dt = column_vector(64).datatype
         cluster = Cluster(2, scheme="rwg-up", memory_per_rank=512 * MB,
-                          profile=True)
+                          trace=True)
         self._run_transfer(cluster, dt)
         t_mid = cluster.sim.now
         req2 = self._run_transfer(cluster, dt)

@@ -4,14 +4,21 @@ import json
 
 import pytest
 
+from repro.bench.runner import traced_oneway
 from repro.bench.workloads import workload_for
 from repro.obs.report import (
     DEFAULT_SCHEMES,
     SchemeBreakdown,
+    breakdown,
     format_table,
-    measure_breakdown,
     run_report,
 )
+
+
+def measured(scheme, dt):
+    """One traced transfer read as a report row, and its cluster."""
+    result = traced_oneway(scheme, dt)
+    return breakdown(result), result.cluster
 
 
 class TestWorkloadFor:
@@ -34,7 +41,7 @@ class TestWorkloadFor:
 class TestBreakdown:
     def test_bcspup_breakdown(self):
         wl = workload_for("fig09", 65536)
-        b, cluster = measure_breakdown("bc-spup", wl.datatype)
+        b, cluster = measured("bc-spup", wl.datatype)
         assert b.scheme == "bc-spup"
         assert b.nbytes == 65536
         assert b.copy_us > 0
@@ -48,7 +55,7 @@ class TestBreakdown:
 
     def test_multiw_zero_copy(self):
         wl = workload_for("fig09", 65536)
-        b, _cluster = measure_breakdown("multi-w", wl.datatype)
+        b, _cluster = measured("multi-w", wl.datatype)
         assert b.copy_us == 0.0  # zero-copy scheme: no pack/unpack
         assert b.reg_us > 0  # ... but registration on both sides
 
@@ -58,7 +65,7 @@ class TestBreakdown:
         intervals never coincide, so merging changes nothing)."""
         wl = workload_for("fig09", 65536)
         for scheme in ("bc-spup", "rwg-up", "generic"):
-            b, cluster = measure_breakdown(scheme, wl.datatype)
+            b, cluster = measured(scheme, wl.datatype)
             tracer = cluster.tracer
             legacy_pack = _legacy_cross_overlap(tracer, "pack", 0, "wire", 0)
             legacy_unpack = _legacy_cross_overlap(

@@ -20,7 +20,7 @@ class TestMergeIntervals:
 
 class TestOverlap:
     def make_tracer(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         tr.record(0, 10, 0, "pack")
         tr.record(5, 15, 0, "wire")
         tr.record(12, 14, 1, "unpack")
@@ -40,7 +40,7 @@ class TestOverlap:
         assert tr.overlap_time(("pack", None), ("wire", 0)) == 7.0
 
     def test_merging_prevents_double_count(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         # two overlapping pack intervals against one wire interval: the
         # intersection must count the union, not each interval separately
         tr.record(0, 10, 0, "pack")
@@ -49,7 +49,7 @@ class TestOverlap:
         assert tr.overlap_time(("pack", 0), ("wire", 0)) == 10.0
 
     def test_category_intervals_merged(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         tr.record(0, 3, 0, "cpu")
         tr.record(2, 5, 0, "cpu")
         assert tr.intervals("cpu", 0) == [(0, 5)]
@@ -57,7 +57,7 @@ class TestOverlap:
 
 class TestSpanTree:
     def test_tree_structure(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         op = tr.begin(0.0, 0, "scheme:bc-spup")
         tr.record(1.0, 2.0, 0, "pack")
         tr.record(2.0, 3.0, 0, "wire")

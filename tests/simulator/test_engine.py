@@ -412,10 +412,9 @@ class TestStepHygiene:
         assert sim._current_event is None
 
     def test_root_event_between_runs_has_no_cause(self, sim):
-        from repro.simulator.metrics import MetricsRegistry
-        from repro.obs.profile import Profiler
+        from repro.simulator import Tracer
 
-        sim.profiler = Profiler(MetricsRegistry())
+        sim.tracer = Tracer()
 
         def proc(sim):
             yield sim.timeout(1.0)
@@ -510,7 +509,7 @@ class TestTimeoutAt:
         assert len(sim._heap) == 1
 
     def test_records_provenance_like_any_scheduled_event(self, sim):
-        sim.profiler = object()
+        sim.tracer = object()
         ev = sim.timeout_at(4.0, tag=("run", ()))
         assert (ev._sched_at, ev._fire_at, ev._cause) == (0.0, 4.0, None)
 

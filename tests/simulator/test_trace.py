@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.simulator import Tracer
+from repro.simulator import Simulator, Tracer
 
 
 def make_tracer(records):
-    tr = Tracer(enabled=True)
+    tr = Tracer()
     for rec in records:
         tr.record(*rec)
     return tr
@@ -14,9 +14,24 @@ def make_tracer(records):
 
 class TestTracer:
     def test_disabled_records_nothing(self):
-        tr = Tracer(enabled=False)
-        tr.record(0, 1, 0, "cpu")
-        assert tr.records == []
+        # off is no tracer at all: CPU work on an untraced node runs and
+        # holds no instrument; the same work on a traced one is one record
+        from repro.ib import CostModel, Fabric
+
+        def cpu_work(sim):
+            node = Fabric(sim, CostModel.mellanox_2003()).add_node(1 << 16)
+            sim.process(node.cpu_work(2.0))
+            sim.run()
+            return node
+
+        sim = Simulator()
+        assert sim.tracer is None and "tracer" not in vars(cpu_work(sim))
+        traced = Simulator()
+        traced.tracer = Tracer()
+        cpu_work(traced)
+        assert [(r.start, r.end, r.category) for r in traced.tracer.records] == [
+            (0.0, 2.0, "cpu")
+        ]
 
     def test_total_time(self):
         tr = make_tracer([(0, 5, 0, "cpu"), (3, 9, 0, "cpu"), (0, 2, 0, "wire")])
@@ -37,7 +52,7 @@ class TestTracer:
         assert tr.busy_time("cpu") == 8.0
 
     def test_busy_time_empty(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         assert tr.busy_time("cpu") == 0.0
 
     def test_overlap_time(self):
@@ -73,38 +88,6 @@ class TestTracer:
         assert rec.node == 3
         assert rec.detail == "mr0"
         assert rec.meta == {"pages": 4}
-
-    def test_summary(self):
-        tr = make_tracer([(0, 5, 0, "cpu"), (3, 9, 0, "cpu"), (0, 2, 1, "wire")])
-        s = tr.summary()
-        assert s["cpu"]["total"] == 11.0
-        assert s["cpu"]["busy"] == 9.0
-        assert s["cpu"]["count"] == 2
-        assert s["wire"]["count"] == 1
-        s0 = tr.summary(node=0)
-        assert "wire" not in s0
-
-    def test_to_csv(self, tmp_path):
-        import csv
-        from dataclasses import fields
-
-        from repro.simulator.trace import TraceRecord
-
-        tr = make_tracer(
-            [(0.0, 5.0, 0, "cpu", "pack"), (5.0, 6.0, 0, "reg", "mr0", "m")]
-        )
-        path = str(tmp_path / "t" / "trace.csv")
-        tr.to_csv(path)
-        rows = list(csv.reader(open(path)))
-        # the header matches the TraceRecord fields exactly, in order
-        assert rows[0] == [f.name for f in fields(TraceRecord)]
-        assert rows[0] == [
-            "start", "end", "node", "category", "detail", "meta",
-            "span_id", "parent_id",
-        ]
-        # meta is "" when None, and the span ids round-trip
-        assert rows[1] == ["0.0", "5.0", "0", "cpu", "pack", "", "1", "0"]
-        assert rows[2] == ["5.0", "6.0", "0", "reg", "mr0", "m", "2", "0"]
 
     # -- edge cases for the interval arithmetic -------------------------
 
@@ -152,7 +135,7 @@ class TestSpans:
         assert tr.roots() == [rec]
 
     def test_begin_finish_parents_nested_records(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         span = tr.begin(0.0, 0, "scheme:bc-spup", "send")
         tr.record(1.0, 2.0, 0, "pack")
         tr.record(2.0, 3.0, 0, "wire")
@@ -165,7 +148,7 @@ class TestSpans:
         assert tr.children(scheme.span_id) == [pack, wire]
 
     def test_spans_nest(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         outer = tr.begin(0.0, 0, "outer")
         inner = tr.begin(1.0, 0, "inner")
         tr.record(1.0, 2.0, 0, "cpu")
@@ -177,7 +160,7 @@ class TestSpans:
         assert outer_rec.parent_id == 0
 
     def test_spans_per_node_independent(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         s0 = tr.begin(0.0, 0, "op")
         tr.record(0.0, 1.0, 1, "cpu")  # other node: not nested
         s0.finish(1.0)
@@ -185,21 +168,26 @@ class TestSpans:
         assert cpu.parent_id == 0
 
     def test_finish_twice_raises(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         span = tr.begin(0.0, 0, "op")
         span.finish(1.0)
         with pytest.raises(ValueError):
             span.finish(2.0)
 
-    def test_disabled_tracer_spans_are_inert(self):
-        tr = Tracer(enabled=False)
-        span = tr.begin(0.0, 0, "op")
-        assert span.span_id == 0
-        assert span.finish(1.0) is None
-        assert tr.records == []
+    def test_disabled_tracer_spans_are_inert(self, monkeypatch):
+        # untraced, a rendezvous opens no scheme span: nothing calls begin
+        from repro.bench.runner import make_cluster, run_oneway
+        from repro.bench.workloads import column_vector
+
+        def begin(*_args, **_kwargs):
+            raise AssertionError("a span was opened on an untraced run")
+
+        monkeypatch.setattr(Tracer, "begin", begin)
+        result = run_oneway(make_cluster("bc-spup"), column_vector(64).datatype)
+        assert result.cluster.tracer is None
 
     def test_clear_resets_open_spans(self):
-        tr = Tracer(enabled=True)
+        tr = Tracer()
         tr.begin(0.0, 0, "op")
         tr.clear()
         assert tr.current_span(0) == 0
