@@ -1,9 +1,12 @@
-"""What must hold once a cluster's event heap has drained — the first
-two checks of the simulation sanitizer ROADMAP item 3 asks for: bytes
-are conserved, and every posted descriptor has retired.
+"""What must hold once a cluster's event heap has drained — the
+simulation sanitizer's checks at quiescence: bytes are conserved, every
+posted descriptor has retired, the heap is empty, and every grant, token
+and credit is back with its owner.
 
 Tests call this; the hot path asserts nothing.
 """
+
+from repro.mpi.context import EAGER_SEND_SLOTS, EAGER_SLOTS_PER_PEER
 
 
 def assert_conserved(cluster) -> None:
@@ -11,7 +14,10 @@ def assert_conserved(cluster) -> None:
     fault injector dropped; no RDMA write is still waiting for a successor
     to land it, and no DMA window is still open.  Every descriptor posted
     has been processed: no HCA holds an unsettled run member, every send
-    queue reads empty."""
+    queue reads empty.  No live event is left on the heap; every CPU and
+    rendezvous-slot grant was released, every send-slot token is back, and
+    per directed pair (send/recv eager) the sender's credits plus the
+    receiver's unreturned slots make up the whole window."""
     value = cluster.metrics.value
     injected = value("ib.bytes_injected")
     delivered = value("ib.bytes_delivered")
@@ -38,3 +44,22 @@ def assert_conserved(cluster) -> None:
         )
         assert ctx.node.dma_active == 0, f"rank {ctx.rank}: DMA still active"
         assert not ctx.node._dma_windows
+    assert all(ev.cancelled for _due, _seq, ev in cluster.sim._heap), (
+        "live events left on the heap"
+    )
+    for ctx in cluster.contexts:
+        for res in (ctx.node.cpu, ctx._rndv_recv_slots):
+            assert res.in_use == 0 and res.queue_length == 0, repr(res)
+            assert not res._grant_times, f"{res.name}: grants never released"
+        tokens = len(ctx._send_slot_tokens)
+        assert tokens == EAGER_SEND_SLOTS, (
+            f"rank {ctx.rank}: {tokens} of {EAGER_SEND_SLOTS} send slots back"
+        )
+    if not cluster.eager_rdma:
+        for sender in cluster.contexts:
+            for peer, credits in sender._credits.items():
+                free = cluster.contexts[peer]._slot_free_count[sender.rank]
+                assert len(credits) + free == EAGER_SLOTS_PER_PEER, (
+                    f"{sender.rank}->{peer}: {len(credits)} credits + {free} "
+                    f"unreturned slots, not {EAGER_SLOTS_PER_PEER}"
+                )
