@@ -223,6 +223,7 @@ class TestLandingOrder:
         assert (res.values[1] == want).all()
         assert (res.values[0] == 0).all()
 
+    @pytest.mark.faultfree  # a fault fallback sends a message as Generic
     def test_list_and_single_posts_agree(self):
         """Multi-W posts the same refinement as one list or one by one."""
         n = 4 * 4000  # 32 KB of 8-byte blocks: a rendezvous message

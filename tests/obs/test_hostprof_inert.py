@@ -223,6 +223,7 @@ class TestObserversCountNoEvents:
         assert alone
         assert trace_records(cell(trace=True, host_profile=True)) == alone
 
+    @pytest.mark.faultfree  # an enabled fault plan keeps every run one long
     def test_single_posts_arrive_while_runs_are_in_flight(self, monkeypatch):
         # the cell is what it is here for: enqueues find unretired members
         from repro.ib.hca import HCA

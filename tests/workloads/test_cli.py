@@ -43,6 +43,7 @@ def test_replay_reports_simulated_time(capsys):
     assert "us" in out
 
 
+@pytest.mark.faultfree  # the library files are fault-free recordings
 @pytest.mark.parametrize("name", pattern_names())
 def test_record_writes_trace(name, tmp_path, capsys):
     """A fresh recording is the checked-in library file, byte for byte."""
