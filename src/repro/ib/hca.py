@@ -159,7 +159,7 @@ class Node:
         """Occupy the CPU for ``cost`` microseconds (generator)."""
         if cost <= 0:
             return
-        grant = yield self.cpu.acquire()
+        grant = yield from self.cpu.take()
         start = self.sim.now
         try:
             yield self.sim.timeout(cost, tag=tag)
@@ -183,7 +183,7 @@ class Node:
         the byte cost further (cache-locality effects, e.g. the deferred
         whole-message unpack of Figure 12).
         """
-        grant = yield self.cpu.acquire()
+        grant = yield from self.cpu.take()
         start = self.sim.now
         factor = (1.0 + self.cm.membus_contention * self.dma_active) * penalty
         if nblocks > 0:
@@ -455,7 +455,7 @@ class HCA:
         while True:
             item = queue.try_get()
             if item is None:
-                item = yield queue.get()
+                item = yield from queue.take()
             if isinstance(item, _ReadResponse):
                 yield from self._stream_read_response(item)
                 continue

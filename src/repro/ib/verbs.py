@@ -308,6 +308,10 @@ class CompletionQueue:
         """Event for the next CQE (FIFO)."""
         return self._store.get()
 
+    def take(self):
+        """``yield from`` form of :meth:`wait` (see :meth:`Store.take`)."""
+        return self._store.take()
+
     def poll(self) -> Optional[Completion]:
         """Non-blocking poll; None when empty."""
         return self._store.try_get()

@@ -104,14 +104,14 @@ class IOClient:
 
     def _pump(self, qp, wr):
         while True:
-            cqe = yield qp.recv_cq.wait()
+            cqe = yield from qp.recv_cq.take()
             qp.post_recv_nocost(wr)
             self._replies.put(cqe.payload)
 
     def _send_dispatcher(self, qp):
         """Drain ``qp``'s send CQ, resolving each CQE's event by ``wr_id``."""
         while True:
-            cqe = yield qp.send_cq.wait()
+            cqe = yield from qp.send_cq.take()
             self._send_events.pop(cqe.wr_id).succeed(cqe)
 
     # -- public API -------------------------------------------------------
@@ -143,7 +143,7 @@ class IOClient:
             )
         parts = {}
         while pending:
-            reply = yield self._replies.get()
+            reply = yield from self._replies.take()
             assert isinstance(reply, _OpenReply)
             sid = pending.pop(reply.req_id)
             parts[sid] = FileHandle(name, reply.addr, reply.size, reply.rkey)
@@ -424,7 +424,7 @@ class IOClient:
                 )
             )
         while expected:
-            ack = yield self._replies.get()
+            ack = yield from self._replies.take()
             assert isinstance(ack, _CommitAck)
             expected.discard(ack.req_id)
 

@@ -115,7 +115,7 @@ class FileServer:
 
     def _serve(self, client_id: int, qp, wr):
         while True:
-            cqe = yield qp.recv_cq.wait()
+            cqe = yield from qp.recv_cq.take()
             qp.post_recv_nocost(wr)
             yield from self.node.cpu_work(self.cm.control_overhead, "fsrv")
             msg = cqe.payload

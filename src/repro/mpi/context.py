@@ -418,7 +418,7 @@ class RankContext:
 
     def _serve_lock(self, req):
         """Grant a remote lock request when the window lock frees up."""
-        grant = yield self._win_locks(req.win_id).acquire()
+        grant = yield from self._win_locks(req.win_id).take()
         self._win_lock_held[(req.origin, req.win_id)] = grant
         from repro.mpi.rma import _LockGrant
 
@@ -656,7 +656,7 @@ class RankContext:
         """
         inbox = self.msg_inbox(req.msg_id)
         if not self.faults_active:
-            reply = yield inbox.get()
+            reply = yield from inbox.take()
             return reply
         timeouts = self.metrics.counter("rndv.timeouts", self.rank)
         retransmits = self.metrics.counter("rndv.retransmits", self.rank)
@@ -781,10 +781,10 @@ class RankContext:
         # flow control + slot acquisition; in RDMA-eager mode the free
         # ring-slot token IS the credit
         if self.cluster.eager_rdma:
-            ring_addr = yield self._ring_out[req.peer].get()
+            ring_addr = yield from self._ring_out[req.peer].take()
         else:
-            yield self._credits[req.peer].get()
-        slot_addr = yield self._send_slot_tokens.get()
+            yield from self._credits[req.peer].take()
+        slot_addr = yield from self._send_slot_tokens.take()
         if two_copy:
             # Generic path (Figure 1): pack into a temporary buffer, then
             # copy into the eager internal buffer.
@@ -922,7 +922,7 @@ class RankContext:
         # one truncation check for every scheme, before the receive takes
         # a rendezvous slot or acquires / advertises any buffer
         self._check_fits(rreq, start.nbytes, start.tag)
-        grant = yield self._rndv_recv_slots.acquire()
+        grant = yield from self._rndv_recv_slots.take()
         tracer = self.sim.tracer
         span = None if tracer is None else tracer.begin(
             self.sim.now, self.rank, f"scheme:{start.scheme}", "recv",
@@ -965,7 +965,7 @@ class RankContext:
     def _progress_engine(self):
         """Drain the receive CQ: matching, control routing, credits."""
         while True:
-            cqe = yield self._recv_cq.wait()
+            cqe = yield from self._recv_cq.take()
             yield from self.node.cpu_work(self.cm.poll_cq, "poll")
             payload = cqe.payload
             if isinstance(payload, EagerHeader):
@@ -1074,7 +1074,7 @@ class RankContext:
     def _send_dispatcher(self):
         """Drain the send CQ, resolving registered completion events."""
         while True:
-            cqe = yield self._send_cq.wait()
+            cqe = yield from self._send_cq.take()
             ev = self._send_events.pop(cqe.wr_id, None)
             if ev is not None and not ev.triggered:
                 ev.succeed(cqe)

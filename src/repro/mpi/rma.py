@@ -206,13 +206,13 @@ def lock(ctx, win: Window, target_rank: int, exclusive: bool = True):
     msg_id = ctx.rank * 1_000_000 + ctx._msg_seq
     inbox = ctx.msg_inbox(msg_id)
     if target_rank == ctx.rank:
-        grant = yield ctx._win_locks(win.win_id).acquire()
+        grant = yield from ctx._win_locks(win.win_id).take()
         win.__dict__.setdefault("_local_grants", []).append(grant)
         return
     yield from ctx.ctrl_send(
         target_rank, _LockReq(msg_id, ctx.rank, win.win_id, exclusive)
     )
-    reply = yield inbox.get()
+    reply = yield from inbox.take()
     assert isinstance(reply, _LockGrant)
     ctx.close_inbox(msg_id)
 

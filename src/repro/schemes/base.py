@@ -336,7 +336,7 @@ def staged_receiver(
     pending: list[SegArrival] = []
     arrived = 0
     while arrived < len(segs):
-        note = yield inbox.get()
+        note = yield from inbox.take()
         assert isinstance(note, SegArrival)
         arrived += 1
         if segment_unpack:

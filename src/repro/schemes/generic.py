@@ -118,7 +118,7 @@ class GenericScheme(DatatypeScheme):
         addr, _size, mr = entry
         reply = RndvReply(msg_id=start.msg_id, segments=((addr, mr.rkey, nbytes),))
         yield from ctx.rndv_reply(start, reply)
-        note = yield ctx.msg_inbox(start.msg_id).get()
+        note = yield from ctx.msg_inbox(start.msg_id).take()
         assert isinstance(note, SegArrival) and note.last
         cur = rreq.cursor
         nblocks = unpack_bytes(node.memory, rreq.addr, cur, 0, nbytes, addr)

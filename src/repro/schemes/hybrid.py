@@ -165,7 +165,7 @@ class HybridScheme(DatatypeScheme):
         # consume segment arrivals (unpack small pieces) until the fin
         inbox = ctx.msg_inbox(start.msg_id)
         while True:
-            note = yield inbox.get()
+            note = yield from inbox.take()
             assert isinstance(note, SegArrival)
             if note.last:
                 break

@@ -137,6 +137,6 @@ class MultiWScheme(DatatypeScheme):
             meta={"base": rreq.addr, "regions": reg.regions()},
         )
         yield from ctx.rndv_reply(start, reply, nbytes=CTRL_HEADER_BYTES + extra)
-        note = yield ctx.msg_inbox(start.msg_id).get()
+        note = yield from ctx.msg_inbox(start.msg_id).take()
         assert isinstance(note, SegArrival) and note.last
         yield from reg.release(ctx)

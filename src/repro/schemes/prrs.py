@@ -69,7 +69,7 @@ class PRRSScheme(DatatypeScheme):
         # wait for every segment's ack, recycling buffers as they come
         acked = 0
         while acked < len(segs):
-            note = yield inbox.get()
+            note = yield from inbox.take()
             assert isinstance(note, SegAck)
             yield from ctx.pack_pool.release(bufs.pop(note.index))
             acked += 1
@@ -85,7 +85,7 @@ class PRRSScheme(DatatypeScheme):
         nseg = start.meta["nseg"]
         done = 0
         while done < nseg:
-            ready = yield inbox.get()
+            ready = yield from inbox.take()
             assert isinstance(ready, SegReady)
             # read-scatter: one RDMA read per <= MAX_SGE scatter entries
             chunks = yield from sge_chunks(ctx, rreq.addr, cur, ready.lo, ready.hi, reg)

@@ -17,6 +17,20 @@ monotonically increasing counter, so same-time events fire in the order they
 were scheduled.  Nothing in the engine consults wall-clock time or a global
 RNG.
 
+In place: :meth:`Simulator.next_is_mine` is true when no heap entry is due
+at ``now`` and the dispatch in progress has no callback left after the
+running one.  An event the running process would then schedule at ``now``
+and wait on would be the very next dispatch, observed by that process
+alone, so the process takes its outcome without it — no event, no heap
+entry, no ``seq`` drawn.  ``Resource.take`` / ``Store.take`` do so for an
+idle grant or a queued item, and :class:`Process` for a ``yield`` of an
+already-processed event.  A process that ends with nobody waiting is
+marked processed and never scheduled (its end event would run no
+callback); traced, it is still stamped with its provenance.  A *late
+joiner* — a process that yields it afterwards — resumes through a relay
+at its own ``now``, behind the events already due there, not in the
+end's place.  A failing process is always scheduled.
+
 Causal provenance (the critical-path profiler, ``repro.obs.profile``):
 when :attr:`Simulator.tracer` is set, every scheduled event records the
 event being processed at scheduling time (``_cause``), its scheduling time
@@ -173,11 +187,19 @@ class Event:
         return self._value
 
     def _process(self) -> None:
-        """Run callbacks.  Called by the simulator; not user API."""
+        """Run callbacks, the last one with ``sim._tail`` set.  Called by
+        the simulator; not user API."""
         self.processed = True
         callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+        if len(callbacks) == 1:
+            self.sim._tail = True
+            callbacks[0](self)
+        elif callbacks:
+            last = callbacks.pop()
+            for cb in callbacks:
+                cb(self)
+            self.sim._tail = True
+            last(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -256,45 +278,57 @@ class Process(Event):
     def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         if self.triggered:  # interrupted after completion race; ignore
             return
-        self.sim._active_process = self
-        try:
-            if throw is not None:
-                target = self._gen.throw(throw)
-            else:
-                target = self._gen.send(send)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            self.triggered = True
-            self._exc = exc
-            self.sim._schedule(self, 0.0)
-            self.sim._register_failure(self, exc)
-            return
-        finally:
-            self.sim._active_process = None
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances (Timeout, Process, Resource grants, ...)"
-            )
-        if target.processed:
-            # Already completed: resume at the same timestamp via a relay
-            # event carrying the target's outcome.  Appending the bound
-            # ``_resume`` directly (rather than a per-yield closure) keeps
-            # this path allocation-light — it runs once per yield of an
-            # already-satisfied dependency, a very hot pattern.
-            hook = Event(self.sim)
-            hook.callbacks.append(self._resume)
-            if target._exc is not None:
-                hook.fail(target._exc)
-            else:
-                hook.succeed(target._value)
-        else:
-            self._waiting_on = target
-            target.callbacks.append(self._resume)
+        sim = self.sim
+        while True:
+            sim._active_process = self
+            try:
+                if throw is not None:
+                    target = self._gen.throw(throw)
+                else:
+                    target = self._gen.send(send)
+            except StopIteration as stop:
+                if self.callbacks:
+                    self.succeed(stop.value)
+                    return
+                # nobody waits: its end event would run no callback, so
+                # it ends here, with no event (a later joiner relays)
+                self.triggered = self.processed = True
+                self._value = stop.value
+                if sim.tracer is not None:
+                    self._cause = sim._current_event
+                    self._sched_at = self._fire_at = sim.now
+                return
+            except BaseException as exc:
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                self.triggered = True
+                self._exc = exc
+                sim._schedule(self, 0.0)
+                sim._register_failure(self, exc)
+                return
+            finally:
+                sim._active_process = None
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must "
+                    "yield Event instances (Timeout, Process, Resource grants, ...)"
+                )
+            if not target.processed:
+                self._waiting_on = target
+                target.callbacks.append(self._resume)
+                return
+            if not sim.next_is_mine():
+                # resume at the same timestamp via a relay event carrying
+                # the target's outcome, behind what is already due
+                hook = Event(sim)
+                hook.callbacks.append(self._resume)
+                if target._exc is not None:
+                    hook.fail(target._exc)
+                else:
+                    hook.succeed(target._value)
+                return
+            # the relay would be the very next dispatch: continue here
+            throw, send = target._exc, target._value
 
 
 class _Condition(Event):
@@ -399,6 +433,9 @@ class Simulator:
         #: total events dispatched by :meth:`step` (cancelled heap entries
         #: excluded) — hostbench's ``events_per_msg`` and ns/event read it
         self.events_processed: int = 0
+        #: True while the last callback of a dispatch runs (set by
+        #: ``Event._process``, cleared when the dispatch returns)
+        self._tail = False
         #: how many queue pairs this world has numbered (``qp_num`` is a
         #: per-world serial, so a label never depends on what else the
         #: process simulated before)
@@ -458,6 +495,15 @@ class Simulator:
             event._sched_at = self.now
             event._fire_at = due
 
+    def next_is_mine(self) -> bool:
+        """Whether an event the running process would schedule at ``now``
+        and wait on would be the very next dispatch: no heap entry is due
+        at ``now`` and the dispatch in progress has no callback left."""
+        if not self._tail:
+            return False
+        heap = self._heap
+        return not heap or heap[0][0] > self.now
+
     def _register_failure(self, proc: Process, exc: BaseException) -> None:
         self._failures.append((proc, exc))
 
@@ -483,6 +529,7 @@ class Simulator:
             # not from this dispatch: drop the cause so causal roots of a
             # later transfer never chain to the previous one.
             self._current_event = None
+            self._tail = False
         # A process that died with nobody waiting aborts the simulation;
         # otherwise the exception was delivered to the waiters.
         if isinstance(event, Process) and event._exc is not None and not had_waiters:

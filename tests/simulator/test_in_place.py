@@ -1,0 +1,249 @@
+"""The in-place rule against every-hop-is-an-event.
+
+When :meth:`Simulator.next_is_mine` holds, a process takes an idle grant,
+a queued item or the outcome of an already-processed event in place,
+without the event it would otherwise wait for.  That event would have
+been the very next dispatch, so nothing can tell the two apart except
+``events_processed``.  The differential test runs random programs twice —
+as written, and with the predicate forced to ``False`` (every hop an
+event, as before the rule; an unwaited end takes no event in either run,
+it does not ask the predicate) — and requires the same resumes in the
+same order with the same ``(now, value)`` and shared state, and event
+counts that differ by exactly the number of in-place continuations.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.profile import critical_path
+from repro.simulator import Resource, Signal, SimulationError, Simulator, Store
+from repro.simulator.trace import Tracer
+
+DELAYS = st.sampled_from([0.0, 0.0, 1.0, 2.5])
+
+OPS = st.one_of(
+    st.tuples(st.just("timeout"), DELAYS),
+    st.tuples(st.just("hold"), st.integers(0, 2), DELAYS),
+    st.tuples(st.just("put"), st.integers(0, 1), st.integers(0, 99)),
+    st.tuples(st.just("get"), st.integers(0, 1)),
+    st.tuples(st.just("wait"), st.integers(0, 1)),
+    st.tuples(st.just("fire"), st.integers(0, 1), DELAYS),
+    st.tuples(st.just("set"), st.integers(0, 1)),
+    st.tuples(st.just("clear"), st.integers(0, 1)),
+    st.tuples(st.just("sigwait"), st.integers(0, 1)),
+    st.tuples(st.just("all_of"), DELAYS, DELAYS),
+    st.tuples(st.just("join"), st.integers(0, 6)),
+    st.tuples(st.just("bump"),),
+)
+
+PROGRAMS = st.fixed_dictionaries({
+    "capacities": st.lists(st.integers(1, 2), min_size=3, max_size=3),
+    "prefill": st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    "start": DELAYS,
+    "bodies": st.lists(st.lists(OPS, max_size=8), min_size=2, max_size=5),
+})
+
+
+def execute(program):
+    """Run ``program``; return its resume log, final state and events."""
+    sim = Simulator()
+    res = [
+        Resource(sim, capacity=c, name=f"r{i}")
+        for i, c in enumerate(program["capacities"])
+    ]
+    stores = [
+        Store(sim, name=f"s{i}", items=range(n))
+        for i, n in enumerate(program["prefill"])
+    ]
+    signals = [Signal(sim, name=f"g{i}") for i in range(2)]
+    events = [sim.event() for _ in range(2)]
+    shared = {"x": 0}
+    log = []
+    procs = []
+
+    def note(pid, value):
+        log.append((pid, sim.now, repr(value), shared["x"]))
+
+    def sampler(pid):
+        # reads shared state at its grant, as copy_work reads dma_active
+        yield sim.timeout(program["start"])
+        grant = yield from res[0].take()
+        note(pid, grant)
+        yield sim.timeout(1.0)
+        res[0].release(grant)
+        return pid
+
+    def competitor(pid):
+        # due at the sampler's request instant, scheduled after it: runs
+        # between that request and its grant
+        yield sim.timeout(program["start"])
+        shared["x"] += 1
+        note(pid, None)
+        if not events[0].triggered:
+            events[0].succeed(pid)  # two waiters below
+        return pid
+
+    def waiter(pid):
+        note(pid, (yield events[0]))
+        note(pid, (yield events[0]))  # already processed: a relay
+        return pid
+
+    def body(pid, ops):
+        for op in ops:
+            kind = op[0]
+            if kind == "timeout":
+                note(pid, (yield sim.timeout(op[1], value=op[1])))
+            elif kind == "hold":
+                grant = yield from res[op[1]].take()
+                note(pid, grant)
+                yield sim.timeout(op[2])
+                res[op[1]].release(grant)
+            elif kind == "put":
+                stores[op[1]].put(op[2])
+            elif kind == "get":
+                note(pid, (yield from stores[op[1]].take()))
+            elif kind == "wait":
+                note(pid, (yield events[op[1]]))
+            elif kind == "fire":
+                if not events[op[1]].triggered:
+                    events[op[1]].succeed(pid, delay=op[2])
+            elif kind == "set":
+                signals[op[1]].set(pid)
+            elif kind == "clear":
+                signals[op[1]].clear()
+            elif kind == "sigwait":
+                note(pid, (yield signals[op[1]].wait()))
+            elif kind == "all_of":
+                parts = [sim.timeout(op[1], value=1), sim.timeout(op[2], value=2)]
+                if events[0].processed:
+                    parts.append(events[0])
+                note(pid, (yield sim.all_of(parts)))
+            elif kind == "join":
+                if op[1] < len(procs):  # an earlier process: never a cycle
+                    note(pid, (yield procs[op[1]]))
+            else:
+                shared["x"] += 1
+        return pid
+
+    for gen in (sampler, competitor, waiter, waiter):
+        procs.append(sim.process(gen(len(procs))))
+    for ops in program["bodies"]:
+        procs.append(sim.process(body(len(procs), ops)))
+    sim.run()
+    final = (
+        sim.now,
+        shared["x"],
+        [(r.in_use, r.queue_length, r.busy_time) for r in res],
+        [list(s) for s in stores],
+        [(g.is_set, g._value) for g in signals],
+        [(e.triggered, e._value) for e in events],
+        [(p.triggered, p._value) for p in procs],
+    )
+    return log, final, sim.events_processed
+
+
+@settings(max_examples=200, deadline=None)
+@given(PROGRAMS)
+def test_in_place_rule_matches_every_hop_an_event(program):
+    rule = Simulator.next_is_mine
+    taken = []
+
+    def counting(sim):
+        mine = rule(sim)
+        taken.append(mine)
+        return mine
+
+    with mock.patch.object(Simulator, "next_is_mine", counting):
+        log, final, events = execute(program)
+    with mock.patch.object(Simulator, "next_is_mine", lambda sim: False):
+        hop_log, hop_final, hop_events = execute(program)
+    assert log == hop_log
+    assert final == hop_final
+    assert hop_events - events == sum(taken)
+
+
+class TestInPlace:
+    def test_idle_grant_and_queued_item_take_no_event(self):
+        sim = Simulator()
+        cpu = Resource(sim, name="cpu")
+        box = Store(sim, items=["a"])
+
+        def prog():
+            grant = yield from cpu.take()
+            item = yield from box.take()
+            cpu.release(grant)
+            return item
+
+        proc = sim.process(prog())
+        sim.run()
+        assert proc.value == "a"
+        assert sim.events_processed == 1  # the process start, nothing else
+
+    def test_unwaited_end_carries_provenance(self):
+        sim = Simulator()
+        sim.tracer = Tracer()
+
+        def prog():
+            yield sim.timeout(4.0, tag="pack")
+            return "done"
+
+        proc = sim.process(prog())
+        sim.run()
+        assert proc.processed and proc.value == "done"
+        assert sim.events_processed == 2  # start and timeout, no end event
+        assert proc._sched_at == proc._fire_at == 4.0
+        assert proc._cause is not None
+        attr = critical_path(proc)
+        assert attr.total_us == pytest.approx(4.0)
+        assert attr.closure_error() < 1e-9
+
+    def test_late_joiner_resumes_at_its_own_now(self):
+        sim = Simulator()
+        seen = []
+
+        def quick():
+            yield sim.timeout(1.0)
+            return 7
+
+        def other():
+            yield sim.timeout(1.0)
+
+        def joiner(proc, delay):
+            yield sim.timeout(delay)
+            value = yield proc
+            seen.append((delay, sim.now, value))
+
+        done = sim.process(quick())
+        sim.process(other())  # due at the same instant: the end is not next
+        sim.process(joiner(done, 1.0))
+        sim.process(joiner(done, 3.0))
+        sim.run()
+        assert seen == [(1.0, 1.0, 7), (3.0, 3.0, 7)]
+
+    def test_failing_process_is_still_scheduled(self):
+        sim = Simulator()
+
+        def bad():
+            yield sim.timeout(1.0)
+            raise KeyError("boom")
+
+        sim.process(bad())
+        with pytest.raises(KeyError):
+            sim.run()
+
+    def test_non_event_yield_after_in_place_continuation(self):
+        sim = Simulator()
+        ready = sim.event()
+
+        def prog():
+            yield sim.timeout(1.0)
+            yield ready  # processed: continued in place
+            yield 5
+
+        ready.succeed()
+        sim.process(prog())
+        with pytest.raises(SimulationError, match="yielded 5"):
+            sim.run()
