@@ -8,6 +8,7 @@ an intended cost-model or protocol change) with the command in each
 test's docstring, redirected into the golden file.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,23 @@ def test_obs_profile(capsys):
 
     assert main(["profile", "fig09", "--size", "65536"]) == 0
     _assert_golden(capsys, "profile_fig09_65536.txt")
+
+
+def test_obs_profile_chrome(capsys, tmp_path):
+    """``python -m repro.obs profile fig09 --size 65536 --chrome-trace P``:
+    the SHA-256 of each file it writes, named without the prefix (``sha256sum``
+    format; the content does not depend on the prefix)."""
+    from repro.obs.__main__ import main
+
+    prefix = tmp_path / "P"
+    args = ["profile", "fig09", "--size", "65536", "--chrome-trace", str(prefix)]
+    assert main(args) == 0
+    capsys.readouterr()
+    got = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name[2:]}\n"
+        for path in sorted(tmp_path.glob("P.*.json"))
+    )
+    assert got == (GOLDEN / "profile_fig09_65536.chrome.sha256").read_text()
 
 
 def test_bench_overlap(capsys):
