@@ -1,7 +1,7 @@
 """Synchronization primitives built on the event engine.
 
-* :class:`Resource` — a counted FIFO resource (a CPU core, an HCA send
-  engine, a DMA channel).  ``acquire()`` returns an event that triggers when
+* :class:`Resource` — a counted FIFO resource (a pool of rendezvous
+  slots, a window lock).  ``acquire()`` returns an event that triggers when
   a slot is granted; ``release()`` hands the slot to the next waiter.
 * :class:`Store` — an unbounded FIFO mailbox of items; ``get()`` returns an
   event carrying the next item.  Used for message queues, completion queues
@@ -39,14 +39,14 @@ class Resource:
 
     Example::
 
-        cpu = Resource(sim, capacity=1, name="cpu0")
+        lock = Resource(sim, capacity=1, name="lock0")
 
-        def work(sim, cpu):
-            grant = yield from cpu.take()
+        def work(sim, lock):
+            grant = yield from lock.take()
             try:
                 yield sim.timeout(10.0)
             finally:
-                cpu.release(grant)
+                lock.release(grant)
     """
 
     def __init__(

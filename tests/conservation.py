@@ -14,7 +14,9 @@ def assert_conserved(cluster) -> None:
     fault injector dropped; no RDMA write is still waiting for a successor
     to land it, and no DMA window is still open.  Every descriptor posted
     has been processed: no HCA holds an unsettled run member, every send
-    queue reads empty.  No live event is left on the heap; every CPU and
+    queue reads empty.  No live event is left on the heap; every CPU
+    timeline is drained (nothing booked past now, no copy waiting to be
+    priced, no job queued or unended, its last end processed), every
     rendezvous-slot grant was released, every send-slot token is back, and
     per directed pair (send/recv eager) the sender's credits plus the
     receiver's unreturned slots make up the whole window."""
@@ -48,9 +50,14 @@ def assert_conserved(cluster) -> None:
         "live events left on the heap"
     )
     for ctx in cluster.contexts:
-        for res in (ctx.node.cpu, ctx._rndv_recv_slots):
-            assert res.in_use == 0 and res.queue_length == 0, repr(res)
-            assert not res._grant_times, f"{res.name}: grants never released"
+        cpu = ctx.node.cpu
+        assert cpu.free_at <= cluster.sim.now, f"{cpu.name}: work booked past now"
+        assert not cpu.fifo, f"{cpu.name}: a copy was never priced"
+        assert not cpu.requests, f"{cpu.name}: a job never ended"
+        assert cpu.last is None or cpu.last.processed, f"{cpu.name}: last end pending"
+        slots = ctx._rndv_recv_slots
+        assert slots.in_use == 0 and slots.queue_length == 0, repr(slots)
+        assert not slots._grant_times, f"{slots.name}: grants never released"
         tokens = len(ctx._send_slot_tokens)
         assert tokens == EAGER_SEND_SLOTS, (
             f"rank {ctx.rank}: {tokens} of {EAGER_SEND_SLOTS} send slots back"
