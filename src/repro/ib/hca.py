@@ -555,8 +555,9 @@ class HCA:
 
     def _send_engine(self):
         """Drain posted descriptors in FIFO order, one at a time: a backlog
-        in the dispatch that finished the previous descriptor, an event
-        wait only when idle."""
+        in the dispatch that finished the previous descriptor; when idle,
+        parked in the queue's ``take()`` with no event, and the post that
+        finds it resumes it in place where that is the next dispatch."""
         queue = self._send_queue
         while True:
             item = queue.try_get()

@@ -18,18 +18,22 @@ were scheduled.  Nothing in the engine consults wall-clock time or a global
 RNG.
 
 In place: :meth:`Simulator.next_is_mine` is true when no heap entry is due
-at ``now`` and the dispatch in progress has no callback left after the
-running one.  An event the running process would then schedule at ``now``
-and wait on would be the very next dispatch, observed by that process
-alone, so the process takes its outcome without it — no event, no heap
-entry, no ``seq`` drawn.  ``Resource.take`` / ``Store.take`` do so for an
-idle grant or a queued item, and :class:`Process` for a ``yield`` of an
-already-processed event.  A process that ends with nobody waiting is
-marked processed and never scheduled (its end event would run no
-callback); traced, it is still stamped with its provenance.  A *late
-joiner* — a process that yields it afterwards — resumes through a relay
-at its own ``now``, behind the events already due there, not in the
-end's place.  A failing process is always scheduled.
+at ``now``, the dispatch in progress has no callback left after the
+running one and no resume is owed.  An event the running process would
+then schedule at ``now`` and wait on would be the very next dispatch,
+observed by that process alone, so the process takes its outcome without
+it — no event, no heap entry, no ``seq`` drawn.  ``Resource.take`` /
+``Store.take`` do so for an idle grant or a queued item, and
+:class:`Process` for a ``yield`` of an already-processed event.  Where the
+event would resume another process (a ``Store.put`` to a parked taker, a
+process start), the resume is *owed* and ``Event._process`` pays it when
+its last callback returns; until then ``next_is_mine`` is false, so what
+the callback does next queues behind it, as behind the event.  A process
+that ends with nobody waiting is marked processed and never scheduled
+(its end event would run no callback); traced, it is still stamped with
+its provenance.  A *late joiner* — a process that yields it afterwards —
+resumes through a relay at its own ``now``, behind the events already due
+there, not in the end's place.  A failing process is always scheduled.
 
 Causal provenance (the critical-path profiler, ``repro.obs.profile``):
 when :attr:`Simulator.tracer` is set, every scheduled event records the
@@ -68,6 +72,10 @@ __all__ = [
     "Simulator",
     "Timeout",
 ]
+
+
+#: what ``Store.take()`` yields on an empty store: parked, no event
+PARKED = object()
 
 
 class SimulationError(RuntimeError):
@@ -187,19 +195,24 @@ class Event:
         return self._value
 
     def _process(self) -> None:
-        """Run callbacks, the last one with ``sim._tail`` set.  Called by
-        the simulator; not user API."""
+        """Run callbacks, the last one with ``sim._tail`` set, then pay
+        the resumes they owe.  Called by the simulator; not user API."""
         self.processed = True
         callbacks, self.callbacks = self.callbacks, []
+        sim = self.sim
         if len(callbacks) == 1:
-            self.sim._tail = True
+            sim._tail = True
             callbacks[0](self)
         elif callbacks:
             last = callbacks.pop()
             for cb in callbacks:
                 cb(self)
-            self.sim._tail = True
+            sim._tail = True
             last(self)
+        while sim._owed is not None:
+            proc, value = sim._owed
+            sim._owed = None
+            proc._step(send=value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -238,9 +251,14 @@ class Process(Event):
         if not hasattr(gen, "send"):
             raise TypeError(f"Process requires a generator, got {type(gen)!r}")
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
+        #: the event it waits on, or the store it is parked in
+        self._waiting_on: Any = None
         self.name = name or getattr(gen, "__name__", "process")
-        # Kick off the generator at the current time.
+        # Kick off the generator at the current time: in place, after the
+        # running callback, when its start event would be the next dispatch
+        if sim.next_is_mine():
+            sim._owed = (self, None)
+            return
         init = Event(sim)
         init.callbacks.append(self._resume)
         init.succeed()
@@ -254,13 +272,20 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time.
 
         The event the process was waiting on is abandoned (its callback is
-        disarmed); the process resumes immediately with the interrupt.
+        disarmed), a park in a store or an owed resume is withdrawn; the
+        process resumes immediately with the interrupt.
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished {self!r}")
         waiting = self._waiting_on
-        if waiting is not None and self._resume in waiting.callbacks:
-            waiting.callbacks.remove(self._resume)
+        if isinstance(waiting, Event):
+            if self._resume in waiting.callbacks:
+                waiting.callbacks.remove(self._resume)
+        elif waiting is not None:
+            waiting._unpark(self)
+        owed = self.sim._owed
+        if owed is not None and owed[0] is self:
+            self.sim._owed = None
         self._waiting_on = None
         hook = Event(self.sim)
         hook.callbacks.append(lambda _ev: self._step(throw=Interrupt(cause)))
@@ -308,6 +333,8 @@ class Process(Event):
                 return
             finally:
                 sim._active_process = None
+            if target is PARKED:
+                return
             if not isinstance(target, Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded {target!r}; processes must "
@@ -436,6 +463,8 @@ class Simulator:
         #: True while the last callback of a dispatch runs (set by
         #: ``Event._process``, cleared when the dispatch returns)
         self._tail = False
+        #: ``(process, value)``: a resume or start owed in place of an event
+        self._owed: Optional[tuple[Process, Any]] = None
         #: how many queue pairs this world has numbered (``qp_num`` is a
         #: per-world serial, so a label never depends on what else the
         #: process simulated before)
@@ -498,8 +527,9 @@ class Simulator:
     def next_is_mine(self) -> bool:
         """Whether an event the running process would schedule at ``now``
         and wait on would be the very next dispatch: no heap entry is due
-        at ``now`` and the dispatch in progress has no callback left."""
-        if not self._tail:
+        at ``now``, the dispatch in progress has no callback left and no
+        resume is owed."""
+        if not self._tail or self._owed is not None:
             return False
         heap = self._heap
         return not heap or heap[0][0] > self.now

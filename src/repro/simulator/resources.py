@@ -12,8 +12,11 @@
 
 Processes use ``yield from resource.take()`` / ``yield from store.take()``:
 the same grant or item, taken in place — no event — when that event would
-be the very next dispatch (the engine's in-place rule).  The event forms
-stay for composing (``any_of`` over a get and a timer).
+be the very next dispatch (the engine's in-place rule).  ``take()`` on an
+empty store parks the process with no event; the :meth:`Store.put` that
+finds it owes its resume in place, or schedules the event where that
+would not be the next dispatch.  The event forms stay for composing
+(``any_of`` over a get and a timer).
 
 When the owning simulator is traced (``sim.tracer``), all
 three primitives record grant/put provenance for the critical-path
@@ -29,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable, Optional
 
-from repro.simulator.engine import Event, SimulationError, Simulator
+from repro.simulator.engine import PARKED, Event, SimulationError, Simulator
 
 __all__ = ["Resource", "Signal", "Store"]
 
@@ -159,7 +162,8 @@ class Store:
         self.name = name
         self.node = node
         self._items: deque[Any] = deque(items)
-        self._getters: deque[Event] = deque()
+        #: get() events, and ``(process, request time)`` parks of take()
+        self._getters: deque[Any] = deque()
         #: total items ever put (statistics)
         self.total_put = len(self._items)
 
@@ -170,10 +174,23 @@ class Store:
         self.total_put += 1
         if self._getters:
             getter = self._getters.popleft()
-            tracer = self.sim.tracer
-            if tracer is not None and getter._ptag is not None:
+            sim = self.sim
+            tracer = sim.tracer
+            if type(getter) is tuple:  # a process parked in take()
+                proc, req = getter
+                if tracer is not None:
+                    tracer.observe_wait("store.wait_us", self.node, sim.now - req)
+                if sim.next_is_mine():
+                    sim._owed = (proc, item)
+                    return
+                getter = Event(sim)
+                getter.callbacks.append(proc._resume)
+                proc._waiting_on = getter
+                if tracer is not None:
+                    getter._ptag = ("store-wait", req, self.name)
+            elif tracer is not None and getter._ptag is not None:
                 tracer.observe_wait(
-                    "store.wait_us", self.node, self.sim.now - getter._ptag[1]
+                    "store.wait_us", self.node, sim.now - getter._ptag[1]
                 )
             getter.succeed(item)
         else:
@@ -196,8 +213,15 @@ class Store:
 
     def take(self):
         """``yield from`` form of :meth:`get`: a queued item is taken in
-        place when :meth:`Simulator.next_is_mine` holds."""
-        if self._items and self.sim.next_is_mine():
+        place when :meth:`Simulator.next_is_mine` holds; on an empty store
+        the process parks, with no event, until a :meth:`put` resumes it."""
+        sim = self.sim
+        if not self._items:
+            proc = sim._active_process
+            proc._waiting_on = self
+            self._getters.append((proc, sim.now))
+            return (yield PARKED)
+        if sim.next_is_mine():
             return self._pop()
         return (yield self.get())
 
@@ -221,6 +245,12 @@ class Store:
         if tracer is not None and self.name:
             tracer.sample_store(self, at)
         return item
+
+    def _unpark(self, proc) -> None:
+        """Withdraw the park of ``proc``, an interrupted taker."""
+        self._getters = deque(
+            g for g in self._getters if type(g) is not tuple or g[0] is not proc
+        )
 
     def cancel_get(self, ev: Event) -> bool:
         """Withdraw a pending :meth:`get` event (e.g. after a timeout won

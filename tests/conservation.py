@@ -19,7 +19,19 @@ def assert_conserved(cluster) -> None:
     priced, no job queued or unended, its last end processed), every
     rendezvous-slot grant was released, every send-slot token is back, and
     per directed pair (send/recv eager) the sender's credits plus the
-    receiver's unreturned slots make up the whole window."""
+    receiver's unreturned slots make up the whole window.  Checked first:
+    no resume is owed, and every process parked in a store's ``take()`` is
+    alive and parked there."""
+    # first: a resume never paid explains every check below it
+    owed = cluster.sim._owed
+    assert owed is None, f"a resume of {owed[0].name} is still owed"
+    for store in _stores(cluster):
+        for getter in store._getters:
+            if type(getter) is tuple:
+                proc = getter[0]
+                assert proc.is_alive and proc._waiting_on is store, (
+                    f"{store.name or 'store'}: parked {proc.name} is not waiting there"
+                )
     value = cluster.metrics.value
     injected = value("ib.bytes_injected")
     delivered = value("ib.bytes_delivered")
@@ -70,3 +82,15 @@ def assert_conserved(cluster) -> None:
                     f"{sender.rank}->{peer}: {len(credits)} credits + {free} "
                     f"unreturned slots, not {EAGER_SLOTS_PER_PEER}"
                 )
+
+
+def _stores(cluster):
+    """Every store a rank or its HCA takes from."""
+    for ctx in cluster.contexts:
+        yield ctx.node.hca._send_queue
+        yield ctx._send_cq._store
+        yield ctx._recv_cq._store
+        yield ctx._send_slot_tokens
+        yield from ctx._credits.values()
+        yield from ctx._ring_out.values()
+        yield from ctx._msg_inbox.values()

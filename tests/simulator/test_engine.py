@@ -10,6 +10,7 @@ from repro.simulator import (
     Process,
     SimulationError,
     Simulator,
+    Store,
     Timeout,
 )
 
@@ -239,6 +240,54 @@ class TestInterrupt:
         sim.process(interrupter(sim, victim))
         sim.run()
         assert victim.value == ("interrupted", "wakeup", 3.0)
+
+    def test_interrupting_a_parked_taker_withdraws_its_park(self, sim):
+        box = Store(sim, name="box")
+        seen = []
+
+        def taker(name):
+            try:
+                seen.append((name, (yield from box.take()), sim.now))
+            except Interrupt as irq:
+                seen.append((name, irq.cause, sim.now))
+
+        def driver(first):
+            yield sim.timeout(3.0)
+            first.interrupt("moved on")
+            yield sim.timeout(2.0)
+            box.put("item")
+
+        first = sim.process(taker("first"))
+        sim.process(taker("second"))
+        sim.process(driver(first))
+        sim.run()
+        assert seen == [("first", "moved on", 3.0), ("second", "item", 5.0)]
+        assert not box._getters and len(box) == 0
+
+    @pytest.mark.parametrize("parked", [True, False])
+    def test_interrupt_after_put_in_one_callback_wins(self, sim, parked):
+        # put, then interrupt, in the same callback: the resume owed to a
+        # parked taker is dropped as the get event's callback is disarmed
+        box = Store(sim)
+        seen = []
+
+        def taker():
+            try:
+                got = (yield from box.take()) if parked else (yield box.get())
+                seen.append(got)
+            except Interrupt as irq:
+                seen.append(irq.cause)
+
+        def driver(victim):
+            yield sim.timeout(1.0)
+            box.put("item")
+            victim.interrupt("irq")
+            yield sim.timeout(1.0)
+            seen.append(len(box))
+
+        sim.process(driver(sim.process(taker())))
+        sim.run()
+        assert seen == ["irq", 0]
 
     def test_interrupt_finished_process_rejected(self, sim):
         def quick(sim):
