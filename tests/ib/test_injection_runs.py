@@ -17,7 +17,9 @@ that could observe it.  Three twins run every schedule:
     *and* no folds, every write lands by its own event.
 
 Everything an observer can read is equal across the three; the event
-counts differ by exactly what was removed.
+counts differ by exactly what was removed, once each twin's waits taken in
+place (``Simulator.hold_until``, an idle CPU job) are counted back as the
+events they replace.
 
 Since PR 24 a write list stays arrays from the post to the landing; the
 ``SendWR`` objects it iterates to — the run path above, unchanged — are
@@ -31,7 +33,8 @@ its oracle.  Every schedule of the second half runs in three more twins:
     the ``WriteList`` posted on a node with the all-zero-rate plan, which
     iterates it inside ``post_send_list``.
 
-The first two are equal in everything, ``events_processed`` included.
+The first two are equal in everything, ``events_processed`` and the waits
+taken in place included.
 """
 
 import numpy as np
@@ -118,14 +121,26 @@ class World:
                 sim.process(self._watch(node.node_id, peer, qp.send_cq, False))
                 sim.process(self._watch(node.node_id, peer, qp.recv_cq, True))
             node.hca._deliver = self._counting(node.hca._deliver)
-        timeout_at = sim.timeout_at
+        hold_until = sim.hold_until
 
-        def spy(when, value=None, tag=None):
+        def spy(at, tag=None):
             if isinstance(tag, tuple) and tag[0] == "run":
                 self.run_lengths.append(len(tag[1]))
-            return timeout_at(when, value, tag)
+            return hold_until(at, tag)
 
-        sim.timeout_at = spy
+        sim.hold_until = spy
+        self.holds = 0
+        advance = sim._advance
+
+        def held(at, tag=None):
+            self.holds += 1
+            advance(at, tag)
+
+        sim._advance = held
+
+    def hops(self) -> int:
+        """Events dispatched, each wait taken in place counted as one."""
+        return self.sim.events_processed + self.holds
 
     def _counting(self, deliver):
         def counted(*args):
@@ -341,13 +356,10 @@ def run_twins(program, nodes=3):
     assert set(per_desc.run_lengths) <= {1} and set(faulted.run_lengths) <= {1}
     assert sum(runs.run_lengths) == len(per_desc.run_lengths) == runs.serial - runs.reads
     removed = sum(n - 1 for n in runs.run_lengths)
-    assert per_desc.sim.events_processed - runs.sim.events_processed == removed
+    assert per_desc.hops() - runs.hops() == removed
     # a fold is a landing event less, and only the faulted twin has none
     assert runs.delivers == per_desc.delivers
-    assert (
-        faulted.sim.events_processed - per_desc.sim.events_processed
-        == faulted.delivers - per_desc.delivers
-    )
+    assert faulted.hops() - per_desc.hops() == faulted.delivers - per_desc.delivers
     return worlds
 
 
@@ -576,6 +588,7 @@ def run_list_twins(program, nodes=3):
         for key in want:
             assert got[key] == want[key], (other.kind, key)
     assert lists.sim.events_processed == descriptors.sim.events_processed
+    assert lists.holds == descriptors.holds
     assert lists.run_lengths == descriptors.run_lengths
     assert lists.delivers == descriptors.delivers
     assert set(faulted.run_lengths) <= {1}

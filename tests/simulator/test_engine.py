@@ -563,6 +563,55 @@ class TestTimeoutAt:
         assert (ev._sched_at, ev._fire_at, ev._cause) == (0.0, 4.0, None)
 
 
+class TestHoldUntil:
+    """A wait to a deadline is taken in place only when nothing else could
+    dispatch first: not past the bound of ``run(until)``, not on a tie."""
+
+    @staticmethod
+    def holder(sim):
+        yield sim.timeout(1.0)
+        yield from sim.hold_until(6.0, tag="wire")
+        return sim.now, "held"
+
+    def test_bounded_run_stops_at_its_bound_and_resumes_the_hold(self, sim):
+        proc = sim.process(self.holder(sim))
+        assert sim.run(until=5.5) == 5.5
+        assert not proc.triggered and sim.peek() == 6.0  # the hold's event
+        assert sim.run() == 6.0
+        free = Simulator()
+        alone = free.process(self.holder(free))
+        free.run()
+        assert proc.value == alone.value == (6.0, "held")
+        assert sim.events_processed == free.events_processed + 1
+
+    def test_a_tie_with_an_earlier_entry_is_not_taken_in_place(self, sim):
+        order = []
+        sim.timeout(6.0).callbacks.append(lambda _e: order.append(("timer", sim.now)))
+
+        def prog():
+            yield from self.holder(sim)
+            order.append(("hold", sim.now))
+
+        sim.process(prog())
+        sim.run()
+        assert order == [("timer", 6.0), ("hold", 6.0)]
+        assert sim.events_processed == 4  # start, timeout, timer, the hold
+
+    def test_the_bound_is_reset_when_run_returns_or_raises(self, sim):
+        sim.timeout(2.0)
+        sim.run(until=1.0)
+        assert sim._until == float("inf")
+
+        def bad():
+            yield sim.timeout(1.0)
+            raise KeyError("boom")
+
+        sim.process(bad())
+        with pytest.raises(KeyError):
+            sim.run(until=10.0)
+        assert sim._until == float("inf")
+
+
 class TestPastDueRejectedWhereScheduled:
     """A negative delay used to reach the heap and surface, at some later
     ``step()``, as a "time went backwards" that named nobody."""
