@@ -181,7 +181,7 @@ class Store:
                 if tracer is not None:
                     tracer.observe_wait("store.wait_us", self.node, sim.now - req)
                 if sim.next_is_mine():
-                    sim._owed = (proc, item)
+                    sim._owed = (sim.now, 0, proc._step, item, None)
                     return
                 getter = Event(sim)
                 getter.callbacks.append(proc._resume)

@@ -20,11 +20,12 @@ def assert_conserved(cluster) -> None:
     rendezvous-slot grant was released, every send-slot token is back, and
     per directed pair (send/recv eager) the sender's credits plus the
     receiver's unreturned slots make up the whole window.  Checked first:
-    no resume is owed, and every process parked in a store's ``take()`` is
-    alive and parked there."""
-    # first: a resume never paid explains every check below it
+    no call is owed (a resume, a start, a trigger, a landing or a CQE),
+    and every process parked in a store's ``take()`` is alive and parked
+    there."""
+    # first: a call never paid explains every check below it
     owed = cluster.sim._owed
-    assert owed is None, f"a resume of {owed[0].name} is still owed"
+    assert owed is None, f"a call of {owed[2]!r} due at {owed[0]!r} is still owed"
     for store in _stores(cluster):
         for getter in store._getters:
             if type(getter) is tuple:
