@@ -201,5 +201,22 @@ def test_rendezvous_golden():
     assert not wrong
 
 
+def test_a_call_owed_past_quiescence_is_not_conserved():
+    """The sanitizer's first check: a call owed and never paid (the CQE of
+    a descriptor, a landing, a trigger) is reported before what it hides."""
+    cluster = _cluster("generic", {})
+    cluster.run(_idle)
+    assert_conserved(cluster)
+    sim = cluster.sim
+    sim._owed = (sim.now + 1.0, sim._seq + 1, print, None, "cqe")
+    with pytest.raises(AssertionError, match="still owed"):
+        assert_conserved(cluster)
+
+
+def _idle(mpi):
+    return
+    yield
+
+
 if __name__ == "__main__":
     print(json.dumps(compute(), indent=1, sort_keys=True))
