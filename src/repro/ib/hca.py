@@ -209,7 +209,7 @@ class Node:
 
         Generator returning the address.
         """
-        addr = self.memory.alloc(nbytes, align)
+        addr = self.memory.alloc_undefined(nbytes, align)
         if charge:
             yield from self.cpu_work(self.cm.malloc_time(nbytes), "malloc")
         return addr

@@ -269,7 +269,7 @@ class RankContext:
         # receive slots, per peer data QP
         self._recv_slot_mr = {}
         for peer, qp in self.data_qps.items():
-            region = mem.alloc(EAGER_SLOTS_PER_PEER * self._slot_size)
+            region = mem.alloc_undefined(EAGER_SLOTS_PER_PEER * self._slot_size)
             mr = mem.register(region, EAGER_SLOTS_PER_PEER * self._slot_size)
             self._recv_slot_mr[peer] = mr
             for i in range(EAGER_SLOTS_PER_PEER):
@@ -288,7 +288,7 @@ class RankContext:
             qp.post_recv_nocost(wr, CTRL_RECVS_PER_PEER)
         # send slots (shared across destinations)
         size = EAGER_SEND_SLOTS * self._slot_size
-        region = mem.alloc(size)
+        region = mem.alloc_undefined(size)
         self._send_slot_region_mr = mem.register(region, size)
         self._send_slot_tokens = Store(
             self.sim, items=range(region, region + size, self._slot_size)
@@ -297,7 +297,7 @@ class RankContext:
         # address/rkey advertisement is exchanged by the Cluster)
         if self.cluster.eager_rdma:
             for peer in self.data_qps:
-                region = mem.alloc(EAGER_RDMA_RING * self._slot_size)
+                region = mem.alloc_undefined(EAGER_RDMA_RING * self._slot_size)
                 mr = mem.register(region, EAGER_RDMA_RING * self._slot_size)
                 slots = [region + i * self._slot_size for i in range(EAGER_RDMA_RING)]
                 self._ring_in[peer] = (mr, slots)
@@ -746,7 +746,7 @@ class RankContext:
     def _self_send(self, req: Request):
         """Send-to-self: stage through a temporary packed buffer."""
         cur = SegmentCursor(req.datatype, req.count)
-        tmp = self.node.memory.alloc(max(cur.total, 1))
+        tmp = self.node.memory.alloc_undefined(max(cur.total, 1))
         nblocks = pack_bytes(self.node.memory, req.addr, cur, 0, cur.total, tmp)
         yield from self.charge_pack(cur.total, nblocks)
         envelope = _Envelope(self.rank, req.tag, "self", (req, tmp))

@@ -74,7 +74,9 @@ class SegmentPool:
         self.dynamic_acquires = 0
         if enabled:
             nseg = max(1, total_bytes // segment_size)
-            region = node.memory.alloc(nseg * segment_size, align=node.cm.page_size)
+            region = node.memory.alloc_undefined(
+                nseg * segment_size, align=node.cm.page_size
+            )
             self._mr = node.memory.register(region, nseg * segment_size)
             self._free = [region + i * segment_size for i in range(nseg)]
 

@@ -102,7 +102,6 @@ class RankEnv:
     def alloc(self, buf: str, addr: int, nbytes: int) -> None:
         self.bases[buf] = addr
         self.views[buf] = self.memory.view(addr, nbytes)
-        self.views[buf][:] = 0
 
     def addr(self, buf: str, offset: int) -> int:
         return self.bases[buf] + offset
