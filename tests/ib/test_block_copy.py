@@ -54,8 +54,9 @@ class TestAgainstTheSliceLoop:
     def test_gather_then_scatter(self, blocks, seed):
         mem = NodeMemory(0, CAPACITY)
         rng = np.random.default_rng(seed)
-        mem.data[:] = rng.integers(0, 256, CAPACITY, dtype=np.uint8)
-        before = mem.data.copy()
+        data = mem.view(0, CAPACITY)
+        data[:] = rng.integers(0, 256, CAPACITY, dtype=np.uint8)
+        before = data.copy()
         total = sum(n for _a, n in blocks)
         stage = CAPACITY // 2 + 64
         assert mem.gather_blocks(0, blocks, stage) == total
@@ -71,13 +72,14 @@ class TestAgainstTheSliceLoop:
         for a, n in blocks:
             expect[a : a + n] = fresh[pos : pos + n]
             pos += n
-        assert np.array_equal(mem.data, expect)
+        assert np.array_equal(data, expect)
 
     def test_every_pair_list_shape_is_one_block_list(self):
         mem = NodeMemory(0, CAPACITY)
-        mem.data[:4096] = np.arange(4096, dtype=np.uint16).astype(np.uint8)
+        data = mem.view(0, 4096)
+        data[:] = np.arange(4096, dtype=np.uint16).astype(np.uint8)
         pairs = [(i * 16, 4) for i in range(64)]
-        want = loop_gather(mem.data, pairs)
+        want = loop_gather(data, pairs)
         for blocks in (
             pairs,
             tuple(pairs),
@@ -91,13 +93,14 @@ class TestAgainstTheSliceLoop:
 
     def test_external_buffer_for_the_hca(self):
         mem = NodeMemory(0, CAPACITY)
-        mem.data[:] = np.arange(CAPACITY, dtype=np.uint32).astype(np.uint8)
+        data = mem.view(0, CAPACITY)
+        data[:] = np.arange(CAPACITY, dtype=np.uint32).astype(np.uint8)
         addrs = np.arange(100, dtype=np.int64) * 40 + 3
         lengths = np.full(100, 8, dtype=np.int64)
         snapshot = np.empty(800, dtype=np.uint8)
         mem.copy_blocks(addrs, lengths, snapshot, gather=True)
         assert np.array_equal(
-            snapshot, loop_gather(mem.data, zip(addrs.tolist(), lengths.tolist()))
+            snapshot, loop_gather(data, zip(addrs.tolist(), lengths.tolist()))
         )
 
 
