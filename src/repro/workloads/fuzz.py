@@ -13,7 +13,7 @@ The oracle (:func:`expected_payloads`) is *static*: it computes each
 receive's expected wire bytes from the IR alone (abstract memory from
 ``fill``/``data`` ops, per-stream FIFO matching, packed bytes via the
 send type's flatten).  :func:`check_workload` replays a program and
-asserts every delivered payload against it — the invariant that re-finds
+asserts every delivered payload against its SHA-256 — the invariant that re-finds
 the PR 2 matching-order hole when ``tests/workloads/test_mutation.py``
 monkeypatches ``RankContext._admit`` back to its pre-fix form.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from hashlib import sha256
 from pathlib import Path
 from typing import Any, Optional
 
@@ -344,7 +345,7 @@ def check_workload(
     scheme: Optional[str] = None,
     eager_rdma: Optional[bool] = None,
 ) -> None:
-    """Replay and assert every receive's payload against the oracle."""
+    """Replay and assert every receive's payload against the oracle's, hashed."""
     expected = expected_payloads(workload)
     result = replay(
         workload, scheme=scheme, eager_rdma=eager_rdma,
@@ -353,11 +354,12 @@ def check_workload(
     for (rank, key), payload in sorted(expected.items()):
         if payload is None:
             continue
-        got = result.payloads[rank].get(key)
-        assert got == payload, (
+        got, want = result.payloads[rank].get(key), sha256(payload).digest()
+        assert got == want, (
             f"rank {rank} receive {key!r}: delivered payload differs from "
-            f"the matched send ({len(got) if got is not None else 'no'} "
-            f"bytes vs {len(payload)} expected) — matching order violated?"
+            f"the matched send ({len(payload)} bytes expected, sha256 "
+            f"{got.hex()[:12] if got is not None else 'none'} vs "
+            f"{want.hex()[:12]}) — matching order violated?"
         )
 
 

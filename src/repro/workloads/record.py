@@ -11,8 +11,9 @@ same simulated schedule.
 Every recorded call takes one path (:meth:`RecordingContext._record`):
 sync the application's writes, locate the typed operands in recorded
 buffers, name their datatypes, append the op, forward the call through
-the op's own lowering (the one ``replay`` runs), absorb and grab the
-landing zones the op declares, observe.  A proxy method only translates
+the op's own lowering (the one ``replay`` runs), then ``replay``'s step
+(:func:`~repro.workloads.replay.land`: payloads and digest, both SHA-256),
+absorb the landed zones into the shadow.  A proxy method only translates
 live arguments into op fields; ``put`` also masks its target's landing
 blocks, and ``win_create`` remembers the live window.
 
@@ -45,7 +46,7 @@ from repro.workloads.ir import (
     encode_type,
     span,
 )
-from repro.workloads.replay import RankEnv, digest_buffers, landed_bytes
+from repro.workloads.replay import RankEnv, land
 
 __all__ = ["RecordedRun", "Recorder", "RecordingContext", "UnsupportedOp",
            "record"]
@@ -61,6 +62,9 @@ class RecordedRun:
 
     ``digests``/``payloads``/``time_us`` describe the *recorded* run —
     the differential tests replay ``workload`` and compare against them.
+    A payload is the 32-byte SHA-256 of a landing zone's wire bytes; a
+    digest is SHA-256 over each buffer's name, a zero byte and the
+    buffer's own SHA-256, in allocation order.
     """
 
     workload: Workload
@@ -102,8 +106,7 @@ class _RankState(RankEnv):
 
     def new_buffer(self, base: int, size: int) -> str:
         name = f"b{len(self.views)}"
-        self.bases[name] = base
-        self.views[name] = self.memory.view(base, size)
+        self.alloc(name, base, size)
         self.shadow[name] = self.views[name].copy()
         self.excl[name] = np.zeros(size, dtype=bool)
         return name
@@ -180,13 +183,12 @@ class _RankState(RankEnv):
 class Recorder:
     """Accumulates per-rank op streams + the shared datatype table."""
 
-    def __init__(self, collect_payloads: bool = True):
+    def __init__(self):
         self.states: dict[int, _RankState] = {}
         self.type_names: dict[tuple, str] = {}
         self.type_nodes: dict[str, dict] = {}
         self.digests: dict[int, list] = {}
         self.payloads: dict[int, dict] = {}
-        self.collect_payloads = collect_payloads
 
     def state_for(self, ctx) -> _RankState:
         state = self.states.get(ctx.rank)
@@ -287,21 +289,16 @@ class RecordingContext:
         result = yield from op.lower(self._ctx, state)
         if op.REQUEST:
             state.req_names[id(result)] = getattr(op, op.REQUEST)
-        for key, zone in op.landings(index, state.book):
+        rank = self._ctx.rank
+        for _key, zone in land(
+            state, op, index, state.book, rec.payloads[rank], rec.digests[rank]
+        ):
             state.resync(zone)
-            if rec.collect_payloads:
-                rec.payloads[self._ctx.rank][key] = landed_bytes(
-                    state.memory, state.bases[zone.buf], zone, state.types
-                )
         if op.REQUEST and op.LANDS:
             # a posted receive's bytes belong to the network until its wait
             zone = state.book.posted[op.landing_key(index)]
             state.mask(
                 zone.buf, zone.offset, state.types[zone.type], zone.count
-            )
-        if op.OBSERVES:
-            rec.digests[self._ctx.rank].append(
-                (index, digest_buffers(state.views.items()))
             )
         return result
 
@@ -449,14 +446,13 @@ def record(
     scheme: str = "bc-spup",
     eager_rdma: bool = False,
     cost_model: Optional[Any] = None,
-    collect_payloads: bool = True,
 ) -> RecordedRun:
     """Run programs live, returning the captured trace + observables."""
     cluster = Cluster(
         nranks=nranks, scheme=scheme, eager_rdma=eager_rdma,
         cost_model=cost_model,
     )
-    recorder = Recorder(collect_payloads=collect_payloads)
+    recorder = Recorder()
     if callable(programs):
         programs = [programs] * nranks
     wrapped = [recorder.wrap(p) for p in programs]

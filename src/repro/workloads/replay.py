@@ -11,9 +11,11 @@ recorded trace and the live program it was recorded from.
 
 A rank program is one loop over its ops: ``yield from op.lower(ctx,
 env)`` runs the op on the live ``RankContext`` (each op declares its own
-lowering in :mod:`repro.workloads.ir`), then one generic step packs the
-bytes of every landing zone the op completed and, for an observation
-op, appends the digest.
+lowering in :mod:`repro.workloads.ir`), then one generic step
+(:func:`land`) takes the payload of every landing zone the op completed,
+the SHA-256 of its landed wire bytes, and for an observation op the
+digest.  A byte range is hashed once a step, so a window over a whole
+buffer is one pass for its payload and its part of the digest.
 
 Scheme, eager-RDMA flag, and cost model can be overridden per replay so
 one checked-in workload file sweeps all seven schemes and every
@@ -24,36 +26,40 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.mpi.world import Cluster
-from repro.workloads.ir import (
-    Access,
-    Landings,
-    Op,
-    Workload,
-    Zone,
-    fill_pattern,
-)
+from repro.workloads.ir import Access, Landings, Op, Workload, Zone, fill_pattern
 from repro.workloads.validate import validate
 
 __all__ = ["ReplayResult", "RankEnv", "digest_buffers", "fill_pattern",
-           "landed_bytes", "replay"]
+           "land", "replay"]
 
 
-def digest_buffers(views) -> str:
-    """SHA-256 over named buffers: ``[(name, uint8-array), ...]`` in
-    allocation order.  Shared by the interpreter and the recorder so
-    their timelines are comparable byte-for-byte.  The hash reads each
-    view in place: ``memory.view`` slices are C-contiguous, and the buffer
+def _sha256(hashes: dict, buf: str, view, offset: int, size: int) -> bytes:
+    """SHA-256 of ``view[offset:offset + size]`` of buffer ``buf``, in
+    place, once per ``hashes``: one op's step, in which no byte changes."""
+    key = (buf, offset, size)
+    if key not in hashes:
+        hashes[key] = hashlib.sha256(view[offset:offset + size]).digest()
+    return hashes[key]
+
+
+def digest_buffers(views, hashes: Optional[dict] = None) -> str:
+    """SHA-256 over ``name``, a zero byte and ``sha256(buffer)`` for each
+    of the named buffers ``[(name, uint8-array), ...]``, in allocation
+    order.  Shared by the interpreter and the recorder so their
+    timelines are comparable byte-for-byte.  Each buffer is hashed in
+    place: ``memory.view`` slices are C-contiguous, and the buffer
     protocol raises ``ValueError`` for one that is not rather than copy."""
+    hashes = {} if hashes is None else hashes
     h = hashlib.sha256()
     for name, view in views:
-        h.update(name.encode())
-        h.update(b"\x00")
-        h.update(view)
+        h.update(name.encode() + b"\x00")
+        h.update(_sha256(hashes, name, view, 0, len(view)))
     return h.hexdigest()
 
 
@@ -66,24 +72,11 @@ class ReplayResult:
     time_us: float
     #: per-rank list of (op_index, sha256-hex) at each observation op
     digests: list
-    #: per-rank dict of payload bytes (recv requests by name, collective
-    #: and fence landing zones by ``op<i>``); filled when
-    #: ``collect_payloads=True``
+    #: per-rank dict of payloads, each the 32-byte SHA-256 of a landing
+    #: zone's wire bytes (recv requests by name, collective and fence
+    #: zones by ``op<i>``); filled when ``collect_payloads=True``
     payloads: list = field(default_factory=list)
     values: list = field(default_factory=list)
-
-
-def landed_bytes(memory, base: int, zone: Zone, types: dict) -> bytes:
-    """The bytes of a landing zone whose buffer starts at ``base``: the
-    packed wire bytes through its datatype, or raw for a window."""
-    if zone.type is None:
-        return memory.view(base + zone.offset, zone.count).tobytes()
-    flat = types[zone.type].flatten(zone.count)
-    out = np.empty(flat.size, dtype=np.uint8)
-    memory.copy_blocks(
-        base + zone.offset + flat.offsets, flat.lengths, out, gather=True
-    )
-    return out.tobytes()
 
 
 class RankEnv:
@@ -112,34 +105,43 @@ class RankEnv:
         buf, offset, name, count = access.of(op, 1)
         return self.addr(buf, offset), self.types[name], count
 
+    def landed(self, zone: Zone, hashes: dict) -> bytes:
+        """SHA-256 of a landing zone's wire bytes: gathered through its
+        datatype, or the window's raw range hashed in place."""
+        if zone.type is None:
+            view = self.views[zone.buf]
+            return _sha256(hashes, zone.buf, view, zone.offset, zone.count)
+        flat = self.types[zone.type].flatten(zone.count)
+        out = np.empty(flat.size, dtype=np.uint8)
+        self.memory.copy_blocks(
+            self.addr(zone.buf, zone.offset) + flat.offsets, flat.lengths,
+            out, gather=True,
+        )
+        return hashlib.sha256(out.data).digest()
 
-def _make_program(
-    workload: Workload,
-    rank: int,
-    types: dict,
-    digests: list,
-    payloads: list,
-    collect_payloads: bool,
-):
-    ops = workload.ranks[rank]
-    my_digests: list = digests[rank]
-    my_payloads: dict = payloads[rank]
 
-    def program(ctx):
-        env = RankEnv(ctx.node.memory, types)
-        book = Landings(workload.nranks)
-        for i, op in enumerate(ops):
-            yield from op.lower(ctx, env)
-            for key, zone in op.landings(i, book):
-                if collect_payloads:
-                    my_payloads[key] = landed_bytes(
-                        env.memory, env.bases[zone.buf], zone, types
-                    )
-            if op.OBSERVES:
-                my_digests.append((i, digest_buffers(env.views.items())))
-        return len(ops)
+def land(env: RankEnv, op: Op, i: int, book: Landings,
+         payloads: Optional[dict], digests: list) -> list:
+    """The step after op ``i``'s lowering: each landed zone's payload (into
+    ``payloads`` unless None), an observation's digest; returns the landings."""
+    hashes: dict = {}
+    zones = op.landings(i, book)
+    if payloads is not None:
+        for key, zone in zones:
+            payloads[key] = env.landed(zone, hashes)
+    if op.OBSERVES:
+        digests.append((i, digest_buffers(env.views.items(), hashes)))
+    return zones
 
-    return program
+
+def _program(ctx, ops, nranks: int, types: dict, digests: list,
+             payloads: Optional[dict]):
+    env = RankEnv(ctx.node.memory, types)
+    book = Landings(nranks)
+    for i, op in enumerate(ops):
+        yield from op.lower(ctx, env)
+        land(env, op, i, book, payloads, digests)
+    return len(ops)
 
 
 def replay(
@@ -173,10 +175,10 @@ def replay(
         cost_model=cost_model,
     )
     programs = [
-        _make_program(
-            workload, rank, types, digests, payloads, collect_payloads
-        )
-        for rank in range(workload.nranks)
+        partial(_program, ops=ops, nranks=workload.nranks, types=types,
+                digests=digests[rank],
+                payloads=payloads[rank] if collect_payloads else None)
+        for rank, ops in enumerate(workload.ranks)
     ]
     result = cluster.run(programs)
     return ReplayResult(

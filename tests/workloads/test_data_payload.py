@@ -1,7 +1,9 @@
-"""A ``data`` payload is inflated once per parsed workload, and a digest
-reads the buffers it hashes in place."""
+"""A ``data`` payload is inflated once per parsed workload, a digest reads
+the buffers it hashes in place, and a window's landing is hashed once a
+fence, shared with the digest."""
 
 import hashlib
+import importlib
 import json
 import zlib
 from pathlib import Path
@@ -16,6 +18,8 @@ from repro.workloads.ir import Data, encode_data
 from repro.workloads.replay import digest_buffers, replay
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
+# the module, which the package's ``replay`` function shadows
+replay_module = importlib.import_module("repro.workloads.replay")
 
 
 def _doc(*payloads):
@@ -108,7 +112,102 @@ def test_digest_reads_the_view_and_refuses_to_copy():
     views = [("a", memory[100:1100]), ("b", memory[2000:2001]), ("c", memory[:0])]
     want = hashlib.sha256()
     for name, view in views:
-        want.update(name.encode() + b"\x00" + bytes(view))
+        want.update(name.encode() + b"\x00" + hashlib.sha256(bytes(view)).digest())
     assert digest_buffers(views) == want.hexdigest()
     with pytest.raises(ValueError, match="contiguous"):
         digest_buffers([("strided", memory[::2])])
+
+
+_WINDOW = 4096
+
+
+def _fence_program(flip=False):
+    """Two ranks over one whole-buffer window: rank 0 puts 512 bytes into
+    rank 1's window between two fences, while rank 1 writes 64 bytes of
+    its own window that the put does not reach (one of them flipped with
+    ``flip``).  Returns the workload and rank 1's window at the end."""
+    rng = np.random.default_rng(5)
+    first, second = (
+        rng.integers(0, 256, _WINDOW, dtype=np.uint8).tobytes() for _ in range(2)
+    )
+    late = bytearray(range(64))
+    late[17] ^= flip
+
+    def opening(raw):
+        return [
+            ir.Alloc(buf="b0", nbytes=_WINDOW),
+            ir.Data(buf="b0", offset=0, zlib64=encode_data(raw)),
+            ir.WinCreate(win="w0", buf="b0", offset=0, size=_WINDOW),
+            ir.Fence(win="w0"),
+        ]
+
+    rank0 = opening(first) + [
+        ir.Put(win="w0", target=1, buf="b0", offset=0, type="c", count=1,
+               target_disp=1024),
+        ir.Fence(win="w0"),
+    ]
+    rank1 = opening(second) + [
+        ir.Data(buf="b0", offset=2000, zlib64=encode_data(bytes(late))),
+        ir.Fence(win="w0"),
+    ]
+    types = {"c": {"type": "contiguous", "count": 512,
+                   "base": {"type": "primitive", "name": "byte"}}}
+    workload = ir.Workload(name="fence", nranks=2, types=types,
+                           ranks=(tuple(rank0), tuple(rank1)))
+    window = bytearray(second)
+    window[1024:1536] = first[:512]
+    window[2000:2064] = late
+    return workload, bytes(window)
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The byte length of every SHA-256 the replay takes, through its own
+    door to hashlib (the fuzz oracle's and the test's stay uncounted)."""
+    sizes = []
+    sha256 = hashlib.sha256
+
+    def counting(*data):
+        sizes.extend(memoryview(d).nbytes for d in data)
+        return sha256(*data)
+
+    shim = SimpleNamespace(sha256=counting)
+    monkeypatch.setattr(replay_module, "hashlib", shim)
+    return sizes
+
+
+def test_a_whole_buffer_window_is_hashed_once_a_fence(hashed, monkeypatch):
+    envs = []
+
+    class Noting(replay_module.RankEnv):
+        def __init__(self, *args):
+            super().__init__(*args)
+            envs.append(self)
+
+    monkeypatch.setattr(replay_module, "RankEnv", Noting)
+    workload, window = _fence_program()
+    result = replay(workload, collect_payloads=True)
+    # two fences a rank, each one hash of the window for its payload and
+    # for the digest; the digest's outer hash takes no data
+    assert hashed.count(_WINDOW) == 4
+    assert sorted(set(hashed)) == [_WINDOW]
+    # read back independently: the window as it sits in rank 1's memory
+    env = envs[1]
+    landed = env.memory.view(env.bases["b0"], _WINDOW).tobytes()
+    assert landed == window
+    assert result.payloads[1]["op5"] == hashlib.sha256(landed).digest()
+    assert {len(p) for p in result.payloads[0].values()} == {32}
+    assert [i for i, _ in result.digests[1]] == [3, 5]
+
+
+def test_a_flipped_window_byte_changes_that_fence_only():
+    base = replay(_fence_program()[0], collect_payloads=True)
+    flipped = replay(_fence_program(flip=True)[0], collect_payloads=True)
+    assert flipped.payloads[1]["op5"] != base.payloads[1]["op5"]
+    assert flipped.digests[1][-1] != base.digests[1][-1]
+    # every earlier observation, on both ranks, is untouched
+    assert flipped.payloads[1]["op3"] == base.payloads[1]["op3"]
+    assert flipped.digests[1][:-1] == base.digests[1][:-1]
+    assert (flipped.payloads[0], flipped.digests[0]) == (
+        base.payloads[0], base.digests[0])
+    assert flipped.time_us == base.time_us
