@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     from repro.workloads.library import library_names, load_workload
     from repro.workloads.suite import SUITE_WEIGHTS, _DEFAULT_WEIGHT
 
@@ -106,11 +106,11 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_validate(files) -> int:
+def _cmd_validate(args) -> int:
     from repro.workloads.validate import validate_text
 
     bad = 0
-    for path in files:
+    for path in args.files:
         try:
             validate_text(Path(path).read_text())
         except Exception as exc:  # noqa: BLE001 - report and continue
@@ -122,14 +122,11 @@ def _cmd_validate(files) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from repro.ib.costmodel import get_preset
     from repro.workloads import parse, replay
 
     workload = parse(Path(args.file).read_text())
-    cost_model = None
-    if args.preset:
-        from repro.ib.costmodel import get_preset
-
-        cost_model = get_preset(args.preset)
+    cost_model = get_preset(args.preset) if args.preset else None
     result = replay(workload, scheme=args.scheme, cost_model=cost_model)
     print(
         f"{workload.name}: scheme={result.scheme} "
@@ -191,17 +188,10 @@ def _cmd_fuzz(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "validate":
-        return _cmd_validate(args.files)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "record":
-        return _cmd_record(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_fuzz(args)
+    commands = {"list": _cmd_list, "validate": _cmd_validate,
+                "replay": _cmd_replay, "record": _cmd_record,
+                "run": _cmd_run, "fuzz": _cmd_fuzz}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

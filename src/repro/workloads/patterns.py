@@ -39,6 +39,13 @@ def _halo_neighbours(rank: int, px: int, py: int):
     )
 
 
+def _check_halos(tile, north, south, west, east):
+    """Each halo of ``tile`` holds its neighbour's rank + 1."""
+    for halo, peer in ((tile[0, 1:-1], north), (tile[-1, 1:-1], south),
+                       (tile[1:-1, 0], west), (tile[1:-1, -1], east)):
+        assert (halo == peer + 1).all()
+
+
 def halo_exchange_2d(mpi):
     n = HALO_LOCAL + 2
     tile = mpi.alloc_array((n, n), np.float64)
@@ -70,10 +77,7 @@ def halo_exchange_2d(mpi):
             r = yield from mpi.isend(*args)
             reqs.append(r)
         yield from mpi.waitall(reqs)
-    assert (tile.array[0, 1:-1] == north + 1).all()
-    assert (tile.array[-1, 1:-1] == south + 1).all()
-    assert (tile.array[1:-1, 0] == west + 1).all()
-    assert (tile.array[1:-1, -1] == east + 1).all()
+    _check_halos(tile.array, north, south, west, east)
     return 0
 
 
@@ -180,10 +184,7 @@ def one_sided_halo(mpi):
         yield from mpi.put(win, east, tile.addr + disp(1, n - 2), col,
                            target_disp=disp(1, 0), target_dt=col)
         yield from mpi.win_fence(win)
-    assert (tile.array[0, 1:-1] == north + 1).all()
-    assert (tile.array[-1, 1:-1] == south + 1).all()
-    assert (tile.array[1:-1, 0] == west + 1).all()
-    assert (tile.array[1:-1, -1] == east + 1).all()
+    _check_halos(tile.array, north, south, west, east)
     return 0
 
 

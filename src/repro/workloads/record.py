@@ -13,9 +13,10 @@ sync the application's writes, locate the typed operands in recorded
 buffers, name their datatypes, append the op, forward the call through
 the op's own lowering (the one ``replay`` runs), then ``replay``'s step
 (:func:`~repro.workloads.replay.land`: payloads and digest, both SHA-256),
-absorb the landed zones into the shadow.  A proxy method only translates
-live arguments into op fields; ``put`` also masks its target's landing
-blocks, and ``win_create`` remembers the live window.
+absorb the landed zones into the shadow (large ranges hashed on the
+call's own worker threads, as in ``replay``).  A proxy method only
+translates live arguments into op fields; ``put`` also masks its
+target's landing blocks, and ``win_create`` remembers the live window.
 
 Application writes (NumPy stores between MPI calls) are captured by
 shadow-memory diffing: before every recorded op, each buffer is diffed
@@ -46,7 +47,7 @@ from repro.workloads.ir import (
     encode_type,
     span,
 )
-from repro.workloads.replay import RankEnv, land
+from repro.workloads.replay import RankEnv, land, resolve, worker_pool
 
 __all__ = ["RecordedRun", "Recorder", "RecordingContext", "UnsupportedOp",
            "record"]
@@ -90,8 +91,8 @@ class _RankState(RankEnv):
     resolve (each type name maps to the datatype its latest call passed),
     the shadow memory, and the names given to live requests and windows."""
 
-    def __init__(self, rank: int, nranks: int, memory):
-        super().__init__(memory, {})
+    def __init__(self, rank: int, nranks: int, memory, workers=None):
+        super().__init__(memory, {}, workers)
         self.rank = rank
         self.ops: list[ir.Op] = []
         self.shadow: dict[str, np.ndarray] = {}
@@ -183,7 +184,8 @@ class _RankState(RankEnv):
 class Recorder:
     """Accumulates per-rank op streams + the shared datatype table."""
 
-    def __init__(self):
+    def __init__(self, workers=None):
+        self.workers = workers
         self.states: dict[int, _RankState] = {}
         self.type_names: dict[tuple, str] = {}
         self.type_nodes: dict[str, dict] = {}
@@ -193,7 +195,8 @@ class Recorder:
     def state_for(self, ctx) -> _RankState:
         state = self.states.get(ctx.rank)
         if state is None:
-            state = _RankState(ctx.rank, ctx.nranks, ctx.node.memory)
+            state = _RankState(ctx.rank, ctx.nranks, ctx.node.memory,
+                               self.workers)
             self.states[ctx.rank] = state
             self.digests[ctx.rank] = []
             self.payloads[ctx.rank] = {}
@@ -452,11 +455,12 @@ def record(
         nranks=nranks, scheme=scheme, eager_rdma=eager_rdma,
         cost_model=cost_model,
     )
-    recorder = Recorder()
     if callable(programs):
         programs = [programs] * nranks
-    wrapped = [recorder.wrap(p) for p in programs]
-    result = cluster.run(wrapped)
+    with worker_pool() as pool:
+        recorder = Recorder(pool)
+        result = cluster.run([recorder.wrap(p) for p in programs])
+        resolve(recorder.digests.values(), recorder.payloads.values())
     workload = recorder.build(
         name=name, scheme=scheme, eager_rdma=eager_rdma
     )

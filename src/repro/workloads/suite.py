@@ -18,8 +18,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.bench.parallel import Cell, run_cells
+from repro.ib.costmodel import get_preset
 from repro.schemes import SCHEME_NAMES
 from repro.workloads.library import library_names, load_workload
+from repro.workloads.replay import replay
 
 __all__ = [
     "DEFAULT_PRESETS",
@@ -52,16 +54,10 @@ def evaluate_workload_cell(figure: str, series: str, extra: dict) -> float:
     may carry a cost-model ``preset`` name, resolved here.
     """
     name = figure.split(":", 1)[1]
-    workload = load_workload(name)
-    cost_model = None
     preset = extra.get("preset")
-    if preset:
-        from repro.ib.costmodel import get_preset
-
-        cost_model = get_preset(preset)
-    from repro.workloads.replay import replay
-
-    return replay(workload, scheme=series, cost_model=cost_model).time_us
+    cost_model = get_preset(preset) if preset else None
+    return replay(load_workload(name), scheme=series,
+                  cost_model=cost_model).time_us
 
 
 def suite_cells(

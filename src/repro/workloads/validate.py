@@ -124,8 +124,9 @@ class RankCheck:
             self.collectives.append((i, op.OP, *signature))
 
 
-def validate(workload: Workload) -> None:
-    """Raise :class:`WorkloadError` unless ``workload`` is runnable."""
+def validate(workload: Workload) -> dict:
+    """Raise :class:`WorkloadError` unless ``workload`` is runnable;
+    return the ``{name: Datatype}`` it built (``replay`` runs on them)."""
     if workload.scheme not in SCHEME_NAMES:
         raise WorkloadError(
             f"unknown scheme {workload.scheme!r}; choose from "
@@ -147,6 +148,7 @@ def validate(workload: Workload) -> None:
         states.append(state)
     if workload.nranks > 1:
         _check_symmetry(states)
+    return types
 
 
 def _check_symmetry(states: list[RankCheck]) -> None:
