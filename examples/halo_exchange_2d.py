@@ -11,92 +11,35 @@ neighbours:
 * east/west halos are **noncontiguous** columns, described by a vector
   datatype — no manual packing anywhere.
 
-The example runs a few exchange iterations under each datatype scheme and
-verifies the halos carry the neighbours' data.
+The rank program is ``repro.workloads.patterns.halo_exchange_2d`` (the
+one the checked-in workload trace is recorded from).  The example runs
+it under each datatype scheme; the program itself verifies that the
+halos carry the neighbours' data.
 
 Run:  python examples/halo_exchange_2d.py
 """
 
-import numpy as np
-
-from repro import Cluster, types
-
-PX, PY = 2, 2  # process grid
-LOCAL = 256  # local tile is LOCAL x LOCAL doubles (plus halo ring)
-ITERS = 3
-
-
-def neighbours(rank):
-    """(north, south, west, east) ranks on a periodic grid."""
-    py, px = divmod(rank, PX)
-    return (
-        ((py - 1) % PY) * PX + px,
-        ((py + 1) % PY) * PX + px,
-        py * PX + (px - 1) % PX,
-        py * PX + (px + 1) % PX,
-    )
-
-
-def make_program():
-    n = LOCAL + 2  # tile plus halo ring
-
-    def program(mpi):
-        tile = mpi.alloc_array((n, n), np.float64)
-        tile.array[1:-1, 1:-1] = mpi.rank + 1  # interior holds our rank id
-        row = types.contiguous(LOCAL, types.DOUBLE)
-        col = types.vector(LOCAL, 1, n, types.DOUBLE)
-        north, south, west, east = neighbours(mpi.rank)
-        itemsize = 8
-
-        def at(r, c):
-            return tile.addr + (r * n + c) * itemsize
-
-        t0 = mpi.now
-        for _ in range(ITERS):
-            reqs = []
-            # post halo receives: rows from north/south, columns from
-            # west/east (noncontiguous!)
-            for args in (
-                (at(0, 1), row, 1, north, 0),
-                (at(n - 1, 1), row, 1, south, 1),
-                (at(1, 0), col, 1, west, 2),
-                (at(1, n - 1), col, 1, east, 3),
-            ):
-                r = yield from mpi.irecv(*args)
-                reqs.append(r)
-            # send our boundary cells outward (tags match the neighbour's
-            # receive direction)
-            for args in (
-                (at(1, 1), row, 1, north, 1),
-                (at(n - 2, 1), row, 1, south, 0),
-                (at(1, 1), col, 1, west, 3),
-                (at(1, n - 2), col, 1, east, 2),
-            ):
-                r = yield from mpi.isend(*args)
-                reqs.append(r)
-            yield from mpi.waitall(reqs)
-        elapsed = mpi.now - t0
-        # verify: each halo now holds the neighbour's rank id
-        assert (tile.array[0, 1:-1] == north + 1).all()
-        assert (tile.array[-1, 1:-1] == south + 1).all()
-        assert (tile.array[1:-1, 0] == west + 1).all()
-        assert (tile.array[1:-1, -1] == east + 1).all()
-        return elapsed
-
-    return program
+from repro import Cluster
+from repro.workloads.patterns import (
+    HALO_ITERS,
+    HALO_LOCAL,
+    HALO_PX,
+    HALO_PY,
+    PATTERNS,
+)
 
 
 def main():
-    print(f"{PX}x{PY} process grid, {LOCAL}x{LOCAL} double tiles, "
-          f"{ITERS} halo-exchange iterations")
+    pattern = PATTERNS["halo_exchange_2d"]
+    print(f"{HALO_PX}x{HALO_PY} process grid, {HALO_LOCAL}x{HALO_LOCAL} "
+          f"double tiles, {HALO_ITERS} halo-exchange iterations")
     print("East/west halos are vector datatypes "
-          f"({LOCAL} blocks of 8 B, stride {8 * (LOCAL + 2)} B)\n")
+          f"({HALO_LOCAL} blocks of 8 B, stride {8 * (HALO_LOCAL + 2)} B)\n")
     print(f"{'scheme':>10} {'total (us)':>12} {'per iter (us)':>14}")
     for scheme in ("generic", "bc-spup", "rwg-up", "multi-w", "adaptive"):
-        cluster = Cluster(PX * PY, scheme=scheme)
-        result = cluster.run(make_program())
-        worst = max(result.values)
-        print(f"{scheme:>10} {worst:12.1f} {worst / ITERS:14.1f}")
+        result = Cluster(pattern.nranks, scheme=scheme).run(pattern.program)
+        print(f"{scheme:>10} {result.time_us:12.1f} "
+              f"{result.time_us / HALO_ITERS:14.1f}")
     print("\nAll halos verified on every rank.")
 
 

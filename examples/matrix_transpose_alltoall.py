@@ -6,70 +6,29 @@ introduction names as naturally noncontiguous).
 An N x N matrix is row-distributed over P ranks.  The transpose sends
 block (i, j) of the row panel to rank j: the send chunks are
 **noncontiguous column slabs**, described directly with a vector datatype
-so the whole transpose is one Alltoall call — no user packing.  After the
-exchange, each rank locally transposes the received blocks.
+(resized so consecutive chunks are one slab width apart), so the whole
+transpose is one Alltoall call — no user packing.  After the exchange,
+each rank locally transposes the received blocks and checks them.
+
+The rank program is ``repro.workloads.patterns.matrix_transpose_alltoall``.
 
 Run:  python examples/matrix_transpose_alltoall.py
 """
 
-import numpy as np
-
-from repro import Cluster, types
-
-P = 4  # ranks
-N = 512  # global matrix is N x N float64
-ROWS = N // P  # rows per rank
-
-
-def make_program():
-    cols_per = N // P
-
-    def program(mpi):
-        panel = mpi.alloc_array((ROWS, N), np.float64)
-        # global value at (r, c) = r * N + c, for easy verification
-        first_row = mpi.rank * ROWS
-        panel.array[:] = (
-            np.arange(first_row, first_row + ROWS)[:, None] * N + np.arange(N)
-        )
-        recv = mpi.alloc_array((P, ROWS, cols_per), np.float64)
-
-        # send chunk j = columns [j*cols_per, (j+1)*cols_per) of my panel:
-        # a vector of ROWS blocks, cols_per elements each, stride N.
-        # resized so consecutive chunks are cols_per elements apart.
-        slab = types.vector(ROWS, cols_per, N, types.DOUBLE)
-        send_chunk = types.resized(slab, lb=0, extent=cols_per * 8)
-        recv_chunk = types.contiguous(ROWS * cols_per, types.DOUBLE)
-
-        t0 = mpi.now
-        yield from mpi.alltoall(panel.addr, send_chunk, 1, recv.addr, recv_chunk, 1)
-        elapsed = mpi.now - t0
-
-        # local rearrangement: chunk i holds rank i's rows of my columns
-        mine = np.concatenate([recv.array[i] for i in range(P)], axis=0)  # N x cols_per
-        transposed = mine.T  # cols_per x N
-
-        # verify against the global transpose
-        first_col = mpi.rank * cols_per
-        expect = (
-            np.arange(N)[None, :] * N
-            + np.arange(first_col, first_col + cols_per)[:, None]
-        )
-        assert np.array_equal(transposed, expect), "transpose corrupted"
-        return elapsed
-
-    return program
+from repro import Cluster
+from repro.workloads.patterns import PATTERNS, TRANS_N, TRANS_P, TRANS_ROWS
 
 
 def main():
-    print(f"Transposing a {N}x{N} float64 matrix over {P} ranks "
-          f"(row panels of {ROWS}x{N})")
-    print(f"Send chunks are vector datatypes: {ROWS} blocks of "
-          f"{N // P * 8} B, stride {N * 8} B\n")
+    pattern = PATTERNS["matrix_transpose_alltoall"]
+    print(f"Transposing a {TRANS_N}x{TRANS_N} float64 matrix over {TRANS_P} "
+          f"ranks (row panels of {TRANS_ROWS}x{TRANS_N})")
+    print(f"Send chunks are vector datatypes: {TRANS_ROWS} blocks of "
+          f"{TRANS_N // TRANS_P * 8} B, stride {TRANS_N * 8} B\n")
     print(f"{'scheme':>10} {'alltoall (us)':>14}")
     for scheme in ("generic", "bc-spup", "rwg-up", "multi-w", "adaptive"):
-        cluster = Cluster(P, scheme=scheme)
-        result = cluster.run(make_program())
-        print(f"{scheme:>10} {max(result.values):14.1f}")
+        result = Cluster(pattern.nranks, scheme=scheme).run(pattern.program)
+        print(f"{scheme:>10} {result.time_us:14.1f}")
     print("\nTranspose verified on every rank.")
 
 

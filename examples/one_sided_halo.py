@@ -12,75 +12,24 @@ This is the setting where the paper's datatype machinery originated:
 Träff's datatype cache ([14], cited in Section 5.4.2) was built for
 exactly this one-sided case.
 
+The rank program is ``repro.workloads.patterns.one_sided_halo``; it
+verifies every halo after the last epoch.
+
 Run:  python examples/one_sided_halo.py
 """
 
-import numpy as np
-
-from repro import Cluster, types
-
-PX, PY = 2, 2
-LOCAL = 192
-ITERS = 3
-
-
-def neighbours(rank):
-    py, px = divmod(rank, PX)
-    return (
-        ((py - 1) % PY) * PX + px,  # north
-        ((py + 1) % PY) * PX + px,  # south
-        py * PX + (px - 1) % PX,  # west
-        py * PX + (px + 1) % PX,  # east
-    )
-
-
-def program(mpi):
-    n = LOCAL + 2
-    item = 8
-    tile = mpi.alloc_array((n, n), np.float64)
-    tile.array[1:-1, 1:-1] = mpi.rank + 1
-    win = yield from mpi.win_create(tile.addr, n * n * item)
-    north, south, west, east = neighbours(mpi.rank)
-
-    def disp(r, c):  # byte displacement of cell (r, c) inside the window
-        return (r * n + c) * item
-
-    row = types.contiguous(LOCAL, types.DOUBLE)
-    col = types.vector(LOCAL, 1, n, types.DOUBLE)
-
-    yield from mpi.win_fence(win)
-    t0 = mpi.now
-    for _ in range(ITERS):
-        # put my top boundary row into my north neighbour's BOTTOM halo
-        yield from mpi.put(win, north, tile.addr + disp(1, 1), row,
-                           target_disp=disp(n - 1, 1))
-        # my bottom boundary -> south neighbour's top halo
-        yield from mpi.put(win, south, tile.addr + disp(n - 2, 1), row,
-                           target_disp=disp(0, 1))
-        # my left boundary column -> west neighbour's right halo column
-        yield from mpi.put(win, west, tile.addr + disp(1, 1), col,
-                           target_disp=disp(1, n - 1), target_dt=col)
-        # my right boundary -> east neighbour's left halo column
-        yield from mpi.put(win, east, tile.addr + disp(1, n - 2), col,
-                           target_disp=disp(1, 0), target_dt=col)
-        yield from mpi.win_fence(win)
-    elapsed = mpi.now - t0
-
-    assert (tile.array[0, 1:-1] == north + 1).all()
-    assert (tile.array[-1, 1:-1] == south + 1).all()
-    assert (tile.array[1:-1, 0] == west + 1).all()
-    assert (tile.array[1:-1, -1] == east + 1).all()
-    return elapsed
+from repro import Cluster
+from repro.workloads.patterns import OS_ITERS, OS_LOCAL, OS_PX, OS_PY, PATTERNS
 
 
 def main():
-    print(f"{PX}x{PY} grid, {LOCAL}x{LOCAL} double tiles, {ITERS} one-sided "
-          "halo epochs (put + fence)\n")
-    cluster = Cluster(PX * PY)
-    result = cluster.run(program)
-    worst = max(result.values)
-    print(f"total {worst:.1f} us, {worst / ITERS:.1f} us per epoch — all "
-          "halos verified via direct RDMA puts into neighbour windows.")
+    pattern = PATTERNS["one_sided_halo"]
+    print(f"{OS_PX}x{OS_PY} grid, {OS_LOCAL}x{OS_LOCAL} double tiles, "
+          f"{OS_ITERS} one-sided halo epochs (put + fence)\n")
+    result = Cluster(pattern.nranks).run(pattern.program)
+    print(f"total {result.time_us:.1f} us, {result.time_us / OS_ITERS:.1f} us "
+          "per epoch — all halos verified via direct RDMA puts into "
+          "neighbour windows.")
 
 
 if __name__ == "__main__":

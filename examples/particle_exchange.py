@@ -11,73 +11,40 @@ real, and the adaptive selector's job gets interesting.
 Each iteration every rank picks a random subset of its particle array
 (seeded per iteration), builds an hindexed datatype over those slots,
 and exchanges with its ring neighbour.  We compare schemes under this
-adversarial usage.
+adversarial usage.  The rank program is
+``repro.workloads.patterns.particle_exchange``; it checks every
+received slot.
 
 Run:  python examples/particle_exchange.py
 """
 
-import numpy as np
-
-from repro import Cluster, types
-
-NRANKS = 4
-NPARTICLES = 4096  # per rank
-PARTICLE_BYTES = 48  # position, velocity, id, ...
-ITERS = 4
-LEAVE_FRACTION = 0.25
-
-
-def leaving_datatype(seed):
-    """An hindexed type over a random quarter of the particle slots."""
-    rng = np.random.default_rng(seed)
-    nleave = int(NPARTICLES * LEAVE_FRACTION)
-    slots = np.sort(rng.choice(NPARTICLES, size=nleave, replace=False))
-    disps = (slots * PARTICLE_BYTES).tolist()
-    lengths = [PARTICLE_BYTES] * nleave
-    return types.hindexed(lengths, disps, types.BYTE)
-
-
-def make_program():
-    def program(mpi):
-        right = (mpi.rank + 1) % NRANKS
-        left = (mpi.rank - 1) % NRANKS
-        particles = mpi.alloc(NPARTICLES * PARTICLE_BYTES)
-        inbox = mpi.alloc(NPARTICLES * PARTICLE_BYTES)
-        mpi.node.memory.view(particles, NPARTICLES * PARTICLE_BYTES)[:] = (
-            mpi.rank + 1
-        )
-        t0 = mpi.now
-        for it in range(ITERS):
-            # the leaving set differs per (iteration, rank): fresh types
-            send_dt = leaving_datatype(seed=1000 * it + mpi.rank)
-            recv_dt = leaving_datatype(seed=1000 * it + left)
-            sreq = yield from mpi.isend(particles, send_dt, 1, right, it)
-            rreq = yield from mpi.irecv(inbox, recv_dt, 1, left, it)
-            yield from mpi.waitall([sreq, rreq])
-            # verify: every received slot carries the left neighbour's id
-            for off, ln in recv_dt.flatten(1).blocks():
-                blk = mpi.node.memory.view(inbox + off, ln)
-                assert (blk == left + 1).all()
-        return mpi.now - t0
-
-    return program
+from repro import Cluster
+from repro.workloads.patterns import (
+    PART_BYTES,
+    PART_ITERS,
+    PART_LEAVE,
+    PART_NPARTICLES,
+    PART_NRANKS,
+    PATTERNS,
+)
 
 
 def main():
-    nleave = int(NPARTICLES * LEAVE_FRACTION)
+    pattern = PATTERNS["particle_exchange"]
+    nleave = int(PART_NPARTICLES * PART_LEAVE)
     print(
-        f"{NRANKS} ranks on a ring; {nleave} of {NPARTICLES} particles "
-        f"({PARTICLE_BYTES} B each) leave per iteration, {ITERS} iterations."
+        f"{PART_NRANKS} ranks on a ring; {nleave} of {PART_NPARTICLES} "
+        f"particles ({PART_BYTES} B each) leave per iteration, "
+        f"{PART_ITERS} iterations."
     )
     print("The leaving set — and therefore the datatype — is different "
           "every time.\n")
     print(f"{'scheme':>10} {'total (us)':>12}  layout shipments")
     for scheme in ("generic", "bc-spup", "rwg-up", "multi-w", "adaptive"):
-        cluster = Cluster(NRANKS, scheme=scheme)
-        result = cluster.run(make_program())
-        worst = max(result.values)
+        cluster = Cluster(pattern.nranks, scheme=scheme)
+        result = cluster.run(pattern.program)
         shipments = sum(c.dt_cache.misses for c in cluster.contexts)
-        print(f"{scheme:>10} {worst:12.1f}  {shipments:4d}")
+        print(f"{scheme:>10} {result.time_us:12.1f}  {shipments:4d}")
     print("\nFresh datatypes defeat the Multi-W layout cache (one shipment "
           "per message); the pack-based schemes shrug.")
 

@@ -1,17 +1,18 @@
 """The ``examples/`` communication patterns as recordable rank programs.
 
-Each pattern mirrors one checked-in example (same structure, same
-datatypes, same verification) at a parameter point chosen so the
-noncontiguous messages land **above** the 8 KiB eager threshold — the
-rendezvous regime where the seven datatype schemes actually diverge.
-:func:`record_pattern` runs a pattern through the recorder, producing
-the checked-in ``.json`` workload files in ``workloads/library/``.
+This module is the one home of each pattern's rank program: the
+examples run these programs, each verifies its own result, and each
+runs at a parameter point chosen so the noncontiguous messages land
+**above** the 8 KiB eager threshold — the rendezvous regime where the
+seven datatype schemes actually diverge.  :func:`record_pattern` runs a
+pattern through the recorder, producing the checked-in ``.json``
+workload files in ``workloads/library/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -225,13 +226,7 @@ def pattern_names() -> tuple:
     return tuple(sorted(PATTERNS))
 
 
-def record_pattern(
-    name: str,
-    *,
-    scheme: str = "bc-spup",
-    eager_rdma: bool = False,
-    cost_model: Optional[Any] = None,
-) -> RecordedRun:
+def record_pattern(name: str, *, scheme: str = "bc-spup") -> RecordedRun:
     """Record one pattern's live run into a workload trace."""
     pattern = PATTERNS.get(name)
     if pattern is None:
@@ -239,10 +234,5 @@ def record_pattern(
             f"unknown pattern {name!r}; choose from {pattern_names()}"
         )
     return record(
-        pattern.program,
-        name=name,
-        nranks=pattern.nranks,
-        scheme=scheme,
-        eager_rdma=eager_rdma,
-        cost_model=cost_model,
+        pattern.program, name=name, nranks=pattern.nranks, scheme=scheme
     )

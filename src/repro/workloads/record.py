@@ -31,7 +31,7 @@ different scheme regenerates them through the protocol itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -219,12 +219,7 @@ class Recorder:
 
         return wrapped
 
-    def build(
-        self,
-        name: str,
-        scheme: str = "bc-spup",
-        eager_rdma: bool = False,
-    ) -> Workload:
+    def build(self, name: str, scheme: str = "bc-spup") -> Workload:
         nranks = len(self.states)
         if sorted(self.states) != list(range(nranks)):
             raise WorkloadError(
@@ -238,7 +233,6 @@ class Recorder:
             ),
             types=dict(self.type_nodes),
             scheme=scheme,
-            eager_rdma=eager_rdma,
         )
 
 
@@ -447,23 +441,16 @@ def record(
     name: str,
     nranks: int,
     scheme: str = "bc-spup",
-    eager_rdma: bool = False,
-    cost_model: Optional[Any] = None,
 ) -> RecordedRun:
     """Run programs live, returning the captured trace + observables."""
-    cluster = Cluster(
-        nranks=nranks, scheme=scheme, eager_rdma=eager_rdma,
-        cost_model=cost_model,
-    )
+    cluster = Cluster(nranks=nranks, scheme=scheme)
     if callable(programs):
         programs = [programs] * nranks
     with worker_pool() as pool:
         recorder = Recorder(pool)
         result = cluster.run([recorder.wrap(p) for p in programs])
         resolve(recorder.digests.values(), recorder.payloads.values())
-    workload = recorder.build(
-        name=name, scheme=scheme, eager_rdma=eager_rdma
-    )
+    workload = recorder.build(name=name, scheme=scheme)
     return RecordedRun(
         workload=workload,
         time_us=result.time_us,

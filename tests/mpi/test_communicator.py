@@ -91,6 +91,40 @@ class TestSubCommTraffic:
         assert res.values[0] == [1, 2]
         assert res.values[2] == [3, 4]
 
+    def test_alltoall_resized_slabs_on_subcomm(self):
+        """Alltoall of resized vector column slabs within each row of a
+        2x2 grid: chunk j of a rank's row panel lands on row rank j."""
+        n = 32
+
+        def program(mpi):
+            row = yield from mpi.comm_split(color=mpi.rank // 2, key=mpi.rank)
+            p = row.nranks
+            rows = cols = n // p
+            panel = mpi.alloc_array((rows, n), np.float64)
+            first = row.rank * rows
+            panel.array[:] = (
+                np.arange(first, first + rows)[:, None] * n + np.arange(n)
+                + 1000 * (mpi.rank // 2)
+            )
+            recv = mpi.alloc_array((p, rows, cols), np.float64)
+            slab = types.vector(rows, cols, n, types.DOUBLE)
+            send_chunk = types.resized(slab, lb=0, extent=cols * 8)
+            recv_chunk = types.contiguous(rows * cols, types.DOUBLE)
+            yield from row.alltoall(
+                panel.addr, send_chunk, 1, recv.addr, recv_chunk, 1
+            )
+            mine = np.concatenate(list(recv.array), axis=0)
+            first_col = row.rank * cols
+            expect = (
+                np.arange(n)[:, None] * n
+                + np.arange(first_col, first_col + cols)
+                + 1000 * (mpi.rank // 2)
+            )
+            return bool(np.array_equal(mine, expect))
+
+        res = Cluster(4).run(program)
+        assert res.values == [True] * 4
+
     def test_allreduce_on_subcomm(self):
         def program(mpi):
             comm = yield from mpi.comm_split(color=mpi.rank % 2, key=mpi.rank)

@@ -49,7 +49,7 @@ class TestCategorize:
 
     def test_app_copy_heuristics(self):
         assert categorize("fio-pack") == "copy"
-        assert categorize("transpose-local") == "copy"
+        assert categorize("rma-local") == "copy"
         assert categorize("reduce-sum") == "copy"
 
 

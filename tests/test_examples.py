@@ -1,5 +1,6 @@
 """Every example script must run to completion and self-verify."""
 
+import glob
 import os
 import subprocess
 import sys
@@ -7,14 +8,16 @@ import sys
 import pytest
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
-
-
-@pytest.mark.parametrize(
-    "script",
-    ["quickstart.py", "halo_exchange_2d.py", "matrix_transpose_alltoall.py",
-     "adaptive_selection.py", "noncontig_file_io.py",
-     "pipeline_visualization.py", "one_sided_halo.py", "particle_exchange.py"],
+SCRIPTS = sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(EXAMPLES, "*.py"))
 )
+
+
+def test_examples_found():
+    assert SCRIPTS, f"no example scripts under {EXAMPLES}"
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_example_runs(script):
     path = os.path.join(EXAMPLES, script)
     proc = subprocess.run(
