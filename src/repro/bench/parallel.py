@@ -1,24 +1,21 @@
 """Deterministic multi-process sweep executor with a result cache.
 
-Every row of the sweep table (``repro.bench.sweeps``), the CI gate
-(``repro.bench.gate``) and the workload suite are grids of independent
-**cells** — one ``(figure, series, x)`` measurement each, every cell
-building its own fresh
-:class:`~repro.mpi.world.Cluster`.  The simulation is
-deterministic and cells share no mutable state, so cells can be fanned
-out over a :class:`~concurrent.futures.ProcessPoolExecutor` and merged
-back in canonical cell order: the resulting CSV/JSON output is
-byte-identical to the serial path, whatever the worker count or
-completion order.
+Every row of the sweep table (``repro.bench.sweeps``) is a grid of
+independent **cells** — one ``(figure, series, x)`` measurement each,
+every cell building its own fresh :class:`~repro.mpi.world.Cluster`.
+The simulation is deterministic and cells share no mutable state, so
+cells can be fanned out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` and merged back in
+canonical cell order: the resulting CSV/JSON output is byte-identical
+to the serial path, whatever the worker count or completion order.
 
 On top of the executor sits the one result cache, content-addressed
 under ``.repro-cache/`` (override with ``$REPRO_CACHE_DIR``): the key
 (:func:`cell_key`) hashes everything a cell's value depends on, so
 unchanged cells are skipped on re-runs and a cost-model recalibration, an
 edit to any source file of the package, or a different fault profile
-forces re-measurement.  The
-CI regression gate always measures fresh (``use_cache=False``) — a gate
-that trusts yesterday's numbers gates nothing.
+forces re-measurement.  ``--fresh`` (:func:`set_cache_enabled`) or
+``$REPRO_BENCH_CACHE=0`` switches the cache off.
 
 Worker count resolution order: explicit ``jobs=`` argument, then
 :func:`set_jobs` (the CLI's ``-j``), then ``$REPRO_BENCH_JOBS``, then 1
@@ -68,11 +65,11 @@ _cache_enabled: Optional[bool] = None
 class Cell:
     """One sweep cell: a single measurement of ``series`` at ``x``.
 
-    ``figure`` names a row of :data:`repro.bench.sweeps.SWEEPS` (or a
-    ``workload:<name>`` library replay) and ``x`` a point on its axis —
-    a name where the axis is one (``network``'s preset).  ``extra``
-    carries further kwargs as a sorted tuple of ``(name, value)`` pairs
-    (e.g. ``(("nranks", 8),)`` for fig11), hashable and picklable.
+    ``figure`` names a row of :data:`repro.bench.sweeps.SWEEPS` and
+    ``x`` a point on its axis — a name where the axis is one
+    (``network``'s preset).  ``extra`` carries further kwargs as a
+    sorted tuple of ``(name, value)`` pairs (e.g. ``(("nranks", 8),)``
+    for fig11), hashable and picklable.
     """
 
     figure: str
@@ -162,31 +159,16 @@ def source_digest() -> str:
 
 def cell_key(cell: Cell) -> str:
     """Content hash of everything the cell's value depends on: its
-    coordinates, the workload spec its row derives from ``x``, every
+    coordinates, the workload its row derives from ``x``, every
     cost-model parameter, the package's sources (:func:`source_digest`)
-    and the fault environment.
+    and the fault environment."""
+    from repro.bench.sweeps import SWEEPS
+    from repro.ib.costmodel import CostModel
 
-    A cell carrying a cost-model preset in ``extra`` is keyed on the
-    preset's *resolved parameter set*, not just its name — recalibrating
-    a preset invalidates exactly that preset's cached cells.
-    """
-    from repro.ib.costmodel import CostModel, get_preset
-
-    if cell.figure.startswith("workload:"):
-        from repro.workloads.library import workload_spec
-
-        workload = workload_spec(cell.figure.split(":", 1)[1])
-    else:
-        from repro.bench.sweeps import SWEEPS
-
-        workload = SWEEPS[cell.figure].layout(cell.x).name
-    preset = dict(cell.extra).get("preset")
     material = {
         **asdict(cell),
-        "workload": workload,
-        "cost_model": asdict(
-            get_preset(preset) if preset else CostModel.mellanox_2003()
-        ),
+        "workload": SWEEPS[cell.figure].layout(cell.x).name,
+        "cost_model": asdict(CostModel.mellanox_2003()),
         "sources": source_digest(),
         "fault_env": {
             "profile": os.environ.get("REPRO_FAULT_PROFILE", ""),
@@ -238,16 +220,11 @@ def evaluate_cell(cell: Cell) -> float:
     """Measure one cell in the current process (the worker entry point):
     its row says which probe runs, on what layout, under which scheme and
     options."""
-    extra = dict(cell.extra)
-    if cell.figure.startswith("workload:"):
-        from repro.workloads.suite import evaluate_workload_cell
-
-        return evaluate_workload_cell(cell.figure, cell.series, extra)
     from repro.bench.sweeps import SWEEPS
 
     row = SWEEPS[cell.figure]
     probe, scheme, options, cluster, kwargs = row.config(
-        cell.series, cell.x, extra
+        cell.series, cell.x, dict(cell.extra)
     )
     return probe(
         scheme, row.layout(cell.x).datatype,
@@ -255,11 +232,7 @@ def evaluate_cell(cell: Cell) -> float:
     )
 
 
-def run_cells(
-    cells: Sequence[Cell],
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> dict:
+def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None) -> dict:
     """Evaluate every cell; returns ``{cell: value}``.
 
     Cached cells are skipped; misses run serially (``jobs == 1``) or on a
@@ -269,7 +242,7 @@ def run_cells(
     """
     cells = list(cells)
     jobs = resolve_jobs(jobs)
-    caching = cache_enabled() if use_cache is None else use_cache
+    caching = cache_enabled()
 
     results: dict = {}
     misses: list[Cell] = []

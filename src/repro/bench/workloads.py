@@ -8,9 +8,8 @@
   one integer up to ``last_block_ints`` integers, and "the gap between
   two blocks equals the size of the first [of the two] block[s]".
 
-:func:`figure_workload` reads which of them a sweep row transfers at a
-coordinate off the sweep table; :func:`workload_for` inverts it for the
-probes that are given a message size instead.
+:func:`workload_for` reads which of them a sweep row transfers for the
+probes that are given a message size instead of a coordinate.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "bimodal",
     "column_vector",
     "fig10_struct",
-    "figure_workload",
     "workload_for",
 ]
 
@@ -98,21 +96,17 @@ def bimodal(tiny: int, huge: int = 6) -> Workload:
     )
 
 
-def figure_workload(figure: str, x) -> Workload:
-    """What sweep row ``figure`` transfers at coordinate ``x`` — the
-    row's ``layout`` column of :data:`repro.bench.sweeps.SWEEPS`."""
-    from repro.bench.sweeps import SWEEPS
-
-    return SWEEPS[figure].layout(x)
-
-
 def workload_for(figure: str, nbytes: int) -> Workload:
     """Map a figure name + target message size to a Workload.
 
     ``fig02``/``fig08``/``fig09`` use the column-vector datatype (the
     message is ``512 * cols`` bytes); ``fig11`` uses the Figure 10 struct
-    (smallest power-of-two last block reaching ``nbytes``).
+    (smallest power-of-two last block reaching ``nbytes``).  The layout
+    is the row's ``layout`` column of :data:`repro.bench.sweeps.SWEEPS`
+    at that coordinate.
     """
+    from repro.bench.sweeps import SWEEPS
+
     if figure not in PROBE_FIGURES:
         raise ValueError(
             f"unknown workload {figure!r}; choose fig02, fig08, fig09 or fig11"
@@ -123,4 +117,4 @@ def workload_for(figure: str, nbytes: int) -> Workload:
             x *= 2
     else:
         x = max(1, nbytes // (ROWS * INT.size))
-    return figure_workload(figure, x)
+    return SWEEPS[figure].layout(x)

@@ -485,9 +485,9 @@ class CostModel:
 # ----------------------------------------------------------------------
 
 #: name -> zero-argument factory; sweep cells carry a preset by name
-#: (``repro.bench.sweeps``'s ``presets`` and ``contig`` rows, workload
-#: suite cells), and worker processes resolve the same names
-#: independently, so entries must be buildable from the bare module
+#: (``repro.bench.sweeps``'s ``presets`` and ``contig`` rows), and worker
+#: processes resolve the same names independently, so entries must be
+#: buildable from the bare module
 PRESETS: Dict[str, Callable[[], "CostModel"]] = {
     "mellanox_2003": CostModel.mellanox_2003,
     "fast_network": CostModel.fast_network,

@@ -60,9 +60,6 @@ class Communicator:
     def alloc_array(self, shape, dtype):
         return self.ctx.alloc_array(shape, dtype)
 
-    def world_rank(self, comm_rank: int) -> int:
-        return self.members[comm_rank]
-
     def _xlat_tag(self, tag: int) -> int:
         if tag >= 0:
             return tag + self.context_id * _CTX_STRIDE

@@ -77,8 +77,6 @@ RING_CREDIT_BATCH = 8
 #: unpack-buffer acquisition against release (the effect Figure 12
 #: measures)
 RNDV_RECV_LIMIT = 32
-#: reserved tag space for internal collectives
-_INTERNAL_TAG_BASE = -1000
 
 
 @dataclass

@@ -37,8 +37,6 @@ from repro.schemes.multiw import refine
 
 __all__ = ["Window", "fence", "get", "lock", "put", "unlock", "win_create"]
 
-_WIN_TAG = -1100
-
 
 @dataclass
 class Window:
@@ -53,9 +51,6 @@ class Window:
     remote: dict = field(default_factory=dict)
     #: completion events of operations issued since the last fence
     _pending: list = field(default_factory=list)
-
-    def target_region(self, rank: int) -> tuple[int, int, int]:
-        return self.remote[rank]
 
 
 def win_create(ctx, base: int, size: int):

@@ -16,10 +16,7 @@ docs/OBSERVABILITY.md):
   engine's provenance records (:mod:`repro.obs.profile`); see
   docs/PROFILING.md.
 * **perf observatory** — trajectory tables over the hostbench reports
-  committed under ``benchmarks/history/`` (:mod:`repro.obs.trends`) and
-  the gate-failure regression explainer (:mod:`repro.obs.regress`),
-  which diffs a regressed cell against the attribution committed in
-  ``benchmarks/baseline.json``.
+  committed under ``benchmarks/history/`` (:mod:`repro.obs.trends`).
 
 Nothing in this package builds a world: the probes that need a transfer
 (:func:`~repro.obs.report.probe_cells`, the one loop of ``report``,
@@ -41,12 +38,6 @@ from repro.obs.profile import (
     critical_path,
     format_bottlenecks,
 )
-from repro.obs.regress import (
-    CategoryMove,
-    RegressionExplanation,
-    explain_regressions,
-    format_regressions,
-)
 from repro.obs.trends import format_trends, run_trends, sparkline
 from repro.simulator.metrics import (
     DEFAULT_BYTE_BUCKETS,
@@ -60,7 +51,6 @@ from repro.simulator.metrics import (
 __all__ = [
     "Attribution",
     "CATEGORIES",
-    "CategoryMove",
     "Counter",
     "DEFAULT_BYTE_BUCKETS",
     "DEFAULT_US_BUCKETS",
@@ -68,15 +58,12 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PathStep",
-    "RegressionExplanation",
     "categorize",
     "chrome_trace_events",
     "counter_track_events",
     "critical_path",
-    "explain_regressions",
     "export_chrome_trace",
     "format_bottlenecks",
-    "format_regressions",
     "format_trends",
     "run_trends",
     "sparkline",

@@ -6,9 +6,8 @@ a validator with rank/op-indexed errors
 (:mod:`repro.workloads.validate`), an interpreter that lowers IR onto
 ``repro.mpi`` and returns digests + simulated timings
 (:mod:`repro.workloads.replay`), a recorder that captures traces from
-live API use (:mod:`repro.workloads.record`), a Hypothesis grammar over
-the IR (:mod:`repro.workloads.fuzz`), and a usage-weighted scenario
-suite (:mod:`repro.workloads.suite`).
+live API use (:mod:`repro.workloads.record`), and a Hypothesis grammar
+over the IR (:mod:`repro.workloads.fuzz`).
 
 Quick tour::
 
@@ -19,7 +18,7 @@ Quick tour::
     text = to_json(rec.workload)                 # byte-stable JSON
     res = replay(parse(text), scheme="multi-w")  # same trace, new scheme
 
-CLI: ``python -m repro.workloads {list,validate,replay,record,run,fuzz}``.
+CLI: ``python -m repro.workloads {list,validate,replay,record,fuzz}``.
 """
 
 from repro.workloads.ir import (

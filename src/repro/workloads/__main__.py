@@ -1,13 +1,12 @@
-"""CLI: ``python -m repro.workloads {list,validate,replay,record,run,fuzz}``.
+"""CLI: ``python -m repro.workloads {list,validate,replay,record,fuzz}``.
 
 ``list`` prints the checked-in library with per-workload summaries.
 ``validate`` checks workload JSON files and reports rank/op-indexed
 errors.  ``replay`` lowers a workload onto the simulator (any scheme or
 cost-model preset) and prints the simulated time.  ``record`` captures
-one of the example patterns into a fresh trace JSON.  ``run`` executes
-the usage-weighted scenario suite through the cached pool runner and
-prints its metrics.  ``fuzz`` runs the time-boxed grammar fuzzer and
-writes any counterexample as a workload artifact.
+one of the example patterns into a fresh trace JSON.  ``fuzz`` runs the
+time-boxed grammar fuzzer and writes any counterexample as a workload
+artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from repro.schemes import SCHEME_NAMES
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads",
-        description="Workload IR: trace replay, fuzzing, scenario suite",
+        description="Workload IR: trace replay, recording, fuzzing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -53,24 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output JSON path (default: <pattern>.json)",
     )
 
-    run = sub.add_parser("run", help="usage-weighted scenario suite")
-    run.add_argument(
-        "--workloads", nargs="+", default=None, metavar="NAME",
-        help="library workloads (default: all)",
-    )
-    run.add_argument(
-        "--schemes", nargs="+", default=None, choices=SCHEME_NAMES,
-        help="schemes to sweep (default: all seven)",
-    )
-    run.add_argument(
-        "--presets", nargs="+", default=None, metavar="PRESET",
-        help="cost-model presets (default: mellanox_2003 hdr_ib_2020)",
-    )
-    run.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes (default: auto)",
-    )
-
     fuzz = sub.add_parser("fuzz", help="time-boxed grammar fuzzing")
     fuzz.add_argument(
         "--seconds", type=float, default=60.0,
@@ -89,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_list(args) -> int:
     from repro.workloads.library import library_names, load_workload
-    from repro.workloads.suite import SUITE_WEIGHTS, _DEFAULT_WEIGHT
 
     names = library_names()
     if not names:
@@ -98,11 +78,7 @@ def _cmd_list(args) -> int:
     for name in names:
         wl = load_workload(name)
         ops = sum(len(r) for r in wl.ranks)
-        weight = SUITE_WEIGHTS.get(name, _DEFAULT_WEIGHT)
-        print(
-            f"{name:28s} nranks={wl.nranks} ops={ops:5d} "
-            f"types={len(wl.types)} weight={weight:.2f}"
-        )
+        print(f"{name:28s} nranks={wl.nranks} ops={ops:5d} types={len(wl.types)}")
     return 0
 
 
@@ -152,21 +128,6 @@ def _cmd_record(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    from repro.workloads.suite import run_suite
-
-    metrics = run_suite(
-        workloads=args.workloads,
-        schemes=args.schemes,
-        presets=args.presets,
-        jobs=args.jobs,
-    )
-    width = max(len(k) for k in metrics)
-    for key in sorted(metrics):
-        print(f"{key:{width}s}  {metrics[key]:12.1f} us")
-    return 0
-
-
 def _cmd_fuzz(args) -> int:
     from repro.workloads.fuzz import fuzz_time_boxed
 
@@ -190,7 +151,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     commands = {"list": _cmd_list, "validate": _cmd_validate,
                 "replay": _cmd_replay, "record": _cmd_record,
-                "run": _cmd_run, "fuzz": _cmd_fuzz}
+                "fuzz": _cmd_fuzz}
     return commands[args.command](args)
 
 

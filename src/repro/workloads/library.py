@@ -3,13 +3,11 @@
 The library is the set of ``.json`` files next to this module (shipped
 as package data).  Each file is a byte-stable serialization of one
 recorded pattern run — loading and re-serializing it reproduces the file
-exactly, which keeps the traces diff-reviewable and lets the sweep cache
-key on content (:func:`workload_spec`).
+exactly, which keeps the traces diff-reviewable.
 """
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,7 +17,6 @@ __all__ = [
     "library_dir",
     "library_names",
     "load_workload",
-    "workload_spec",
 ]
 
 
@@ -34,26 +31,12 @@ def library_names() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _load(name: str) -> tuple:
+def load_workload(name: str) -> Workload:
+    """Load a checked-in workload by name (no ``.json`` suffix)."""
     path = library_dir() / f"{name}.json"
     if not path.is_file():
         raise WorkloadError(
             f"unknown library workload {name!r}; "
             f"choose from {', '.join(library_names()) or '(empty library)'}"
         )
-    text = path.read_text()
-    return parse(text), hashlib.sha256(text.encode()).hexdigest()
-
-
-def load_workload(name: str) -> Workload:
-    """Load a checked-in workload by name (no ``.json`` suffix)."""
-    return _load(name)[0]
-
-
-def workload_spec(name: str) -> str:
-    """``name@sha12`` content identity of a library workload.
-
-    Part of the sweep cache key for ``workload:`` cells, so re-recording
-    a trace invalidates exactly that workload's cached measurements.
-    """
-    return f"{name}@{_load(name)[1][:12]}"
+    return parse(path.read_text())

@@ -117,9 +117,9 @@ class TestCli:
         seen = []
         real = parallel.run_cells
 
-        def spy(cells, jobs=None, use_cache=None):
+        def spy(cells, jobs=None):
             seen.append((parallel.resolve_jobs(jobs), parallel.cache_enabled()))
-            return real(cells, jobs, use_cache)
+            return real(cells, jobs)
 
         monkeypatch.setattr("repro.bench.sweeps.run_cells", spy)
         try:

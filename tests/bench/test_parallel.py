@@ -1,12 +1,11 @@
-"""Parallel sweep executor: serial/parallel equivalence, result cache,
-jobs resolution, and the gate's baseline error handling."""
+"""Parallel sweep executor: serial/parallel equivalence, result cache
+and jobs resolution."""
 
-import json
 import os
 
 import pytest
 
-from repro.bench import gate, parallel
+from repro.bench import parallel
 from repro.bench.parallel import Cell, cell_key, resolve_jobs, run_cells
 from repro.bench.sweeps import SWEEPS, run_sweep
 
@@ -77,7 +76,7 @@ class TestCacheKey:
             Cell("fig08", "bc-spup", 64),
             Cell("fig11", "multi-w", 2048, (("nranks", 8),)),
             Cell("network", "generic", SWEEPS["network"].xs[0]),
-            Cell("workload:halo_exchange_2d", "bc-spup", 0),
+            Cell("presets", "hdr_ib_2020:bc-spup", 8),
         ]
         committed = [cell_key(cell) for cell in cells]
 
@@ -108,18 +107,6 @@ class TestCacheKey:
         keys = {cell_key(Cell("network", "generic", x)) for x in SWEEPS["network"].xs}
         assert len(keys) == 3
 
-    def test_a_recalibrated_preset_changes_its_cells_keys(self, monkeypatch):
-        from repro.ib import costmodel
-
-        cell = Cell("workload:halo_exchange_2d", "bc-spup", 0, (("preset", "x"),))
-        base = costmodel.CostModel.mellanox_2003()
-        monkeypatch.setitem(costmodel.PRESETS, "x", lambda: base)
-        before = cell_key(cell)
-        monkeypatch.setitem(
-            costmodel.PRESETS, "x", lambda: base.with_overrides(wire_latency=99.0)
-        )
-        assert cell_key(cell) != before
-
     def test_fault_environment_changes_key(self, monkeypatch):
         cell = Cell("fig08", "bc-spup", 8)
         monkeypatch.delenv("REPRO_FAULT_PROFILE", raising=False)
@@ -144,14 +131,19 @@ class TestCacheStore:
         path.write_text("{not json")
         assert parallel._cache_load(key) is None
 
-    def test_use_cache_false_bypasses(self, isolated_dirs, monkeypatch):
+    def test_cache_disabled_bypasses(self, isolated_dirs, monkeypatch):
+        """``--fresh`` measures every cell and stores none."""
         calls = []
         monkeypatch.setattr(
             parallel, "evaluate_cell", lambda cell: calls.append(cell) or 1.0
         )
         cells = [Cell("fig08", "bc-spup", 8)]
-        run_cells(cells, jobs=1, use_cache=False)
-        run_cells(cells, jobs=1, use_cache=False)
+        parallel.set_cache_enabled(False)
+        try:
+            run_cells(cells, jobs=1)
+            run_cells(cells, jobs=1)
+        finally:
+            parallel.set_cache_enabled(None)
         assert len(calls) == 2
         _, cache = isolated_dirs
         assert not list(cache.rglob("*.json"))
@@ -232,72 +224,3 @@ class TestEquivalence:
             parallel.set_jobs(None)
         assert parallel.STATS.executed == 3
         assert _csv_bytes(results, csv) == serial
-
-
-class TestGateErrors:
-    def _shrink(self, monkeypatch):
-        monkeypatch.setattr(gate, "SCHEMES", ("bc-spup",))
-        monkeypatch.setattr(gate, "COLUMNS", (8,))
-
-    def test_missing_baseline_clear_message(self, tmp_path, monkeypatch,
-                                            capsys):
-        self._shrink(monkeypatch)
-        rc = gate.main(["--baseline", str(tmp_path / "nope.json")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "no baseline" in err
-        assert "--write-baseline" in err
-        assert "Traceback" not in err
-
-    def test_corrupt_baseline_clear_message(self, tmp_path, monkeypatch,
-                                            capsys):
-        self._shrink(monkeypatch)
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{oops")
-        rc = gate.main(["--baseline", str(bad)])
-        assert rc == 2
-        assert "cannot read baseline" in capsys.readouterr().err
-
-    def test_missing_entry_clear_message(self, tmp_path, monkeypatch, capsys):
-        self._shrink(monkeypatch)
-        partial = tmp_path / "baseline.json"
-        partial.write_text(json.dumps(
-            {"metrics": {"fig08/bc-spup/cols=8": {
-                "value": 1.0, "unit": "us", "better": "lower"}}}
-        ))
-        rc = gate.main(["--baseline", str(partial)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "no entry" in err
-        assert "fig09/bc-spup/cols=8" in err
-
-    def test_complete_baseline_passes(self, tmp_path, monkeypatch, capsys):
-        self._shrink(monkeypatch)
-        path = tmp_path / "baseline.json"
-        rc = gate.main(["--baseline", str(path), "--write-baseline"])
-        assert rc == 0
-        rc = gate.main(["--baseline", str(path)])
-        assert rc == 0
-        assert "benchmark gate passed" in capsys.readouterr().out
-
-    def test_fault_profile_outlives_the_gate(self, tmp_path, monkeypatch):
-        """Regression: the gate measures fault-free, but it used to get
-        there by popping the profile from the live environment — so in
-        the CI fault matrix the first in-process ``gate.main`` call
-        switched fault injection off for the rest of the pytest session."""
-        self._shrink(monkeypatch)
-        monkeypatch.setenv("REPRO_FAULT_PROFILE", "lossy")
-        monkeypatch.setenv("REPRO_FAULT_SEED", "3")
-        seen = []
-        real = parallel.evaluate_cell
-
-        def spy(cell):
-            seen.append(os.environ.get("REPRO_FAULT_PROFILE"))
-            return real(cell)
-
-        monkeypatch.setattr(parallel, "evaluate_cell", spy)
-        assert gate.main(["--baseline", str(tmp_path / "nope.json")]) == 2
-        assert seen == [None, None]  # the measurement itself ran fault-free
-        assert os.environ.get("REPRO_FAULT_PROFILE") == "lossy"
-        assert os.environ.get("REPRO_FAULT_SEED") == "3"
-

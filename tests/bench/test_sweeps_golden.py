@@ -11,7 +11,9 @@ proves no row was mis-transcribed.  The three rows that arrived later
 (``eager-rdma``, ``io-strategies``, ``rma``) were private sweep drivers
 under ``benchmarks/``; their pin is the CSV those drivers wrote.  So is
 the pin of the two preset rows (``presets``, ``contig``), which carry
-the cells the guidelines harness measured.
+the cells the guidelines harness measured.  Figures 8 and 9 are pinned
+twice: their first point in ``golden/sweeps.json`` and their ``cols=64``
+line, all four schemes, in ``results/fig08.csv`` / ``fig09.csv``.
 Regenerate only for an intended cost-model or protocol change::
 
     PYTHONPATH=src python -m tests.bench.test_sweeps_golden \\
@@ -51,6 +53,9 @@ _CSV_PINNED = {
     "eager-rdma": 8, "io-strategies": 65536, "rma": 64, "presets": 8, "contig": 2048,
 }
 
+#: every checked-in CSV line the tier-1 suite measures again
+_CSV_LINES = (*_CSV_PINNED.items(), ("fig08", 64), ("fig09", 64))
+
 
 def golden_cells():
     return [
@@ -82,8 +87,8 @@ def test_every_pinned_cell_reproduces_exactly():
 
 
 @pytest.mark.faultfree
-@pytest.mark.parametrize("name, x", _CSV_PINNED.items())
-def test_former_private_sweeps_reproduce_their_csv(name, x):
+@pytest.mark.parametrize("name, x", _CSV_LINES)
+def test_csv_line_reproduces_exactly(name, x):
     row = SWEEPS[name]
     line = (REPO / row.csv).read_text().splitlines()[1 + row.xs.index(x)]
     measured = [repr(evaluate_cell(Cell(name, s, x))) for s in row.series]

@@ -55,7 +55,7 @@ def _pin_fault_profile(request, monkeypatch):
 def _fault_profile_outlives_the_session():
     """The fault matrix means what it says only if the profile it sets is
     still in force when the last test runs: fail the session if anything
-    (once: the bench gate) stripped it from the live environment."""
+    stripped it from the live environment."""
     before = {name: os.environ.get(name) for name in FAULT_ENV}
     yield
     assert {name: os.environ.get(name) for name in FAULT_ENV} == before

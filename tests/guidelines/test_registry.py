@@ -1,5 +1,5 @@
 """The cost-model presets the guideline rows are measured on, and the
-result-cache keys of cells that carry one of them."""
+result-cache keys of the ``presets`` row's cells, which name one of them."""
 
 from repro.bench.parallel import Cell, cell_key
 from repro.bench.sweeps import ERAS
@@ -23,15 +23,15 @@ class TestPresetRegistry:
             assert model == factory(), name
 
 
-def _workload_cell(preset):
-    return Cell("workload:halo_exchange_2d", "bc-spup", 0, (("preset", preset),))
+def _preset_cell(era):
+    return Cell("presets", f"{era}:bc-spup", 8)
 
 
 class TestCacheKeyPresetAwareness:
     def test_cache_key_differs_across_presets(self):
-        keys = {cell_key(_workload_cell(preset)) for preset in ERAS}
+        keys = {cell_key(_preset_cell(era)) for era in ERAS}
         assert len(keys) == len(ERAS)
 
     def test_cache_key_stable_for_same_preset(self):
-        for preset in ERAS:
-            assert cell_key(_workload_cell(preset)) == cell_key(_workload_cell(preset))
+        for era in ERAS:
+            assert cell_key(_preset_cell(era)) == cell_key(_preset_cell(era))

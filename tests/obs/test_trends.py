@@ -83,7 +83,7 @@ class TestReadHistory:
     ):
         whole = (history / "BENCH_10.json").read_text()
         (history / "BENCH_11.json").write_text(whole[: len(whole) // 2])
-        # what `bench.gate --out` writes: JSON, but not a hostbench report
+        # JSON, but not a hostbench report
         (history / "BENCH_12.json").write_text(
             json.dumps({"metrics": {"fig08/bc-spup/cols=64": {"value": 1.0}}})
         )

@@ -23,7 +23,6 @@ def test_list_prints_library(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "halo_exchange_2d" in out
-    assert "weight=0.40" in out
 
 
 def test_validate_ok_and_failure(tmp_path, capsys):
@@ -55,18 +54,6 @@ def test_record_writes_trace(name, tmp_path, capsys):
 def test_record_rejects_unknown_pattern(capsys):
     assert main(["record", "nonesuch"]) == 2
     assert "unknown pattern" in capsys.readouterr().out
-
-
-def test_run_subset_prints_metrics(capsys):
-    code = main([
-        "run", "--workloads", "particle_exchange",
-        "--schemes", "bc-spup", "--presets", "mellanox_2003",
-        "-j", "1",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "scenario/particle_exchange/bc-spup/mellanox_2003" in out
-    assert "scenario/weighted/bc-spup/mellanox_2003" in out
 
 
 def test_fuzz_clean_box_exits_zero(capsys):
