@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -145,6 +146,15 @@ class Flattened:
     @property
     def median_block(self) -> float:
         return float(np.median(self.lengths)) if self.nblocks else 0.0
+
+    @cached_property
+    def width(self) -> int:
+        """The length all interior blocks (every block but the first and
+        the last) share, 0 if they differ or there are none: the interior
+        width of every list :class:`SegmentCursor` cuts from these blocks,
+        found once per (memoized) layout."""
+        inner = self.lengths[1:-1]
+        return int(inner[0]) if len(inner) and (inner == inner[0]).all() else 0
 
     @property
     def wire_bytes(self) -> int:

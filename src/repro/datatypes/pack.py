@@ -57,7 +57,8 @@ def _move(memory, base_addr, cursor, lo, hi, flat_addr, gather: bool) -> int:
     t0 = 0 if p is None else p.clock()
     offsets, lengths = cursor.slices(lo, hi)
     memory.copy_blocks(
-        base_addr + offsets, lengths, memory.view(flat_addr, hi - lo), gather=gather
+        base_addr + offsets, lengths, memory.view(flat_addr, hi - lo),
+        gather=gather, width=cursor.width,
     )
     if p is not None:
         p.add_nested("pack-unpack", p.clock() - t0)

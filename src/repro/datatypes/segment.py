@@ -37,6 +37,9 @@ class SegmentCursor:
         self.datatype = datatype
         self.count = count
         self._index(datatype.flatten(count))
+        #: a cut's interior width for ``NodeMemory.copy_blocks`` (every cut
+        #: is sorted); None for a cursor in list order
+        self.width = self.flat.width
 
     @classmethod
     def over_blocks(cls, blocks) -> "SegmentCursor":
@@ -46,7 +49,7 @@ class SegmentCursor:
         them — and so change the block count a copy is billed for.  The
         Hybrid scheme packs its small refined pieces through this."""
         self = cls.__new__(cls)
-        self.datatype, self.count = None, 1
+        self.datatype, self.count, self.width = None, 1, None
         offsets, lengths = block_arrays(blocks)
         live = lengths > 0
         self._index(Flattened(offsets[live], lengths[live]))

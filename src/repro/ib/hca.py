@@ -834,7 +834,8 @@ class HCA:
             return self.memory.view(sge.addr, sge.length).copy()
         sges = SGEList.of(wr.sges)
         data = np.empty(sges.nbytes, dtype=np.uint8)
-        self.memory.copy_blocks(sges.addrs, sges.lengths, data, gather=True)
+        memory, width = self.memory, sges.width
+        memory.copy_blocks(sges.addrs, sges.lengths, data, gather=True, width=width)
         return data
 
     def _scatter(self, sges, data: np.ndarray) -> None:
@@ -853,10 +854,11 @@ class HCA:
                 f"node {self.node_id}: scatter list too small for "
                 f"{len(data)} inbound bytes"
             )
-        lengths = sges.lengths
+        lengths, width = sges.lengths, sges.width
         if len(data) < sges.nbytes:  # clip the list where the data ends
             lengths = np.diff(np.minimum(np.cumsum(lengths), len(data)), prepend=0)
-        self.memory.copy_blocks(sges.addrs, lengths, data, gather=False)
+            width = None
+        self.memory.copy_blocks(sges.addrs, lengths, data, gather=False, width=width)
 
     # -- remote delivery ----------------------------------------------------
 

@@ -236,7 +236,8 @@ class NodeMemory:
         return end - flat_addr
 
     def copy_blocks(
-        self, addrs: np.ndarray, lengths: np.ndarray, flat: np.ndarray, *, gather: bool
+        self, addrs: np.ndarray, lengths: np.ndarray, flat: np.ndarray, *,
+        gather: bool, width: int | None = None,
     ) -> None:
         """The one block copy: between the disjoint blocks ``(addrs[i],
         lengths[i])`` of this address space, in list order, and the
@@ -252,24 +253,37 @@ class NodeMemory:
         and last block, which a segment boundary may have cut, and any
         other list (few, large or unequal blocks) go through memoryview
         slices.  A block outside the space is an error on either path.
+
+        A list in any order is measured by reductions.  A list sorted by
+        address (a ``SegmentCursor`` cut) passes as ``width`` the length its
+        interior blocks share (0: they differ): its span is its two ends.
         """
         n = len(addrs)
-        if n and not gather:
-            self._mark(int(addrs.min()), int((addrs + lengths).max()))
-        width = int(lengths[1]) if n > 2 else 0
-        if 0 < width <= SLICE_COPY_BYTES and (lengths[1:-1] == width).all():
-            mid = addrs[1:-1]  # checked before the window is built over them
-            if mid.min() < 0 or mid.max() + width > self.capacity:
-                raise ValueError(_outside(int(mid.min()), int(mid.max()) + width))
+        lo = hi = 0  # what must lie inside the space before a byte moves
+        if width is not None and n:
+            lo, hi = int(addrs[0]), int(addrs[-1] + lengths[-1])
+            if not gather:
+                self._mark(lo, hi)
+        else:
+            if n and not gather:
+                self._mark(int(addrs.min()), int((addrs + lengths).max()))
+            width = int(lengths[1]) if n > 2 else 0
+            if 0 < width <= SLICE_COPY_BYTES and (lengths[1:-1] == width).all():
+                lo, hi = int(addrs[1:-1].min()), int(addrs[1:-1].max()) + width
+            else:
+                width = 0
+        if lo < 0 or hi > self.capacity:
+            raise ValueError(_outside(lo, hi))
+        if n > 2 and 0 < width <= SLICE_COPY_BYTES:
             window = np.ndarray(
                 (self.capacity - width + 1, width), np.uint8, self._data, strides=(1, 1)
             )
             head, tail = int(lengths[0]), len(flat) - int(lengths[-1])
             rows = flat[head:tail].reshape(n - 2, width)
             if gather:
-                rows[...] = window[mid]
+                rows[...] = window[addrs[1:-1]]
             else:
-                window[mid] = rows
+                window[addrs[1:-1]] = rows
             edges = [(0, int(addrs[0]), head), (tail, int(addrs[-1]), len(flat) - tail)]
         else:
             runs = lengths.tolist()

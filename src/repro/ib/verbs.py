@@ -103,15 +103,24 @@ class SGE(NamedTuple):
 
 class SGEList:
     """A gather/scatter list as three parallel int64 arrays — what
-    :func:`repro.schemes.base.sge_chunks` builds for ``MAX_SGE`` blocks at
+    :func:`repro.schemes.base.sge_lists` builds for ``MAX_SGE`` blocks at
     once.  Sized, and iterable as :class:`SGE` objects for code that asks;
-    validation and the HCA's DMA read the arrays."""
+    validation and the HCA's DMA read the arrays.
 
-    __slots__ = ("addrs", "lengths", "lkeys", "nbytes")
+    A cut of a sorted layout carries its shape: ``width`` (None unless
+    sorted, see ``NodeMemory.copy_blocks``) and, if every entry has it,
+    ``lkey``, so that it is checked as its span."""
 
-    def __init__(self, addrs: np.ndarray, lengths: np.ndarray, lkeys: np.ndarray):
+    __slots__ = ("addrs", "lengths", "lkeys", "nbytes", "width", "lkey")
+
+    def __init__(
+        self, addrs: np.ndarray, lengths: np.ndarray, lkeys: np.ndarray,
+        nbytes: Optional[int] = None, width: Optional[int] = None,
+        lkey: Optional[int] = None,
+    ):
         self.addrs, self.lengths, self.lkeys = addrs, lengths, lkeys
-        self.nbytes = int(lengths.sum())
+        self.nbytes = int(lengths.sum()) if nbytes is None else nbytes
+        self.width, self.lkey = width, lkey
 
     @classmethod
     def of(cls, sges) -> "SGEList":
@@ -121,6 +130,10 @@ class SGEList:
     def hulls(self):
         """``(addr, length, lkey)`` spanning the entries under each lkey:
         the list lies inside its regions exactly if these ranges do."""
+        if self.lkey is not None:
+            lo = int(self.addrs[0])
+            yield lo, int(self.addrs[-1] + self.lengths[-1]) - lo, self.lkey
+            return
         ends = self.addrs + self.lengths
         first = self.lkeys[:1]
         one = (self.lkeys == first).all()  # the usual case: one region
@@ -326,7 +339,8 @@ class _RecvQueue:
     Each entry is ``[descriptor, remaining]``: posting the same (immutable)
     descriptor object again extends the tail run, so a pool of ``depth``
     identical descriptors — and its steady-state consume/repost cycle —
-    is one entry, not ``depth`` objects.  Quacks like a named
+    is one entry, not ``depth`` objects; so is an iterator of distinct
+    descriptors (:meth:`QueuePair.post_recv_slots`).  Quacks like a named
     :class:`~repro.simulator.Store` for ``Tracer.sample_store``.
     """
 
@@ -340,7 +354,7 @@ class _RecvQueue:
     def __len__(self) -> int:
         return self._depth
 
-    def put(self, wr: RecvWR, count: int = 1) -> None:
+    def put(self, wr: RecvWR | Iterator[RecvWR], count: int = 1) -> None:
         runs = self._runs
         if runs and runs[-1][0] is wr:
             runs[-1][1] += count
@@ -360,7 +374,8 @@ class _RecvQueue:
         if not run[1]:
             self._runs.popleft()
         self._depth -= 1
-        return run[0]
+        wr = run[0]
+        return wr if type(wr) is RecvWR else next(wr)
 
 
 class QueuePair:
@@ -431,6 +446,18 @@ class QueuePair:
         for sge in wr.sges:
             self.hca.memory.check_local(sge.addr, sge.length, sge.lkey)
         self._recv_queue.put(wr, count)
+        self.posted_recvs += count
+        self._recvs_metric.inc(count)
+
+    def post_recv_slots(self, addr: int, size: int, count: int, lkey: int, tag: tuple):
+        """:meth:`post_recv_nocost` of one descriptor per ``size``-byte slot
+        of the ``count`` from ``addr``, in address order, ``wr_id`` ``(*tag,
+        slot)``: one check covers the slots, one run holds them, and each
+        descriptor is made as it is consumed."""
+        self.hca.memory.check_local(addr, count * size, lkey)
+        slots = range(addr, addr + count * size, size)
+        wrs = (RecvWR((SGE(a, size, lkey),), (*tag, a)) for a in slots)
+        self._recv_queue.put(wrs, count)
         self.posted_recvs += count
         self._recvs_metric.inc(count)
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from repro.datatypes import Datatype, SegmentCursor
 from repro.datatypes.pack import pack_bytes, unpack_bytes
-from repro.ib.verbs import MAX_SGE, Opcode, RecvWR, SGE, SGEList, SendWR
+from repro.ib.verbs import MAX_SGE, Opcode, RecvWR, SGE, SendWR
 from repro.io.server import FileHandle, _Commit, _CommitAck, _OpenReply, _OpenReq
 from repro.registration import RegistrationCache
-from repro.schemes.base import RegisteredUserBuffer, charge_dtproc
+from repro.schemes.base import RegisteredUserBuffer, charge_dtproc, sge_lists
 from repro.simulator import SimulationError, Store
 
 __all__ = ["IOClient"]
@@ -362,14 +362,10 @@ class IOClient:
         reg = yield from RegisteredUserBuffer.acquire(self, addr, cur.flat)
         completions = []
         for lo, hi, server, local in self._stripe_chunks(fh, file_offset, cur.total):
-            offsets, lengths = cur.slices(lo, hi)
-            addrs = addr + offsets
-            lkeys = reg.lkeys_for(addrs, lengths)
-            for k in range(0, len(addrs), MAX_SGE):
-                sges = SGEList(*(a[k : k + MAX_SGE] for a in (addrs, lengths, lkeys)))
+            for k, sges in enumerate(sge_lists(addr, cur, lo, hi, reg)):
                 done = yield from self._post(
                     opcode, sges, fh, server, local,
-                    (self.client_id, _WR_TAG[opcode], lo, k),
+                    (self.client_id, _WR_TAG[opcode], lo, k * MAX_SGE),
                 )
                 completions.append(done)
                 local += sges.nbytes

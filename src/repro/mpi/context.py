@@ -270,14 +270,9 @@ class RankContext:
             region = mem.alloc_undefined(EAGER_SLOTS_PER_PEER * self._slot_size)
             mr = mem.register(region, EAGER_SLOTS_PER_PEER * self._slot_size)
             self._recv_slot_mr[peer] = mr
-            for i in range(EAGER_SLOTS_PER_PEER):
-                addr = region + i * self._slot_size
-                qp.post_recv_nocost(
-                    RecvWR(
-                        sges=(SGE(addr, self._slot_size, mr.lkey),),
-                        wr_id=("slot", peer, addr),
-                    )
-                )
+            qp.post_recv_slots(
+                region, self._slot_size, EAGER_SLOTS_PER_PEER, mr.lkey, ("slot", peer)
+            )
         # control receive descriptors (no data) on ctrl QPs: one shared
         # descriptor per peer, posted (and later reposted) by count
         self._ctrl_recv_wr: dict[int, RecvWR] = {}

@@ -21,7 +21,7 @@ files (and ``mpi.rma.put``) contain the *order* in which they are called:
 * one write per refined piece: :func:`piece_writes`, :func:`post_writes`
   (the caller bills the list with :func:`charge_dtproc`);
 * gather / scatter lists of at most ``MAX_SGE`` entries, billed the same
-  way: :func:`sge_chunks`;
+  way: :func:`sge_chunks` (:func:`sge_lists` uncharged);
 * a staging buffer into an advertised segment: :func:`write_segment`,
   with :func:`recycle_pack_buffer` returning the pool buffer afterwards;
 * a landed segment into user memory: :func:`unpack_segment`, the step
@@ -56,6 +56,7 @@ __all__ = [
     "recycle_pack_buffer",
     "send_rndv_start",
     "sge_chunks",
+    "sge_lists",
     "staged_receiver",
     "unpack_segment",
     "write_segment",
@@ -145,20 +146,31 @@ def post_writes(qp, wrs, list_post: bool):
             yield from qp.post_send(wr)
 
 
-def sge_chunks(ctx: "RankContext", base_addr: int, cursor, lo: int, hi: int, reg):
+def sge_lists(base_addr: int, cursor, lo: int, hi: int, reg) -> list[SGEList]:
     """Gather/scatter lists for packed bytes [lo, hi) of the stream rooted
-    at ``base_addr`` (generator): charges the datatype processing, then
-    returns one :class:`~repro.ib.verbs.SGEList` per descriptor, at most
-    ``MAX_SGE`` (the Mellanox limit) entries each — RWG-UP's write-gather
-    and P-RRS's read-scatter alike."""
+    at ``base_addr``, uncharged: one :class:`~repro.ib.verbs.SGEList` of at
+    most ``MAX_SGE`` (the Mellanox limit) entries per descriptor, each with
+    the cut's shape (bytes, the cursor's ``width``, the lkey if only one)."""
     offsets, lengths = cursor.slices(lo, hi)
-    yield from charge_dtproc(ctx, len(offsets))
+    if not len(offsets):
+        return []
     addrs = base_addr + offsets
     lkeys = reg.lkeys_for(addrs, lengths)
+    sole = int(lkeys[0]) if (lkeys == lkeys[0]).all() else None
+    starts, width = range(0, len(addrs), MAX_SGE), cursor.width
+    sizes = np.add.reduceat(lengths, starts).tolist()
     return [
-        SGEList(*(a[k : k + MAX_SGE] for a in (addrs, lengths, lkeys)))
-        for k in range(0, len(addrs), MAX_SGE)
+        SGEList(*(a[k : k + MAX_SGE] for a in (addrs, lengths, lkeys)), n, width, sole)
+        for k, n in zip(starts, sizes)
     ]
+
+
+def sge_chunks(ctx: "RankContext", base_addr: int, cursor, lo: int, hi: int, reg):
+    """:func:`sge_lists`, charged as the datatype processing that builds
+    them (generator): RWG-UP's write-gather and P-RRS's read-scatter."""
+    lists = sge_lists(base_addr, cursor, lo, hi, reg)
+    yield from charge_dtproc(ctx, sum(map(len, lists)))
+    return lists
 
 
 def write_segment(

@@ -1,16 +1,19 @@
 """``NodeMemory.copy_blocks`` — the one block copy behind pack/unpack,
 ``gather_blocks``/``scatter_blocks`` and the HCA's gather/scatter DMA —
-against a per-block slice loop, and its bounds errors at both ends of the
-address space."""
+against a per-block slice loop, its bounds errors at both ends of the
+address space, and its sorted path (a cursor cut passing its ``width``)
+against its reductions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datatypes import INT, SegmentCursor, pack_bytes, unpack_bytes, vector
+from repro.datatypes import (
+    BYTE, INT, SegmentCursor, hindexed, pack_bytes, unpack_bytes, vector,
+)
 from repro.ib import CostModel, Fabric, SGE, SGEList, SendWR, Opcode
-from repro.ib.memory import SLICE_COPY_BYTES, NodeMemory, block_arrays
+from repro.ib.memory import CHUNK_SHIFT, SLICE_COPY_BYTES, NodeMemory, block_arrays
 from repro.simulator import Simulator
 
 CAPACITY = 1 << 16
@@ -179,3 +182,100 @@ class TestOutsideTheAddressSpace:
                 node.hca._gather(SendWR(Opcode.RDMA_WRITE, sges=sges))
             with pytest.raises(ValueError, match=OUTSIDE):
                 node.hca._scatter(sges, np.zeros(8 * width, dtype=np.uint8))
+
+
+#: a space of three written-chunks, and bytes to start it from
+SPACE = 5 << (CHUNK_SHIFT - 1)
+PATTERN = (np.arange(SPACE, dtype=np.int64) * 7 % 251).astype(np.uint8)
+
+
+@st.composite
+def sorted_cuts(draw):
+    """``(cursor, lo, hi, base)``: packed bytes [lo, hi) of a sorted,
+    disjoint layout rooted at ``base`` — equal or mixed widths, below and
+    above the slice cut-over, near together (touching blocks merge) or
+    spread over written-chunks; the first and last block cut wherever [lo,
+    hi) falls."""
+    n = draw(st.integers(1, 80))
+    equal, spread = draw(st.booleans()), draw(st.booleans())
+    width = draw(st.sampled_from([1, 4, 7, 64, SLICE_COPY_BYTES, SLICE_COPY_BYTES + 1]))
+    offsets, lengths, pos = [], [], 0
+    for _ in range(n):
+        # spread: half the space between the first and the last block
+        pos += (SPACE // 2) // n - width if spread else draw(st.integers(0, width))
+        lengths.append(width if equal else draw(st.integers(1, width)))
+        offsets.append(pos)
+        pos += lengths[-1]
+    cursor = SegmentCursor(hindexed(lengths, offsets, BYTE))
+    lo = draw(st.integers(0, cursor.total - 1) | st.just(0))
+    hi = draw(st.integers(lo + 1, cursor.total) | st.just(cursor.total))
+    return cursor, lo, hi, draw(st.integers(0, SPACE - pos))
+
+
+def copied(addrs, lengths, size, gather, width):
+    """A fresh space's bytes, the contiguous side and the written-chunk
+    record after one ``copy_blocks``."""
+    mem = NodeMemory(0, SPACE)
+    mem._data[:] = PATTERN  # not through ``view``: nothing is marked yet
+    flat = PATTERN[-size:].copy()
+    mem.copy_blocks(addrs, lengths, flat, gather=gather, width=width)
+    return mem._data.copy(), flat, mem._written.copy()
+
+
+class TestSortedCut:
+    """A cut of a sorted layout is measured at its two ends; the list in
+    any order, by reductions, is its oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut=sorted_cuts(), gather=st.booleans())
+    def test_moves_and_marks_what_the_reductions_do(self, cut, gather):
+        cursor, lo, hi, base = cut
+        offsets, lengths = cursor.slices(lo, hi)
+        addrs = base + offsets
+        shaped = copied(addrs, lengths, hi - lo, gather, cursor.width)
+        reduced = copied(addrs, lengths, hi - lo, gather, None)
+        for a, b in zip(shaped, reduced):
+            assert np.array_equal(a, b)
+        if gather:
+            blocks = zip(addrs.tolist(), lengths.tolist())
+            assert np.array_equal(shaped[1], loop_gather(PATTERN, blocks))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=sorted_cuts(), gather=st.booleans(), below=st.booleans(),
+           pick=st.integers(0, 2**16))
+    def test_a_block_outside_the_space_raises(self, cut, gather, below, pick):
+        cursor, lo, hi, _base = cut
+        offsets, lengths = cursor.slices(lo, hi)
+        k = pick % len(offsets)  # this block pokes out by one byte
+        start, end = int(offsets[k]), int(offsets[k] + lengths[k])
+        base = -1 - start if below else SPACE + 1 - end
+        for width in (cursor.width, None):
+            with pytest.raises(ValueError, match=OUTSIDE):
+                copied(base + offsets, lengths, hi - lo, gather, width)
+
+    def test_the_width_is_the_layouts_interior_width(self):
+        assert SegmentCursor(vector(8, 1, 4, INT)).width == 4
+        # the first and last block are cut by segment boundaries anyway
+        at = [0, 16, 32, 48, 64]
+        assert SegmentCursor(hindexed([9, 4, 4, 4, 2], at, BYTE)).width == 4
+        assert SegmentCursor(hindexed([4, 4, 8, 4, 4], at, BYTE)).width == 0
+
+    def test_a_cursor_over_blocks_in_list_order_passes_no_width(self, monkeypatch):
+        widths = []
+        real = NodeMemory.copy_blocks
+
+        def noting(self, *args, **kwargs):
+            widths.append(kwargs.get("width"))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(NodeMemory, "copy_blocks", noting)
+        mem = NodeMemory(0, CAPACITY)
+        mem._data[:] = PATTERN[:CAPACITY]
+        blocks = [(4000 - 40 * i, 4) for i in range(50)]  # descending
+        cursor = SegmentCursor.over_blocks(blocks)
+        assert cursor.width is None
+        for lo, hi in ((0, cursor.total), (2, 150)):
+            pack_bytes(mem, 0, cursor, lo, hi, CAPACITY // 2)
+            whole = loop_gather(PATTERN, blocks)
+            assert np.array_equal(mem.view(CAPACITY // 2, hi - lo), whole[lo:hi])
+        assert widths == [None, None]

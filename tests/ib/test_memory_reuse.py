@@ -128,6 +128,9 @@ def test_fuzz_programs_under_poison(workload):
 def _scribbled_world(byte: int) -> tuple[Cluster, list]:
     """A finished 2-rank world whose program wrote ``byte`` over a
     ``2 * SIZE`` buffer a rank; the buffers' addresses."""
+    # worlds an earlier test left for the collector die first: dying with
+    # this one they would push its spaces off the bounded free list
+    gc.collect()
     addrs = []
 
     def scribble(mpi):

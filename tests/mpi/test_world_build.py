@@ -9,7 +9,8 @@ each of the 4096 descriptors was its own object.
 import pytest
 
 from repro import Cluster
-from repro.ib import RecvWR
+from repro.datatypes import BYTE
+from repro.ib import SGE, QueuePair, RecvWR
 from repro.mpi.context import CTRL_RECVS_PER_PEER, EAGER_SLOTS_PER_PEER
 from repro.simulator import SimulationError
 
@@ -25,8 +26,79 @@ def test_build_creates_a_bounded_number_of_descriptors(nranks, monkeypatch):
 
     monkeypatch.setattr(RecvWR, "__init__", counting_init)
     Cluster(nranks)
-    # per directed pair: one descriptor per eager slot, one for the pool
-    assert len(created) <= (EAGER_SLOTS_PER_PEER + 1) * nranks * (nranks - 1)
+    # per directed pair: the control pool's one descriptor; the eager
+    # slots' are made as they are consumed
+    assert len(created) <= 2 * nranks * (nranks - 1)
+
+
+def slot_descriptors(ctx, peer) -> list:
+    """The eager slots of ``peer``'s data QP as one descriptor object each,
+    in posting order: what the pool posted before it was one run."""
+    mr, size = ctx._recv_slot_mr[peer], ctx._slot_size
+    return [
+        RecvWR(sges=(SGE(addr, size, mr.lkey),), wr_id=("slot", peer, addr))
+        for addr in range(mr.addr, mr.addr + EAGER_SLOTS_PER_PEER * size, size)
+    ]
+
+
+class TestEagerSlotRun:
+    def test_a_fresh_pool_yields_the_slots_in_order_then_runs_dry(self):
+        ctx = Cluster(3).contexts[1]
+        for peer, qp in ctx.data_qps.items():
+            assert len(qp._recv_queue._runs) == 1
+            got = [qp._consume_recv() for _ in range(EAGER_SLOTS_PER_PEER)]
+            assert got == slot_descriptors(ctx, peer)
+            assert len(qp._recv_queue) == 0 and qp.posted_recvs == 64
+            with pytest.raises(SimulationError, match="receiver-not-ready"):
+                qp._consume_recv()  # the 65th unreplenished eager arrival
+
+    def test_reposts_queue_behind_the_rest_of_the_run(self):
+        ctx = Cluster(2).contexts[0]
+        qp, want = ctx.data_qps[1], slot_descriptors(ctx, 1)
+        taken = [qp._consume_recv() for _ in range(10)]
+        assert taken == want[:10]
+        # slots come back in whatever order their messages were delivered
+        reposted = taken[3:] + taken[:3]
+        for wr in reposted:
+            addr = wr.wr_id[2]
+            assert list(ctx._recycle_slot(1, addr)) == []  # below a credit batch
+        assert len(qp._recv_queue) == qp.posted_recvs - 10 == 64
+        got = [qp._consume_recv() for _ in range(EAGER_SLOTS_PER_PEER)]
+        assert got == want[10:] + reposted
+        with pytest.raises(SimulationError, match="receiver-not-ready"):
+            qp._consume_recv()
+
+    def test_a_stream_of_eager_messages_cycles_the_slots_in_order(self, monkeypatch):
+        consumed = []
+        real = QueuePair._consume_recv
+
+        def noting(self):
+            wr = real(self)
+            consumed.append((self, wr))
+            return wr
+
+        monkeypatch.setattr(QueuePair, "_consume_recv", noting)
+        cluster = Cluster(2)
+        n = 3 * EAGER_SLOTS_PER_PEER
+
+        def program(mpi):
+            buf = mpi.alloc(64)
+            for _ in range(n):
+                if mpi.rank == 0:
+                    yield from mpi.send(buf, BYTE, 64, dest=1, tag=0)
+                else:
+                    yield from mpi.recv(buf, BYTE, 64, source=0, tag=0)
+
+        cluster.run(program)
+        ctx = cluster.contexts[1]
+        qp = ctx.data_qps[0]
+        slots = [wr for q, wr in consumed if q is qp]
+        assert len(slots) == n
+        # the receiver reposts each slot as it drains it, so the ring of
+        # 64 is taken round and round in address order
+        assert slots == slot_descriptors(ctx, 0) * 3
+        assert len(qp._recv_queue) == EAGER_SLOTS_PER_PEER
+        assert qp.posted_recvs == n + EAGER_SLOTS_PER_PEER
 
 
 @pytest.mark.parametrize("nranks,recvs_per_node", [(2, 4160), (3, 8320)])
